@@ -10,7 +10,8 @@ large enough for stable rankings, small enough for a full run in
 minutes.  Set ``REPRO_BENCH_LENGTH`` / ``REPRO_BENCH_WARMUP`` to scale
 up (e.g. 30000/10000 for paper-size tables).
 
-Parallelism: every experiment routes its machine runs through the
+Parallelism: every experiment but E13 (which attaches prefetchers to
+machines after building them) routes its machine runs through the
 experiment engine (:mod:`repro.harness.parallel`), so the suite fans
 out across ``REPRO_BENCH_WORKERS`` processes (default: all cores)
 sharing generated traces via a disk cache under

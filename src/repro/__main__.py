@@ -55,11 +55,11 @@ from .harness.parallel import ExperimentEngine, matrix_jobs
 from .harness.report import (cpistack_comparison, cpistack_table,
                              run_and_render, sweep_to_text)
 from .harness.runners import MACHINES, build_machine
-from .integrity.chaos import ENV_CHAOS
 from .integrity.errors import SimulationError
 from .integrity.forensics import (DEFAULT_CRASH_DIR, CrashDumpError,
                                   latest_crash_dump, load_crash_dump,
-                                  render_crash_dump, write_crash_dump)
+                                  render_crash_dump, replay_context,
+                                  write_crash_dump)
 from .stats.cpistack import AttributionError, cpistack_of
 from .stats.store import ResultStore
 from .stats.tables import render_table
@@ -115,17 +115,6 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _replay_context(machine_name: str, args) -> dict:
-    """The replay recipe attached to CLI crash dumps."""
-    context = {"machine": machine_name, "benchmark": args.benchmark,
-               "config": args.config, "length": args.length,
-               "warmup": args.warmup, "seed": args.seed}
-    chaos = os.environ.get(ENV_CHAOS)
-    if chaos:
-        context["chaos"] = chaos
-    return context
-
-
 def _run_benchmark(args, machines, observer=None):
     """Run ``args.benchmark``'s trace on each of *machines*.
 
@@ -158,7 +147,9 @@ def _run_benchmark(args, machines, observer=None):
                                  warmup=args.warmup)
         except SimulationError as error:
             dump = write_crash_dump(
-                error, context=_replay_context(machine_name, args),
+                error, context=replay_context(
+                    machine_name, args.benchmark, args.config,
+                    args.length, args.warmup, args.seed),
                 workload=args.benchmark)
             print(f"{machine_name}: {error.failure_class}: {error} "
                   f"[crash dump: {dump}; inspect with "
@@ -432,8 +423,9 @@ def cmd_oracle(args) -> int:
 
     failed = False
     for machine_name in machines:
-        context = _replay_context(machine_name, args)
-        context["oracle"] = True
+        context = replay_context(machine_name, args.benchmark,
+                                 args.config, args.length, args.warmup,
+                                 args.seed, oracle=True)
         try:
             result = run_trace_under_oracle(
                 machine_name, trace, base, golden=golden,

@@ -13,7 +13,7 @@ from .config import FULL, QUICK, REPRESENTATIVE, ExperimentConfig
 from .experiments import REGISTRY, ExperimentReport, run_experiment
 from .multiseed import SeedStudy, seed_study
 from .report import report_to_markdown, run_and_render
-from .runners import MACHINES, build_machine, config_for, run_machine, run_suite
+from .runners import MACHINES, build_machine, config_for, run_machine
 
 __all__ = [
     "FULL",
@@ -31,5 +31,4 @@ __all__ = [
     "build_machine",
     "config_for",
     "run_machine",
-    "run_suite",
 ]

@@ -19,7 +19,7 @@ from ..workloads.profiles import SPEC_FP_NAMES, SPEC_INT_NAMES
 from ..workloads.suite import suite_names
 from .config import REPRESENTATIVE, ExperimentConfig
 from .parallel import make_job, run_jobs, run_suites
-from .runners import build_machine, config_for, run_machine, run_suite
+from .runners import build_machine, config_for
 
 
 @dataclass
@@ -108,7 +108,7 @@ def e3_partition_characterisation(config: ExperimentConfig
                                   ) -> ExperimentReport:
     """E3: where instructions go — balance, replication, communication."""
     base = config_for("medium")
-    results = run_suite("fgstp", base, config)
+    results = run_suites(("fgstp",), base, config)["fgstp"]
     rows = []
     for name, result in results.items():
         partition = result.extra["partition"]
@@ -134,19 +134,26 @@ def e3_partition_characterisation(config: ExperimentConfig
 
 def _sensitivity(config: ExperimentConfig, experiment_id: str, title: str,
                  axis_name: str, points: List[Any],
-                 fgstp_for: Callable[[Any], FgStpParams],
+                 job_args: Callable[[Any], Dict[str, Any]],
+                 machine: str = "fgstp",
+                 notes: str = ("Cells are Fg-STP speedup over one core at "
+                               "each sweep point."),
                  extra_column: Optional[str] = None,
                  extra_of: Optional[Callable[[Any], float]] = None
                  ) -> ExperimentReport:
-    """Shared sweep implementation for E4/E5/E9.
+    """Shared sweep implementation for E4/E5/E8/E9/E14.
 
     The baseline runs and every (sweep point × benchmark) cell are
     submitted as one engine batch; all points of a sensitivity curve
     can simulate concurrently.
 
     Args:
+        job_args: Maps a sweep point to the :func:`make_job` keyword
+            arguments of *machine*'s runs at that point (Fg-STP
+            parameters, or machine overrides such as a partition
+            policy).
         extra_column / extra_of: Optional per-point diagnostic column:
-            *extra_of* maps each Fg-STP :class:`SimResult` to a number
+            *extra_of* maps each swept :class:`SimResult` to a number
             and the row reports the sum over the point's benchmarks
             (E9 uses this to surface queue-mouth backpressure).
     """
@@ -156,9 +163,8 @@ def _sensitivity(config: ExperimentConfig, experiment_id: str, title: str,
     jobs = [make_job("single", name, base, sweep_config)
             for name in names]
     for point in points:
-        fgstp = fgstp_for(point)
-        jobs.extend(make_job("fgstp", name, base, sweep_config,
-                             fgstp=fgstp)
+        jobs.extend(make_job(machine, name, base, sweep_config,
+                             **job_args(point))
                     for name in names)
     results = run_jobs(jobs)
     singles = dict(zip(names, results[:len(names)]))
@@ -186,7 +192,7 @@ def _sensitivity(config: ExperimentConfig, experiment_id: str, title: str,
         title=title,
         headers=headers,
         rows=rows,
-        notes="Cells are Fg-STP speedup over one core at each sweep point.",
+        notes=notes,
     )
 
 
@@ -196,7 +202,7 @@ def e4_comm_latency(config: ExperimentConfig) -> ExperimentReport:
         config, "E4",
         "Fg-STP speedup vs. inter-core queue latency (medium config)",
         "queue_latency", [1, 2, 3, 5, 10, 20],
-        lambda latency: FgStpParams(queue_latency=latency))
+        lambda latency: {"fgstp": FgStpParams(queue_latency=latency)})
 
 
 def e5_window_size(config: ExperimentConfig) -> ExperimentReport:
@@ -205,8 +211,8 @@ def e5_window_size(config: ExperimentConfig) -> ExperimentReport:
         config, "E5",
         "Fg-STP speedup vs. lookahead window size (medium config)",
         "window_size", [64, 128, 256, 512, 1024],
-        lambda window: FgStpParams(window_size=window,
-                                   batch_size=min(64, window)))
+        lambda window: {"fgstp": FgStpParams(
+            window_size=window, batch_size=min(64, window))})
 
 
 def _mouth_blocked_cycles(result) -> float:
@@ -222,7 +228,8 @@ def e9_comm_bandwidth(config: ExperimentConfig) -> ExperimentReport:
         config, "E9",
         "Fg-STP speedup vs. queue bandwidth (medium config)",
         "queue_bandwidth", [1, 2, 4],
-        lambda bandwidth: FgStpParams(queue_bandwidth=bandwidth),
+        lambda bandwidth: {"fgstp": FgStpParams(
+            queue_bandwidth=bandwidth)},
         extra_column="mouth_blocked",
         extra_of=_mouth_blocked_cycles)
 
@@ -230,10 +237,10 @@ def e9_comm_bandwidth(config: ExperimentConfig) -> ExperimentReport:
 def e6_dependence_speculation(config: ExperimentConfig) -> ExperimentReport:
     """E6: dependence-speculation ablation with violation statistics."""
     base = config_for("medium")
-    with_spec = run_suite("fgstp", base, config,
-                          fgstp=FgStpParams(speculation=True))
-    without = run_suite("fgstp", base, config,
-                        fgstp=FgStpParams(speculation=False))
+    with_spec = run_suites(("fgstp",), base, config,
+                           fgstp=FgStpParams(speculation=True))["fgstp"]
+    without = run_suites(("fgstp",), base, config,
+                         fgstp=FgStpParams(speculation=False))["fgstp"]
     rows = []
     gains = []
     for name in with_spec:
@@ -260,10 +267,10 @@ def e6_dependence_speculation(config: ExperimentConfig) -> ExperimentReport:
 def e7_replication(config: ExperimentConfig) -> ExperimentReport:
     """E7: replication ablation with communication-traffic delta."""
     base = config_for("medium")
-    with_repl = run_suite("fgstp", base, config,
-                          fgstp=FgStpParams(replication=True))
-    without = run_suite("fgstp", base, config,
-                        fgstp=FgStpParams(replication=False))
+    with_repl = run_suites(("fgstp",), base, config,
+                           fgstp=FgStpParams(replication=True))["fgstp"]
+    without = run_suites(("fgstp",), base, config,
+                         fgstp=FgStpParams(replication=False))["fgstp"]
     rows = []
     gains = []
 
@@ -293,32 +300,15 @@ def e7_replication(config: ExperimentConfig) -> ExperimentReport:
 
 def e8_fusion_overhead(config: ExperimentConfig) -> ExperimentReport:
     """E8: Core Fusion overhead sensitivity (baseline validation)."""
-    base = config_for("medium")
-    names = config.benchmarks or REPRESENTATIVE
-    sweep_config = config.with_(benchmarks=list(names))
-    singles = {name: run_machine("single", name, base, sweep_config)
-               for name in names}
-    rows = []
-    for overhead in (0, 2, 4, 6, 8):
-        row: List[Any] = [overhead]
-        speedups = []
-        for name in names:
-            result = run_machine("corefusion", name, base, sweep_config,
-                                 frontend_overhead=overhead)
-            speedup = singles[name].cycles / result.cycles
-            speedups.append(speedup)
-            row.append(speedup)
-        row.append(geomean(speedups))
-        rows.append(row)
-    return ExperimentReport(
-        experiment_id="E8",
-        title=("Core Fusion speedup vs. fusion front-end overhead "
-               "(medium config)"),
-        headers=["frontend_overhead"] + list(names) + ["geomean"],
-        rows=rows,
+    return _sensitivity(
+        config, "E8",
+        ("Core Fusion speedup vs. fusion front-end overhead "
+         "(medium config)"),
+        "frontend_overhead", [0, 2, 4, 6, 8],
+        lambda overhead: {"frontend_overhead": overhead},
+        machine="corefusion",
         notes=("Validates the baseline: fusion gains erode as the added "
-               "front-end depth grows."),
-    )
+               "front-end depth grows."))
 
 
 def e10_int_fp_split(config: ExperimentConfig) -> ExperimentReport:
@@ -354,10 +344,10 @@ def e10_int_fp_split(config: ExperimentConfig) -> ExperimentReport:
 
 def e11_adaptive_mode(config: ExperimentConfig) -> ExperimentReport:
     """E11 (extension): coarse-grain reconfiguration (adaptive Fg-STP)."""
-    base = config_for("medium")
-    always = run_suite("fgstp", base, config)
-    single = run_suite("single", base, config)
-    adaptive = run_suite("fgstp-adaptive", base, config)
+    suites = run_suites(("fgstp", "single", "fgstp-adaptive"),
+                        config_for("medium"), config)
+    always, single, adaptive = (suites["fgstp"], suites["single"],
+                                suites["fgstp-adaptive"])
     rows = []
     gains = []
     for name in always:
@@ -384,10 +374,10 @@ def e12_energy(config: ExperimentConfig) -> ExperimentReport:
     """E12 (extension): energy and energy-delay of the three machines."""
     from ..stats.energy import energy_of
 
-    base = config_for("medium")
-    single = run_suite("single", base, config)
-    fusion = run_suite("corefusion", base, config)
-    fgstp = run_suite("fgstp", base, config)
+    suites = run_suites(("single", "corefusion", "fgstp"),
+                        config_for("medium"), config)
+    single, fusion, fgstp = (suites["single"], suites["corefusion"],
+                             suites["fgstp"])
     rows = []
     edp_ratios_fg, edp_ratios_cf = [], []
     for name in single:
@@ -484,31 +474,12 @@ def e14_partition_policies(config: ExperimentConfig) -> ExperimentReport:
     """
     from ..fgstp.policies import POLICIES
 
-    base = config_for("medium")
-    names = config.benchmarks or REPRESENTATIVE
-    sweep_config = config.with_(benchmarks=list(names))
-    singles = {name: run_machine("single", name, base, sweep_config)
-               for name in names}
-    rows = []
-    for policy_name in POLICIES:
-        row: List[Any] = [policy_name]
-        values = []
-        for name in names:
-            result = run_machine("fgstp", name, base, sweep_config,
-                                 policy=policy_name)
-            speedup = singles[name].cycles / result.cycles
-            values.append(speedup)
-            row.append(speedup)
-        row.append(geomean(values))
-        rows.append(row)
-    return ExperimentReport(
-        experiment_id="E14",
-        title="Partition-policy comparison (Fg-STP speedup over 1 core)",
-        headers=["policy"] + list(names) + ["geomean"],
-        rows=rows,
+    return _sensitivity(
+        config, "E14",
+        "Partition-policy comparison (Fg-STP speedup over 1 core)",
+        "policy", list(POLICIES), lambda policy: {"policy": policy},
         notes=("'single' routes everything to core 0 and must track the "
-               "single-core baseline; 'chain' is the paper's design."),
-    )
+               "single-core baseline; 'chain' is the paper's design."))
 
 
 def e15_branch_predictors(config: ExperimentConfig) -> ExperimentReport:
@@ -522,23 +493,24 @@ def e15_branch_predictors(config: ExperimentConfig) -> ExperimentReport:
     base = config_for("medium")
     names = config.benchmarks or ["sjeng", "gobmk", "astar", "gcc"]
     sweep_config = config.with_(benchmarks=list(names))
-    rows = []
-    for kind in ("bimodal", "gshare", "tournament", "perceptron", "tage"):
+    kinds = ("bimodal", "gshare", "tournament", "perceptron", "tage")
+    jobs = []
+    for kind in kinds:
         params = base.with_(branch=base.branch.__class__(
             kind=kind, table_entries=base.branch.table_entries,
             history_bits=base.branch.history_bits,
             btb_entries=base.branch.btb_entries,
             ras_entries=base.branch.ras_entries))
-        row: List[Any] = [kind]
-        ipcs = []
-        rates = []
-        for name in names:
-            result = run_machine("single", name, params, sweep_config)
-            ipcs.append(result.ipc)
-            rates.append(result.extra["branch"]["misprediction_rate"])
-        row.append(sum(rates) / len(rates))
-        row.append(geomean(ipcs))
-        rows.append(row)
+        jobs.extend(make_job("single", name, params, sweep_config)
+                    for name in names)
+    results = run_jobs(jobs)
+    rows = []
+    for offset, kind in enumerate(kinds):
+        runs = results[offset * len(names):(offset + 1) * len(names)]
+        rates = [result.extra["branch"]["misprediction_rate"]
+                 for result in runs]
+        rows.append([kind, sum(rates) / len(rates),
+                     geomean([result.ipc for result in runs])])
     return ExperimentReport(
         experiment_id="E15",
         title="Branch-predictor study (single medium core)",

@@ -23,8 +23,8 @@ models are pure functions of their trace, so a parallel sweep is
 bit-identical to a serial one (asserted by
 ``tests/harness/test_parallel.py``).
 
-Serial execution (``max_workers=1``) goes through the exact same job
-path without creating a pool, so :mod:`.multiseed` and
+Serial execution (``max_workers=1``) goes through the same job loop
+with one in-process slot and no pool, so :mod:`.multiseed` and
 :mod:`.experiments` route through the engine unconditionally and scale
 with ``REPRO_WORKERS`` for free.
 """
@@ -38,18 +38,20 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
 from ..ckpt.manager import set_heartbeat
 from ..fgstp.params import FgStpParams
-from ..integrity.chaos import ENV_CHAOS
 from ..integrity.errors import JobMemoryExceeded, SimulationError
-from ..integrity.forensics import write_crash_dump
+from ..integrity.forensics import replay_context, write_crash_dump
 from ..stats.result import SimResult
 from ..uarch.params import CoreParams, core_config
 from ..workloads.suite import DiskTraceCache, TraceCache, trace_key
@@ -159,12 +161,12 @@ def matrix_jobs(benchmarks: Sequence[str], seeds: Sequence[int],
 
 
 # ----------------------------------------------------------------------
-# Job execution (runs inside workers and in the serial path)
+# Job execution (runs inside workers and in-process)
 # ----------------------------------------------------------------------
 
 #: Trace cache used by :func:`execute_job` in this process.  Workers get
 #: one pointed at the shared cache directory via :func:`_init_worker`;
-#: the serial path installs the engine's cache around each run.
+#: the engine installs its own cache around in-process jobs.
 _PROCESS_CACHE: TraceCache = TraceCache()
 
 #: Where traced jobs dump their pipeline-event files in this process
@@ -186,9 +188,8 @@ TRACE_SAMPLE_PERIOD = 4
 
 
 def _init_worker(cache_dir: Optional[str],
-                 hb_dir: Optional[str] = None,
-                 rss_limit_mb: Optional[int] = None) -> None:
-    """Pool initializer: trace cache, heartbeat file, RSS budget."""
+                 hb_dir: Optional[str] = None) -> None:
+    """Pool initializer: trace cache and heartbeat file."""
     global _PROCESS_CACHE, _PROCESS_TRACE_DIR, _PROCESS_HB_PATH
     _PROCESS_CACHE = (DiskTraceCache(cache_dir) if cache_dir
                       else TraceCache())
@@ -210,8 +211,6 @@ def _init_worker(cache_dir: Optional[str],
             set_heartbeat(lambda: os.utime(path))
         except OSError:
             _PROCESS_HB_PATH = None
-    if rss_limit_mb:
-        _apply_rss_limit(rss_limit_mb)
     # Workers must not intercept Ctrl-C; the parent handles shutdown.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -219,35 +218,14 @@ def _init_worker(cache_dir: Optional[str],
         pass
 
 
-def _apply_rss_limit(rss_limit_mb: int) -> bool:
-    """Cap this process's address space; True when the cap took hold.
-
-    ``RLIMIT_AS`` is the portable proxy for an RSS budget: allocation
-    beyond the cap raises ``MemoryError`` inside the job rather than
-    inviting the OOM killer.  Unenforceable platforms (no ``resource``
-    module, privileged hard limit) simply run uncapped.
-    """
-    try:
-        import resource
-    except ImportError:
-        return False
-    limit = int(rss_limit_mb) * 1024 * 1024
-    try:
-        _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-    except (OSError, ValueError):
-        return False
-    return True
-
-
 def _worker_run(job_fn: Callable[["SweepJob"], SimResult],
-                job: "SweepJob") -> SimResult:
-    """Pool-side wrapper around *job_fn*: heartbeat + memory budget.
+                job: "SweepJob",
+                rss_limit_mb: Optional[int] = None) -> SimResult:
+    """Run one job attempt: heartbeat + memory budget around *job_fn*.
 
-    Records which job this worker is on (so the parent can requeue it
-    if the worker has to be preempted) and converts a budget-tripped
-    ``MemoryError`` into the structured :class:`JobMemoryExceeded` that
-    crash dumps and forensics understand.
+    Records which job this process is on (pool workers only, so the
+    parent can requeue it if the worker has to be preempted), then runs
+    the job under :func:`_call_with_rss_limit`.
     """
     if _PROCESS_HB_PATH is not None:
         try:
@@ -256,12 +234,7 @@ def _worker_run(job_fn: Callable[["SweepJob"], SimResult],
                  "started": time.time()}))
         except OSError:
             pass
-    try:
-        return job_fn(job)
-    except MemoryError as exc:
-        raise JobMemoryExceeded(
-            f"{job.name} exceeded its per-job memory budget",
-            machine=job.machine) from exc
+    return _call_with_rss_limit(job_fn, job, rss_limit_mb)
 
 
 def _attach_pipetrace(job: SweepJob, overrides: Dict[str, Any]):
@@ -337,7 +310,7 @@ def _call_with_timeout(function: Callable[[SweepJob], SimResult],
                        timeout: Optional[float],
                        unenforced: Optional[Callable[[], None]] = None
                        ) -> SimResult:
-    """Serial-path timeout enforcement via ``SIGALRM`` where possible.
+    """In-process timeout enforcement via ``SIGALRM`` where possible.
 
     Off the main thread (or on platforms without ``setitimer``) the
     timeout is not enforceable without a pool; the job simply runs, and
@@ -366,12 +339,17 @@ def _call_with_timeout(function: Callable[[SweepJob], SimResult],
 def _call_with_rss_limit(function: Callable[[SweepJob], SimResult],
                          job: SweepJob,
                          rss_limit_mb: Optional[int]) -> SimResult:
-    """Serial-path memory budget: cap, run, restore.
+    """Per-job memory budget: cap, run, restore.
 
-    The address-space cap applies to the *whole* parent process, so it
-    is installed only around the job and restored afterwards.  Where the
-    cap cannot be installed the job runs unbudgeted (same stance as the
-    serial timeout).
+    ``RLIMIT_AS`` is the portable proxy for an RSS budget: allocation
+    beyond the cap raises ``MemoryError`` inside the job, converted here
+    to the structured :class:`JobMemoryExceeded` that crash dumps and
+    forensics understand, rather than inviting the OOM killer.  The cap
+    applies to the *whole* process (the parent, for in-process jobs),
+    so it is installed only around the job and restored afterwards.
+    Where the cap cannot be installed (no ``resource`` module,
+    privileged hard limit) the job runs unbudgeted, the same stance as
+    the in-process timeout.
     """
     if not rss_limit_mb:
         return function(job)
@@ -467,7 +445,7 @@ class SweepMetrics:
         interrupted: The run stopped early on a shutdown request
             (``stop_event``); completed results were still persisted.
         timeout_unenforced: A per-job timeout was configured but could
-            not be enforced on at least one serial-path job (no
+            not be enforced on at least one in-process job (no
             ``SIGALRM`` off the main thread / on this platform).
         preempted: Hung workers killed by the heartbeat monitor (their
             jobs were requeued against the retry budget).
@@ -543,34 +521,6 @@ class SweepOutcome:
     def ok(self) -> bool:
         return not self.failures
 
-    def result_for(self, machine: str, benchmark: str,
-                   seed: Optional[int] = None) -> SimResult:
-        """The first matching successful result.
-
-        Raises:
-            KeyError: when no successful job matches.
-        """
-        for job, result in zip(self.jobs, self.results):
-            if result is None:
-                continue
-            if job.machine != machine or job.benchmark != benchmark:
-                continue
-            if seed is not None and job.config.seed != seed:
-                continue
-            return result
-        raise KeyError(f"no result for {machine}/{benchmark}"
-                       f"{'' if seed is None else f'/s{seed}'}")
-
-    def by_machine(self) -> Dict[str, Dict[str, Dict[int, SimResult]]]:
-        """``machine -> benchmark -> seed -> result`` (successes only)."""
-        nested: Dict[str, Dict[str, Dict[int, SimResult]]] = {}
-        for job, result in zip(self.jobs, self.results):
-            if result is None:
-                continue
-            nested.setdefault(job.machine, {}) \
-                .setdefault(job.benchmark, {})[job.config.seed] = result
-        return nested
-
 
 def _result_digest(payload: Mapping[str, Any]) -> str:
     """Content checksum of a cached result's canonical JSON form."""
@@ -579,7 +529,7 @@ def _result_digest(payload: Mapping[str, Any]) -> str:
 
 
 class SweepError(RuntimeError):
-    """Raised by the strict helpers when any job permanently failed."""
+    """Raised by :func:`run_jobs` when any job permanently failed."""
 
     def __init__(self, failures: List[JobFailure]):
         self.failures = failures
@@ -593,6 +543,10 @@ class SweepError(RuntimeError):
 
 ProgressFn = Callable[[str, str], None]
 
+#: Base of the exponential retry delay: attempt *n* (1-based) that
+#: failed is retried after ``RETRY_BACKOFF * 2**(n-1)`` seconds.
+RETRY_BACKOFF = 0.05
+
 
 class ExperimentEngine:
     """Runs :class:`SweepJob` batches, in parallel where it pays.
@@ -602,13 +556,11 @@ class ExperimentEngine:
             pool (identical results, no IPC overhead).
         timeout: Per-job attempt timeout in seconds (``None`` = none).
         retries: Extra attempts after a failed/timed-out first try.
-        backoff: Base of the exponential retry delay
-            (``backoff * 2**(attempt-1)`` seconds).
         cache_dir: Root of the shared disk cache (traces + results);
             ``None`` disables both disk tiers.
         result_cache: Serve/persist finished results from
             ``<cache_dir>/results/`` (requires *cache_dir*).
-        trace_cache: Trace cache for the serial path (defaults to a
+        trace_cache: Trace cache for in-process jobs (defaults to a
             fresh per-run cache, or the disk cache when *cache_dir* is
             set).
         progress: Optional callback ``(event, message)`` with events
@@ -644,7 +596,6 @@ class ExperimentEngine:
     def __init__(self, max_workers: Optional[int] = None,
                  timeout: Optional[float] = None,
                  retries: int = 1,
-                 backoff: float = 0.05,
                  cache_dir: Optional[Union[str, Path]] = None,
                  result_cache: bool = True,
                  trace_cache: Optional[TraceCache] = None,
@@ -657,7 +608,6 @@ class ExperimentEngine:
         self.max_workers = max(1, int(max_workers or 1))
         self.timeout = timeout
         self.retries = max(0, int(retries))
-        self.backoff = backoff
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.result_cache = bool(result_cache and self.cache_dir)
         self.trace_cache = trace_cache
@@ -705,40 +655,25 @@ class ExperimentEngine:
             time.monotonic() - probe_started
 
         execute_started = time.monotonic()
-        if pending and self.max_workers > 1:
-            metrics.mode = "parallel"
-            remaining = self._run_pool(jobs, pending, job_fn, outcome)
+        pooled = self.max_workers > 1
+        if pending:
+            metrics.mode = "parallel" if pooled else "serial"
+            remaining = self._execute(jobs, pending, job_fn, outcome, pooled)
             if remaining and not metrics.interrupted:
                 metrics.mode = "degraded"
                 self._emit("stage", f"pool unavailable; running "
                                     f"{len(remaining)} job(s) serially")
-                self._run_serial(jobs, remaining, job_fn, outcome)
-        elif pending:
-            metrics.mode = "serial"
-            self._run_serial(jobs, pending, job_fn, outcome)
+                self._execute(jobs, remaining, job_fn, outcome, False)
         else:
             metrics.mode = "cached"
         metrics.stage_seconds["execute"] = \
             time.monotonic() - execute_started
 
-        for index in pending:
-            if outcome.results[index] is not None:
-                self._store_cached_result(jobs[index],
-                                          outcome.results[index])
         after = self._existing_trace_keys(trace_keys)
         metrics.traces_reused = len(preexisting)
         metrics.traces_generated = len(after - preexisting)
         metrics.wall_seconds = time.monotonic() - started
         return outcome
-
-    def run_strict(self, jobs: Sequence[SweepJob],
-                   job_fn: Callable[[SweepJob], SimResult] = execute_job
-                   ) -> List[SimResult]:
-        """Run *jobs*; raise :class:`SweepError` on any failure."""
-        outcome = self.run(jobs, job_fn)
-        if not outcome.ok:
-            raise SweepError(outcome.failures)
-        return [result for result in outcome.results if result is not None]
 
     def _promote(self, job: SweepJob, field: str, fraction: float,
                  salt: str = "") -> SweepJob:
@@ -761,19 +696,54 @@ class ExperimentEngine:
             return dataclasses.replace(job, **{field: True})
         return job
 
-    # -- serial path ---------------------------------------------------
+    # -- the job loop --------------------------------------------------
 
-    def _run_serial(self, jobs: Sequence[SweepJob], pending: Sequence[int],
-                    job_fn: Callable[[SweepJob], SimResult],
-                    outcome: SweepOutcome) -> None:
+    def _execute(self, jobs: Sequence[SweepJob], pending: Sequence[int],
+                 job_fn: Callable[[SweepJob], SimResult],
+                 outcome: SweepOutcome, pooled: bool) -> List[int]:
+        """Run the *pending* jobs with at most ``max_workers`` in flight.
+
+        Pooled, a job goes to a worker process when a slot frees, and
+        its deadline counts from that dispatch and is enforced
+        parent-side: an overdue future is abandoned (a busy worker
+        cannot be preempted) and the job is retried.  With
+        ``stuck_after`` set, workers whose heartbeat file goes stale are
+        killed outright and their jobs requeued.  In-process (serial
+        mode, or draining a dead pool) there is one slot: each job runs
+        as it is submitted, under the ``SIGALRM`` timeout, and its
+        result or exception lands in an already-completed future, so
+        both modes share the wait, retry and bookkeeping code below.
+
+        Returns the indices a broken pool left unfinished — all of them
+        when the pool could not be created — for an in-process drain.
+        A set ``stop_event`` abandons the jobs in flight and returns
+        with the outcome marked interrupted.
+        """
         global _PROCESS_CACHE, _PROCESS_TRACE_DIR
-        saved = _PROCESS_CACHE
-        saved_trace_dir = _PROCESS_TRACE_DIR
-        _PROCESS_CACHE = self._serial_cache()
-        _PROCESS_TRACE_DIR = (self.cache_dir / "traces"
-                              if self.cache_dir else None)
-        def budgeted(job: SweepJob) -> SimResult:
-            return _call_with_rss_limit(job_fn, job, self.rss_limit_mb)
+        hb_dir = (self.cache_dir / "heartbeats"
+                  if pooled and self.cache_dir and self.stuck_after
+                  else None)
+        pool = None
+        if pooled:
+            try:
+                pool = ProcessPoolExecutor(
+                    max_workers=self.max_workers,
+                    initializer=_init_worker,
+                    initargs=(str(self.cache_dir) if self.cache_dir
+                              else None,
+                              str(hb_dir) if hb_dir else None))
+            except (OSError, ImportError, PermissionError) as exc:
+                self._emit("stage", f"process pool unavailable ({exc})")
+                return list(pending)
+
+        slots = self.max_workers if pool is not None else 1
+        queue = deque(pending)
+        attempts: Dict[int, int] = dict.fromkeys(pending, 0)
+        histories: Dict[int, List[Dict[str, Any]]] = {}
+        inflight: Dict[Future, Tuple[int, Optional[float], float]] = {}
+        unfinished: List[int] = []
+        abandoned = 0
+        monitoring = self.stop_event is not None or hb_dir is not None
 
         def timeout_unenforced() -> None:
             if not outcome.metrics.timeout_unenforced:
@@ -783,134 +753,54 @@ class ExperimentEngine:
                            f"SIGALRM is unavailable here; jobs run "
                            f"unbounded")
 
-        try:
-            for index in pending:
-                if self._stopped():
-                    outcome.metrics.interrupted = True
-                    break
-                if outcome.results[index] is not None:
-                    continue  # already satisfied (degraded-mode rerun)
-                job = jobs[index]
-                history: List[Dict[str, Any]] = []
-                for attempt in range(1, self.retries + 2):
-                    attempt_started = time.monotonic()
-                    try:
-                        outcome.results[index] = _call_with_timeout(
-                            budgeted, job, self.timeout,
-                            unenforced=timeout_unenforced)
-                        outcome.metrics.jobs_done += 1
-                        self._store_cached_result(job,
-                                                  outcome.results[index])
-                        self._emit("job-done", job.name)
-                        break
-                    except Exception as exc:
-                        kind = _failure_kind(exc)
-                        history.append({
-                            "attempt": attempt, "kind": kind,
-                            "error": str(exc),
-                            "elapsed": time.monotonic() - attempt_started,
-                        })
-                        if attempt <= self.retries:
-                            outcome.metrics.retries += 1
-                            self._emit("job-retry",
-                                       f"{job.name}: {kind} ({exc}); "
-                                       f"attempt {attempt + 1}")
-                            time.sleep(self.backoff * (2 ** (attempt - 1)))
-                        else:
-                            self._fail(outcome, index, kind, attempt, exc,
-                                       history=history)
-        finally:
-            _PROCESS_CACHE = saved
-            _PROCESS_TRACE_DIR = saved_trace_dir
-
-    def _serial_cache(self) -> TraceCache:
-        if self.trace_cache is not None:
-            return self.trace_cache
-        if self.cache_dir is not None:
-            return DiskTraceCache(self.cache_dir)
-        return TraceCache()
-
-    # -- pool path -----------------------------------------------------
-
-    def _run_pool(self, jobs: Sequence[SweepJob], pending: Sequence[int],
-                  job_fn: Callable[[SweepJob], SimResult],
-                  outcome: SweepOutcome) -> List[int]:
-        """Parallel execution; returns indices left for serial drain.
-
-        A per-job deadline is enforced parent-side: an overdue future is
-        abandoned (a busy worker cannot be preempted) and the job is
-        retried on another slot.  With ``stuck_after`` set, workers
-        whose heartbeat file goes stale are killed outright and their
-        jobs requeued.  :class:`BrokenProcessPool` — or any failure to
-        create the pool at all — degrades by returning the unfinished
-        indices.  A set ``stop_event`` cancels what it can and returns
-        with the outcome marked interrupted.
-        """
-        hb_dir = (self.cache_dir / "heartbeats"
-                  if self.cache_dir and self.stuck_after else None)
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_init_worker,
-                initargs=(str(self.cache_dir) if self.cache_dir else None,
-                          str(hb_dir) if hb_dir else None,
-                          self.rss_limit_mb))
-        except (OSError, ImportError, PermissionError) as exc:
-            self._emit("stage", f"process pool unavailable ({exc})")
-            return list(pending)
-
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        histories: Dict[int, List[Dict[str, Any]]] = {}
-        inflight: Dict[Any, Tuple[int, Optional[float], float]] = {}
-        unfinished: List[int] = []
-        abandoned = 0
-        monitoring = (self.stop_event is not None
-                      or (hb_dir is not None and self.stuck_after))
-
         def submit(index: int) -> None:
             attempts[index] += 1
-            deadline = (time.monotonic() + self.timeout
-                        if self.timeout else None)
-            inflight[pool.submit(_worker_run, job_fn, jobs[index])] = \
-                (index, deadline, time.monotonic())
+            started = time.monotonic()
+            if pool is not None:
+                future = pool.submit(_worker_run, job_fn, jobs[index],
+                                     self.rss_limit_mb)
+                deadline = started + self.timeout if self.timeout else None
+            else:
+                future, deadline = Future(), None
+                try:
+                    future.set_result(_call_with_timeout(
+                        partial(_worker_run, job_fn,
+                                rss_limit_mb=self.rss_limit_mb),
+                        jobs[index], self.timeout,
+                        unenforced=timeout_unenforced))
+                except Exception as exc:
+                    future.set_exception(exc)
+            inflight[future] = (index, deadline, started)
 
-        def record_attempt(index: int, kind: str, exc: Exception,
-                           started: float) -> List[Dict[str, Any]]:
+        def retry_or_fail(index: int, kind: str, exc: Exception,
+                          started: float) -> None:
+            """Record the attempt, then requeue the job or fail it."""
             history = histories.setdefault(index, [])
             history.append({"attempt": attempts[index], "kind": kind,
                             "error": str(exc),
                             "elapsed": time.monotonic() - started})
-            return history
-
-        def retry_or_fail(index: int, kind: str, exc: Exception,
-                          started: float) -> bool:
-            """Returns True when the job was resubmitted."""
-            record_attempt(index, kind, exc, started)
             if attempts[index] <= self.retries:
                 outcome.metrics.retries += 1
                 self._emit("job-retry",
                            f"{jobs[index].name}: {kind} ({exc}); "
                            f"attempt {attempts[index] + 1}")
-                time.sleep(self.backoff * (2 ** (attempts[index] - 1)))
-                submit(index)
-                return True
-            self._fail(outcome, index, kind, attempts[index], exc,
-                       history=histories.get(index))
-            return False
+                time.sleep(RETRY_BACKOFF * (2 ** (attempts[index] - 1)))
+                queue.appendleft(index)
+            else:
+                self._fail(outcome, index, kind, attempts[index], exc,
+                           history=history)
 
         def preempt_stuck_workers() -> None:
             """SIGKILL workers whose heartbeat went stale.
 
-            The kill breaks the pool; the BrokenProcessPool handler
-            below routes every inflight job — the stuck one included,
-            unless its retry budget is already spent — to the serial
-            drain.  A job whose budget *is* spent fails here as
-            ``"stuck"``, which keeps it out of the drain.
+            The stuck attempt is retried or failed (as ``"stuck"``) like
+            any other; the kill breaks the pool, and the
+            BrokenProcessPool handler below routes the requeued and
+            inflight jobs to the in-process drain.
             """
-            if hb_dir is None or not self.stuck_after:
-                return
-            key_to_index = {jobs[index].key(): index
-                            for index, _, _ in inflight.values()}
+            nonlocal abandoned
+            by_key = {jobs[index].key(): future
+                      for future, (index, _, _) in inflight.items()}
             stale_before = time.time() - self.stuck_after
             try:
                 hb_files = list(hb_dir.glob("*.json"))
@@ -923,22 +813,17 @@ class ExperimentEngine:
                     beat = json.loads(hb_file.read_text())
                 except (OSError, json.JSONDecodeError):
                     continue
-                index = key_to_index.get(beat.get("key"))
+                future = by_key.get(beat.get("key"))
                 pid = beat.get("pid")
-                if index is None or not isinstance(pid, int):
+                if future not in inflight or not isinstance(pid, int):
                     continue
+                index, _, started = inflight.pop(future)
+                abandoned += 1
                 outcome.metrics.preempted += 1
                 self._emit("job-preempted",
                            f"{jobs[index].name}: worker {pid} silent for "
                            f"{self.stuck_after:.3g}s; killing and "
                            f"requeuing")
-                if attempts[index] > self.retries:
-                    self._fail(outcome, index, "stuck", attempts[index],
-                               JobTimeout(f"worker {pid} made no progress "
-                                          f"for {self.stuck_after:.3g}s"),
-                               history=histories.get(index))
-                else:
-                    outcome.metrics.retries += 1
                 try:
                     hb_file.unlink()
                 except OSError:
@@ -947,22 +832,29 @@ class ExperimentEngine:
                     os.kill(pid, signal.SIGKILL)
                 except (OSError, AttributeError):
                     pass
+                retry_or_fail(index, "stuck",
+                              JobTimeout(f"worker {pid} made no progress "
+                                         f"for {self.stuck_after:.3g}s"),
+                              started)
 
+        saved = _PROCESS_CACHE, _PROCESS_TRACE_DIR
+        _PROCESS_CACHE = self._serial_cache()
+        _PROCESS_TRACE_DIR = (self.cache_dir / "traces"
+                              if self.cache_dir else None)
         try:
-            for index in pending:
-                submit(index)
-            while inflight:
+            while queue or inflight:
                 if self._stopped():
+                    # Dispatched jobs are running; shutdown cancels the
+                    # rest.
                     outcome.metrics.interrupted = True
-                    for future in list(inflight):
-                        if future.cancel():
-                            inflight.pop(future)
                     abandoned += len(inflight)
                     break
-                now = time.monotonic()
+                while queue and len(inflight) < slots:
+                    submit(queue[0])
+                    queue.popleft()
                 deadlines = [deadline for _, deadline, _ in inflight.values()
                              if deadline is not None]
-                wait_for = (max(0.0, min(deadlines) - now)
+                wait_for = (max(0.0, min(deadlines) - time.monotonic())
                             if deadlines else None)
                 if monitoring:
                     wait_for = (0.25 if wait_for is None
@@ -972,43 +864,49 @@ class ExperimentEngine:
                 for future in done:
                     index, _, started = inflight.pop(future)
                     try:
-                        outcome.results[index] = future.result()
-                        outcome.metrics.jobs_done += 1
-                        self._store_cached_result(jobs[index],
-                                                  outcome.results[index])
-                        self._emit("job-done", jobs[index].name)
+                        result = future.result()
                     except BrokenProcessPool:
+                        queue.appendleft(index)
                         raise
                     except Exception as exc:
                         retry_or_fail(index, _failure_kind(exc), exc,
                                       started)
+                        continue
+                    outcome.results[index] = result
+                    outcome.metrics.jobs_done += 1
+                    self._store_cached_result(jobs[index], result)
+                    self._emit("job-done", jobs[index].name)
                 now = time.monotonic()
                 for future in [f for f, (_, deadline, _) in inflight.items()
                                if deadline is not None and now >= deadline]:
                     index, _, started = inflight.pop(future)
                     if not future.cancel():
-                        abandoned += 1  # running: slot freed when it ends
+                        abandoned += 1  # its worker is busy until it ends
                     retry_or_fail(
                         index, "timeout",
                         JobTimeout(f"exceeded {self.timeout:.3g}s"),
                         started)
-                preempt_stuck_workers()
+                if hb_dir is not None:
+                    preempt_stuck_workers()
         except BrokenProcessPool as exc:
             self._emit("stage", f"worker died ({exc})")
-            unfinished = [index for index, _, _ in inflight.values()
-                          if not any(failure.job is jobs[index]
-                                     for failure in outcome.failures)]
-            unfinished += [index for index in pending
-                           if outcome.results[index] is None
-                           and index not in unfinished
-                           and not any(failure.job is jobs[index]
-                                       for failure in outcome.failures)]
+            unfinished = [index for index, _, _ in inflight.values()]
+            unfinished += queue
         finally:
-            # A clean join unless a timed-out job still occupies a
-            # worker — then a blocking shutdown would wait out the very
-            # hang the timeout was for.
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
+            _PROCESS_CACHE, _PROCESS_TRACE_DIR = saved
+            if pool is not None:
+                # A clean join unless a timed-out job still occupies a
+                # worker — then a blocking shutdown would wait out the
+                # very hang the timeout was for.
+                pool.shutdown(wait=not abandoned, cancel_futures=True)
         return unfinished
+
+    def _serial_cache(self) -> TraceCache:
+        if self.trace_cache is not None:
+            return self.trace_cache
+        if self.cache_dir is not None:
+            return DiskTraceCache(self.cache_dir)
+        return TraceCache()
 
     # -- caching and reporting helpers ---------------------------------
 
@@ -1101,7 +999,10 @@ class ExperimentEngine:
             failure.partial = exc.partial or None
             crash_dir = self._crash_dir()
             if crash_dir is not None:
-                context = self._replay_context(job)
+                context = replay_context(
+                    job.machine, job.benchmark, job.base.name,
+                    job.config.trace_length, job.config.warmup,
+                    job.config.seed, oracle=job.oracle, trace=job.trace)
                 if failure.history:
                     context["retry_history"] = failure.history
                 try:
@@ -1114,26 +1015,6 @@ class ExperimentEngine:
         outcome.failures.append(failure)
         outcome.metrics.jobs_failed += 1
         self._emit("job-failed", str(failure))
-
-    @staticmethod
-    def _replay_context(job: SweepJob) -> Dict[str, Any]:
-        """The replay recipe ``repro minimize`` reconstructs a run from."""
-        context: Dict[str, Any] = {
-            "machine": job.machine,
-            "benchmark": job.benchmark,
-            "config": job.base.name,
-            "length": job.config.trace_length,
-            "warmup": job.config.warmup,
-            "seed": job.config.seed,
-        }
-        if job.oracle:
-            context["oracle"] = True
-        if job.trace:
-            context["trace"] = True
-        chaos = os.environ.get(ENV_CHAOS)
-        if chaos:
-            context["chaos"] = chaos
-        return context
 
     def _emit(self, event: str, message: str) -> None:
         if self.progress is not None:

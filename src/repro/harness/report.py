@@ -9,10 +9,9 @@ engine's progress/cache metrics).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Iterable, List, Mapping, Optional
 
-from ..stats.cpistack import CAUSES, CPIStack, cpistack_of, stack_rows
-from ..stats.result import SimResult
+from ..stats.cpistack import CAUSES, CPIStack, stack_rows
 from ..stats.tables import render_table
 from .config import ExperimentConfig
 from .experiments import REGISTRY, ExperimentReport, run_experiment
@@ -86,11 +85,6 @@ def sweep_to_text(outcome: SweepOutcome, precision: int = 3) -> str:
         lines.append(f"failures ({len(outcome.failures)}):")
         lines.extend(f"  {failure}" for failure in outcome.failures)
     return "\n".join(lines)
-
-
-def sweep_to_markdown(outcome: SweepOutcome) -> str:
-    """Markdown section for one sweep outcome (EXPERIMENTS.md style)."""
-    return "### Sweep\n\n```text\n" + sweep_to_text(outcome) + "\n```\n"
 
 
 # ----------------------------------------------------------------------
@@ -241,35 +235,3 @@ def metrics_table(registry, title: Optional[str] = None,
                         precision=precision,
                         title=title or "metrics registry")
 
-
-def cpistacks_to_markdown(suites: Mapping[str, Mapping[str, SimResult]]
-                          ) -> str:
-    """Per-benchmark CPI-stack comparison tables, as markdown.
-
-    Args:
-        suites: ``machine -> benchmark -> SimResult`` (the shape
-            :func:`repro.harness.parallel.run_suites` returns).
-    """
-    benchmarks: List[str] = []
-    for results in suites.values():
-        for name in results:
-            if name not in benchmarks:
-                benchmarks.append(name)
-    sections = ["### CPI stacks", ""]
-    for benchmark in benchmarks:
-        stacks: Dict[str, CPIStack] = {}
-        for machine, results in suites.items():
-            result = results.get(benchmark)
-            stack = cpistack_of(result) if result is not None else None
-            if stack is not None:
-                stacks[machine] = stack
-        if not stacks:
-            continue
-        sections.append(f"#### {benchmark}")
-        sections.append("")
-        sections.append("```text")
-        sections.append(cpistack_comparison(
-            stacks, title=f"{benchmark}: CPI by cause"))
-        sections.append("```")
-        sections.append("")
-    return "\n".join(sections)

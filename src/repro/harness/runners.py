@@ -7,7 +7,7 @@ the shared cache.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Optional
 
 from ..ckpt.manager import resolve_interval
 from ..ckpt.state import CheckpointError, trace_fingerprint
@@ -20,7 +20,7 @@ from ..integrity.chaos import maybe_apply_env_chaos
 from ..stats.result import SimResult
 from ..uarch.params import CoreParams, core_config
 from ..uarch.pipeline.machine import SingleCoreMachine
-from ..workloads.suite import DEFAULT_CACHE, TraceCache, suite_names
+from ..workloads.suite import DEFAULT_CACHE, TraceCache
 from .config import ExperimentConfig
 
 #: Machines the harness knows how to build.
@@ -104,23 +104,6 @@ def _auto_resume(model, machine: str, benchmark: str, trace,
     key = run_key(machine, benchmark, warmup,
                   model.checkpoint_params_key(), trace_fingerprint(trace))
     return store.load(key)
-
-
-def run_suite(machine: str, base: CoreParams, config: ExperimentConfig,
-              fgstp: Optional[FgStpParams] = None,
-              cache: TraceCache = DEFAULT_CACHE,
-              **overrides) -> Dict[str, SimResult]:
-    """Run every configured benchmark on *machine*.
-
-    Returns:
-        Benchmark name -> :class:`SimResult`, in suite order.
-    """
-    names: Iterable[str] = config.benchmarks or suite_names("all")
-    return {
-        name: run_machine(machine, name, base, config, fgstp,
-                          cache=cache, **overrides)
-        for name in names
-    }
 
 
 def config_for(name: str) -> CoreParams:

@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from .chaos import ENV_CHAOS
 from .errors import SimulationError
 
 #: Self-describing format tag checked on load.
@@ -62,6 +63,25 @@ def uop_brief(uop: Any) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Writing / loading
 # ----------------------------------------------------------------------
+
+def replay_context(machine: str, benchmark: str, config: str, length: int,
+                   warmup: int, seed: int, **flags: Any) -> Dict[str, Any]:
+    """The replay recipe ``repro minimize`` reconstructs a run from.
+
+    Truthy *flags* (``oracle``, ``trace``, the validation ``check`` that
+    failed ...) are recorded as given, and the ``REPRO_CHAOS`` spec in
+    force is added so injected faults replay too.
+    """
+    context: Dict[str, Any] = {
+        "machine": machine, "benchmark": benchmark, "config": config,
+        "length": length, "warmup": warmup, "seed": seed,
+    }
+    context.update((key, value) for key, value in flags.items() if value)
+    chaos = os.environ.get(ENV_CHAOS)
+    if chaos:
+        context["chaos"] = chaos
+    return context
+
 
 def write_crash_dump(error: SimulationError,
                      directory: Union[str, Path, None] = None,

@@ -149,7 +149,10 @@ def replay_run_fn(context: Dict[str, Any]
     from ..harness.runners import build_machine
     from ..uarch.params import core_config
 
-    machine_name = context.get("machine", "fgstp")
+    # A drain error raised by one Fg-STP core names that core
+    # (``fgstp-core0``): replay the machine that owns it.  A recipe
+    # without a machine replays on Fg-STP.
+    machine_name = str(context.get("machine") or "fgstp").split("-core")[0]
     base = core_config(str(context.get("config", "small")))
     chaos_raw = context.get("chaos")
     spec = ChaosSpec.parse(str(chaos_raw)) if chaos_raw else None

@@ -20,7 +20,7 @@ from .fgstp.orchestrator import FgStpMachine, simulate_fgstp
 from .fgstp.params import FgStpParams
 from .integrity.chaos import ChaosSpec, apply_chaos
 from .integrity.errors import SimulationError, SimulationHang
-from .integrity.forensics import write_crash_dump
+from .integrity.forensics import replay_context, write_crash_dump
 from .trace.record import TraceRecord
 from .uarch.params import CoreParams, small_core_config
 from .uarch.pipeline.machine import simulate_single_core
@@ -191,9 +191,9 @@ def validate_all(benchmark: str = "gcc", length: int = 4000,
                 try:
                     dump = write_crash_dump(
                         error, directory=Path(crash_dir),
-                        context={"benchmark": benchmark, "length": length,
-                                 "seed": seed, "config": base.name,
-                                 "check": check.__name__},
+                        context=replay_context(
+                            error.machine, benchmark, base.name, length,
+                            0, seed, check=check.__name__),
                         workload=benchmark)
                     detail += f" [crash dump: {dump}]"
                 except OSError:

@@ -138,7 +138,7 @@ def test_retry_history_reaches_failure_and_crash_dump(tmp_path):
     def exploding(job):
         raise SimulationError(f"boom {job.name}", machine=job.machine)
 
-    engine = ExperimentEngine(max_workers=1, retries=1, backoff=0.0,
+    engine = ExperimentEngine(max_workers=1, retries=1,
                               cache_dir=tmp_path / "cache")
     outcome = engine.run(_jobs(1), exploding)
     [failure] = outcome.failures

@@ -2,12 +2,15 @@
 
 import pytest
 
+import repro.harness.parallel as parallel
+from repro.fgstp.policies import POLICIES
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiments import (
     REGISTRY,
     ExperimentReport,
     run_experiment,
 )
+from repro.harness.parallel import ExperimentEngine
 
 TINY = ExperimentConfig(trace_length=1500, warmup=500,
                         benchmarks=["gcc", "hmmer"])
@@ -20,6 +23,22 @@ def test_registry_covers_design_doc():
 def test_unknown_experiment():
     with pytest.raises(KeyError, match="unknown experiment"):
         run_experiment("E99", TINY)
+
+
+@pytest.mark.parametrize("experiment_id, simulations", [
+    ("E3", 2),                      # fgstp per benchmark
+    ("E8", 2 + 5 * 2),              # baselines + 5 overheads
+    ("E14", 2 + len(POLICIES) * 2),  # baselines + every policy
+])
+def test_experiment_simulations_run_through_the_engine(
+        monkeypatch, experiment_id, simulations):
+    done = []
+    engine = ExperimentEngine(progress=lambda event, message: (
+        done.append(message) if event == "job-done" else None))
+    monkeypatch.setattr(parallel, "_default_engine", engine)
+    run_experiment(experiment_id,
+                   TINY.with_(trace_length=600, warmup=200))
+    assert len(done) == simulations
 
 
 def test_e1_structure():

@@ -67,6 +67,12 @@ def _crashing_fn(job):
     return execute_job(job)
 
 
+def _napping_fn(job):
+    """Sleeps for the seconds named by the job's benchmark (``NAP0.3``)."""
+    time.sleep(float(job.benchmark[len("NAP"):]))
+    return job.benchmark
+
+
 # -- determinism / equivalence ------------------------------------------
 
 def test_parallel_matches_serial_bit_identical(tmp_path):
@@ -117,7 +123,6 @@ def test_result_cache_hits_skip_execution(tmp_path):
 def test_poisoned_job_is_retried_then_skipped(workers, tmp_path):
     jobs = small_matrix(benchmarks=("gcc",), seeds=(1,)) + [poison_job()]
     engine = ExperimentEngine(max_workers=workers, retries=2,
-                              backoff=0.01,
                               cache_dir=tmp_path / "cache")
     outcome = engine.run(jobs, job_fn=_raising_fn)
     assert len(outcome.failures) == 1
@@ -137,8 +142,7 @@ def test_poisoned_job_is_retried_then_skipped(workers, tmp_path):
 def test_timeout_job_is_retried_then_skipped_parallel():
     jobs = small_matrix(benchmarks=("gcc",), seeds=(1,)) \
         + [poison_job("SLEEP")]
-    engine = ExperimentEngine(max_workers=2, timeout=0.4, retries=1,
-                              backoff=0.01)
+    engine = ExperimentEngine(max_workers=2, timeout=0.4, retries=1)
     started = time.monotonic()
     outcome = engine.run(jobs, job_fn=_sleepy_fn)
     elapsed = time.monotonic() - started
@@ -157,8 +161,7 @@ def test_timeout_job_is_retried_then_skipped_parallel():
 def test_timeout_job_is_retried_then_skipped_serial():
     jobs = [poison_job("SLEEP")] + small_matrix(benchmarks=("gcc",),
                                                 seeds=(1,))
-    engine = ExperimentEngine(max_workers=1, timeout=0.2, retries=1,
-                              backoff=0.01)
+    engine = ExperimentEngine(max_workers=1, timeout=0.2, retries=1)
     outcome = engine.run(jobs, job_fn=_sleepy_fn)
     assert len(outcome.failures) == 1
     assert outcome.failures[0].kind == "timeout"
@@ -180,7 +183,7 @@ def test_transient_failure_recovers_after_retry(tmp_path):
             j = job  # recovered: run the real benchmark
         return execute_job(j)
 
-    engine = ExperimentEngine(max_workers=1, retries=1, backoff=0.01)
+    engine = ExperimentEngine(max_workers=1, retries=1)
     outcome = engine.run([flaky], job_fn=transient_fn)
     assert outcome.ok
     assert outcome.metrics.retries == 1
@@ -199,6 +202,39 @@ def test_broken_pool_degrades_to_serial():
     reference = ExperimentEngine(max_workers=1).run(jobs)
     assert [r.cycles for r in outcome.results] \
         == [r.cycles for r in reference.results]
+
+
+@pytest.mark.parametrize("count, nap", [(8, 0.3), (6, 0.6)])
+def test_pool_timeout_counts_from_dispatch(count, nap):
+    """A job queued behind busy workers must not time out unstarted.
+
+    Every job finishes well inside the timeout once it runs; only a
+    clock started at submission (not dispatch) could fail the tail of
+    the queue.
+    """
+    jobs = [poison_job(f"NAP{nap}") for _ in range(count)]
+    engine = ExperimentEngine(max_workers=2, timeout=1.0, retries=0)
+    outcome = engine.run(jobs, job_fn=_napping_fn)
+    assert not outcome.failures, [str(f) for f in outcome.failures]
+    assert outcome.results == [f"NAP{nap}"] * count
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_executed_job_is_stored_once(workers, tmp_path, monkeypatch):
+    stored = []
+    store = ExperimentEngine._store_cached_result
+
+    def counting_store(self, job, result):
+        stored.append(job.key())
+        store(self, job, result)
+
+    monkeypatch.setattr(ExperimentEngine, "_store_cached_result",
+                        counting_store)
+    jobs = small_matrix(benchmarks=("gcc",), seeds=(1,))
+    outcome = ExperimentEngine(max_workers=workers,
+                               cache_dir=tmp_path / "cache").run(jobs)
+    assert outcome.ok
+    assert sorted(stored) == sorted(job.key() for job in jobs)
 
 
 def test_run_jobs_strict_raises_on_failure():

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.harness.config import ExperimentConfig
+from repro.harness.parallel import run_suites
 from repro.harness.runners import (
     MACHINES,
     build_machine,
     config_for,
     run_machine,
-    run_suite,
 )
 from repro.uarch.params import small_core_config
 from repro.workloads.suite import TraceCache
@@ -42,15 +42,13 @@ def test_run_machine_returns_result():
 
 def test_run_suite_respects_benchmark_filter():
     config = QUICK.with_(benchmarks=["gcc", "mcf"])
-    results = run_suite("single", small_core_config(), config,
-                        cache=TraceCache())
+    results = run_suites(("single",), small_core_config(), config)["single"]
     assert sorted(results) == ["gcc", "mcf"]
 
 
 def test_run_suite_defaults_to_full_suite():
     config = QUICK.with_(trace_length=400, warmup=100)
-    results = run_suite("single", small_core_config(), config,
-                        cache=TraceCache())
+    results = run_suites(("single",), small_core_config(), config)["single"]
     assert len(results) == 20
 
 

@@ -258,6 +258,23 @@ class TestValidateAll:
         assert payload["failure_class"] == "error:drain"
         assert payload["context"]["check"] == "check_boom"
 
+    def test_crash_dump_replays_on_the_failing_machine(
+            self, monkeypatch, tmp_path):
+        from repro.integrity.minimize import (replay_run_fn,
+                                              trace_from_context)
+
+        def hang(trace, base):
+            raise SimulationHang("single core wedged", machine="single")
+
+        hang.__name__ = "check_hang"
+        monkeypatch.setattr(validation, "CHECKS", [hang])
+        validate_all("gcc", length=64, crash_dir=tmp_path)
+        (dump,) = tmp_path.glob("*.json")
+        context = json.loads(dump.read_text())["context"]
+        assert (context["machine"], context["warmup"]) == ("single", 0)
+        replayed = replay_run_fn(context)(trace_from_context(context))
+        assert replayed.machine == "single"
+
     def test_crashing_check_without_dump_dir(self, monkeypatch):
         def boom(trace, base):
             raise SimulationError("machine exploded")

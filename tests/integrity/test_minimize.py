@@ -104,6 +104,15 @@ def test_end_to_end_replay_shrinks_injected_livelock(monkeypatch,
     assert result.last_error.failure_class == "hang:intercore"
 
 
+@pytest.mark.parametrize("recorded", [
+    "fgstp-core1",  # a drain error names the failing core
+    "",
+])
+def test_replay_falls_back_to_the_fgstp_machine(recorded):
+    run = replay_run_fn({"machine": recorded, "config": "small"})
+    assert run(generate_trace("gcc", 200)).machine == "fgstp"
+
+
 def test_trace_from_context_requires_a_recipe():
     with pytest.raises(KeyError):
         trace_from_context({})

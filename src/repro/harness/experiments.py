@@ -10,7 +10,7 @@ stable experiment ids (E1..E11, see DESIGN.md) to these functions; the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..fgstp.params import FgStpParams
 from ..stats.aggregate import geomean
@@ -234,13 +234,28 @@ def e9_comm_bandwidth(config: ExperimentConfig) -> ExperimentReport:
         extra_of=_mouth_blocked_cycles)
 
 
+def _ablation(config: ExperimentConfig, switch: str
+              ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Fg-STP with the boolean parameter *switch* on and off.
+
+    Both halves form one engine batch, so each trace is generated once.
+
+    Returns:
+        ``(on, off)``, each benchmark -> result in suite order.
+    """
+    base = config_for("medium")
+    names = list(config.benchmarks) or suite_names("all")
+    jobs = [make_job("fgstp", name, base, config,
+                     fgstp=FgStpParams(**{switch: flag}))
+            for flag in (True, False) for name in names]
+    results = run_jobs(jobs)
+    return (dict(zip(names, results[:len(names)])),
+            dict(zip(names, results[len(names):])))
+
+
 def e6_dependence_speculation(config: ExperimentConfig) -> ExperimentReport:
     """E6: dependence-speculation ablation with violation statistics."""
-    base = config_for("medium")
-    with_spec = run_suites(("fgstp",), base, config,
-                           fgstp=FgStpParams(speculation=True))["fgstp"]
-    without = run_suites(("fgstp",), base, config,
-                         fgstp=FgStpParams(speculation=False))["fgstp"]
+    with_spec, without = _ablation(config, "speculation")
     rows = []
     gains = []
     for name in with_spec:
@@ -266,11 +281,7 @@ def e6_dependence_speculation(config: ExperimentConfig) -> ExperimentReport:
 
 def e7_replication(config: ExperimentConfig) -> ExperimentReport:
     """E7: replication ablation with communication-traffic delta."""
-    base = config_for("medium")
-    with_repl = run_suites(("fgstp",), base, config,
-                           fgstp=FgStpParams(replication=True))["fgstp"]
-    without = run_suites(("fgstp",), base, config,
-                         fgstp=FgStpParams(replication=False))["fgstp"]
+    with_repl, without = _ablation(config, "replication")
     rows = []
     gains = []
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+                    Sequence, Set, Tuple, Union)
 
 from ..ckpt.manager import set_heartbeat
 from ..fgstp.params import FgStpParams
@@ -54,7 +54,8 @@ from ..integrity.errors import JobMemoryExceeded, SimulationError
 from ..integrity.forensics import replay_context, write_crash_dump
 from ..stats.result import SimResult
 from ..uarch.params import CoreParams, core_config
-from ..workloads.suite import DiskTraceCache, TraceCache, trace_key
+from ..workloads.suite import (DEFAULT_CACHE, DiskTraceCache, TraceCache,
+                               trace_key)
 from .config import ExperimentConfig
 from .runners import run_machine
 
@@ -656,14 +657,17 @@ class ExperimentEngine:
 
         execute_started = time.monotonic()
         pooled = self.max_workers > 1
+        histories: Dict[int, List[Dict[str, Any]]] = {}
         if pending:
             metrics.mode = "parallel" if pooled else "serial"
-            remaining = self._execute(jobs, pending, job_fn, outcome, pooled)
+            remaining = self._execute(jobs, pending, job_fn, outcome,
+                                      histories, pooled)
             if remaining and not metrics.interrupted:
                 metrics.mode = "degraded"
                 self._emit("stage", f"pool unavailable; running "
                                     f"{len(remaining)} job(s) serially")
-                self._execute(jobs, remaining, job_fn, outcome, False)
+                self._execute(jobs, remaining, job_fn, outcome, histories,
+                              False)
         else:
             metrics.mode = "cached"
         metrics.stage_seconds["execute"] = \
@@ -700,13 +704,17 @@ class ExperimentEngine:
 
     def _execute(self, jobs: Sequence[SweepJob], pending: Sequence[int],
                  job_fn: Callable[[SweepJob], SimResult],
-                 outcome: SweepOutcome, pooled: bool) -> List[int]:
+                 outcome: SweepOutcome,
+                 histories: Dict[int, List[Dict[str, Any]]],
+                 pooled: bool) -> List[int]:
         """Run the *pending* jobs with at most ``max_workers`` in flight.
 
-        Pooled, a job goes to a worker process when a slot frees, and
+        Pooled, a job goes to a worker process when one is free, and
         its deadline counts from that dispatch and is enforced
-        parent-side: an overdue future is abandoned (a busy worker
-        cannot be preempted) and the job is retried.  With
+        parent-side: an overdue future is abandoned and the job is
+        retried.  A busy worker cannot be preempted, so an abandoned
+        attempt holds its slot until it ends, and the next job waits for
+        a free worker rather than queueing behind it.  With
         ``stuck_after`` set, workers whose heartbeat file goes stale are
         killed outright and their jobs requeued.  In-process (serial
         mode, or draining a dead pool) there is one slot: each job runs
@@ -714,10 +722,14 @@ class ExperimentEngine:
         result or exception lands in an already-completed future, so
         both modes share the wait, retry and bookkeeping code below.
 
-        Returns the indices a broken pool left unfinished — all of them
-        when the pool could not be created — for an in-process drain.
-        A set ``stop_event`` abandons the jobs in flight and returns
-        with the outcome marked interrupted.
+        *histories* maps a job to its failed attempts, so its length is
+        the attempt count; the drain gets the same dict, and a requeued
+        job keeps its retry budget and history.
+
+        Returns the indices left unfinished — all of them when the pool
+        could not be created — for an in-process drain.  A set
+        ``stop_event`` abandons the jobs in flight and returns with the
+        outcome marked interrupted.
         """
         global _PROCESS_CACHE, _PROCESS_TRACE_DIR
         hb_dir = (self.cache_dir / "heartbeats"
@@ -738,11 +750,8 @@ class ExperimentEngine:
 
         slots = self.max_workers if pool is not None else 1
         queue = deque(pending)
-        attempts: Dict[int, int] = dict.fromkeys(pending, 0)
-        histories: Dict[int, List[Dict[str, Any]]] = {}
         inflight: Dict[Future, Tuple[int, Optional[float], float]] = {}
-        unfinished: List[int] = []
-        abandoned = 0
+        busy: Set[Future] = set()  # abandoned, maybe still on a worker
         monitoring = self.stop_event is not None or hb_dir is not None
 
         def timeout_unenforced() -> None:
@@ -754,7 +763,6 @@ class ExperimentEngine:
                            f"unbounded")
 
         def submit(index: int) -> None:
-            attempts[index] += 1
             started = time.monotonic()
             if pool is not None:
                 future = pool.submit(_worker_run, job_fn, jobs[index],
@@ -772,22 +780,29 @@ class ExperimentEngine:
                     future.set_exception(exc)
             inflight[future] = (index, deadline, started)
 
+        def abandon(future: Future) -> Tuple[int, float]:
+            """Stop waiting for *future*; its worker may still run it."""
+            index, _, started = inflight.pop(future)
+            if not future.cancel():
+                busy.add(future)
+            return index, started
+
         def retry_or_fail(index: int, kind: str, exc: Exception,
                           started: float) -> None:
-            """Record the attempt, then requeue the job or fail it."""
+            """Record the failed attempt, then requeue the job or fail it."""
             history = histories.setdefault(index, [])
-            history.append({"attempt": attempts[index], "kind": kind,
+            history.append({"attempt": len(history) + 1, "kind": kind,
                             "error": str(exc),
                             "elapsed": time.monotonic() - started})
-            if attempts[index] <= self.retries:
+            if len(history) <= self.retries:
                 outcome.metrics.retries += 1
                 self._emit("job-retry",
                            f"{jobs[index].name}: {kind} ({exc}); "
-                           f"attempt {attempts[index] + 1}")
-                time.sleep(RETRY_BACKOFF * (2 ** (attempts[index] - 1)))
+                           f"attempt {len(history) + 1}")
+                time.sleep(RETRY_BACKOFF * (2 ** (len(history) - 1)))
                 queue.appendleft(index)
             else:
-                self._fail(outcome, index, kind, attempts[index], exc,
+                self._fail(outcome, index, kind, len(history), exc,
                            history=history)
 
         def preempt_stuck_workers() -> None:
@@ -798,7 +813,6 @@ class ExperimentEngine:
             BrokenProcessPool handler below routes the requeued and
             inflight jobs to the in-process drain.
             """
-            nonlocal abandoned
             by_key = {jobs[index].key(): future
                       for future, (index, _, _) in inflight.items()}
             stale_before = time.time() - self.stuck_after
@@ -817,8 +831,7 @@ class ExperimentEngine:
                 pid = beat.get("pid")
                 if future not in inflight or not isinstance(pid, int):
                     continue
-                index, _, started = inflight.pop(future)
-                abandoned += 1
+                index, started = abandon(future)
                 outcome.metrics.preempted += 1
                 self._emit("job-preempted",
                            f"{jobs[index].name}: worker {pid} silent for "
@@ -847,9 +860,9 @@ class ExperimentEngine:
                     # Dispatched jobs are running; shutdown cancels the
                     # rest.
                     outcome.metrics.interrupted = True
-                    abandoned += len(inflight)
                     break
-                while queue and len(inflight) < slots:
+                busy -= {future for future in busy if future.done()}
+                while queue and len(inflight) + len(busy) < slots:
                     submit(queue[0])
                     queue.popleft()
                 deadlines = [deadline for _, deadline, _ in inflight.values()
@@ -859,9 +872,11 @@ class ExperimentEngine:
                 if monitoring:
                     wait_for = (0.25 if wait_for is None
                                 else min(wait_for, 0.25))
-                done, _ = wait(set(inflight), timeout=wait_for,
+                done, _ = wait(set(inflight) | busy, timeout=wait_for,
                                return_when=FIRST_COMPLETED)
                 for future in done:
+                    if future not in inflight:
+                        continue  # an abandoned attempt freed its worker
                     index, _, started = inflight.pop(future)
                     try:
                         result = future.result()
@@ -879,9 +894,7 @@ class ExperimentEngine:
                 now = time.monotonic()
                 for future in [f for f, (_, deadline, _) in inflight.items()
                                if deadline is not None and now >= deadline]:
-                    index, _, started = inflight.pop(future)
-                    if not future.cancel():
-                        abandoned += 1  # its worker is busy until it ends
+                    index, started = abandon(future)
                     retry_or_fail(
                         index, "timeout",
                         JobTimeout(f"exceeded {self.timeout:.3g}s"),
@@ -890,16 +903,16 @@ class ExperimentEngine:
                     preempt_stuck_workers()
         except BrokenProcessPool as exc:
             self._emit("stage", f"worker died ({exc})")
-            unfinished = [index for index, _, _ in inflight.values()]
-            unfinished += queue
         finally:
             _PROCESS_CACHE, _PROCESS_TRACE_DIR = saved
             if pool is not None:
-                # A clean join unless a timed-out job still occupies a
-                # worker — then a blocking shutdown would wait out the
-                # very hang the timeout was for.
-                pool.shutdown(wait=not abandoned, cancel_futures=True)
-        return unfinished
+                # A clean join unless a job we stopped waiting for still
+                # occupies a worker — then a blocking shutdown would wait
+                # out the very hang the timeout was for.
+                pool.shutdown(wait=all(future.done()
+                                       for future in [*busy, *inflight]),
+                              cancel_futures=True)
+        return [index for index, _, _ in inflight.values()] + list(queue)
 
     def _serial_cache(self) -> TraceCache:
         if self.trace_cache is not None:
@@ -1033,14 +1046,17 @@ def default_engine() -> ExperimentEngine:
 
     Configured from the environment on first use: ``REPRO_WORKERS``
     (default 1 = serial) and ``REPRO_CACHE_DIR`` (default: no disk
-    cache).  Replace with :func:`set_default_engine`.
+    cache; in-process jobs then share the process-wide trace memo, so
+    experiments run one after another generate each trace once).
+    Replace with :func:`set_default_engine`.
     """
     global _default_engine
     if _default_engine is None:
         workers = int(os.environ.get("REPRO_WORKERS", "1"))
         cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-        _default_engine = ExperimentEngine(max_workers=workers,
-                                           cache_dir=cache_dir)
+        _default_engine = ExperimentEngine(
+            max_workers=workers, cache_dir=cache_dir,
+            trace_cache=None if cache_dir else DEFAULT_CACHE)
     return _default_engine
 
 
@@ -1071,10 +1087,8 @@ def run_suites(machines: Sequence[str], base: CoreParams,
                **overrides) -> Dict[str, Dict[str, SimResult]]:
     """Run the configured benchmark suite on several machines at once.
 
-    The drop-in fan-out replacement for N calls to
-    :func:`repro.harness.runners.run_suite`: the whole machine ×
-    benchmark matrix is one engine batch, so it parallelises across
-    machines as well as benchmarks.
+    The whole machine × benchmark matrix is one engine batch, so it
+    parallelises across machines as well as benchmarks.
 
     Returns:
         ``machine -> benchmark -> SimResult`` preserving suite order.

@@ -41,6 +41,28 @@ def test_experiment_simulations_run_through_the_engine(
     assert len(done) == simulations
 
 
+def test_default_engine_generates_each_trace_once(monkeypatch):
+    """E6 and E7 each simulate gcc and hmmer twice, on one trace each."""
+    from repro.workloads import suite
+
+    generated = []
+    generate = suite.generate_trace
+
+    def counting_generate(name, *args):
+        generated.append(name)
+        return generate(name, *args)
+
+    monkeypatch.setattr(suite, "generate_trace", counting_generate)
+    monkeypatch.setattr(parallel, "DEFAULT_CACHE", suite.TraceCache())
+    monkeypatch.setattr(parallel, "_default_engine", None)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    for experiment_id in ("E6", "E7"):
+        run_experiment(experiment_id,
+                       TINY.with_(trace_length=600, warmup=200))
+    assert sorted(generated) == ["gcc", "hmmer"]
+
+
 def test_e1_structure():
     report = run_experiment("E1", TINY)
     assert report.experiment_id == "E1"

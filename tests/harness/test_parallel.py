@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +72,20 @@ def _napping_fn(job):
     """Sleeps for the seconds named by the job's benchmark (``NAP0.3``)."""
     time.sleep(float(job.benchmark[len("NAP"):]))
     return job.benchmark
+
+
+def _fail_then_crash_fn(job):
+    """Fails in a worker, kills the next worker, fails in the parent.
+
+    The job's benchmark names a marker file recording the first attempt.
+    """
+    if os.getpid() == _MAIN_PID:
+        raise RuntimeError("failed in the parent")
+    marker = Path(job.benchmark)
+    if marker.exists():
+        os._exit(3)
+    marker.write_text("failed once")
+    raise RuntimeError("failed in a worker")
 
 
 # -- determinism / equivalence ------------------------------------------
@@ -204,19 +219,43 @@ def test_broken_pool_degrades_to_serial():
         == [r.cycles for r in reference.results]
 
 
-@pytest.mark.parametrize("count, nap", [(8, 0.3), (6, 0.6)])
-def test_pool_timeout_counts_from_dispatch(count, nap):
+@pytest.mark.parametrize("naps, timed_out", [
+    ([0.3] * 8, []),
+    ([0.6] * 6, []),
+    # A timed-out job holds its worker until it ends; the other jobs
+    # share the free worker rather than queue behind the held one.
+    ([3.0] + [0.8] * 3, [0]),
+    ([2.5, 2.5, 0.1], [0, 1]),  # both workers held: the last job waits
+], ids=["8x0.3", "6x0.6", "one-held", "all-held"])
+def test_pool_timeout_counts_from_dispatch(naps, timed_out):
     """A job queued behind busy workers must not time out unstarted.
 
-    Every job finishes well inside the timeout once it runs; only a
-    clock started at submission (not dispatch) could fail the tail of
-    the queue.
+    Every job not in *timed_out* finishes well inside the timeout once
+    it runs; only a clock started before the job reaches a worker could
+    fail it.
     """
-    jobs = [poison_job(f"NAP{nap}") for _ in range(count)]
+    jobs = [poison_job(f"NAP{nap}") for nap in naps]
     engine = ExperimentEngine(max_workers=2, timeout=1.0, retries=0)
     outcome = engine.run(jobs, job_fn=_napping_fn)
-    assert not outcome.failures, [str(f) for f in outcome.failures]
-    assert outcome.results == [f"NAP{nap}"] * count
+    assert [failure.kind for failure in outcome.failures] \
+        == ["timeout"] * len(timed_out), [str(f) for f in outcome.failures]
+    assert outcome.results == [None if index in timed_out else job.benchmark
+                               for index, job in enumerate(jobs)]
+
+
+@pytest.mark.skipif(not _FORK, reason="needs the fork start method")
+def test_drain_continues_the_retry_budget_and_history(tmp_path):
+    """A worker death charges no attempt, and the drain keeps counting."""
+    job = poison_job(str(tmp_path / "failed-once"))
+    engine = ExperimentEngine(max_workers=2, retries=2)
+    outcome = engine.run([job], job_fn=_fail_then_crash_fn)
+    assert outcome.metrics.mode == "degraded"
+    [failure] = outcome.failures
+    assert failure.attempts == 3
+    assert [entry["attempt"] for entry in failure.history] == [1, 2, 3]
+    assert [entry["error"] for entry in failure.history] == [
+        "failed in a worker", "failed in the parent",
+        "failed in the parent"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -31,9 +31,9 @@ Commands:
 * ``metrics`` — run machines with the unified metrics registry
   attached and print every counter/gauge/histogram.
 * ``bench`` — simulation-throughput benchmark: pinned workload matrix
-  across the machines, kilo-cycles/s and instructions/s from multi-rep
-  medians, ``BENCH_<date>.json`` snapshot, regression check against
-  the previous snapshot.
+  across the machines, instructions/s and kilo-cycles/s from multi-rep
+  medians, ``BENCH_<date>.json`` snapshot, instructions/s regression
+  check against the previous snapshot.
 
 Exit codes are uniform across commands: 0 = success, 1 = an experiment
 or validation failed (including a simulation that hung or overflowed —
@@ -602,7 +602,7 @@ def cmd_bench(args) -> int:
     before = bench.load_snapshot(before_path)
     if bench.comparable_cells(snapshot, before) == 0:
         print(f"warning: {before_path} is not comparable to this run "
-              f"(different sizing or no overlapping cells) — "
+              f"(different schema or sizing, or no overlapping cells) — "
               f"no regression check performed", file=sys.stderr)
         return 0
     regressions = bench.compare_snapshots(snapshot, before,
@@ -614,7 +614,7 @@ def cmd_bench(args) -> int:
     print(f"throughput regressions vs {before_path}:", file=sys.stderr)
     for reg in regressions:
         print(f"  {reg['machine']}/{reg['benchmark']}: "
-              f"{reg['kcps']:.1f} kc/s vs {reg['previous_kcps']:.1f} "
+              f"{reg['ips']:.0f} instr/s vs {reg['previous_ips']:.0f} "
               f"({reg['ratio']:.0%} of previous, "
               f"floor {1 - args.threshold:.0%})", file=sys.stderr)
     return 1

@@ -39,6 +39,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ckpt.state import MachineCheckpoint
+from ..isa.opcodes import OpClass
 from ..isa.program import INSTRUCTION_BYTES
 from ..stats.result import SimResult
 from ..trace.record import TraceRecord
@@ -62,6 +63,11 @@ from .comm import InterCoreQueue
 from .params import FgStpParams
 from .partitioner import Assignment, Partitioner
 from .specdep import DependencePredictor
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
 
 
 class FgStpMachine(MachineShell):
@@ -441,10 +447,14 @@ class FgStpMachine(MachineShell):
 
     def _feed_cores(self, now: int) -> int:
         pushed = 0
-        for index, core in enumerate(self.cores):
-            feed = self._feed[index]
-            budget = self.base.fetch_width
-            while feed and budget > 0 and core.fetch_space() > 0:
+        width = self.base.fetch_width
+        for core, feed in zip(self.cores, self._feed):
+            if not feed:
+                continue
+            # Each push takes one fetch-buffer slot, so the buffer's
+            # space bounds the pushes as tightly as re-asking would.
+            budget = min(width, core.fetch_space())
+            while feed and budget > 0:
                 available_at, uop = feed[0]
                 if available_at > now:
                     break
@@ -482,39 +492,43 @@ class FgStpMachine(MachineShell):
             self.window_stall_cycles += 1
             return False
 
-        width = 2 * self.base.fetch_width
+        # Nothing in the fetch loop commits, so the lookahead window
+        # bounds the whole call.
+        end = min(len(trace), self.committed + self.fgstp.window_size,
+                  cursor + 2 * self.base.fetch_width)
         taken_budget = 2
         line_bytes = self.base.l1i.line_bytes
-        fetched = 0
-        while fetched < width and cursor < len(trace):
-            if cursor - self.committed >= self.fgstp.window_size:
-                break
+        hit_latency = self.base.l1i.hit_latency
+        icache_line = self._icache_line
+        batch = self._batch
+        while cursor < end:
             record = trace[cursor]
-            line = (record.pc * INSTRUCTION_BYTES) // line_bytes
-            if line != self._icache_line:
-                latency = self.hierarchies[0].fetch(
-                    record.pc * INSTRUCTION_BYTES)
-                self._icache_line = line
-                if latency > self.base.l1i.hit_latency:
+            address = record.pc * INSTRUCTION_BYTES
+            line = address // line_bytes
+            if line != icache_line:
+                latency = self.hierarchies[0].fetch(address)
+                icache_line = line
+                if latency > hit_latency:
                     self._icache_ready = now + latency
                     break
-            self._batch.append(record)
+            batch.append(record)
             cursor += 1
-            fetched += 1
-            if record.is_control:
+            op_class = record.op_class
+            if op_class == _BRANCH or op_class == _JUMP:
                 correct = self.predictor.predict(record)
                 self.predictor.update(record)
                 if not correct:
                     self._stall_seq = record.seq
                     break
                 if record.taken:
-                    self._icache_line = -1
+                    icache_line = -1
                     taken_budget -= 1
                     if taken_budget == 0:
                         break
+        self._icache_line = icache_line
         self._fetch_cursor = cursor
 
-        if (len(self._batch) >= self.fgstp.batch_size
+        if (len(batch) >= self.fgstp.batch_size
                 or self._stall_seq is not None
                 or cursor >= len(trace)
                 or self._cores_starving()):
@@ -544,44 +558,51 @@ class FgStpMachine(MachineShell):
             batch, committed_seq=self.committed)
         available_at = now + self.fgstp.partition_latency
         tracer = self.tracer
+        live = self._live
+        copies = self._copies
+        feeds = self._feed
+        uid = self._next_uid
         for record, assignment in zip(batch, assignments):
-            uops = self._make_uops(record, assignment)
+            seq = record.seq
+            cores = assignment.cores
+            if len(cores) == 1:
+                uops = [Uop(record, uid, False, cores[0])]
+                uid += 1
+            else:
+                uops = [Uop(record, uid, True, 0),
+                        Uop(record, uid + 1, True, 1)]
+                uid += 2
+            live[seq] = uops
+            copies[seq] = len(uops)
             if tracer is not None and assignment.stolen:
                 tracer.instant(
-                    "steal", now, seq=record.seq,
-                    core=assignment.cores[0],
-                    detail=f"balance override -> core "
-                           f"{assignment.cores[0]}")
-            self._wire_dependences(record, assignment, uops, now)
+                    "steal", now, seq=seq, core=cores[0],
+                    detail=f"balance override -> core {cores[0]}")
+            # Only communicated sources and memory ops need wiring.
+            op_class = record.op_class
+            if assignment.comm_srcs or op_class == _LOAD \
+                    or op_class == _STORE:
+                self._wire_dependences(record, assignment, uops, now)
             for uop in uops:
-                self._feed[uop.core_id].append((available_at, uop))
-
-    def _make_uops(self, record: TraceRecord,
-                   assignment: Assignment) -> List[Uop]:
-        uops = []
-        replicated = assignment.replicated
-        for core in assignment.cores:
-            uop = Uop(record, self._next_uid, replica=replicated,
-                      core_id=core)
-            self._next_uid += 1
-            uops.append(uop)
-        self._live[record.seq] = uops
-        self._copies[record.seq] = len(uops)
-        return uops
+                feeds[uop.core_id].append((available_at, uop))
+        self._next_uid = uid
 
     def _wire_dependences(self, record: TraceRecord,
                           assignment: Assignment, uops: List[Uop],
                           now: int) -> None:
-        # Register values crossing the fabric.
+        # Register values crossing the fabric, in ``comm_srcs`` order:
+        # it fixes tag creation and queue send order.
         for producer_seq, dest_core in assignment.comm_srcs:
             tag = self._get_comm_tag(producer_seq, dest_core, now)
             if tag is not None:
                 for uop in uops:
                     if uop.core_id == dest_core:
                         uop.extra_deps.append(tag)
-        if record.is_store:
+        op_class = record.op_class
+        if op_class == _STORE:
             self._last_store[uops[0].core_id] = uops[0]
-        if not record.is_load:
+            return
+        if op_class != _LOAD:
             return
         if not self.fgstp.speculation:
             # Without dependence speculation a load cannot issue until the

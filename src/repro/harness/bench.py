@@ -1,14 +1,14 @@
 """Perf-regression benchmark harness (``repro bench``).
 
 Simulation throughput is a first-class deliverable: every experiment the
-repository can afford scales with how many cycles per wall-clock second
-the models simulate.  This harness runs a **pinned workload matrix**
-(fixed benchmarks, machines, trace length, warm-up and seed, so numbers
-are comparable across commits), reports kilo-cycles-per-second and
-instructions-per-second with warm-up-rep discard and multi-rep medians,
-writes a ``BENCH_<date>.json`` snapshot at the repository root, and
-compares against the previous snapshot with a configurable regression
-threshold — the trajectory CI ratchets.
+repository can afford scales with how many instructions per wall-clock
+second the models simulate.  This harness runs a **pinned workload
+matrix** (fixed benchmarks, machines, trace length, warm-up and seed, so
+numbers are comparable across commits), reports instructions-per-second
+(the headline) and kilo-cycles-per-second with warm-up-rep discard and
+multi-rep medians, writes a ``BENCH_<date>.json`` snapshot at the
+repository root, and compares against the previous snapshot with a
+configurable regression threshold — the trajectory CI ratchets.
 
 Methodology:
 
@@ -18,9 +18,12 @@ Methodology:
   effects) and the **median** of the remaining repetitions is reported.
 * Throughput is wall-clock only over ``Machine.run`` — trace generation
   and machine construction are excluded.
-* Snapshots embed the matrix configuration; comparisons refuse to match
-  cells whose configuration differs (a changed matrix is a new
-  trajectory, not a regression).
+* Regressions are judged on instructions per second.  Cycles per
+  second would make a faster *simulated* machine (fewer cycles for the
+  same work) look like a slower simulator.
+* Snapshots embed the schema version and the matrix configuration;
+  comparisons refuse to match snapshots whose schema or sizing differs
+  (a changed matrix is a new trajectory, not a regression).
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ from ..uarch.params import core_config
 from ..workloads.generator import generate_trace
 from .runners import MACHINES, build_machine
 
-#: Snapshot schema version (bump on incompatible layout changes).
-SCHEMA_VERSION = 1
+#: Snapshot schema version (bump on incompatible layout or comparison
+#: changes).  Version 2 judges regressions on ``ips``; version 1 judged
+#: them on ``kcps``.
+SCHEMA_VERSION = 2
 
 #: The pinned matrix: benchmarks spanning compute-bound (gcc),
 #: memory-latency-bound (mcf) and memory-bandwidth-bound (milc)
@@ -115,8 +120,8 @@ def run_matrix(machines: Sequence[str] = PINNED_MACHINES,
             entries.append(entry)
             if log is not None:
                 log(f"{machine:15s} {benchmark:10s} "
-                    f"{entry['kcps']:9.1f} kc/s "
                     f"{entry['ips']:11.0f} instr/s "
+                    f"{entry['kcps']:9.1f} kc/s "
                     f"(median of {reps}, {entry['cycles']} cycles)")
     return {
         "schema": SCHEMA_VERSION,
@@ -173,56 +178,59 @@ def _cell_key(entry: Dict) -> tuple:
     return (entry["machine"], entry["benchmark"], entry["config"])
 
 
-def _sizing_matches(current: Dict, previous: Dict) -> bool:
-    if not (current.get("matrix") and previous.get("matrix")):
-        return True  # legacy snapshots without a matrix block
-    return all(current["matrix"].get(key) == previous["matrix"].get(key)
+def _comparable(current: Dict, previous: Dict) -> bool:
+    """Same snapshot schema and the same matrix sizing."""
+    if current.get("schema") != previous.get("schema"):
+        return False
+    now, before = current.get("matrix", {}), previous.get("matrix", {})
+    return all(now.get(key) == before.get(key)
                for key in ("length", "warmup", "seed", "reps"))
 
 
 def comparable_cells(current: Dict, previous: Dict) -> int:
     """Cells :func:`compare_snapshots` would actually match.
 
-    Zero means the comparison is vacuous — different sizing, or no
-    overlapping ``(machine, benchmark, config)`` cells — and callers
-    should say so rather than report "no regressions".
+    Zero means the comparison is vacuous — a different schema or
+    sizing, or no overlapping ``(machine, benchmark, config)`` cells —
+    and callers should say so rather than report "no regressions".
     """
-    if not _sizing_matches(current, previous):
+    if not _comparable(current, previous):
         return 0
     old = {_cell_key(entry): entry for entry in previous.get("entries", ())}
     return sum(1 for entry in current.get("entries", ())
-               if old.get(_cell_key(entry), {}).get("kcps"))
+               if old.get(_cell_key(entry), {}).get("ips"))
 
 
 def compare_snapshots(current: Dict, previous: Dict,
                       threshold: float = DEFAULT_THRESHOLD) -> List[Dict]:
     """Compare matching cells; list regressions beyond *threshold*.
 
-    A cell regresses when its throughput dropped by more than
-    *threshold* (fractional): ``kcps < previous_kcps * (1 - threshold)``.
-    Cells present in only one snapshot, or run with different sizing
-    (length / warm-up / seed / reps), are skipped — they are different
-    experiments, not comparable points on the trajectory.
+    A cell regresses when its simulated instructions per second dropped
+    by more than *threshold* (fractional):
+    ``ips < previous_ips * (1 - threshold)``.  Cells present in only one
+    snapshot, or snapshots of a different schema or sizing (length /
+    warm-up / seed / reps), are skipped — they are different experiments,
+    not comparable points on the trajectory.
     """
     if not 0 <= threshold < 1:
         raise ValueError(f"threshold must be in [0, 1): {threshold}")
-    if not _sizing_matches(current, previous):
+    if not _comparable(current, previous):
         return []
     old = {_cell_key(entry): entry for entry in previous.get("entries", ())}
     regressions = []
     for entry in current.get("entries", ()):
         before = old.get(_cell_key(entry))
-        if before is None or not before.get("kcps"):
+        if before is None or not before.get("ips"):
             continue
-        floor = before["kcps"] * (1.0 - threshold)
-        if entry["kcps"] < floor:
+        floor = before["ips"] * (1.0 - threshold)
+        if entry["ips"] < floor:
             regressions.append({
                 "machine": entry["machine"],
                 "benchmark": entry["benchmark"],
                 "config": entry["config"],
-                "kcps": entry["kcps"],
-                "previous_kcps": before["kcps"],
-                "ratio": round(entry["kcps"] / before["kcps"], 3),
+                "ips": entry["ips"],
+                "previous_ips": before["ips"],
+                "ratio": round(entry["ips"] / before["ips"], 3),
                 "threshold": threshold,
             })
     return regressions
@@ -230,11 +238,11 @@ def compare_snapshots(current: Dict, previous: Dict,
 
 def render_snapshot(snapshot: Dict) -> str:
     """Human-readable table of one snapshot's entries."""
-    lines = [f"{'machine':15s} {'benchmark':10s} {'kc/s':>10s} "
-             f"{'instr/s':>12s} {'cycles':>9s} {'median_s':>9s}"]
+    lines = [f"{'machine':15s} {'benchmark':10s} {'instr/s':>12s} "
+             f"{'kc/s':>10s} {'cycles':>9s} {'median_s':>9s}"]
     for entry in snapshot.get("entries", ()):
         lines.append(
             f"{entry['machine']:15s} {entry['benchmark']:10s} "
-            f"{entry['kcps']:10.1f} {entry['ips']:12.0f} "
+            f"{entry['ips']:12.0f} {entry['kcps']:10.1f} "
             f"{entry['cycles']:9d} {entry['median_s']:9.3f}")
     return "\n".join(lines)

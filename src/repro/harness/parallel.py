@@ -317,6 +317,11 @@ def _call_with_timeout(function: Callable[[SweepJob], SimResult],
     timeout is not enforceable without a pool; the job simply runs, and
     *unenforced* — when given — is invoked so the engine can surface
     the silently-dropped guarantee instead of pretending it held.
+
+    The handler's :class:`JobTimeout` can be lost: the alarm may land
+    in a garbage-collector callback, which swallows exceptions, or in
+    job code that catches it.  The handler therefore also records that
+    it fired, and a job that then returns normally still times out.
     """
     can_alarm = (timeout is not None and hasattr(signal, "setitimer")
                  and threading.current_thread() is threading.main_thread())
@@ -325,16 +330,23 @@ def _call_with_timeout(function: Callable[[SweepJob], SimResult],
             unenforced()
         return function(job)
 
+    message = f"{job.name} exceeded {timeout:.3g}s"
+    fired = []
+
     def _on_alarm(_signum, _frame):
-        raise JobTimeout(f"{job.name} exceeded {timeout:.3g}s")
+        fired.append(True)
+        raise JobTimeout(message)
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout)
     try:
-        return function(job)
+        result = function(job)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if fired:
+        raise JobTimeout(message)
+    return result
 
 
 def _call_with_rss_limit(function: Callable[[SweepJob], SimResult],

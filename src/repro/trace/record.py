@@ -18,6 +18,13 @@ from typing import Optional, Sequence, Tuple
 
 from ..isa.opcodes import OpClass
 
+# Module-level aliases: an enum member lookup on every property read
+# costs about three times a global load.
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
+
 
 class TraceRecord:
     """One dynamic instruction.
@@ -59,28 +66,29 @@ class TraceRecord:
 
     @property
     def is_load(self) -> bool:
-        return self.op_class == OpClass.LOAD
+        return self.op_class == _LOAD
 
     @property
     def is_store(self) -> bool:
-        return self.op_class == OpClass.STORE
+        return self.op_class == _STORE
 
     @property
     def is_memory(self) -> bool:
-        return self.op_class == OpClass.LOAD or self.op_class == OpClass.STORE
+        op_class = self.op_class
+        return op_class == _LOAD or op_class == _STORE
 
     @property
     def is_branch(self) -> bool:
-        return self.op_class == OpClass.BRANCH
+        return self.op_class == _BRANCH
 
     @property
     def is_jump(self) -> bool:
-        return self.op_class == OpClass.JUMP
+        return self.op_class == _JUMP
 
     @property
     def is_control(self) -> bool:
-        return (self.op_class == OpClass.BRANCH
-                or self.op_class == OpClass.JUMP)
+        op_class = self.op_class
+        return op_class == _BRANCH or op_class == _JUMP
 
     def __repr__(self) -> str:
         extras = []

@@ -88,11 +88,11 @@ def test_previous_snapshot_picks_latest_and_excludes_current(tmp_path):
 # Regression comparison
 # ---------------------------------------------------------------------
 
-def _snapshot_with(kcps, **matrix):
-    doc = {"schema": 1,
+def _snapshot_with(ips, schema=bench.SCHEMA_VERSION, **matrix):
+    doc = {"schema": schema,
            "matrix": dict(length=600, warmup=200, seed=3, reps=2),
            "entries": [{"machine": "single", "benchmark": "gcc",
-                        "config": "small", "kcps": kcps}]}
+                        "config": "small", "ips": ips}]}
     doc["matrix"].update(matrix)
     return doc
 
@@ -107,6 +107,28 @@ def test_compare_flags_only_drops_beyond_threshold():
     assert regs[0]["ratio"] == pytest.approx(0.74)
     # Improvements never flag.
     assert bench.compare_snapshots(_snapshot_with(500.0), previous) == []
+
+
+def test_compare_judges_ips_not_kcps():
+    """A faster simulated machine finishes in fewer cycles, so its kcps
+    can fall while the simulator got faster: only ips counts."""
+    previous = _snapshot_with(100.0)
+    previous["entries"][0]["kcps"] = 100.0
+    current = _snapshot_with(100.0)
+    current["entries"][0]["kcps"] = 10.0
+    assert bench.compare_snapshots(current, previous) == []
+    current = _snapshot_with(10.0)
+    current["entries"][0]["kcps"] = 100.0
+    regs = bench.compare_snapshots(current, previous)
+    assert [(r["ips"], r["previous_ips"]) for r in regs] == [(10.0, 100.0)]
+
+
+def test_compare_refuses_a_schema_mismatch():
+    previous = _snapshot_with(100.0, schema=1)
+    current = _snapshot_with(10.0)
+    assert bench.compare_snapshots(current, previous) == []
+    assert bench.comparable_cells(current, previous) == 0
+    assert bench.comparable_cells(current, _snapshot_with(100.0)) == 1
 
 
 def test_compare_skips_mismatched_sizing_and_missing_cells():
@@ -143,6 +165,8 @@ def test_cli_bench_writes_snapshot_and_passes(tmp_path, capsys):
     files = list(tmp_path.glob("BENCH_*.json"))
     assert len(files) == 1
     doc = bench.load_snapshot(files[0])
+    assert doc["schema"] == bench.SCHEMA_VERSION
+    assert doc["entries"][0]["ips"] > 0
     assert doc["entries"][0]["kcps"] > 0
     assert "no previous snapshot" in capsys.readouterr().out
 
@@ -183,6 +207,17 @@ def test_cli_bench_warns_on_incomparable_baseline(tmp_path, capsys):
     a vacuous "no regressions"."""
     baseline = _snapshot_with(10_000_000.0, length=999_999, warmup=200,
                               seed=42, reps=1)
+    baseline_path = tmp_path / "baseline.json"
+    baseline_path.write_text(json.dumps(baseline))
+    assert main(["bench", "--out", str(tmp_path), "--no-write",
+                 "--baseline", str(baseline_path)] + _TINY) == 0
+    assert "not comparable" in capsys.readouterr().err
+
+
+def test_cli_bench_warns_on_other_schema_baseline(tmp_path, capsys):
+    """A schema-1 baseline (judged on kcps) is not compared either."""
+    baseline = _snapshot_with(10_000_000.0, schema=1, length=600,
+                              warmup=200, seed=42, reps=1)
     baseline_path = tmp_path / "baseline.json"
     baseline_path.write_text(json.dumps(baseline))
     assert main(["bench", "--out", str(tmp_path), "--no-write",

@@ -19,9 +19,9 @@ from pathlib import Path
 import pytest
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.parallel import (ExperimentEngine, SweepError, SweepJob,
-                                    execute_job, make_job, matrix_jobs,
-                                    run_jobs)
+from repro.harness.parallel import (ExperimentEngine, JobTimeout,
+                                    SweepError, SweepJob, execute_job,
+                                    make_job, matrix_jobs, run_jobs)
 from repro.uarch.params import core_config
 
 #: Small-but-real sizing: big enough to exercise every machine stage.
@@ -176,12 +176,33 @@ def test_timeout_job_is_retried_then_skipped_parallel():
 def test_timeout_job_is_retried_then_skipped_serial():
     jobs = [poison_job("SLEEP")] + small_matrix(benchmarks=("gcc",),
                                                 seeds=(1,))
-    engine = ExperimentEngine(max_workers=1, timeout=0.2, retries=1)
+    engine = ExperimentEngine(max_workers=1, timeout=1.0, retries=1)
     outcome = engine.run(jobs, job_fn=_sleepy_fn)
     assert len(outcome.failures) == 1
     assert outcome.failures[0].kind == "timeout"
     assert outcome.results[0] is None
     assert all(result is not None for result in outcome.results[1:])
+
+
+def _swallowing_fn(job):
+    """Sleeps past the timeout and swallows the alarm's exception, the
+    way a garbage-collector callback does when the alarm lands in it."""
+    try:
+        time.sleep(1.0)
+    except JobTimeout:
+        pass
+    return execute_job(small_matrix(benchmarks=("gcc",), seeds=(1,),
+                                    machines=("single",))[0])
+
+
+@pytest.mark.skipif(not hasattr(__import__("signal"), "setitimer"),
+                    reason="serial timeouts need POSIX setitimer")
+def test_swallowed_timeout_still_fails_the_job_serial():
+    engine = ExperimentEngine(max_workers=1, timeout=0.1, retries=0)
+    outcome = engine.run([poison_job("SLEEP")], job_fn=_swallowing_fn)
+    assert not outcome.ok
+    assert [failure.kind for failure in outcome.failures] == ["timeout"]
+    assert outcome.results == [None]
 
 
 def test_transient_failure_recovers_after_retry(tmp_path):

@@ -14,7 +14,7 @@ from .adaptive import AdaptiveFgStpMachine, simulate_fgstp_adaptive
 from .comm import InterCoreQueue
 from .orchestrator import FgStpMachine, simulate_fgstp
 from .params import DEFAULT_OP_WEIGHTS, FgStpParams
-from .partitioner import Assignment, PartitionStats, Partitioner, WriterEntry
+from .partitioner import Assignment, PartitionStats, Partitioner
 from .policies import POLICIES, policy_by_name, set_policy
 from .specdep import DependencePredictor
 
@@ -29,7 +29,6 @@ __all__ = [
     "Assignment",
     "PartitionStats",
     "Partitioner",
-    "WriterEntry",
     "DependencePredictor",
     "POLICIES",
     "policy_by_name",

@@ -98,7 +98,7 @@ class FgStpMachine(MachineShell):
         "_copies", "_comm_tags", "_send_map", "_watch", "_last_store",
         "_stall_seq", "_fetch_resume_at", "_icache_line", "_icache_ready",
         "_pending_violations", "_violation_store_pc", "_now",
-        "_last_retire_prune", "squashes", "squashed_uops",
+        "squashes", "squashed_uops",
         "mispredict_stall_cycles", "window_stall_cycles",
     )
     _PARTIAL_FIELDS = ("cores", "squashes")
@@ -152,7 +152,6 @@ class FgStpMachine(MachineShell):
         self._pending_violations: List[Uop] = []
         self._violation_store_pc: Dict[int, int] = {}
         self._now = 0
-        self._last_retire_prune = 0
         # Counters.
         self.squashes = 0
         self.squashed_uops = 0
@@ -182,6 +181,7 @@ class FgStpMachine(MachineShell):
 
     def _start(self, trace: Sequence[TraceRecord]) -> None:
         self._trace = trace
+        self.partitioner.track(trace)
 
     def _step(self, now: int) -> int:
         """Simulate one cycle; truthy when anything made progress.
@@ -242,7 +242,6 @@ class FgStpMachine(MachineShell):
                               frontend_cause=cause)
         core1.attribute_cycle(now, width - remaining[1],
                               frontend_cause=cause)
-        self._maybe_prune()
         return (delivered or retired or completed or issued
                 or dispatched or fed or fetched)
 
@@ -422,7 +421,6 @@ class FgStpMachine(MachineShell):
                 "squash", now, seq=squash_seq, core=victim.core_id,
                 detail=f"{squashed} uops from seq {squash_seq} "
                        f"(memory-dependence violation)")
-        self.partitioner.rewind(squash_seq)
         for feed in self._feed:
             while feed and feed[-1][1].seq >= squash_seq:
                 feed.pop()
@@ -676,15 +674,6 @@ class FgStpMachine(MachineShell):
         load_uop.extra_deps.append(tag)
 
     # ------------------------------------------------------------------
-    # Housekeeping
-    # ------------------------------------------------------------------
-
-    def _maybe_prune(self) -> None:
-        if self.committed - self._last_retire_prune >= 1024:
-            self.partitioner.retire(self.committed)
-            self._last_retire_prune = self.committed
-
-    # ------------------------------------------------------------------
     # Checkpoint, results and forensics
     # ------------------------------------------------------------------
 
@@ -714,15 +703,18 @@ class FgStpMachine(MachineShell):
         # The cores' callbacks are bound methods of this machine
         # (pickling them would drag the whole machine, trace and
         # observers into the blob); queue tracer attachments and a
-        # non-default partition policy are closures.
+        # non-default partition policy are closures; the partitioner's
+        # dependence index is rebuilt from the trace.
         return ([(core, name) for core in self.cores
                  for name in ("on_complete", "on_commit")]
                 + [(queue, name) for queue in self.queues
                    for name in ("tracer", "trace_core")]
-                + [(self.partitioner, "_assign_pass")])
+                + [(self.partitioner, name)
+                   for name in ("_assign_pass", "_deps")])
 
     def _adopt(self, trace: Sequence[TraceRecord]) -> None:
         self._trace = trace
+        self.partitioner.index_trace(trace)
         self._wire()
 
     def _extra(self) -> dict:

@@ -114,7 +114,7 @@ POLICIES: Dict[str, AssignPolicy] = {
 def set_policy(partitioner: Partitioner, policy: AssignPolicy) -> None:
     """Replace *partitioner*'s assignment pass with *policy*.
 
-    Only the core-assignment decision changes; writer-map bookkeeping,
+    Only the core-assignment decision changes; the core mask,
     replication and communication wiring stay identical.
     """
     partitioner._assign_pass = lambda batch: policy(partitioner, batch)

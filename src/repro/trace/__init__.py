@@ -19,14 +19,6 @@ from .analysis import (
 )
 from .io import TraceFormatError, read_trace, write_trace
 from .record import TraceRecord, validate_trace
-from .transform import (
-    concat,
-    drop_memory,
-    keep_classes,
-    map_records,
-    pc_region,
-    window,
-)
 
 __all__ = [
     "TraceRecord",
@@ -39,10 +31,4 @@ __all__ = [
     "instruction_mix",
     "memory_dependence_count",
     "summarize",
-    "concat",
-    "drop_memory",
-    "keep_classes",
-    "map_records",
-    "pc_region",
-    "window",
 ]

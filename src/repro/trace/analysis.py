@@ -5,16 +5,23 @@ the partitioning study: instruction mix, control-flow behaviour,
 register-dependence distances and memory-dependence structure.  The
 workload generators use them in tests to check that synthetic streams hit
 their calibration targets, and the examples use them for reporting.
+
+:func:`dependences` is the one last-writer pass: the trace fixes every
+source's producer and every load's last older store, so the Fg-STP
+partition unit reads both from it instead of tracking writers itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa.opcodes import OpClass
 from .record import TraceRecord
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
 
 
 @dataclass
@@ -29,7 +36,7 @@ class TraceSummary:
         load_fraction: Loads / all instructions.
         store_fraction: Stores / all instructions.
         mean_dependence_distance: Mean dynamic distance (in instructions)
-            between a register value's producer and its nearest consumer.
+            from each register read back to its value's producer.
         unique_pcs: Number of distinct static instructions touched.
     """
 
@@ -52,23 +59,51 @@ def instruction_mix(trace: Sequence[TraceRecord]) -> Dict[OpClass, float]:
     return {op_class: count / total for op_class, count in counts.items()}
 
 
+def dependences(trace: Sequence[TraceRecord]) -> Tuple[
+        List[Tuple[int, ...]], List[Optional[Tuple[int, int]]]]:
+    """Each trace position's register producers and memory producer.
+
+    Returns ``(producers, stores)``, two lists aligned with *trace*:
+
+    * ``producers[i]`` holds, for each source of ``trace[i]`` in
+      ``srcs`` order (repeats kept), the ``seq`` of the latest older
+      record writing that register, or ``-1`` for a live-in;
+    * ``stores[i]`` is ``(seq, pc)`` of the latest older store to a
+      load's ``mem_addr``, and ``None`` for a non-load or a load with no
+      older store there.
+
+    Any trace is accepted; ``seq`` values are reported as recorded.
+    """
+    reg_writer: Dict[int, int] = {}
+    last_store: Dict[int, Tuple[int, int]] = {}
+    writer_of = reg_writer.get
+    producers: List[Tuple[int, ...]] = []
+    stores: List[Optional[Tuple[int, int]]] = []
+    for record in trace:
+        srcs = record.srcs
+        producers.append(tuple([writer_of(src, -1) for src in srcs])
+                         if srcs else ())
+        op_class = record.op_class
+        stores.append(last_store.get(record.mem_addr)
+                      if op_class == _LOAD else None)
+        if record.dst is not None:
+            reg_writer[record.dst] = record.seq
+        if op_class == _STORE:
+            last_store[record.mem_addr] = (record.seq, record.pc)
+    return producers, stores
+
+
 def dependence_distances(trace: Sequence[TraceRecord]) -> List[int]:
-    """Producer→first-consumer distances for register dependences.
+    """Producer→consumer distances of every register read.
 
     For every dynamic register read whose producer appears earlier in the
     trace, records ``consumer.seq - producer.seq``.  Reads of never-written
     registers (live-ins) are skipped.
     """
-    last_writer: Dict[int, int] = {}
-    distances: List[int] = []
-    for record in trace:
-        for src in record.srcs:
-            producer = last_writer.get(src)
-            if producer is not None:
-                distances.append(record.seq - producer)
-        if record.dst is not None:
-            last_writer[record.dst] = record.seq
-    return distances
+    producers, _stores = dependences(trace)
+    return [record.seq - producer
+            for record, sources in zip(trace, producers)
+            for producer in sources if producer >= 0]
 
 
 def memory_dependence_count(trace: Sequence[TraceRecord],
@@ -80,17 +115,10 @@ def memory_dependence_count(trace: Sequence[TraceRecord],
             before the load are considered (models a finite disambiguation
             window).
     """
-    last_store: Dict[int, int] = {}
-    count = 0
-    for record in trace:
-        if record.is_store:
-            last_store[record.mem_addr] = record.seq
-        elif record.is_load:
-            producer = last_store.get(record.mem_addr)
-            if producer is not None:
-                if window is None or record.seq - producer <= window:
-                    count += 1
-    return count
+    _producers, stores = dependences(trace)
+    return sum(1 for record, store in zip(trace, stores)
+               if store is not None
+               and (window is None or record.seq - store[0] <= window))
 
 
 def summarize(trace: Sequence[TraceRecord]) -> TraceSummary:

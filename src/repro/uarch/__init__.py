@@ -8,24 +8,10 @@ from .params import (
     medium_core_config,
     small_core_config,
 )
-from .configio import (
-    load_core_params,
-    load_fgstp_params,
-    save_core_params,
-    save_fgstp_params,
-)
-from .interval import IntervalEstimate, estimate_cycles, estimate_from_result
 from .pipeline import CycleCore, SingleCoreMachine, simulate_single_core
 from .warmup import reseq, split_warmup, warm_state
 
 __all__ = [
-    "load_core_params",
-    "load_fgstp_params",
-    "save_core_params",
-    "save_fgstp_params",
-    "IntervalEstimate",
-    "estimate_cycles",
-    "estimate_from_result",
     "reseq",
     "split_warmup",
     "warm_state",

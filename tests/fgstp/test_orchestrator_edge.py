@@ -114,3 +114,14 @@ def test_commit_monotonic_seq():
         if not non_replica or seq != non_replica[-1]:
             non_replica.append(seq)
     assert non_replica == sorted(non_replica)
+
+
+def test_sparse_seqs_are_rejected_not_hung():
+    """A trace whose seqs do not start at 0 used to spin until the
+    watchdog filed an inter-core hang; now the partition unit names the
+    first record whose seq is not its position."""
+    shifted = [TraceRecord(r.seq + 5, r.pc, r.op_class, r.dst, r.srcs,
+                           r.mem_addr, r.mem_size, r.taken, r.target)
+               for r in generate_trace("gcc", 600)]
+    with pytest.raises(ValueError, match="record 0 has seq 5"):
+        FgStpMachine(small_core_config()).run(shifted)

@@ -37,6 +37,7 @@ def test_partition_covers_each_instruction_exactly_once(case):
     trace = generate_trace(name, length, seed)
     partitioner = Partitioner(FgStpParams(batch_size=batch_size,
                                           window_size=512))
+    partitioner.track(trace)
     assignments = []
     for start in range(0, len(trace), batch_size):
         assignments.extend(
@@ -69,6 +70,7 @@ def test_partition_without_replication_is_disjoint(case):
     partitioner = Partitioner(FgStpParams(batch_size=batch_size,
                                           window_size=512,
                                           replication=False))
+    partitioner.track(trace)
     for start in range(0, len(trace), batch_size):
         for assignment in partitioner.partition(
                 trace[start:start + batch_size]):
@@ -82,5 +84,6 @@ def test_all_suite_profiles_partition_cleanly():
     for name in ALL_NAMES:
         trace = generate_trace(name, 64, seed=7)
         partitioner = Partitioner(FgStpParams(batch_size=16))
+        partitioner.track(trace)
         assignments = partitioner.partition(trace)
         assert len(assignments) == len(trace)

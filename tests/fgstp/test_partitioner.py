@@ -29,6 +29,7 @@ def make_partitioner(**changes):
 def test_assigns_every_instruction():
     partitioner = make_partitioner()
     batch = [alu(i, dst=(i % 5) + 1) for i in range(20)]
+    partitioner.track(batch)
     assignments = partitioner.partition(batch)
     assert len(assignments) == 20
     for assignment in assignments:
@@ -44,6 +45,7 @@ def test_chains_stay_on_one_core():
             batch.append(alu(i, dst=1, srcs=(1,)))
         else:
             batch.append(alu(i, dst=2, srcs=(2,)))
+    partitioner.track(batch)
     assignments = partitioner.partition(batch)
     chain_a = {assignments[i].cores for i in range(0, 12, 2)}
     chain_b = {assignments[i].cores for i in range(1, 12, 2)}
@@ -57,6 +59,7 @@ def test_independent_chains_split_across_cores():
     for i in range(40):
         reg = (i % 2) + 1
         batch.append(alu(i, dst=reg, srcs=(reg,)))
+    partitioner.track(batch)
     assignments = partitioner.partition(batch)
     used_cores = {assignment.cores[0] for assignment in assignments}
     assert used_cores == {0, 1}
@@ -69,6 +72,7 @@ def test_mem_sites_sticky_by_pc():
     for i in range(20):
         batch.append(TraceRecord(i, 77, OpClass.LOAD, 3, (20,),
                                  mem_addr=0x1000 + 8 * i, mem_size=8))
+    partitioner.track(batch)
     assignments = partitioner.partition(batch)
     assert len({a.cores for a in assignments}) == 1
 
@@ -92,6 +96,7 @@ def test_learned_pair_colocates_load_with_store():
             seq += 1
         return records
 
+    partitioner.track(batch(0) + batch(12))
     partitioner.partition(batch(0))
     partitioner.learn_pair(load_pc, store_pc)
     assignments = partitioner.partition(batch(12))
@@ -107,18 +112,19 @@ def test_cross_core_mem_dep_reported_truthfully():
     # Pin the store's site to core 0 and the load's chain to core 1.
     warm = [TraceRecord(i, 50, OpClass.STORE, None, (1, 1),
                         mem_addr=0x900, mem_size=8) for i in range(2)]
-    partitioner.partition(warm)
-    store_core = partitioner._store_pc_core[50]
     chain = [TraceRecord(2 + i, 70 + i, OpClass.IALU, 5, (5,))
              for i in range(20)]
-    assignments = partitioner.partition(chain)
-    chain_core = assignments[-1].cores[0]
     batch = [
         TraceRecord(22, 50, OpClass.STORE, None, (1, 1),
                     mem_addr=0xA00, mem_size=8),
         TraceRecord(23, 90, OpClass.LOAD, 5, (5,),
                     mem_addr=0xA00, mem_size=8),
     ]
+    partitioner.track(warm + chain + batch)
+    partitioner.partition(warm)
+    store_core = partitioner._store_pc_core[50]
+    assignments = partitioner.partition(chain)
+    chain_core = assignments[-1].cores[0]
     result = partitioner.partition(batch)
     if result[1].cores[0] != result[0].cores[0]:
         assert result[1].mem_dep == (22, 50)
@@ -132,11 +138,12 @@ def test_cross_core_mem_dep_reported():
     # consumer load is pulled to the other core by its register chain.
     batch_a = [alu(i, dst=1, srcs=(1,)) for i in range(10)]
     batch_a.append(store(10, addr=0x4000, srcs=(1, 1)))
-    assignments_a = partitioner.partition(batch_a)
-    store_core = assignments_a[-1].cores[0]
     # Next batch: a fresh chain (seeded on the lighter core) reads it.
     batch_b = [alu(11 + i, dst=2, srcs=(2,)) for i in range(30)]
     batch_b.append(load(41, dst=2, addr=0x4000, srcs=(2,)))
+    partitioner.track(batch_a + batch_b)
+    assignments_a = partitioner.partition(batch_a)
+    store_core = assignments_a[-1].cores[0]
     assignments_b = partitioner.partition(batch_b)
     load_assignment = assignments_b[-1]
     if load_assignment.cores[0] != store_core:
@@ -147,6 +154,7 @@ def test_cross_core_mem_dep_reported():
 
 def test_committed_values_need_no_communication():
     partitioner = make_partitioner()
+    partitioner.track([alu(0, dst=1), alu(1, dst=2, srcs=(1,))])
     partitioner.partition([alu(0, dst=1)])
     # Producer commits; the consumer partitioned later must not report
     # any communication for r1.
@@ -163,6 +171,7 @@ def test_replication_of_shared_cheap_value():
     for i in range(1, 21):
         reg = (i % 2) + 1
         batch.append(alu(i, dst=reg, srcs=(reg, 3)))
+    partitioner.track(batch)
     assignments = partitioner.partition(batch, committed_seq=0)
     consumer_cores = {assignments[i].cores[0] for i in range(1, 21)}
     if consumer_cores == {0, 1}:
@@ -176,6 +185,7 @@ def test_replication_disabled():
     for i in range(1, 21):
         reg = (i % 2) + 1
         batch.append(alu(i, dst=reg, srcs=(reg, 3)))
+    partitioner.track(batch)
     assignments = partitioner.partition(batch)
     assert not any(a.replicated for a in assignments)
 
@@ -186,53 +196,33 @@ def test_expensive_ops_never_replicated():
     for i in range(1, 21):
         reg = (i % 2) + 34
         batch.append(TraceRecord(i, i, OpClass.FADD, reg, (reg, 33)))
+    partitioner.track(batch)
     assignments = partitioner.partition(batch)
     assert not assignments[0].replicated
 
 
-def test_rewind_restores_writer_maps():
-    partitioner = make_partitioner()
-    partitioner.partition([alu(0, dst=1), alu(1, dst=1)])
-    # Writer of r1 is seq 1; rewind to seq 1 -> writer becomes seq 0.
-    partitioner.rewind(1)
-    assert partitioner._reg_writer[1].seq == 0
-    partitioner.rewind(0)
-    assert 1 not in partitioner._reg_writer
-
-
 def test_rewind_then_repartition_is_well_formed():
-    """Rewind restores writer maps; heuristic state (running load, line
-    affinity) deliberately survives, so assignments may differ — but the
-    re-partition must be structurally valid and leave equivalent writer
-    state."""
+    """A squash re-partitions from the squashed seq with nothing undone.
+    Heuristic state (running load, line affinity) deliberately survives,
+    so assignments may differ — but the re-partition must be
+    structurally valid and leave the core mask equal to its cores."""
     partitioner = make_partitioner()
     batch = [alu(i, dst=(i % 3) + 1, srcs=((i % 3) + 1,))
              for i in range(12)]
+    partitioner.track(batch)
     first = partitioner.partition(list(batch))
-    writers_after_first = {reg: entry.seq for reg, entry
-                           in partitioner._reg_writer.items()}
-    partitioner.rewind(0)
-    assert partitioner._reg_writer == {}
     second = partitioner.partition(list(batch))
     assert len(second) == len(first)
     assert all(a.cores in ((0,), (1,), (0, 1)) for a in second)
-    writers_after_second = {reg: entry.seq for reg, entry
-                            in partitioner._reg_writer.items()}
-    assert writers_after_second == writers_after_first
-
-
-def test_retire_prunes_old_state():
-    partitioner = make_partitioner()
-    partitioner.partition([alu(0, dst=1), store(1, addr=0x40)])
-    partitioner.retire(2)
-    assert not partitioner._reg_writer
-    assert not partitioner._mem_writer
-    assert not partitioner._journal
+    assert list(partitioner._mask) == [
+        sum(1 << core for core in a.cores) for a in second]
 
 
 def test_stats_accumulate():
     partitioner = make_partitioner()
-    partitioner.partition([alu(i, dst=1) for i in range(5)])
+    batch = [alu(i, dst=1) for i in range(5)]
+    partitioner.track(batch)
+    partitioner.partition(batch)
     stats = partitioner.stats.as_dict()
     assert stats["assigned"] == 5
     assert stats["on_core0"] + stats["on_core1"] >= 5
@@ -253,6 +243,7 @@ def test_loads_balanced_over_long_run():
             batch.append(alu(seq, dst=reg, srcs=(reg,)))
             seq += 1
         batches.append(batch)
+    partitioner.track([record for batch in batches for record in batch])
     for batch in batches:
         partitioner.partition(batch)
     stats = partitioner.stats

@@ -1,16 +1,22 @@
-"""The optimised partitioner makes exactly the reference's decisions.
+"""The partitioner makes exactly the frozen reference's decisions.
 
-``reference_partitioner.py`` holds the plain three-pass partitioner the
-fast one replaced.  Hypothesis drives both through the same call
-sequence, the way the Fg-STP machine does: batches of generated trace
-records under an advancing commit frontier, interleaved with squash
-rewinds (which re-partition the squashed records), retirement and
-memory-pair training.  After every call the two must agree on every
-assignment field (``comm_srcs`` in order, since it fixes tag creation
-and queue send order), the running load floats, both writer maps, the
-undo journal and the statistics.
+``reference_partitioner.py`` holds the plain three-pass partitioner
+with register and memory writer maps, an undo journal, ``rewind`` and
+``retire``.  The partitioner under test reads producers from the
+trace's dependence index instead and records each seq's cores in a
+mask.  Hypothesis drives both through the same call sequence, the way
+the Fg-STP machine does: batches of generated trace records under an
+advancing commit frontier, interleaved with squashes (the reference
+rewinds, then both re-partition the squashed records), retirement of
+the reference's maps and memory-pair training.  After every call the
+two must agree on every assignment field (``comm_srcs`` in order, since
+it fixes tag creation and queue send order), the running load floats,
+the statistics and the steering tables; and every reference writer
+entry at or above the commit frontier must carry the cores the mask
+holds for its seq.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,25 +32,22 @@ from .test_partition_properties import NAMES
 #: while keeping hypothesis's input buffer from overrunning.
 MAX_CALLS = 80
 
+#: One comparison's trace and partitioner configuration.
+CASES = st.tuples(st.sampled_from(NAMES),
+                  st.integers(min_value=40, max_value=400),
+                  st.integers(min_value=1, max_value=10 ** 6),
+                  st.sampled_from([4, 16, 64]),
+                  st.booleans())
+
 
 def _assignments(assignments):
     return [(a.seq, a.cores, list(a.comm_srcs), a.mem_dep, a.stolen,
              a.replicated) for a in assignments]
 
 
-def _entry(entry):
-    return None if entry is None else (entry.seq, set(entry.cores), entry.pc)
-
-
 def _state(partitioner):
     return {
         "load": list(partitioner._load),
-        "reg": {key: _entry(entry)
-                for key, entry in partitioner._reg_writer.items()},
-        "mem": {key: _entry(entry)
-                for key, entry in partitioner._mem_writer.items()},
-        "journal": [(kind, seq, key, _entry(previous))
-                    for kind, seq, key, previous in partitioner._journal],
         "stats": partitioner.stats.as_dict(),
         "mem_pc_core": dict(partitioner._mem_pc_core),
         "store_pc_core": dict(partitioner._store_pc_core),
@@ -53,25 +56,23 @@ def _state(partitioner):
     }
 
 
-def _assert_same(fast, reference):
-    fast_state, reference_state = _state(fast), _state(reference)
+def _assert_same(fast, reference, committed):
     # Floats compared exactly: the running load must be bit-identical.
-    assert fast_state == reference_state
+    assert _state(fast) == _state(reference)
+    for writers in (reference._reg_writer, reference._mem_writer):
+        for entry in writers.values():
+            if entry.seq >= committed:
+                assert fast._mask[entry.seq] \
+                    == sum(1 << core for core in entry.cores)
 
 
-@settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(NAMES),
-       length=st.integers(min_value=40, max_value=400),
-       seed=st.integers(min_value=1, max_value=10 ** 6),
-       batch_size=st.sampled_from([4, 16, 64]),
-       replication=st.booleans(),
-       data=st.data())
-def test_matches_reference_partitioner(name, length, seed, batch_size,
-                                       replication, data):
+def _compare(case, data):
+    name, length, seed, batch_size, replication = case
     trace = generate_trace(name, length, seed)
     params = FgStpParams(batch_size=batch_size, window_size=512,
                          replication=replication)
     fast, reference = Partitioner(params), ReferencePartitioner(params)
+    fast.track(trace)
     load_pcs = sorted({r.pc for r in trace if r.is_load}) or [0]
     store_pcs = sorted({r.pc for r in trace if r.is_store}) or [1]
     cursor = committed = 0
@@ -90,14 +91,13 @@ def test_matches_reference_partitioner(name, length, seed, batch_size,
             committed = data.draw(
                 st.integers(min_value=committed, max_value=cursor))
         elif action == "rewind":
-            # A squash: undo from some in-flight seq and fetch it again.
+            # A squash: fetch again from some in-flight seq.  Only the
+            # reference has writer maps to undo.
             squash = data.draw(st.integers(min_value=committed,
                                            max_value=cursor))
-            fast.rewind(squash)
             reference.rewind(squash)
             cursor = squash
         elif action == "retire":
-            fast.retire(committed)
             reference.retire(committed)
         else:
             load_pc = data.draw(st.sampled_from(load_pcs))
@@ -105,4 +105,18 @@ def test_matches_reference_partitioner(name, length, seed, batch_size,
             weight = data.draw(st.sampled_from([1, 4]))
             fast.learn_pair(load_pc, store_pc, weight=weight)
             reference.learn_pair(load_pc, store_pc, weight=weight)
-        _assert_same(fast, reference)
+        _assert_same(fast, reference, committed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=CASES, data=st.data())
+def test_matches_reference_partitioner(case, data):
+    _compare(case, data)
+
+
+@pytest.mark.fuzz
+@settings(max_examples=1500, deadline=None)
+@given(case=CASES, data=st.data())
+def test_matches_reference_partitioner_at_fuzz_scale(case, data):
+    """The same comparison far beyond tier-1's examples (nightly)."""
+    _compare(case, data)

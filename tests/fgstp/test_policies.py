@@ -81,7 +81,9 @@ def test_single_policy_all_core0():
 def test_set_policy_changes_assignment():
     partitioner = Partitioner(FgStpParams())
     set_policy(partitioner, roundrobin_policy)
-    assignments = partitioner.partition([alu(i) for i in range(4)])
+    batch = [alu(i) for i in range(4)]
+    partitioner.track(batch)
+    assignments = partitioner.partition(batch)
     assert [a.cores[0] for a in assignments] == [0, 1, 0, 1]
 
 

@@ -117,6 +117,7 @@ def test_single_core_always_drains_and_bounds_ipc(records):
 @settings(max_examples=10, deadline=None)
 def test_partitioner_assignment_invariants(records):
     partitioner = Partitioner(FgStpParams(batch_size=8, window_size=64))
+    partitioner.track(records)
     assignments = partitioner.partition(records)
     assert len(assignments) == len(records)
     for record, assignment in zip(records, assignments):

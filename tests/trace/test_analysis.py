@@ -5,6 +5,7 @@ import pytest
 from repro.isa.opcodes import OpClass
 from repro.trace.analysis import (
     dependence_distances,
+    dependences,
     instruction_mix,
     memory_dependence_count,
     summarize,
@@ -37,6 +38,29 @@ def test_dependence_distances():
         TraceRecord(3, 3, OpClass.IALU, 4, (9,)),    # live-in: skipped
     ]
     assert sorted(dependence_distances(trace)) == [1, 1, 2]
+
+
+def test_dependences_index_producers_and_stores():
+    trace = [
+        TraceRecord(0, 10, OpClass.IALU, 1, (9,)),       # r9 live-in
+        TraceRecord(1, 11, OpClass.STORE, None, (1, 1), mem_addr=64,
+                    mem_size=8),
+        TraceRecord(2, 12, OpClass.STORE, None, (1, 1), mem_addr=128,
+                    mem_size=8),
+        TraceRecord(3, 13, OpClass.IALU, 1, (1, 1)),     # repeated r1
+        TraceRecord(4, 14, OpClass.LOAD, 2, (1,), mem_addr=64,
+                    mem_size=8),
+        TraceRecord(5, 15, OpClass.STORE, None, (2, 1), mem_addr=64,
+                    mem_size=8),                          # younger store
+        TraceRecord(6, 16, OpClass.LOAD, 3, (2, 9), mem_addr=256,
+                    mem_size=8),
+    ]
+    producers, stores = dependences(trace)
+    assert producers == [(-1,), (0, 0), (0, 0), (0, 0), (3,), (4, 3),
+                         (4, -1)]
+    # The load at 64 sees the older store there, not the one at 128
+    # nor the younger store to its own address.
+    assert stores == [None, None, None, None, (1, 11), None, None]
 
 
 def test_memory_dependence_count_and_window():

@@ -28,8 +28,8 @@ Commands:
 * ``timeline`` — per-uop pipeline event traces for one benchmark on
   any machines, exported as Chrome trace-event JSON (load in
   Perfetto), Konata pipeline logs, JSONL, or an ASCII timeline.
-* ``metrics`` — run machines with the unified metrics registry
-  attached and print every counter/gauge/histogram.
+* ``metrics`` — run machines and print every counter and gauge of the
+  metrics registry built from each result.
 * ``bench`` — simulation-throughput benchmark: pinned workload matrix
   across the machines, instructions/s and kilo-cycles/s from multi-rep
   medians, ``BENCH_<date>.json`` snapshot, instructions/s regression
@@ -115,19 +115,17 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_benchmark(args, machines, observer=None):
+def _run_benchmark(args, machines, make_tracer=None):
     """Run ``args.benchmark``'s trace on each of *machines*.
 
-    *observer*, when given, is an ``(argument, factory)`` pair: every
-    machine is built with a fresh ``factory()`` as that constructor
-    argument (``"tracer"`` or ``"metrics"``).  A run that fails with a
-    structured error writes a crash dump and prints a one-line pointer
-    to it.
+    *make_tracer*, when given, builds a fresh tracer for every machine.
+    A run that fails with a structured error writes a crash dump and
+    prints a one-line pointer to it.
 
     Returns:
-        ``(exit_code, runs)`` with ``runs[machine] = (result,
-        observer)``.  The exit code is 2 for an unknown benchmark, 1
-        when a run failed, else 0.
+        ``(exit_code, runs)`` with ``runs[machine] = (result, tracer)``.
+        The exit code is 2 for an unknown benchmark, 1 when a run
+        failed, else 0.
     """
     if args.benchmark not in PROFILES:
         print(f"unknown benchmark {args.benchmark!r}; see `list`",
@@ -137,11 +135,8 @@ def _run_benchmark(args, machines, observer=None):
     trace = generate_trace(args.benchmark, args.length, args.seed)
     runs = {}
     for machine_name in machines:
-        overrides, observed = {}, None
-        if observer is not None:
-            argument, factory = observer
-            observed = overrides[argument] = factory()
-        machine = build_machine(machine_name, base, **overrides)
+        tracer = make_tracer() if make_tracer is not None else None
+        machine = build_machine(machine_name, base, tracer=tracer)
         try:
             result = machine.run(trace, workload=args.benchmark,
                                  warmup=args.warmup)
@@ -155,7 +150,7 @@ def _run_benchmark(args, machines, observer=None):
                   f"[crash dump: {dump}; inspect with "
                   f"`python -m repro forensics`]", file=sys.stderr)
             return 1, runs
-        runs[machine_name] = (result, observed)
+        runs[machine_name] = (result, tracer)
     return 0, runs
 
 
@@ -491,9 +486,9 @@ def cmd_timeline(args) -> int:
         args.config = "small" if experiment_id == "E2" else "medium"
     code, runs = _run_benchmark(
         args, _obs_machines(args),
-        ("tracer", lambda: PipelineTracer(capacity=args.capacity,
-                                          sample_window=args.sample_window,
-                                          sample_period=args.sample_period)))
+        lambda: PipelineTracer(capacity=args.capacity,
+                               sample_window=args.sample_window,
+                               sample_period=args.sample_period))
     if code:
         return code
     machine_events = {name: tracer.events()
@@ -541,13 +536,13 @@ def cmd_metrics(args) -> int:
     import json
 
     from .harness.report import metrics_table
-    from .obs.metrics import MetricsRegistry
+    from .obs.metrics import metrics_of
 
-    code, runs = _run_benchmark(args, _obs_machines(args),
-                                ("metrics", MetricsRegistry))
+    code, runs = _run_benchmark(args, _obs_machines(args))
     if code:
         return code
-    registries = {name: registry for name, (_, registry) in runs.items()}
+    registries = {name: metrics_of(result)
+                  for name, (result, _) in runs.items()}
     if args.json:
         print(json.dumps(
             {name: registry.as_dict()

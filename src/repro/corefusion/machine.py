@@ -119,7 +119,7 @@ class CoreFusionMachine(SingleCoreMachine):
         lsq_crossing_penalty: Extra cycles on every data-cache access
             (see :func:`fused_params`).
         **options: Run-loop options (``max_cycles``, ``commit_hook``,
-            ``tracer``, ``metrics``, ...), documented on
+            ``tracer``, ...), documented on
             :class:`~repro.uarch.pipeline.machine.MachineShell`.
     """
 

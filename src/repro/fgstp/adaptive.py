@@ -23,7 +23,7 @@ from ..stats.cpistack import CPIStack, cpistack_of, maybe_validate
 from ..stats.result import SimResult
 from ..trace.record import TraceRecord
 from ..uarch.params import CoreParams
-from ..uarch.pipeline.machine import SingleCoreMachine, publish_sim_gauges
+from ..uarch.pipeline.machine import SingleCoreMachine
 from ..uarch.warmup import reseq
 from .orchestrator import FgStpMachine
 from .params import FgStpParams
@@ -31,8 +31,7 @@ from .params import FgStpParams
 
 #: The region loop's accumulators, captured at region boundaries.
 _REGION_STATE = ("region_index", "total_cycles", "total_instructions",
-                 "switches", "modes", "stacks", "previous_mode",
-                 "measured_offset")
+                 "switches", "modes", "stacks", "previous_mode")
 
 
 class _OffsetUop:
@@ -88,10 +87,6 @@ class AdaptiveFgStpMachine:
             offsets shifting region-local cycles/seqs into the global
             timeline; mode switches appear as ``reconfig`` instants
             spanning the reconfiguration penalty.
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
-            filled with region/switch statistics at the end of the run
-            (not forwarded to region machines — their per-region
-            warm-up resets would wipe earlier regions' metrics).
     """
 
     def __init__(self, base: CoreParams,
@@ -101,14 +96,13 @@ class AdaptiveFgStpMachine:
                  reconfigure_penalty: int = 200,
                  watchdog_window: Optional[int] = None,
                  skip_ahead: Optional[bool] = None,
-                 commit_hook=None, tracer=None, metrics=None,
+                 commit_hook=None, tracer=None,
                  checkpoint_interval: Optional[int] = None,
                  checkpoint_sink=None):
         self.checkpoint_interval = checkpoint_interval
         self.checkpoint_sink = checkpoint_sink
         self.commit_hook = commit_hook
         self.tracer = tracer
-        self.metrics = metrics
         if sample_instructions <= 0:
             raise ValueError("sample_instructions must be positive")
         if region_instructions < sample_instructions:
@@ -136,91 +130,66 @@ class AdaptiveFgStpMachine:
         :meth:`_regions` is deterministic.
         """
         regions = self._regions(trace, warmup)
-        total_cycles = 0
-        total_instructions = 0
-        switches = 0
-        modes = []
-        stacks = []
-        previous_mode = None
-        measured_offset = 0
-        first_region = 0
-        if resume_from is not None:
-            state = resume_from.restore(
+        if resume_from is None:
+            state = {"region_index": 0, "total_cycles": 0,
+                     "total_instructions": 0, "switches": 0, "modes": [],
+                     "stacks": [], "previous_mode": None}
+        else:
+            restored = resume_from.restore(
                 "fgstp-adaptive", trace, warmup,
                 self.checkpoint_params_key(), _REGION_STATE)
-            first_region = state["region_index"]
-            total_cycles = state["total_cycles"]
-            total_instructions = state["total_instructions"]
-            switches = state["switches"]
-            modes = state["modes"]
-            stacks = state["stacks"]
-            previous_mode = state["previous_mode"]
-            measured_offset = state["measured_offset"]
+            state = {name: restored[name] for name in _REGION_STATE}
         ckpt = Checkpointer.maybe(self, "fgstp-adaptive", workload, trace,
-                                  warmup, start=total_instructions)
+                                  warmup, start=state["total_instructions"])
         try:
-            for index in range(first_region, len(regions)):
-                if ckpt is not None and ckpt.due(total_instructions):
-                    ckpt.take(total_cycles, total_instructions,
-                              lambda s={
-                                  "region_index": index,
-                                  "total_cycles": total_cycles,
-                                  "total_instructions": total_instructions,
-                                  "switches": switches,
-                                  "modes": list(modes),
-                                  "stacks": list(stacks),
-                                  "previous_mode": previous_mode,
-                                  "measured_offset": measured_offset,
-                              }: dumps_state(s))
+            for index in range(state["region_index"], len(regions)):
+                state["region_index"] = index
+                if ckpt is not None and ckpt.due(state["total_instructions"]):
+                    ckpt.take(state["total_cycles"],
+                              state["total_instructions"],
+                              lambda: dumps_state(state))
                 region_trace, region_warmup = regions[index]
+                previous_mode = state["previous_mode"]
                 mode, region_result = self._run_region(
-                    region_trace, region_warmup, workload, measured_offset,
-                    cycle_offset=total_cycles, previous_mode=previous_mode)
-                measured_offset += len(region_trace) - region_warmup
+                    region_trace, region_warmup, workload,
+                    state["total_instructions"],
+                    cycle_offset=state["total_cycles"],
+                    previous_mode=previous_mode)
                 cycles = region_result.cycles
                 stack = cpistack_of(region_result)
                 if previous_mode is not None and mode != previous_mode:
-                    switches += 1
+                    state["switches"] += 1
                     cycles += self.reconfigure_penalty
                     if stack is not None:
                         stack = stack.with_overhead(
                             "reconfig", self.reconfigure_penalty)
                 if stack is not None:
-                    stacks.append(stack)
-                previous_mode = mode
-                modes.append(mode)
-                total_cycles += cycles
-                total_instructions += len(region_trace) - region_warmup
+                    state["stacks"].append(stack)
+                state["previous_mode"] = mode
+                state["modes"].append(mode)
+                state["total_cycles"] += cycles
+                state["total_instructions"] += (len(region_trace)
+                                                - region_warmup)
         except SimulationError as error:
             if ckpt is not None:
                 ckpt.anchor(error)
             raise
+        modes = state["modes"]
         extra = {
             "modes": modes,
-            "switches": switches,
+            "switches": state["switches"],
             "fgstp_regions": modes.count("fgstp"),
             "single_regions": modes.count("single"),
         }
-        if stacks:
-            extra["cpistack"] = maybe_validate(
-                CPIStack.concat(stacks, machine="fgstp-adaptive")).as_dict()
-        if self.metrics is not None:
-            metrics = self.metrics
-            publish_sim_gauges(metrics, total_cycles, total_instructions)
-            metrics.counter("adaptive.regions").value = len(modes)
-            metrics.counter("adaptive.switches").value = switches
-            metrics.counter("adaptive.fgstp_regions").value = \
-                modes.count("fgstp")
-            metrics.counter("adaptive.single_regions").value = \
-                modes.count("single")
-            metrics.counter("adaptive.reconfig_cycles").value = \
-                switches * self.reconfigure_penalty
+        if state["stacks"]:
+            extra["cpistack"] = maybe_validate(CPIStack.concat(
+                state["stacks"], machine="fgstp-adaptive")).as_dict()
         return SimResult(
             machine="fgstp-adaptive",
             config=self.base.name,
             workload=workload,
-            cycles=total_cycles,
-            instructions=total_instructions,
+            cycles=state["total_cycles"],
+            instructions=state["total_instructions"],
             extra=extra,
         )
 
@@ -247,9 +216,7 @@ class AdaptiveFgStpMachine:
         while start < n:
             if first:
                 end = min(n, start + warmup + region)
-                # Warm-up must leave at least one measured instruction.
-                usable_warmup = min(warmup, max(end - start - 1, 0))
-                regions.append((reseq(trace[start:end]), usable_warmup))
+                regions.append((reseq(trace[start:end]), warmup))
                 start = end
                 first = False
             else:

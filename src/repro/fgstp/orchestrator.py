@@ -102,8 +102,6 @@ class FgStpMachine(MachineShell):
         "mispredict_stall_cycles", "window_stall_cycles",
     )
     _PARTIAL_FIELDS = ("cores", "squashes")
-    _METRIC_FIELDS = ("partition", "queues", "squashes", "squashed_uops",
-                      "branch", "caches")
     _BUSY_HANG = "intercore"
 
     def __init__(self, base: CoreParams,
@@ -684,7 +682,7 @@ class FgStpMachine(MachineShell):
     def _wire(self) -> None:
         """Install the observer hooks a checkpoint leaves out: the
         cores' completion/commit callbacks, a non-default partition
-        policy, the queues' tracer and the metrics registry."""
+        policy and the queues' tracer."""
         for core in self.cores:
             core.on_complete = self._on_complete
             core.on_commit = self._on_commit
@@ -695,9 +693,6 @@ class FgStpMachine(MachineShell):
             for src_core, queue in enumerate(self.queues):
                 queue.tracer = self.tracer
                 queue.trace_core = src_core
-        if self.metrics is not None:
-            for hierarchy in self.hierarchies:
-                self.metrics.attach(hierarchy)
 
     def _transient(self):
         # The cores' callbacks are bound methods of this machine
@@ -743,11 +738,6 @@ class FgStpMachine(MachineShell):
                 "replication": self.fgstp.replication,
             },
         }
-
-    def _publish(self, extra: dict, cycles: int) -> None:
-        super()._publish(extra, cycles)
-        for index, stats in enumerate(extra["cores"]):
-            self.metrics.ingest(f"core{index}", stats)
 
     def _snapshot(self) -> dict:
         """Both cores, both value queues, partitioner/front-end state."""

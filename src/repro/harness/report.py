@@ -212,25 +212,13 @@ def metrics_table(registry, title: Optional[str] = None,
                   precision: int = 3) -> str:
     """Render a :class:`~repro.obs.metrics.MetricsRegistry` as a table.
 
-    Counters and gauges print their value; histograms print
-    ``count/mean`` with the populated bucket counts alongside.
+    Each row is one metric with its type and value; counters and gauges
+    leave the ``detail`` column empty.
     """
-    from ..obs.metrics import Histogram
-
     rows: List[List[object]] = []
     for name in registry.names():
         metric = registry.get(name)
-        if isinstance(metric, Histogram):
-            populated = [f"<={bound}:{count}" for bound, count in
-                         zip(metric.buckets, metric.counts) if count]
-            if metric.counts[-1]:
-                populated.append(f">{metric.buckets[-1]}:"
-                                 f"{metric.counts[-1]}")
-            rows.append([name, "histogram",
-                         f"n={metric.count} mean={metric.mean:.1f}",
-                         " ".join(populated)])
-        else:
-            rows.append([name, metric.kind, metric.value, ""])
+        rows.append([name, metric.kind, metric.value, ""])
     return render_table(["metric", "type", "value", "detail"], rows,
                         precision=precision,
                         title=title or "metrics registry")

@@ -72,8 +72,8 @@ def run_machine(machine: str, benchmark: str, base: CoreParams,
     and a compatible on-disk checkpoint exists, simulation auto-resumes
     from the snapshot — bit-identical to starting over, minus the
     already-simulated cycles.  Resume is skipped for observed runs
-    (tracer / commit hook / metrics attached): a mid-run attachment
-    would see only the resumed suffix of the event stream.
+    (tracer or commit hook attached): a mid-run attachment would see
+    only the resumed suffix of the event stream.
     """
     trace = cache.get(benchmark, config.trace_length, config.seed)
     model = build_machine(machine, base, fgstp, **overrides)
@@ -97,7 +97,7 @@ def _auto_resume(model, machine: str, benchmark: str, trace,
     if getattr(model, "_chaos_kinds", ()):
         return None
     if any(overrides.get(name) is not None
-           for name in ("tracer", "commit_hook", "metrics")):
+           for name in ("tracer", "commit_hook")):
         return None
     sink = getattr(model, "checkpoint_sink", None)
     store = sink if isinstance(sink, CheckpointStore) else CheckpointStore()

@@ -1,23 +1,19 @@
-"""Unified metrics registry: counters, gauges and histograms.
+"""Unified metrics registry: counters and gauges.
 
-The repo's statistics today live in ad-hoc per-component dicts
+The repo's statistics live in per-component dicts
 (``CoreStats.as_dict()``, ``CacheHierarchy.stats()``, queue stats, ...)
-each with its own reset story — the exact shape that produced the PR 2
-warm-up leak (MSHR/prefetcher counters surviving ``reset_stats``).  The
-:class:`MetricsRegistry` gives every machine one sink with one
-``reset()``:
+that a finished run carries in ``SimResult.extra``.  The
+:class:`MetricsRegistry` gives them one flat, typed namespace:
 
-* components *register into* it (``counter`` / ``gauge`` /
-  ``histogram`` are get-or-create, so two sites naming the same metric
-  share it);
-* legacy components with their own ``reset_stats()`` are *attached*
-  (:meth:`MetricsRegistry.attach`), so the registry's single ``reset()``
-  covers them too — this is how the warm-up path clears everything in
-  one call;
-* finished runs *ingest* their existing stats dicts
-  (:meth:`MetricsRegistry.ingest` flattens nested mappings into
-  dotted names), replacing the ad-hoc shapes incrementally without a
-  flag-day rewrite.
+* accessors are get-or-create (``counter`` / ``gauge``), so two sites
+  naming the same metric share it;
+* nested stats dicts are *ingested* (:meth:`MetricsRegistry.ingest`
+  flattens nested mappings into dotted names).
+
+:func:`metrics_of` builds a machine's registry from its finished
+:class:`~repro.stats.result.SimResult` alone, so machines carry no
+registry, a run costs nothing extra, and a result served from the
+sweep's result cache has the same metrics as a fresh run.
 
 All metric types are JSON-able via ``as_dict`` and render through
 ``harness.report.metrics_table``.
@@ -25,16 +21,14 @@ All metric types are JSON-able via ``as_dict`` and render through
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
-#: Default histogram bucket upper bounds (cycles-ish scale).
-DEFAULT_BUCKETS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256,
-                                    512, 1024, 4096, 16384)
+from ..stats.cpistack import cpistack_of
+from ..stats.result import SimResult
 
 
 class Counter:
-    """Monotonic counter (reset to zero between measurements)."""
+    """Integer count (events, bytes, cycles)."""
 
     __slots__ = ("name", "value")
 
@@ -46,9 +40,6 @@ class Counter:
 
     def add(self, amount: int = 1) -> None:
         self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
 
     def as_dict(self) -> dict:
         return {"type": "counter", "value": self.value}
@@ -68,55 +59,8 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def reset(self) -> None:
-        self.value = 0.0
-
     def as_dict(self) -> dict:
         return {"type": "gauge", "value": self.value}
-
-
-class Histogram:
-    """Fixed-bucket histogram (bucket bounds are upper-inclusive).
-
-    ``counts`` has ``len(buckets) + 1`` entries; the last one is the
-    overflow bucket.
-    """
-
-    __slots__ = ("name", "buckets", "counts", "count", "total")
-
-    kind = "histogram"
-
-    def __init__(self, name: str,
-                 buckets: Sequence[int] = DEFAULT_BUCKETS):
-        if not buckets or list(buckets) != sorted(set(buckets)):
-            raise ValueError(
-                f"buckets must be strictly increasing: {buckets!r}")
-        self.name = name
-        self.buckets: Tuple[int, ...] = tuple(buckets)
-        self.counts: List[int] = [0] * (len(self.buckets) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        # First bucket whose upper bound is >= value; overflow past all.
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.count += 1
-        self.total += value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.counts = [0] * (len(self.buckets) + 1)
-        self.count = 0
-        self.total = 0.0
-
-    def as_dict(self) -> dict:
-        return {"type": "histogram", "count": self.count,
-                "sum": self.total, "mean": self.mean,
-                "buckets": list(self.buckets),
-                "counts": list(self.counts)}
 
 
 class MetricsRegistry:
@@ -129,7 +73,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: Dict[str, Any] = {}
-        self._attached: List[Any] = []
 
     # -- get-or-create accessors ---------------------------------------
 
@@ -138,17 +81,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
-
-    def histogram(self, name: str,
-                  buckets: Sequence[int] = DEFAULT_BUCKETS) -> Histogram:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = Histogram(name, buckets)
-            self._metrics[name] = metric
-        elif not isinstance(metric, Histogram):
-            raise TypeError(f"metric {name!r} already registered as "
-                            f"{metric.kind}, not histogram")
-        return metric
 
     def _get(self, name: str, cls):
         metric = self._metrics.get(name)
@@ -172,41 +104,14 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-    # -- external components -------------------------------------------
-
-    def attach(self, component: Any) -> None:
-        """Register a legacy component whose ``reset_stats()`` must be
-        covered by this registry's :meth:`reset` (e.g. a
-        :class:`~repro.uarch.cache.hierarchy.CacheHierarchy`)."""
-        if not hasattr(component, "reset_stats"):
-            raise TypeError(
-                f"{type(component).__name__} has no reset_stats()")
-        if not any(component is seen for seen in self._attached):
-            self._attached.append(component)
-
-    # -- lifecycle ------------------------------------------------------
-
-    def reset(self) -> None:
-        """Zero every metric and reset every attached component.
-
-        This is the single warm-up reset point: machines call it after
-        functional warm-up so measurements start from a clean slate (the
-        same leak class ``CacheHierarchy.reset_stats`` fixed for
-        MSHR/prefetcher counters).
-        """
-        for metric in self._metrics.values():
-            metric.reset()
-        for component in self._attached:
-            component.reset_stats()
-
-    # -- bulk fill from legacy stats dicts -----------------------------
+    # -- bulk fill from stats dicts ------------------------------------
 
     def ingest(self, prefix: str, stats: Mapping[str, Any]) -> None:
         """Flatten a nested stats mapping into dotted-name metrics.
 
         Integers and booleans become counters, floats become gauges,
         nested mappings recurse; other value types are skipped (the
-        legacy dicts keep carrying them).
+        stats dicts keep carrying them).
         """
         for key, value in stats.items():
             name = f"{prefix}.{key}" if prefix else str(key)
@@ -229,14 +134,60 @@ class MetricsRegistry:
                 for name in sorted(self._metrics)}
 
     def collect(self) -> Dict[str, float]:
-        """``name -> scalar`` (histograms contribute their mean)."""
-        flat: Dict[str, float] = {}
-        for name in sorted(self._metrics):
-            metric = self._metrics[name]
-            flat[name] = (metric.mean if isinstance(metric, Histogram)
-                          else metric.value)
-        return flat
+        """``name -> scalar``, sorted by name."""
+        return {name: self._metrics[name].value
+                for name in sorted(self._metrics)}
 
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "DEFAULT_BUCKETS"]
+#: Result ``extra`` fields each machine's registry carries, keyed by
+#: ``SimResult.machine``.  Fg-STP adds one ``core<i>`` subtree per core
+#: and the adaptive machine its ``adaptive.*`` counters.
+_EXTRA_FIELDS = {
+    "single": ("core", "caches", "branch", "fetch"),
+    "corefusion": ("core", "caches", "branch", "fetch"),
+    "fgstp": ("partition", "queues", "squashes", "squashed_uops",
+              "branch", "caches"),
+    "fgstp-adaptive": (),
+}
+
+
+def metrics_of(result: SimResult) -> MetricsRegistry:
+    """The metrics registry of a finished run, built from *result*.
+
+    Every machine gets the ``sim.cycles``, ``sim.instructions`` and
+    ``sim.ipc`` gauges plus its :data:`_EXTRA_FIELDS`, flattened.  The
+    statistics in ``extra`` cover the measured window only (warm-up
+    resets every counter first), so the registry does too.  An empty
+    trace's result carries no statistics and gives an empty registry.
+
+    Raises:
+        KeyError: for a machine outside :data:`_EXTRA_FIELDS`.
+    """
+    fields = _EXTRA_FIELDS[result.machine]
+    registry = MetricsRegistry()
+    extra = result.extra
+    if not extra:
+        return registry
+    registry.gauge("sim.cycles").set(result.cycles)
+    registry.gauge("sim.instructions").set(result.instructions)
+    registry.gauge("sim.ipc").set(result.ipc)
+    registry.ingest("", {key: extra[key] for key in fields})
+    if result.machine == "fgstp":
+        for index, stats in enumerate(extra["cores"]):
+            registry.ingest(f"core{index}", stats)
+    elif result.machine == "fgstp-adaptive":
+        stack = cpistack_of(result)
+        registry.ingest("adaptive", {
+            "regions": len(extra["modes"]),
+            "switches": extra["switches"],
+            "fgstp_regions": extra["fgstp_regions"],
+            "single_regions": extra["single_regions"],
+            # Mode switches are the only source of reconfig slots.
+            "reconfig_cycles": (0 if stack is None else
+                                stack.slots.get("reconfig", 0)
+                                // stack.width),
+        })
+    return registry
+
+
+__all__ = ["Counter", "Gauge", "MetricsRegistry", "metrics_of"]

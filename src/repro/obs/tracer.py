@@ -48,14 +48,10 @@ class PipelineTracer:
         sample_window: Cycle-window size for deterministic sampling
             (0 = record every cycle).
         sample_period: Record every N-th window (1 = all windows).
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when given, the tracer keeps an event counter and a
-            commit-latency histogram in it.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 sample_window: int = 0, sample_period: int = 1,
-                 metrics=None):
+                 sample_window: int = 0, sample_period: int = 1):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity}")
         if sample_window < 0:
@@ -72,11 +68,6 @@ class PipelineTracer:
         self._cycle_offset = 0
         self._seq_offset = 0
         self.epochs = 0
-        self._event_counter = None
-        self._latency_hist = None
-        if metrics is not None:
-            self._event_counter = metrics.counter("obs.events")
-            self._latency_hist = metrics.histogram("obs.commit_latency")
 
     # -- sampling ------------------------------------------------------
 
@@ -128,10 +119,6 @@ class PipelineTracer:
                     cycle + cycle_offset))
         self._ring.append(event)
         self.recorded += 1
-        if self._event_counter is not None:
-            self._event_counter.add(1)
-            if uop.fetch_cycle >= 0:
-                self._latency_hist.observe(cycle - uop.fetch_cycle)
 
     def commits(self, uops: Iterable, cycle: int) -> None:
         """Record a batch of uops retiring at *cycle* (fast path)."""
@@ -151,8 +138,6 @@ class PipelineTracer:
             seq=(seq + self._seq_offset if seq >= 0 else -1),
             core=core, detail=detail, dur=dur))
         self.recorded += 1
-        if self._event_counter is not None:
-            self._event_counter.add(1)
 
     # -- reading -------------------------------------------------------
 

@@ -37,13 +37,6 @@ from .fetch import SelfFetchUnit
 RECENT_COMMITS = 16
 
 
-def publish_sim_gauges(metrics, cycles: int, instructions: int) -> None:
-    """Set the ``sim.*`` gauges every machine publishes."""
-    metrics.gauge("sim.cycles").set(cycles)
-    metrics.gauge("sim.instructions").set(instructions)
-    metrics.gauge("sim.ipc").set(instructions / cycles if cycles else 0.0)
-
-
 class MachineShell:
     """Run loop shared by the machines built from :class:`CycleCore`.
 
@@ -73,11 +66,6 @@ class MachineShell:
             zero-cost contract as ``commit_hook``: ``None`` adds no
             per-cycle work and an attached tracer never changes the
             :class:`SimResult`.
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`
-            the machine registers its cache hierarchies into and fills
-            with run statistics; its single ``reset()`` is invoked
-            after functional warm-up so metrics never leak warm-up
-            counts.
         checkpoint_interval: Committed-instruction checkpoint cadence
             (``None`` = follow ``REPRO_CHECKPOINT_INTERVAL``; 0 = off).
         checkpoint_sink: Store the snapshots land in (``None`` = the
@@ -94,8 +82,6 @@ class MachineShell:
     _STATE: Tuple[str, ...] = ()
     #: Result ``extra`` fields a failure's partial statistics carry.
     _PARTIAL_FIELDS: Tuple[str, ...] = ()
-    #: Result ``extra`` fields published into an attached registry.
-    _METRIC_FIELDS: Tuple[str, ...] = ()
     #: Hang ``detail`` when the watchdog fires with work in flight.
     _BUSY_HANG = "core"
     #: Shell-owned dynamic state every checkpoint captures.
@@ -106,7 +92,7 @@ class MachineShell:
                  max_cycles: int = 200_000_000,
                  watchdog_window: Optional[int] = None,
                  skip_ahead: Optional[bool] = None,
-                 commit_hook=None, tracer=None, metrics=None,
+                 commit_hook=None, tracer=None,
                  checkpoint_interval: Optional[int] = None,
                  checkpoint_sink=None):
         self.machine_label = machine_label
@@ -116,7 +102,6 @@ class MachineShell:
         self.skip_ahead = skip_ahead_enabled(skip_ahead)
         self.commit_hook = commit_hook
         self.tracer = tracer
-        self.metrics = metrics
         self.checkpoint_interval = checkpoint_interval
         self.checkpoint_sink = checkpoint_sink
         #: Measured instructions architecturally committed so far.
@@ -197,11 +182,6 @@ class MachineShell:
             prefix, trace = split_warmup(trace, warmup)
             if resume_from is None:
                 self._warm(prefix)
-                if self.metrics is not None:
-                    # Warm-up must not leak into measured metrics — the
-                    # one reset covers registry metrics AND attached
-                    # components.
-                    self.metrics.reset()
         if resume_from is None:
             cycle = self.committed = self.skipped_cycles = 0
             self.watchdog.reset()
@@ -299,18 +279,10 @@ class MachineShell:
     def _result(self, workload: str, cycles: int) -> SimResult:
         extra = self._extra()
         extra["cpistack"] = maybe_validate(self._cpistack(cycles)).as_dict()
-        if self.metrics is not None:
-            self._publish(extra, cycles)
         return SimResult(machine=self.machine_label,
                          config=self.config_name, workload=workload,
                          cycles=cycles, instructions=self.committed,
                          extra=extra)
-
-    def _publish(self, extra: dict, cycles: int) -> None:
-        """Publish the run's statistics into the attached registry."""
-        publish_sim_gauges(self.metrics, cycles, self.committed)
-        self.metrics.ingest("", {key: extra[key]
-                                 for key in self._METRIC_FIELDS})
 
     def _partial_stats(self, cycles: int) -> dict:
         """Statistics accumulated up to a failure point (not validated —
@@ -383,13 +355,12 @@ class SingleCoreMachine(MachineShell):
         machine_label: Name recorded in the :class:`SimResult`.
         **options: Run-loop options (``max_cycles``,
             ``watchdog_window``, ``skip_ahead``, ``commit_hook``,
-            ``tracer``, ``metrics``, ``checkpoint_interval``,
-            ``checkpoint_sink``), documented on :class:`MachineShell`.
+            ``tracer``, ``checkpoint_interval``, ``checkpoint_sink``),
+            documented on :class:`MachineShell`.
     """
 
     _STATE = ("hierarchy", "core", "predictor", "fetch")
     _PARTIAL_FIELDS = ("core",)
-    _METRIC_FIELDS = ("core", "caches", "branch", "fetch")
 
     def __init__(self, params: CoreParams,
                  num_clusters: int = 1,
@@ -402,8 +373,6 @@ class SingleCoreMachine(MachineShell):
         self._cluster_key = (num_clusters, cross_cluster_latency,
                              cluster_issue_width)
         self.hierarchy = CacheHierarchy(params)
-        if self.metrics is not None:
-            self.metrics.attach(self.hierarchy)
         self.core = CycleCore(
             params, self.hierarchy, name=machine_label,
             num_clusters=num_clusters,
@@ -496,8 +465,6 @@ class SingleCoreMachine(MachineShell):
 
     def _adopt(self, trace: Sequence[TraceRecord]) -> None:
         self.fetch.trace = trace
-        if self.metrics is not None:
-            self.metrics.attach(self.hierarchy)
 
     def _extra(self) -> dict:
         return {

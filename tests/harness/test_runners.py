@@ -11,6 +11,7 @@ from repro.harness.runners import (
     run_machine,
 )
 from repro.uarch.params import small_core_config
+from repro.workloads.generator import generate_trace
 from repro.workloads.suite import TraceCache
 
 QUICK = ExperimentConfig(trace_length=1200, warmup=400)
@@ -26,6 +27,15 @@ def test_build_machine_variants():
 def test_build_machine_unknown():
     with pytest.raises(ValueError, match="unknown machine"):
         build_machine("quantum", small_core_config())
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_warmup_consuming_the_whole_trace_raises(machine):
+    trace = generate_trace("gcc", 1000, 1)
+    model = build_machine(machine, small_core_config())
+    with pytest.raises(ValueError,
+                       match="warmup 1000 consumes the whole 1000-record"):
+        model.run(trace, workload="gcc", warmup=1000)
 
 
 def test_config_for():

@@ -3,7 +3,7 @@
 Every other bit-identity suite compares two runs of the same commit
 (naive against skip-ahead, bare against traced, straight against
 resumed), so a change that shifts timing on both sides passes them all.
-This test recomputes digests of whole results and attached metrics
+This test recomputes digests of whole results and of their metrics
 registries over a fixed machine x benchmark x config matrix, plus the
 shape of two structured failures per cycle-level machine, and compares
 them with ``golden_results.json``.
@@ -24,7 +24,7 @@ from repro.fgstp.params import FgStpParams
 from repro.harness.runners import build_machine
 from repro.integrity.chaos import ChaosSpec, apply_chaos
 from repro.integrity.errors import SimulationError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import metrics_of
 from repro.uarch.params import core_config
 from repro.workloads.generator import generate_trace
 
@@ -63,17 +63,16 @@ def _sha(payload) -> str:
 
 
 def result_digest(cell: str) -> dict:
-    """Digests of one run with a metrics registry attached."""
+    """Digests of one run and of the metrics registry built from it."""
     variant, benchmark, config = cell.split("/")
     machine, overrides = VARIANTS[variant]
-    registry = MetricsRegistry()
     model = build_machine(machine, core_config(config), FgStpParams(),
-                          metrics=registry, **overrides)
+                          **overrides)
     result = model.run(generate_trace(benchmark, LENGTH, SEED),
                        workload=benchmark, warmup=WARMUP)
     return {"result": _sha(result.as_dict()),
             "skipped_cycles": getattr(model, "skipped_cycles", None),
-            "metrics": _sha(registry.as_dict())}
+            "metrics": _sha(metrics_of(result).as_dict())}
 
 
 def failure_shape(cell: str) -> dict:

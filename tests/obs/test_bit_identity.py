@@ -1,10 +1,10 @@
 """The zero-overhead guarantee: tracing must not change results.
 
 Every machine runs twice on the same trace — bare, and with a tracer
-plus metrics registry attached — and the two ``SimResult``s must be
-bit-identical.  Sweep cache keys are covered too: a plain job's key
-must not change because trace support exists, and a traced job must
-never share a cache entry with a plain one.
+attached — and the two ``SimResult``s must be bit-identical.  Sweep
+cache keys are covered too: a plain job's key must not change because
+trace support exists, and a traced job must never share a cache entry
+with a plain one.
 """
 
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from repro.harness.config import ExperimentConfig
 from repro.harness.parallel import make_job
 from repro.harness.runners import MACHINES, build_machine
-from repro.obs import MetricsRegistry, PipelineTracer
+from repro.obs import PipelineTracer
 from repro.workloads.generator import generate_trace
 
 _SIZING = dict(length=1200, warmup=400)
@@ -28,9 +28,7 @@ def test_traced_run_is_bit_identical(machine, small_config, gcc_trace):
     bare = build_machine(machine, small_config).run(
         gcc_trace, workload="gcc", warmup=_SIZING["warmup"])
     tracer = PipelineTracer()
-    observed = build_machine(
-        machine, small_config, tracer=tracer,
-        metrics=MetricsRegistry()).run(
+    observed = build_machine(machine, small_config, tracer=tracer).run(
         gcc_trace, workload="gcc", warmup=_SIZING["warmup"])
     assert observed.as_dict() == bare.as_dict()
     assert tracer.events(), f"{machine}: tracer recorded nothing"

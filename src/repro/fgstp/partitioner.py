@@ -185,13 +185,16 @@ class Partitioner:
                 raise ValueError(
                     f"record {position} has seq {record.seq}: the partition "
                     f"unit needs dense seqs from 0")
-        self.index_trace(trace)
         self._mask = bytearray(len(trace))
+        self.index_trace(trace)
 
     def index_trace(self, trace: Sequence[TraceRecord]) -> None:
         """Install *trace*'s dependence index and keep the core mask, as
-        a run resumed from a checkpoint needs."""
+        a run resumed from a checkpoint needs.  A snapshot taken over a
+        shorter prefix of *trace* resumes too: the mask grows to the
+        trace's length."""
         self._deps = dependences(trace)
+        self._mask.extend(bytes(len(trace) - len(self._mask)))
 
     # ------------------------------------------------------------------
     # Batch partitioning

@@ -9,7 +9,6 @@ fully pipelined (no added latency), a standard simplification.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,9 +58,12 @@ class Cache:
         if (1 << self._line_shift) != params.line_bytes:
             raise ValueError(
                 f"line size must be a power of two: {params.line_bytes}")
-        # One OrderedDict per set: tag -> dirty flag, LRU order = insertion
-        # order (move_to_end on touch).
-        self._sets = [OrderedDict() for _ in range(self._num_sets)]
+        # One dict per set: tag -> dirty flag, LRU order = insertion order
+        # (a touch re-inserts the tag).  A plain dict pickles far faster
+        # than an OrderedDict, which dominates a checkpoint payload.
+        # Only pop, item assignment and iteration order are used, so
+        # OrderedDict sets restored from older checkpoints still work.
+        self._sets = [{} for _ in range(self._num_sets)]
 
     def _index_tag(self, addr: int):
         line = addr >> self._line_shift
@@ -79,9 +81,7 @@ class Cache:
         ways = self._sets[index]
         if tag in ways:
             self.stats.hits += 1
-            ways.move_to_end(tag)
-            if is_write:
-                ways[tag] = True
+            ways[tag] = ways.pop(tag) or is_write
             return self.params.hit_latency
 
         self.stats.misses += 1
@@ -91,10 +91,9 @@ class Cache:
         self._allocate(ways, tag, dirty=is_write)
         return self.params.hit_latency + miss_latency
 
-    def _allocate(self, ways: OrderedDict, tag: int, dirty: bool) -> None:
+    def _allocate(self, ways: dict, tag: int, dirty: bool) -> None:
         if len(ways) >= self.params.assoc:
-            _victim, victim_dirty = ways.popitem(last=False)
-            if victim_dirty:
+            if ways.pop(next(iter(ways))):
                 self.stats.writebacks += 1
         ways[tag] = dirty
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, Sequence, Tuple
 
-from ...ckpt.manager import Checkpointer
-from ...ckpt.state import MachineCheckpoint, dumps_state
+from ...ckpt.manager import Checkpointer, Snapshot
+from ...ckpt.state import MachineCheckpoint, dumps_state, loads_state
 from ...integrity.errors import (SimulationError, SimulationHang,
                                  SimulationLimit)
 from ...integrity.forensics import uop_brief
@@ -74,8 +74,9 @@ class MachineShell:
     A machine provides ``cores`` (its :class:`CycleCore` objects), a
     ``predictor``, :meth:`checkpoint_params_key`, the class attributes
     below, and the hooks :meth:`_warm`, :meth:`_start`, :meth:`_step`,
-    :meth:`_next_event`, :meth:`_charge_idle`, :meth:`_transient`,
-    :meth:`_adopt`, :meth:`_extra` and :meth:`_snapshot`.
+    :meth:`_next_event`, :meth:`_charge_idle`, :meth:`_lookahead`,
+    :meth:`_transient`, :meth:`_adopt`, :meth:`_extra` and
+    :meth:`_snapshot`.
     """
 
     #: Attributes a checkpoint captures besides :data:`_SHELL_STATE`.
@@ -144,6 +145,17 @@ class MachineShell:
         that many naive :meth:`_step` calls would have."""
         raise NotImplementedError
 
+    def _lookahead(self) -> int:
+        """A bound on how far past the commit point at its start one
+        cycle can read the measured trace, or compare a cursor with the
+        trace's end.
+
+        Two runs whose traces agree on their first *n* records are
+        therefore the same computation up to the first loop top where
+        ``committed >= n - lookahead`` (see :meth:`_resume`).
+        """
+        raise NotImplementedError
+
     def _transient(self):
         """``(owner, attribute)`` pairs a checkpoint leaves out (the
         trace, observer callbacks); :meth:`_adopt` reinstalls them."""
@@ -172,8 +184,12 @@ class MachineShell:
 
     def _simulate(self, trace: Sequence[TraceRecord], workload: str,
                   warmup: int,
-                  resume_from: Optional[MachineCheckpoint]) -> SimResult:
-        """Run *trace* to completion (see :meth:`SingleCoreMachine.run`)."""
+                  resume_from: Optional[MachineCheckpoint],
+                  snapshot: Optional[Snapshot] = None) -> SimResult:
+        """Run *trace* to completion (see :meth:`SingleCoreMachine.run`).
+
+        A *snapshot* is polled in place of the periodic checkpointer.
+        """
         if not trace:
             return SimResult(self.machine_label, self.config_name,
                              workload, 0, 0)
@@ -189,9 +205,9 @@ class MachineShell:
             self._start(trace)
         else:
             cycle = self._restore(resume_from, trace, original_trace, warmup)
-        ckpt = Checkpointer.maybe(self, self.machine_label, workload,
-                                  original_trace, warmup,
-                                  start=self.committed)
+        ckpt = snapshot if snapshot is not None else Checkpointer.maybe(
+            self, self.machine_label, workload, original_trace, warmup,
+            start=self.committed)
         try:
             return self._run_loop(workload, cycle, len(trace), ckpt)
         except SimulationError as error:
@@ -199,8 +215,24 @@ class MachineShell:
                 ckpt.anchor(error)
             raise
 
+    def _resume(self, payload: bytes, trace: Sequence[TraceRecord],
+                workload: str, warmup: int) -> SimResult:
+        """Run *trace* to completion from a :class:`Snapshot` payload.
+
+        A machine of this class and configuration took *payload* while
+        running, with the same *warmup*, a trace that agrees with
+        *trace* up to :meth:`_lookahead` records past the snapshot's
+        commit point.  Up to the snapshot the two runs were one
+        computation, so the result is bit-identical to a run of *trace*
+        from its start.  Nothing checks that agreement: the caller
+        guarantees it.
+        """
+        measured = split_warmup(trace, warmup)[1]
+        cycle = self._adopt_state(loads_state(payload), measured)
+        return self._run_loop(workload, cycle, len(measured), None)
+
     def _run_loop(self, workload: str, cycle: int, total: int,
-                  ckpt: Optional[Checkpointer]) -> SimResult:
+                  ckpt: Optional[Checkpointer | Snapshot]) -> SimResult:
         watchdog = self.watchdog
         skip = self.skip_ahead
         max_cycles = self.max_cycles
@@ -338,7 +370,12 @@ class MachineShell:
         state = checkpoint.restore(
             self.machine_label, original_trace, warmup,
             self.checkpoint_params_key(), names + ("cycle",))
-        for name in names:
+        return self._adopt_state(state, measured_trace)
+
+    def _adopt_state(self, state: dict, measured_trace) -> int:
+        """Install an unpickled checkpoint *state* over the measured
+        trace; returns the resume cycle."""
+        for name in self._SHELL_STATE + self._STATE:
             setattr(self, name, state[name])
         self._adopt(measured_trace)
         return state["cycle"]
@@ -456,6 +493,14 @@ class SingleCoreMachine(MachineShell):
         self.core.charge_idle_cycles(
             first, count, frontend_cause=self.fetch.stall_cause(first))
         self.fetch.charge_idle_cycles(count)
+
+    def _lookahead(self) -> int:
+        # The fetch cursor runs at most a full ROB and fetch buffer
+        # ahead of the commit point, which a cycle advances by up to
+        # commit_width before it fetches.
+        params = self.core.params
+        return (params.rob_entries + self.core._fetch_capacity
+                + params.commit_width + params.fetch_width)
 
     def _transient(self):
         # The trace is reproducible from the workload/seed, dominates

@@ -10,8 +10,12 @@ For every machine, over random programs:
   oracle (the whole suite already runs with ``REPRO_CPISTACK_CHECK``).
 """
 
+from collections import OrderedDict
+from dataclasses import replace
+
 import pytest
 
+from repro.ckpt.state import dumps_state, loads_state
 from repro.corefusion.machine import CoreFusionMachine
 from repro.fgstp.adaptive import AdaptiveFgStpMachine
 from repro.fgstp.orchestrator import FgStpMachine
@@ -88,6 +92,35 @@ def test_every_intermediate_checkpoint_resumes_identically(name):
         resumed = build(name, base).run(trace, workload="mcf", warmup=400,
                                         resume_from=checkpoint)
         assert resumed.as_dict() == straight.as_dict()
+
+
+def _with_ordered_dict_sets(checkpoint):
+    """*checkpoint* in the format every checkpoint written before cache
+    sets became plain dicts has: each set an ``OrderedDict``."""
+    state = loads_state(checkpoint.payload)
+    hierarchies = state.get("hierarchies") or (state["hierarchy"],)
+    for hierarchy in hierarchies:
+        for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2):
+            cache._sets = [OrderedDict(ways) for ways in cache._sets]
+    return replace(checkpoint, payload=dumps_state(state))
+
+
+@pytest.mark.parametrize("name", ("single", "corefusion", "fgstp"))
+def test_ordered_dict_cache_sets_resume_identically(name):
+    base = core_config("small")
+    trace = generate_trace("mcf", 3000, 6)
+    sink = CapturingSink()
+    straight = build(name, base, checkpoint_interval=700,
+                     checkpoint_sink=sink) \
+        .run(trace, workload="mcf", warmup=600)
+    checkpoint = _with_ordered_dict_sets(sink.saved[1][1])
+    machine = build(name, base)
+    resumed = machine.run(trace, workload="mcf", warmup=600,
+                          resume_from=checkpoint)
+    assert resumed.as_dict() == straight.as_dict()
+    hierarchy = (machine.hierarchies[0] if name == "fgstp"
+                 else machine.hierarchy)
+    assert type(hierarchy.l1d._sets[0]) is OrderedDict
 
 
 @pytest.mark.parametrize("skip", (False, True))

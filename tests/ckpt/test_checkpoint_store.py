@@ -125,6 +125,45 @@ def test_trace_fingerprint_sensitivity():
         trace_fingerprint(generate_trace("gcc", 200, 2))
 
 
+def test_run_before_its_first_mark_never_fingerprints(monkeypatch):
+    """The run's identity is computed at the first checkpoint, so a
+    checkpointing run shorter than its interval never hashes the
+    trace."""
+    from repro.ckpt import manager
+
+    def forbidden(trace):
+        raise AssertionError("trace_fingerprint called")
+
+    monkeypatch.setattr(manager, "trace_fingerprint", forbidden)
+    saved = []
+    trace = generate_trace("gcc", 1200, 1)
+    SingleCoreMachine(core_config("small"), checkpoint_interval=900,
+                      checkpoint_sink=lambda *args: saved.append(args)) \
+        .run(trace, workload="gcc", warmup=400)
+    assert saved == []
+
+
+def test_checkpoint_identity_matches_the_run(tmp_path):
+    """A run past its first mark names and labels its checkpoint from
+    the whole trace, warm-up included, as an eager computation would."""
+    trace = generate_trace("gcc", 1200, 1)
+    machine = SingleCoreMachine(core_config("small"),
+                                checkpoint_interval=300,
+                                checkpoint_sink=CheckpointStore(tmp_path))
+    machine.run(trace, workload="gcc", warmup=400)
+    fingerprint = trace_fingerprint(trace)
+    key = run_key("single", "gcc", 400, machine.checkpoint_params_key(),
+                  fingerprint)
+    assert [path.name for path in tmp_path.glob("*.ckpt")] \
+        == [f"{key}.ckpt"]
+    meta = CheckpointStore(tmp_path).load(key).meta()
+    assert meta["committed"] >= 600  # the latest mark of 300 and 600
+    assert meta == {"machine": "single", "workload": "gcc", "warmup": 400,
+                    "trace_fingerprint": fingerprint,
+                    "params_key": machine.checkpoint_params_key(),
+                    "cycle": meta["cycle"], "committed": meta["committed"]}
+
+
 def test_corrupt_checkpoint_chaos_is_detected(tmp_path):
     """The chaos kind provably lands in the payload and is caught.
 

@@ -1,8 +1,10 @@
 """Unit tests for the set-associative cache model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.uarch.cache.cache import Cache, MainMemory
+from repro.uarch.cache.cache import Cache, CacheStats, MainMemory
 from repro.uarch.params import CacheParams
 
 
@@ -110,3 +112,88 @@ def test_main_memory_flat_latency():
     assert memory.access(0) == 150
     assert memory.access(1 << 40) == 150
     assert memory.stats.accesses == 2
+
+
+LINE = 64
+
+
+class ReferenceLRU:
+    """List-per-set LRU model of a write-back cache in front of a
+    flat-latency memory: each set lists ``[tag, dirty]`` pairs from
+    least to most recently used."""
+
+    def __init__(self, sets, assoc, hit, memory_latency):
+        self.sets = [[] for _ in range(sets)]
+        self.assoc = assoc
+        self.hit = hit
+        self.memory_latency = memory_latency
+        self.stats = CacheStats()
+
+    def access(self, addr, is_write):
+        """``(latency, hit, wrote back)`` of one access."""
+        tag = addr // LINE
+        ways = self.sets[tag % len(self.sets)]
+        self.stats.accesses += 1
+        for position, (way_tag, dirty) in enumerate(ways):
+            if way_tag == tag:
+                del ways[position]
+                ways.append([tag, dirty or is_write])
+                self.stats.hits += 1
+                return self.hit, True, False
+        self.stats.misses += 1
+        wrote_back = False
+        if len(ways) == self.assoc:
+            wrote_back = ways.pop(0)[1]
+            self.stats.writebacks += wrote_back
+        ways.append([tag, is_write])
+        return self.hit + self.memory_latency, False, wrote_back
+
+    def contains(self, addr):
+        tag = addr // LINE
+        return any(way_tag == tag
+                   for way_tag, _ in self.sets[tag % len(self.sets)])
+
+
+@st.composite
+def access_streams(draw):
+    sets = draw(st.integers(min_value=1, max_value=8))
+    assoc = draw(st.integers(min_value=1, max_value=16))
+    # Up to twice the cache's lines, so sets fill and evict.
+    lines = 2 * sets * assoc
+    pool = draw(st.lists(st.integers(min_value=0,
+                                     max_value=lines * LINE - 1),
+                         min_size=1, max_size=lines))
+    # Each access: (address, is_write, invalidate everything first).
+    stream = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans(),
+                                     st.integers(0, 40).map(lambda n: n == 0)),
+                           max_size=300))
+    return sets, assoc, pool, stream
+
+
+@settings(max_examples=200, deadline=None)
+@given(access_streams())
+def test_lru_matches_reference_model(case):
+    """Every access's latency, hit, write-back and statistics, then the
+    resident lines in LRU order, equal a list-per-set LRU model's."""
+    sets, assoc, pool, stream = case
+    memory = MainMemory(latency=100)
+    cache = make_cache(size=sets * assoc * LINE, assoc=assoc, line=LINE,
+                       hit=2, next_level=memory)
+    reference = ReferenceLRU(sets, assoc, hit=2, memory_latency=100)
+    for addr, is_write, invalidate in stream:
+        if invalidate:
+            cache.invalidate_all()
+            reference.sets = [[] for _ in range(sets)]
+            assert not any(cache.contains(a) for a in pool)
+        hits, writebacks = cache.stats.hits, cache.stats.writebacks
+        latency, hit, wrote_back = reference.access(addr, is_write)
+        assert cache.access(addr, is_write=is_write) == latency
+        assert cache.stats.hits - hits == hit
+        assert cache.stats.writebacks - writebacks == wrote_back
+        assert cache.stats == reference.stats
+        assert memory.stats.accesses == reference.stats.misses
+    for addr in pool:
+        assert cache.contains(addr) == reference.contains(addr)
+    # Resident lines, their dirty flags and their LRU order.
+    assert [list(ways.items()) for ways in cache._sets] \
+        == [[tuple(way) for way in ways] for ways in reference.sets]

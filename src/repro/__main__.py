@@ -33,7 +33,8 @@ Commands:
 * ``bench`` — simulation-throughput benchmark: pinned workload matrix
   across the machines, instructions/s and kilo-cycles/s from multi-rep
   medians, ``BENCH_<date>.json`` snapshot, instructions/s regression
-  check against the previous snapshot.
+  check against the previous snapshot; a cell whose repetitions return
+  different results fails.
 
 Exit codes are uniform across commands: 0 = success, 1 = an experiment
 or validation failed (including a simulation that hung or overflowed —
@@ -574,10 +575,14 @@ def cmd_bench(args) -> int:
               file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    snapshot = bench.run_matrix(
-        machines=machines, benchmarks=benchmarks, config=args.config,
-        length=args.length, warmup=args.warmup, seed=args.seed,
-        reps=args.reps, log=print)
+    try:
+        snapshot = bench.run_matrix(
+            machines=machines, benchmarks=benchmarks, config=args.config,
+            length=args.length, warmup=args.warmup, seed=args.seed,
+            reps=args.reps, log=print)
+    except bench.NondeterministicCell as error:
+        print(f"nondeterministic cell {error}", file=sys.stderr)
+        return 1
     if args.no_write:
         path = None
     else:

@@ -13,8 +13,10 @@ execution, plus a fixed reconfiguration penalty per switch).
 
 The simulator does not simulate the winner's sample twice either.  A
 probe and its mode's region run share the machine, the warm-up and the
-records up to the sample's end, so they are one computation up to the
-first loop top whose commit point lies within the machine's lookahead
+records up to the sample's end (the probes run a prefix slice of the
+region's measured records, which :meth:`AdaptiveFgStpMachine._regions`
+re-sequences once), so they are one computation up to the first loop
+top whose commit point lies within the machine's lookahead
 (``MachineShell._lookahead``) of that end.  Each probe keeps an
 in-memory snapshot there, and the winner's region run resumes from it;
 a probe whose sample covers the whole region already is the region
@@ -36,7 +38,7 @@ from ..stats.result import SimResult
 from ..trace.record import TraceRecord
 from ..uarch.params import CoreParams
 from ..uarch.pipeline.machine import SingleCoreMachine
-from ..uarch.warmup import reseq
+from ..uarch.warmup import reseq, split_warmup
 from .orchestrator import FgStpMachine
 from .params import FgStpParams
 
@@ -213,32 +215,31 @@ class AdaptiveFgStpMachine:
                 f"|reconfig={self.reconfigure_penalty}")
 
     def _regions(self, trace: Sequence[TraceRecord], warmup: int):
-        """Split the trace into regions, each carrying its warmup prefix.
+        """Split the trace into regions of ``(records, warmup)``.
 
-        The first region absorbs the run-level warmup; later regions use
-        the preceding region's tail as their (shorter) warm-up so caches
-        and predictors stay trained across boundaries.
+        A region's records are its warm-up prefix as the trace holds it,
+        then its measured records re-sequenced densely from seq 0, so
+        the region machines run those as they stand.  The first region
+        absorbs the run-level warmup; later regions use the preceding
+        region's tail as their (shorter) warm-up so caches and
+        predictors stay trained across boundaries.
         """
         region = self.region_instructions
         carry = min(4000, region // 4)
         regions = []
         start = 0
-        first = True
         n = len(trace)
         while start < n:
-            if first:
-                end = min(n, start + warmup + region)
-                regions.append((reseq(trace[start:end]), warmup))
-                start = end
-                first = False
+            if regions:
+                lead, end = max(0, start - carry), min(n, start + region)
             else:
-                lead = max(0, start - carry)
-                end = min(n, start + region)
-                region_warmup = start - lead
-                if end - lead <= region_warmup:
-                    break
-                regions.append((reseq(trace[lead:end]), region_warmup))
-                start = end
+                lead, start, end = 0, warmup, min(n, warmup + region)
+            region_warmup = start - lead
+            records = trace[lead:end]
+            prefix, measured = (split_warmup(records, region_warmup)
+                                if region_warmup else ([], reseq(records)))
+            regions.append((prefix + measured, region_warmup))
+            start = end
         return regions
 
     def _region_hook(self, offset: int):
@@ -272,27 +273,27 @@ class AdaptiveFgStpMachine:
     def _run_region(self, region_trace, region_warmup, workload,
                     offset: int = 0, cycle_offset: int = 0,
                     previous_mode: Optional[str] = None):
-        sample_end = min(len(region_trace),
-                         region_warmup + self.sample_instructions)
-        # Regions are dense from seq 0, so the sample is the region's
-        # head as it stands.
-        sample = region_trace[:sample_end]
+        # The measured records are dense from seq 0 (see _regions), so
+        # each probe's sample is a prefix of them as they stand.
+        prefix = region_trace[:region_warmup]
+        measured = region_trace[region_warmup:]
+        sample = measured[:self.sample_instructions]
         # Only the winning mode's region run retires the region
         # architecturally: the probes model performance counters and
         # stay invisible to the commit hook and the tracer.  That run
         # is the winning probe itself or resumes from its snapshot (see
         # the module docstring).
         observed = self.commit_hook is not None or self.tracer is not None
-        covered = sample_end == len(region_trace) and not observed
+        covered = len(sample) == len(measured) and not observed
         probes = {}
         for mode in ("single", "fgstp"):
             machine = self._machine(mode)
             snapshot = None
             if not covered:
-                mark = sample_end - region_warmup - machine._lookahead()
+                mark = len(sample) - machine._lookahead()
                 snapshot = Snapshot(0 if observed else max(0, mark))
-            probes[mode] = (machine._simulate(
-                sample, workload, region_warmup, None, snapshot), snapshot)
+            probes[mode] = (machine._run_measured(
+                prefix, sample, workload, snapshot), snapshot)
         del machine  # free the last probe before the region run
         mode = ("fgstp" if probes["fgstp"][0].cycles
                 <= probes["single"][0].cycles else "single")
@@ -311,8 +312,8 @@ class AdaptiveFgStpMachine:
             tracer.begin_epoch(cycle_offset, offset)
         if snapshot is not None:
             result = self._machine(mode, commit_hook=hook, tracer=tracer) \
-                ._resume(snapshot.payload, region_trace, workload,
-                         region_warmup)
+                ._run_measured(prefix, measured, workload,
+                               payload=snapshot.payload)
         return mode, result
 
 

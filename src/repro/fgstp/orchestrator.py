@@ -204,25 +204,30 @@ class FgStpMachine(MachineShell):
             cores[uop.core_id].wake(uop)
         delivered = q0.deliveries + q1.deliveries - delivered
         # 2. Global in-order commit (multi-pass so replicas and the
-        #    cross-core retirement order resolve within one cycle).
+        #    cross-core retirement order resolve within one cycle; each
+        #    pass tries core 0, then core 1).
         width = self.base.commit_width
-        remaining = [width, width]
+        left0 = left1 = width
         gate = self._commit_gate
+        on_commit = self._on_commit
         progress = True
-        while progress and (remaining[0] > 0 or remaining[1] > 0):
+        while progress and (left0 > 0 or left1 > 0):
             progress = False
-            for index, core in enumerate(cores):
-                if remaining[index] <= 0:
-                    continue
-                committed = core.phase_commit(now, gate,
-                                              budget=remaining[index])
-                if committed:
-                    remaining[index] -= len(committed)
+            if left0 > 0:
+                count = len(core0.phase_commit(now, gate, left0, on_commit))
+                if count:
+                    left0 -= count
                     progress = True
-        retired = 2 * width - remaining[0] - remaining[1]
+            if left1 > 0:
+                count = len(core1.phase_commit(now, gate, left1, on_commit))
+                if count:
+                    left1 -= count
+                    progress = True
+        retired = 2 * width - left0 - left1
         # 3. Execution completion (fires sends and violation watches).
-        completed = len(core0.phase_complete(now))
-        completed += len(core1.phase_complete(now))
+        on_complete = self._on_complete
+        completed = len(core0.phase_complete(now, on_complete))
+        completed += len(core1.phase_complete(now, on_complete))
         if self._pending_violations:
             self._process_violations(now)
         # 4. Issue.
@@ -236,10 +241,8 @@ class FgStpMachine(MachineShell):
         # 8. Cycle accounting: every commit slot of both cores is
         #    charged to exactly one cause this cycle.
         cause = self._frontend_cause(now)
-        core0.attribute_cycle(now, width - remaining[0],
-                              frontend_cause=cause)
-        core1.attribute_cycle(now, width - remaining[1],
-                              frontend_cause=cause)
+        core0.attribute_cycle(now, width - left0, cause)
+        core1.attribute_cycle(now, width - left1, cause)
         return (delivered or retired or completed or issued
                 or dispatched or fed or fetched)
 
@@ -368,7 +371,7 @@ class FgStpMachine(MachineShell):
             for tag in tags:
                 if tag.ready_cycle is None:
                     queue.send(tag, cycle)
-        if uop.record.is_store:
+        if uop.record.op_class == _STORE:
             watchers = self._watch.pop(uop.uid, None)
             if watchers:
                 self._check_watchers(uop, watchers, cycle)
@@ -453,15 +456,18 @@ class FgStpMachine(MachineShell):
         for core, feed in zip(self.cores, self._feed):
             if not feed:
                 continue
-            # Each push takes one fetch-buffer slot, so the buffer's
-            # space bounds the pushes as tightly as re-asking would.
-            budget = min(width, core.fetch_space())
+            # Each push takes one fetch-buffer slot, so sizing the pushes
+            # by the buffer's space once replaces push_fetched's check.
+            buffer = core._fetch_buffer
+            budget = min(width, core._fetch_capacity - len(buffer))
             while feed and budget > 0:
                 available_at, uop = feed[0]
                 if available_at > now:
                     break
                 feed.popleft()
-                core.push_fetched(uop, now)
+                uop.state = FETCHED
+                uop.fetch_cycle = now
+                buffer.append(uop)
                 budget -= 1
                 pushed += 1
         return pushed
@@ -686,12 +692,10 @@ class FgStpMachine(MachineShell):
         return f"{self.base!r}|{self.fgstp!r}|{self.policy_name}"
 
     def _wire(self) -> None:
-        """Install the observer hooks a checkpoint leaves out: the
-        cores' completion/commit callbacks, a non-default partition
-        policy and the queues' tracer."""
-        for core in self.cores:
-            core.on_complete = self._on_complete
-            core.on_commit = self._on_commit
+        """Install the hooks a checkpoint leaves out: a non-default
+        partition policy and the queues' tracer.  The cores' completion
+        and commit callbacks are passed on every call instead, so no
+        core refers back to this machine."""
         if self.policy_name != "chain":
             from .policies import policy_by_name, set_policy
             set_policy(self.partitioner, policy_by_name(self.policy_name))
@@ -701,17 +705,13 @@ class FgStpMachine(MachineShell):
                 queue.trace_core = src_core
 
     def _transient(self):
-        # The cores' callbacks are bound methods of this machine
-        # (pickling them would drag the whole machine, trace and
-        # observers into the blob); queue tracer attachments and a
-        # non-default partition policy are closures; the partitioner's
+        # Queue tracer attachments are observers and a non-default
+        # partition policy may be a closure; the partitioner's
         # dependence index is rebuilt from the trace.
-        return ([(core, name) for core in self.cores
-                 for name in ("on_complete", "on_commit")]
-                + [(queue, name) for queue in self.queues
-                   for name in ("tracer", "trace_core")]
+        return ([(queue, name) for queue in self.queues
+                 for name in ("tracer", "trace_core")]
                 + [(self.partitioner, name)
-                   for name in ("_assign_pass", "_deps")])
+                   for name in ("policy", "_deps")])
 
     def _adopt(self, trace: Sequence[TraceRecord]) -> None:
         self._trace = trace

@@ -140,6 +140,12 @@ class Partitioner:
     pass filters by the commit frontier.
     """
 
+    #: Core-assignment policy ``(partitioner, batch) -> cores`` that
+    #: replaces :meth:`_assign_pass` (set by
+    #: :func:`repro.fgstp.policies.set_policy`).  Called with the
+    #: partitioner as an argument, it holds no reference back to it.
+    policy = None
+
     def __init__(self, params: FgStpParams):
         self.params = params
         self.weights = dict(DEFAULT_OP_WEIGHTS)
@@ -217,7 +223,9 @@ class Partitioner:
             return []
         self._committed_seq = committed_seq
         self._last_steals.clear()
-        cores = self._assign_pass(batch)
+        policy = self.policy
+        cores = (self._assign_pass(batch) if policy is None
+                 else policy(self, batch))
         replicated = self._replication_pass(batch, cores)
         return self._emit_pass(batch, cores, replicated)
 

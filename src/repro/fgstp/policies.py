@@ -115,9 +115,11 @@ def set_policy(partitioner: Partitioner, policy: AssignPolicy) -> None:
     """Replace *partitioner*'s assignment pass with *policy*.
 
     Only the core-assignment decision changes; the core mask,
-    replication and communication wiring stay identical.
+    replication and communication wiring stay identical.  The
+    partitioner passes itself to *policy* on every batch, so storing
+    the policy forms no reference cycle.
     """
-    partitioner._assign_pass = lambda batch: policy(partitioner, batch)
+    partitioner.policy = policy
 
 
 def policy_by_name(name: str) -> AssignPolicy:

@@ -16,6 +16,9 @@ Methodology:
   machine each time; the first repetition is discarded (it pays trace
   generation, allocator warm-up and branch-predictor-of-the-interpreter
   effects) and the **median** of the remaining repetitions is reported.
+* Every repetition must return the first one's result exactly; a cell
+  whose results differ fails (:class:`NondeterministicCell`), so a hot
+  loop rewrite that breaks determinism cannot pass as a speed-up.
 * Throughput is wall-clock only over ``Machine.run`` — trace generation
   and machine construction are excluded.
 * Regressions are judged on instructions per second.  Cycles per
@@ -67,6 +70,10 @@ DEFAULT_THRESHOLD = 0.25
 SNAPSHOT_GLOB = "BENCH_*.json"
 
 
+class NondeterministicCell(RuntimeError):
+    """A cell's repetitions returned different results."""
+
+
 def run_cell(machine: str, benchmark: str, config: str = PINNED_CONFIG,
              length: int = PINNED_LENGTH, warmup: int = PINNED_WARMUP,
              seed: int = PINNED_SEED, reps: int = DEFAULT_REPS) -> Dict:
@@ -75,20 +82,30 @@ def run_cell(machine: str, benchmark: str, config: str = PINNED_CONFIG,
     Returns:
         A JSON-able entry: identity, simulated cycles/instructions,
         per-rep wall times, and median-based kcps / ips.
+
+    Raises:
+        NondeterministicCell: naming the cell and the first repetition
+            whose ``SimResult.as_dict()`` differs from the first's.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1: {reps}")
     base = core_config(config)
     trace = generate_trace(benchmark, length, seed)
     times: List[float] = []
-    result = None
+    first = None
     for rep in range(reps + 1):
         model = build_machine(machine, base, FgStpParams())
         start = time.perf_counter()
         result = model.run(trace, workload=benchmark, warmup=warmup)
         elapsed = time.perf_counter() - start
-        if rep > 0:  # rep 0 is the discarded warm-up repetition
-            times.append(elapsed)
+        if rep == 0:  # the discarded warm-up repetition
+            first = result.as_dict()
+            continue
+        if result.as_dict() != first:
+            raise NondeterministicCell(
+                f"{machine}/{benchmark}: repetition {rep} returned a "
+                f"different result than repetition 0")
+        times.append(elapsed)
     median = statistics.median(times)
     return {
         "machine": machine,

@@ -50,6 +50,9 @@ ENV_SKIP_AHEAD = "REPRO_SKIP_AHEAD"
 #: avoids a dict hash per dispatched uop).
 _POOL_OF_CLASS = tuple(FU_POOL_OF_CLASS[op_class] for op_class in OpClass)
 
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+
 
 from .uop import (
     COMMITTED,
@@ -100,12 +103,6 @@ class CoreStats:
         #: sum-to-total invariant).
         self.commit_slots: Dict[str, int] = {}
 
-    def charge_slots(self, cause: str, count: int) -> None:
-        """Charge *count* commit slots to *cause* in the cycle ledger."""
-        if count:
-            self.commit_slots[cause] = \
-                self.commit_slots.get(cause, 0) + count
-
     def as_dict(self) -> Dict[str, int]:
         record = {name: getattr(self, name) for name in self.__slots__
                   if name != "commit_slots"}
@@ -127,19 +124,19 @@ class CycleCore:
             operand-crossbar cost).
         cluster_issue_width: Per-cluster issue limit (defaults to
             ``issue_width // num_clusters``).
-        on_complete: Callback ``(uop, cycle)`` fired when a uop finishes
-            execution (the Fg-STP orchestrator hooks communication sends
-            and memory-violation checks here).
-        on_commit: Callback ``(uop, cycle)`` fired at retirement.
+
+    The completion and retirement callbacks are arguments of
+    :meth:`phase_complete` and :meth:`phase_commit`, not attributes: a
+    core that stored its owner's bound methods would form a reference
+    cycle with it, and every finished machine would wait for the cycle
+    collector.
     """
 
     def __init__(self, params: CoreParams, hierarchy: CacheHierarchy,
                  name: str = "core0",
                  num_clusters: int = 1,
                  cross_cluster_latency: int = 0,
-                 cluster_issue_width: Optional[int] = None,
-                 on_complete: Optional[Callable[[Uop, int], None]] = None,
-                 on_commit: Optional[Callable[[Uop, int], None]] = None):
+                 cluster_issue_width: Optional[int] = None):
         if num_clusters < 1:
             raise ValueError(f"num_clusters must be >= 1: {num_clusters}")
         self.params = params
@@ -151,8 +148,6 @@ class CycleCore:
             cluster_issue_width
             if cluster_issue_width is not None
             else max(1, params.issue_width // num_clusters))
-        self.on_complete = on_complete
-        self.on_commit = on_commit
         self.stats = CoreStats()
         #: Execution latency per op class, indexable by the IntEnum
         #: value (hot path — avoids a dict hash per issued uop).
@@ -237,7 +232,9 @@ class CycleCore:
 
     def phase_commit(self, cycle: int,
                      gate: Optional[Callable[[Uop], bool]] = None,
-                     budget: Optional[int] = None) -> List[Uop]:
+                     budget: Optional[int] = None,
+                     on_commit: Optional[Callable[[Uop, int], None]] = None
+                     ) -> List[Uop]:
         """Retire up to ``commit_width`` completed uops from the ROB head.
 
         Args:
@@ -246,6 +243,8 @@ class CycleCore:
                 global in-order commit gate).
             budget: Optional override of the remaining commit slots this
                 cycle (used when the phase runs multiple passes per cycle).
+            on_commit: Optional callback ``(uop, cycle)`` fired as each
+                uop retires (Fg-STP's global commit bookkeeping).
 
         Returns:
             The uops retired by this call, oldest first.
@@ -258,8 +257,8 @@ class CycleCore:
         stats = self.stats
         store_map = self._store_map
         reg_map = self._reg_map
-        on_commit = self.on_commit
-        while rob and len(committed) < width:
+        count = 0
+        while rob and count < width:
             head = rob[0]
             if head.state != COMPLETED or head.complete_cycle >= cycle:
                 break
@@ -271,35 +270,48 @@ class CycleCore:
             record = head.record
             if head.is_memory:
                 self._lsq_count -= 1
-                if record.is_store:
+                if record.op_class == _STORE:
                     # Charge the write for statistics at retirement.
-                    self.hierarchy.store(record.mem_addr, cycle)
-                    if store_map.get(record.mem_addr) is head:
-                        del store_map[record.mem_addr]
-            if record.dst is not None and reg_map.get(record.dst) is head:
-                del reg_map[record.dst]
+                    address = record.mem_addr
+                    self.hierarchy.store(address, cycle)
+                    if store_map.get(address) is head:
+                        del store_map[address]
+            dst = record.dst
+            if dst is not None and reg_map.get(dst) is head:
+                del reg_map[dst]
             stats.committed += 1
+            count += 1
             committed.append(head)
             if on_commit is not None:
                 on_commit(head, cycle)
         return committed
 
-    def phase_complete(self, cycle: int) -> List[Uop]:
-        """Move uops whose execution finished at/before *cycle* to COMPLETED."""
+    def phase_complete(self, cycle: int,
+                       on_complete: Optional[Callable[[Uop, int], None]]
+                       = None) -> List[Uop]:
+        """Move uops whose execution finished at/before *cycle* to
+        COMPLETED, firing *on_complete* ``(uop, cycle)`` for each (the
+        Fg-STP machine hooks communication sends and memory-violation
+        checks there)."""
         done: List[Uop] = []
         heap = self._completion_heap
+        heappop = heapq.heappop
         while heap and heap[0][0] <= cycle:
-            _, _, uop = heapq.heappop(heap)
+            uop = heappop(heap)[2]
             if uop.state == SQUASHED:
                 continue
             uop.state = COMPLETED
             done.append(uop)
-            if self.on_complete is not None:
-                self.on_complete(uop, cycle)
+            if on_complete is not None:
+                on_complete(uop, cycle)
         return done
 
     def phase_issue(self, cycle: int) -> int:
         """Issue ready uops, oldest first, under width/FU constraints.
+
+        An issued uop learns its completion cycle, which wakes its
+        consumers: each one whose last producer this was enters the
+        ready heap.
 
         Returns:
             Number of uops issued this cycle.
@@ -308,74 +320,92 @@ class CycleCore:
         if not heap or heap[0][0] > cycle:
             return 0
         issued = 0
-        width = self.params.issue_width
-        pool_params = self.params.fu_pool
+        params = self.params
+        width = params.issue_width
+        pool_params = params.fu_pool
         pool_used: Dict[str, int] = {}
-        cluster_used = [0] * self.num_clusters
+        # The per-cluster cap cannot bind on one cluster allowed the
+        # whole issue width.
+        cluster_cap = self.cluster_issue_width
+        capped = self.num_clusters > 1 or cluster_cap < width
+        if capped:
+            cluster_used = [0] * self.num_clusters
         deferred: List = []
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        completion_heap = self._completion_heap
+        latency_of = self._latency_of
+        cross = self.cross_cluster_latency
+        stats = self.stats
 
         while heap and issued < width:
-            entry = heap[0]
-            if entry[0] > cycle:
+            if heap[0][0] > cycle:
                 break
-            heapq.heappop(heap)
+            entry = heappop(heap)
             uop = entry[3]
             if uop.state != DISPATCHED or entry[0] < uop.ready_cycle:
                 continue  # squashed, already issued, or stale (delayed)
             pool = uop.pool
-            cluster = uop.cluster
-            if cluster_used[cluster] >= self.cluster_issue_width:
+            if capped:
+                cluster = uop.cluster
+                if cluster_used[cluster] >= cluster_cap:
+                    deferred.append((cycle + 1, entry[1], entry[2], uop))
+                    continue
+            used = pool_used.get(pool, 0)
+            if used >= pool_params.get(pool, 1):
                 deferred.append((cycle + 1, entry[1], entry[2], uop))
                 continue
-            if pool_used.get(pool, 0) >= pool_params.get(pool, 1):
-                deferred.append((cycle + 1, entry[1], entry[2], uop))
-                continue
-            pool_used[pool] = pool_used.get(pool, 0) + 1
-            cluster_used[cluster] += 1
-            self._do_issue(uop, cycle)
+            pool_used[pool] = used + 1
+            if capped:
+                cluster_used[cluster] += 1
             issued += 1
 
-        for entry in deferred:
-            heapq.heappush(heap, entry)
-        return issued
-
-    def _do_issue(self, uop: Uop, cycle: int) -> None:
-        uop.state = ISSUED
-        uop.issue_cycle = cycle
-        self._iq_count -= 1
-        self.stats.issued += 1
-        record = uop.record
-        op_class = record.op_class
-        if op_class == OpClass.LOAD:
-            if uop.forwarded:
+            uop.state = ISSUED
+            uop.issue_cycle = cycle
+            record = uop.record
+            op_class = record.op_class
+            if op_class == _LOAD:
+                if uop.forwarded:
+                    latency = 1
+                    stats.load_forwards += 1
+                else:
+                    latency = max(1, self.hierarchy.load(record.mem_addr,
+                                                         cycle))
+            elif op_class == _STORE:
                 latency = 1
-                self.stats.load_forwards += 1
             else:
-                latency = max(1, self.hierarchy.load(record.mem_addr, cycle))
-        elif op_class == OpClass.STORE:
-            latency = 1
-        else:
-            latency = self._latency_of[op_class]
-        complete = cycle + latency
-        uop.complete_cycle = complete
-        heapq.heappush(self._completion_heap, (complete, uop.uid, uop))
-        # Wake consumers: their producer's completion time is now known.
-        cross = self.cross_cluster_latency
-        for consumer in uop.consumers:
-            if consumer.state == SQUASHED:
-                continue
-            seen = complete
-            if cross and consumer.cluster != uop.cluster:
-                seen += cross
-            if seen > consumer.operand_ready:
-                consumer.operand_ready = seen
-            consumer.pending -= 1
-            if consumer.pending == 0 and consumer.state == DISPATCHED:
-                self._enqueue_ready(consumer)
-        uop.consumers = []
+                latency = latency_of[op_class]
+            complete = cycle + latency
+            uop.complete_cycle = complete
+            heappush(completion_heap, (complete, uop.uid, uop))
+            # Wake consumers: their producer's completion time is now
+            # known.
+            for consumer in uop.consumers:
+                if consumer.state == SQUASHED:
+                    continue
+                seen = complete
+                if cross and consumer.cluster != uop.cluster:
+                    seen += cross
+                if seen > consumer.operand_ready:
+                    consumer.operand_ready = seen
+                consumer.pending -= 1
+                if consumer.pending == 0 and consumer.state == DISPATCHED:
+                    self._enqueue_ready(consumer)
+            uop.consumers = []
+
+        self._iq_count -= issued
+        stats.issued += issued
+        for entry in deferred:
+            heappush(heap, entry)
+        return issued
 
     def phase_dispatch(self, cycle: int) -> int:
         """Rename/dispatch from the fetch buffer into ROB/IQ/LSQ.
+
+        Each dispatched uop resolves its sources against the youngest
+        in-flight writers (registers, an older store to its address for
+        a load, and any inter-core value tags); with every producer's
+        completion time known it enters the ready heap at once.
 
         When clustered (Core Fusion), each cluster's rename stage only
         handles its own width per cycle, so steering falls back to the
@@ -397,87 +427,107 @@ class CycleCore:
         lsq_entries = params.lsq_entries
         rob = self._rob
         stats = self.stats
-        self._cluster_dispatched = [0] * self.num_clusters
+        reg_map = self._reg_map
+        store_map = self._store_map
+        ready_heap = self._ready_heap
+        heappush = heapq.heappush
+        cross = self.cross_cluster_latency
+        iq_count = self._iq_count
+        lsq_count = self._lsq_count
+        earliest = cycle + 1
+        clustered = self.num_clusters > 1
+        if clustered:
+            self._cluster_dispatched = [0] * self.num_clusters
         while buffer and dispatched < width:
             uop = buffer[0]
             if len(rob) >= rob_entries:
                 stats.rob_full_stalls += 1
                 self._dispatch_blocked = "rob_full"
                 break
-            if self._iq_count >= iq_entries:
+            if iq_count >= iq_entries:
                 stats.iq_full_stalls += 1
                 self._dispatch_blocked = "iq_full"
                 break
-            if uop.is_memory and self._lsq_count >= lsq_entries:
+            is_memory = uop.is_memory
+            if is_memory and lsq_count >= lsq_entries:
                 stats.lsq_full_stalls += 1
                 self._dispatch_blocked = "lsq_full"
                 break
             buffer.popleft()
-            self._dispatch_one(uop, cycle)
             dispatched += 1
-        return dispatched
 
-    def _dispatch_one(self, uop: Uop, cycle: int) -> None:
-        uop.state = DISPATCHED
-        uop.dispatch_cycle = cycle
-        uop.pool = _POOL_OF_CLASS[uop.record.op_class]
-        uop.cluster = self._steer(uop)
-        self._rob.append(uop)
-        self._iq_count += 1
-        self.stats.dispatched += 1
-        record = uop.record
-        if uop.is_memory:
-            self._lsq_count += 1
+            uop.state = DISPATCHED
+            uop.dispatch_cycle = cycle
+            record = uop.record
+            op_class = record.op_class
+            uop.pool = _POOL_OF_CLASS[op_class]
+            if clustered:
+                uop.cluster = self._steer(uop)
+            rob.append(uop)
+            iq_count += 1
+            if is_memory:
+                lsq_count += 1
 
-        pending = 0
-        ready_max = 0
-        cross = self.cross_cluster_latency
-        for src in record.srcs:
-            producer = self._reg_map.get(src)
-            if producer is None:
-                continue
-            if producer.complete_cycle is not None:
+            pending = 0
+            ready_max = 0
+            for src in record.srcs:
+                producer = reg_map.get(src)
+                if producer is None:
+                    continue
                 seen = producer.complete_cycle
-                if cross and producer.cluster != uop.cluster:
-                    seen += cross
-                if seen > ready_max:
-                    ready_max = seen
-            else:
-                producer.consumers.append(uop)
-                pending += 1
-
-        # In-core store-to-load forwarding: a load depends on the youngest
-        # earlier in-flight store to the same address.
-        if record.is_load:
-            store = self._store_map.get(record.mem_addr)
-            if store is not None and store.state != COMMITTED:
-                uop.forwarded = True
-                if store.complete_cycle is not None:
-                    if store.complete_cycle > ready_max:
-                        ready_max = store.complete_cycle
+                if seen is not None:
+                    if cross and producer.cluster != uop.cluster:
+                        seen += cross
+                    if seen > ready_max:
+                        ready_max = seen
                 else:
-                    store.consumers.append(uop)
+                    producer.consumers.append(uop)
                     pending += 1
-        elif record.is_store:
-            self._store_map[record.mem_addr] = uop
 
-        # External dependences (inter-core values) attached by the
-        # orchestrator before feeding.
-        for tag in uop.extra_deps:
-            if tag.ready_cycle is not None:
-                if tag.ready_cycle > ready_max:
-                    ready_max = tag.ready_cycle
-            else:
-                tag.consumers.append(uop)
-                pending += 1
+            # In-core store-to-load forwarding: a load depends on the
+            # youngest earlier in-flight store to the same address.
+            if op_class == _LOAD:
+                store = store_map.get(record.mem_addr)
+                if store is not None and store.state != COMMITTED:
+                    uop.forwarded = True
+                    seen = store.complete_cycle
+                    if seen is not None:
+                        if seen > ready_max:
+                            ready_max = seen
+                    else:
+                        store.consumers.append(uop)
+                        pending += 1
+            elif op_class == _STORE:
+                store_map[record.mem_addr] = uop
 
-        if record.dst is not None:
-            self._reg_map[record.dst] = uop
+            # External dependences (inter-core values) attached by the
+            # orchestrator before feeding.
+            for tag in uop.extra_deps:
+                seen = tag.ready_cycle
+                if seen is not None:
+                    if seen > ready_max:
+                        ready_max = seen
+                else:
+                    tag.consumers.append(uop)
+                    pending += 1
 
-        uop.pending = pending
-        uop.operand_ready = max(uop.operand_ready, ready_max)
-        if pending == 0:
-            self._enqueue_ready(uop)
+            dst = record.dst
+            if dst is not None:
+                reg_map[dst] = uop
+
+            uop.pending = pending
+            ready = uop.operand_ready
+            if ready_max > ready:
+                ready = uop.operand_ready = ready_max
+            if pending == 0:
+                if ready < earliest:
+                    ready = earliest
+                uop.ready_cycle = ready
+                heappush(ready_heap, (ready, uop.seq, uop.uid, uop))
+        self._iq_count = iq_count
+        self._lsq_count = lsq_count
+        stats.dispatched += dispatched
+        return dispatched
 
     # ------------------------------------------------------------------
     # Cycle accounting (CPI-stack attribution)
@@ -512,14 +562,17 @@ class CycleCore:
         verifies.
         """
         stats = self.stats
-        width = self.params.commit_width
-        if committed or self._rob or self._fetch_buffer:
+        slots = stats.commit_slots
+        if committed:
             stats.cycles_active += 1
-        stats.charge_slots("retire", committed)
-        empty = width - committed
+            slots["retire"] = slots.get("retire", 0) + committed
+        elif self._rob or self._fetch_buffer:
+            stats.cycles_active += 1
+        empty = self.params.commit_width - committed
         if empty <= 0:
             return
-        stats.charge_slots(self.stall_blame(cycle, frontend_cause), empty)
+        cause = self.stall_blame(cycle, frontend_cause)
+        slots[cause] = slots.get(cause, 0) + empty
 
     def stall_blame(self, cycle: int, frontend_cause: str = "fetch") -> str:
         """The cause an empty commit slot is charged to at *cycle*.
@@ -538,14 +591,15 @@ class CycleCore:
             return "intercore_wait"  # held by the global commit gate
         if state == ISSUED:
             latency = head.complete_cycle - head.issue_cycle
-            if (head.record.is_load and not head.forwarded
+            if (head.record.op_class == _LOAD and not head.forwarded
                     and latency > self.params.l1d.hit_latency):
                 return "load_miss"
             return "exec"
         # DISPATCHED: waiting on operands or issue bandwidth.
-        if any(tag.ready_cycle is None or tag.ready_cycle > cycle
-               for tag in head.extra_deps):
-            return "intercore_wait"
+        for tag in head.extra_deps:
+            ready = tag.ready_cycle
+            if ready is None or ready > cycle:
+                return "intercore_wait"
         if self._dispatch_blocked is not None:
             return self._dispatch_blocked
         return "exec"
@@ -610,8 +664,10 @@ class CycleCore:
         stats = self.stats
         if self._rob or self._fetch_buffer:
             stats.cycles_active += count
-        stats.charge_slots(self.stall_blame(first, frontend_cause),
-                           self.params.commit_width * count)
+        slots = stats.commit_slots
+        cause = self.stall_blame(first, frontend_cause)
+        slots[cause] = (slots.get(cause, 0)
+                        + self.params.commit_width * count)
         if self._fetch_buffer:
             blocked = self._dispatch_blocked
             if blocked == "rob_full":
@@ -730,7 +786,7 @@ class CycleCore:
             record = uop.record
             if record.dst is not None:
                 self._reg_map[record.dst] = uop
-            if record.is_store:
+            if record.op_class == _STORE:
                 self._store_map[record.mem_addr] = uop
         self.stats.squashed_uops += count
         return count

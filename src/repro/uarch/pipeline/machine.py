@@ -152,7 +152,7 @@ class MachineShell:
 
         Two runs whose traces agree on their first *n* records are
         therefore the same computation up to the first loop top where
-        ``committed >= n - lookahead`` (see :meth:`_resume`).
+        ``committed >= n - lookahead`` (see :meth:`_run_measured`).
         """
         raise NotImplementedError
 
@@ -184,52 +184,60 @@ class MachineShell:
 
     def _simulate(self, trace: Sequence[TraceRecord], workload: str,
                   warmup: int,
-                  resume_from: Optional[MachineCheckpoint],
-                  snapshot: Optional[Snapshot] = None) -> SimResult:
-        """Run *trace* to completion (see :meth:`SingleCoreMachine.run`).
-
-        A *snapshot* is polled in place of the periodic checkpointer.
-        """
+                  resume_from: Optional[MachineCheckpoint]) -> SimResult:
+        """Run *trace* to completion (see :meth:`SingleCoreMachine.run`)."""
         if not trace:
             return SimResult(self.machine_label, self.config_name,
                              workload, 0, 0)
-        original_trace = trace
-        if warmup:
-            prefix, trace = split_warmup(trace, warmup)
-            if resume_from is None:
-                self._warm(prefix)
+        prefix, measured = (split_warmup(trace, warmup) if warmup
+                            else ((), trace))
         if resume_from is None:
-            cycle = self.committed = self.skipped_cycles = 0
-            self.watchdog.reset()
-            self.recent_commits.clear()
-            self._start(trace)
+            cycle = self._fresh(prefix, measured)
         else:
-            cycle = self._restore(resume_from, trace, original_trace, warmup)
-        ckpt = snapshot if snapshot is not None else Checkpointer.maybe(
-            self, self.machine_label, workload, original_trace, warmup,
-            start=self.committed)
+            cycle = self._restore(resume_from, measured, trace, warmup)
+        ckpt = Checkpointer.maybe(self, self.machine_label, workload, trace,
+                                  warmup, start=self.committed)
         try:
-            return self._run_loop(workload, cycle, len(trace), ckpt)
+            return self._run_loop(workload, cycle, len(measured), ckpt)
         except SimulationError as error:
             if ckpt is not None:
                 ckpt.anchor(error)
             raise
 
-    def _resume(self, payload: bytes, trace: Sequence[TraceRecord],
-                workload: str, warmup: int) -> SimResult:
-        """Run *trace* to completion from a :class:`Snapshot` payload.
+    def _run_measured(self, prefix: Sequence[TraceRecord],
+                      measured: Sequence[TraceRecord], workload: str,
+                      snapshot: Optional[Snapshot] = None,
+                      payload: Optional[bytes] = None) -> SimResult:
+        """Run the *measured* records, dense from seq 0, to completion
+        after the warm-up *prefix*; no periodic checkpoints.
 
-        A machine of this class and configuration took *payload* while
-        running, with the same *warmup*, a trace that agrees with
-        *trace* up to :meth:`_lookahead` records past the snapshot's
+        Without *payload* the run starts fresh, warmed on *prefix*, and
+        polls *snapshot* in place of the periodic checkpointer.  With a
+        :class:`Snapshot`'s *payload* it adopts that state instead.  A
+        machine of this class and configuration must have taken it
+        after the same warm-up, on measured records that agree with
+        *measured* up to :meth:`_lookahead` records past the snapshot's
         commit point.  Up to the snapshot the two runs were one
-        computation, so the result is bit-identical to a run of *trace*
-        from its start.  Nothing checks that agreement: the caller
+        computation, so the result is bit-identical to a fresh run of
+        *measured*.  Nothing checks that agreement: the caller
         guarantees it.
         """
-        measured = split_warmup(trace, warmup)[1]
-        cycle = self._adopt_state(loads_state(payload), measured)
-        return self._run_loop(workload, cycle, len(measured), None)
+        if payload is None:
+            cycle = self._fresh(prefix, measured)
+        else:
+            cycle = self._adopt_state(loads_state(payload), measured)
+        return self._run_loop(workload, cycle, len(measured), snapshot)
+
+    def _fresh(self, prefix: Sequence[TraceRecord],
+               measured: Sequence[TraceRecord]) -> int:
+        """Warm on *prefix* and start a run of *measured* at cycle 0."""
+        if prefix:
+            self._warm(prefix)
+        self.committed = self.skipped_cycles = 0
+        self.watchdog.reset()
+        self.recent_commits.clear()
+        self._start(measured)
+        return 0
 
     def _run_loop(self, workload: str, cycle: int, total: int,
                   ckpt: Optional[Checkpointer | Snapshot]) -> SimResult:

@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ...isa.opcodes import OpClass
 from ...trace.record import TraceRecord
+
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
 
 # Uop lifecycle states.
 FETCHED = 0      #: in the fetch buffer
@@ -96,8 +100,8 @@ class Uop:
         "record", "uid", "seq", "replica", "cluster", "core_id", "pool",
         "state", "pending", "operand_ready", "consumers",
         "fetch_cycle", "dispatch_cycle", "ready_cycle", "issue_cycle",
-        "complete_cycle", "commit_cycle", "forwarded", "produce_tags",
-        "extra_deps", "predicted_wrong", "is_memory",
+        "complete_cycle", "commit_cycle", "forwarded", "extra_deps",
+        "predicted_wrong", "is_memory",
     )
 
     def __init__(self, record: TraceRecord, uid: int,
@@ -107,7 +111,8 @@ class Uop:
         self.seq = record.seq
         # Cached off the record: read once per dispatch/commit/squash
         # per cycle on the hot path (a double property hop otherwise).
-        self.is_memory = record.is_memory
+        op_class = record.op_class
+        self.is_memory = op_class == _LOAD or op_class == _STORE
         self.replica = replica
         self.cluster = 0
         self.core_id = core_id
@@ -123,7 +128,6 @@ class Uop:
         self.complete_cycle: Optional[int] = None
         self.commit_cycle = -1
         self.forwarded = False          # load served by in-core store forward
-        self.produce_tags: List[ValueTag] = []  # satisfied when completed
         self.extra_deps: List[ValueTag] = []    # attached before feeding
         self.predicted_wrong = False    # front end mispredicted this uop
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fgstp.adaptive import AdaptiveFgStpMachine, simulate_fgstp_adaptive
+from repro.trace.record import TraceRecord
 from repro.uarch.params import small_core_config
 from repro.uarch.pipeline.machine import simulate_single_core
 from repro.workloads.generator import generate_trace
@@ -27,6 +28,29 @@ def test_commits_everything():
     assert result.machine == "fgstp-adaptive"
     assert result.extra["fgstp_regions"] + result.extra["single_regions"] \
         == len(result.extra["modes"])
+
+
+@pytest.mark.parametrize("warmup", (0, 300))
+def test_regions_keep_their_warmup_and_resequence_the_rest_once(warmup):
+    """Each region is its warm-up prefix as the trace holds it, then its
+    measured records dense from seq 0 (seqs shifted here, so a region
+    without warm-up must be re-sequenced too)."""
+    trace = [TraceRecord(r.seq + 5, r.pc, r.op_class, r.dst, r.srcs,
+                         r.mem_addr, r.mem_size, r.taken, r.target)
+             for r in generate_trace("gcc", 2500)]
+    machine = AdaptiveFgStpMachine(small_core_config(),
+                                   sample_instructions=400,
+                                   region_instructions=1000)
+    start = warmup
+    for records, region_warmup in machine._regions(trace, warmup):
+        lead = start - region_warmup
+        prefix, measured = records[:region_warmup], records[region_warmup:]
+        assert all(a is b for a, b in zip(prefix, trace[lead:start]))
+        assert [r.seq for r in measured] == list(range(len(measured)))
+        assert [r.pc for r in measured] == \
+            [r.pc for r in trace[start:start + len(measured)]]
+        start += len(measured)
+    assert start == len(trace)
 
 
 def test_never_much_worse_than_single_core():

@@ -25,6 +25,7 @@ from repro.obs.export import events_jsonl
 from repro.obs.tracer import PipelineTracer
 from repro.uarch.params import core_config
 from repro.uarch.pipeline.machine import MachineShell, SingleCoreMachine
+from repro.uarch.warmup import split_warmup
 from repro.workloads.generator import generate_trace
 
 from .reference_adaptive import ReferenceAdaptiveFgStpMachine
@@ -140,12 +141,13 @@ def test_snapshot_a_lookahead_before_the_end_resumes_longer(
     base = core_config(config)
     trace = generate_trace(name, 3500, 5)
     whole = machine_class(base).run(trace, workload=name, warmup=500)
+    prefix, measured = split_warmup(trace, 500)
     for sample in (400, 900, 1600, 2400):
         probe = machine_class(base)
         snapshot = Snapshot(sample - probe._lookahead())
-        probe._simulate(trace[:500 + sample], name, 500, None, snapshot)
-        resumed = machine_class(base)._resume(snapshot.payload, trace, name,
-                                             500)
+        probe._run_measured(prefix, measured[:sample], name, snapshot)
+        resumed = machine_class(base)._run_measured(
+            prefix, measured, name, payload=snapshot.payload)
         assert resumed.as_dict() == whole.as_dict(), sample
 
 

@@ -99,14 +99,14 @@ def test_commit_monotonic_seq():
     base = small_core_config()
     machine = FgStpMachine(base)
     committed = []
-    originals = [core.on_commit for core in machine.cores]
+    original = machine._on_commit
 
-    def recording(uop, cycle, original=None):
+    def recording(uop, cycle):
         committed.append(uop.seq)
-        machine._on_commit(uop, cycle)
+        original(uop, cycle)
 
-    for core in machine.cores:
-        core.on_commit = recording
+    # The cycle loop reads the callback it hands the cores every cycle.
+    machine._on_commit = recording
     trace = generate_trace("gcc", 1200)
     machine.run(trace)
     non_replica = []
@@ -114,6 +114,7 @@ def test_commit_monotonic_seq():
         if not non_replica or seq != non_replica[-1]:
             non_replica.append(seq)
     assert non_replica == sorted(non_replica)
+    assert non_replica == list(range(len(trace)))
 
 
 def test_sparse_seqs_are_rejected_not_hung():

@@ -1,11 +1,13 @@
 """Tests for the simulation-throughput benchmark harness (`repro bench`)."""
 
+import itertools
 import json
 
 import pytest
 
 from repro.__main__ import main
 from repro.harness import bench
+from repro.stats.result import SimResult
 
 
 def _tiny_matrix(**overrides):
@@ -49,6 +51,39 @@ def test_run_matrix_covers_every_cell_and_logs():
              for e in snapshot["entries"]}
     assert cells == {("single", "gcc"), ("corefusion", "gcc")}
     assert len(lines) == 2
+
+
+def _drifting(monkeypatch):
+    """Build stub machines whose every run takes one more cycle than
+    the run before."""
+    runs = itertools.count(1)
+
+    class Drifting:
+        def run(self, trace, workload="trace", warmup=0):
+            return SimResult("single", "small", workload,
+                             1000 + next(runs), len(trace) - warmup)
+
+    monkeypatch.setattr(bench, "build_machine",
+                        lambda machine, base, fgstp: Drifting())
+
+
+def test_run_cell_fails_when_reps_disagree(monkeypatch):
+    _drifting(monkeypatch)
+    with pytest.raises(bench.NondeterministicCell,
+                       match="single/gcc: repetition 1"):
+        bench.run_cell("single", "gcc", config="small", length=600,
+                       warmup=200, seed=3, reps=2)
+
+
+def test_cli_bench_names_a_nondeterministic_cell(tmp_path, capsys,
+                                                 monkeypatch):
+    _drifting(monkeypatch)
+    code = main(["bench", "--machines", "single", "--benchmarks", "gcc",
+                 "--config", "small", "--length", "600", "--warmup", "200",
+                 "--reps", "1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "nondeterministic cell single/gcc" in capsys.readouterr().err
+    assert not list(tmp_path.glob("BENCH_*.json"))
 
 
 def test_simulated_cycles_identical_across_reps():

@@ -15,7 +15,7 @@ Commands:
   ``--rss-limit-mb`` bound wedged and runaway jobs, and
   ``--checkpoint-interval`` turns on machine-level checkpointing.
 * ``report`` — emit the full markdown experiment report (stdout).
-* ``validate`` — run the cross-model invariant battery.
+* ``validate`` — run the cross-model relation battery.
 * ``forensics`` — render a crash dump (latest by default).
 * ``minimize`` — ddmin-shrink a crash dump's failing trace to a small
   regression fixture that still fails the same way.
@@ -70,14 +70,20 @@ from .workloads.profiles import PROFILES
 from .workloads.suite import suite_names
 
 
-def _add_sizing(parser: argparse.ArgumentParser) -> None:
+def _add_sizing(parser: argparse.ArgumentParser, warmup: bool = True,
+                seed: bool = True, benchmarks: bool = True) -> None:
+    """Register the trace-sizing flags; a command gets only those it
+    reads, so passing any other one is a usage error."""
     parser.add_argument("--length", type=int, default=30000,
                         help="trace length incl. warm-up (default 30000)")
-    parser.add_argument("--warmup", type=int, default=10000,
-                        help="functional warm-up instructions")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--benchmarks", nargs="*", default=[],
-                        help="restrict to these benchmarks")
+    if warmup:
+        parser.add_argument("--warmup", type=int, default=10000,
+                            help="functional warm-up instructions")
+    if seed:
+        parser.add_argument("--seed", type=int, default=1)
+    if benchmarks:
+        parser.add_argument("--benchmarks", nargs="*", default=[],
+                            help="restrict to these benchmarks")
 
 
 def _config(args) -> ExperimentConfig:
@@ -441,8 +447,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from .oracle import fuzz_campaign, metamorphic_checks
+    from .oracle import fuzz_campaign
     from .oracle.fuzz import describe_report
+    from .validation import run_battery
 
     base = core_config(args.config)
     machines = args.machines or list(MACHINES)
@@ -457,9 +464,9 @@ def cmd_fuzz(args) -> int:
     print(describe_report(report))
     failed = not report.clean
     if args.metamorphic:
-        print("metamorphic checks (gcc trace):")
-        trace = generate_trace("gcc", args.length, args.seed)
-        for result in metamorphic_checks(trace, base):
+        print("relation battery (gcc trace):")
+        for result in run_battery("gcc", args.length, args.seed, base,
+                                  crash_dir=DEFAULT_CRASH_DIR).values():
             print(f"  {result}")
             failed = failed or not result.passed
     return 1 if failed else 0
@@ -752,17 +759,19 @@ def main(argv=None) -> int:
     sim_parser.add_argument("benchmark")
     sim_parser.add_argument("--config", default="medium",
                             choices=("small", "medium"))
-    _add_sizing(sim_parser)
+    _add_sizing(sim_parser, benchmarks=False)
 
     profile_parser = sub.add_parser(
         "profile", help="CPI stacks for one benchmark on all machines")
     profile_parser.add_argument("benchmark")
     profile_parser.add_argument("--config", default="medium",
                                 choices=("small", "medium"))
-    _add_sizing(profile_parser)
+    _add_sizing(profile_parser, benchmarks=False)
 
+    # No abbreviations: `--seed` would otherwise mean `--seeds` here.
     sweep_parser = sub.add_parser(
-        "sweep", help="parallel benchmark × seed × machine sweep")
+        "sweep", help="parallel benchmark × seed × machine sweep",
+        allow_abbrev=False)
     sweep_parser.add_argument("--seeds", nargs="*", type=int,
                               default=[1, 2, 3],
                               help="workload seeds (default 1 2 3)")
@@ -826,15 +835,16 @@ def main(argv=None) -> int:
                                    "instructions (sets "
                                    "REPRO_CHECKPOINT_INTERVAL for "
                                    "workers; 0 = off)")
-    _add_sizing(sweep_parser)
+    _add_sizing(sweep_parser, seed=False)
 
     report_parser = sub.add_parser("report",
                                    help="emit markdown for all experiments")
     _add_sizing(report_parser)
 
     validate_parser = sub.add_parser(
-        "validate", help="run the cross-model invariant battery")
-    _add_sizing(validate_parser)
+        "validate", help="run the 9-relation cross-model battery "
+                         "(default benchmarks gcc milc mcf)")
+    _add_sizing(validate_parser, warmup=False)
 
     forensics_parser = sub.add_parser(
         "forensics", help="render a crash dump (latest by default)")
@@ -875,7 +885,7 @@ def main(argv=None) -> int:
     oracle_parser.add_argument("--selftest", action="store_true",
                                help="prove the oracle detects seeded "
                                     "commit-stream mutations")
-    _add_sizing(oracle_parser)
+    _add_sizing(oracle_parser, benchmarks=False)
 
     fuzz_parser = sub.add_parser(
         "fuzz", help="differential random-program fuzzing")
@@ -895,11 +905,12 @@ def main(argv=None) -> int:
     fuzz_parser.add_argument("--no-shrink", action="store_true",
                              help="skip ddmin shrinking of failures")
     fuzz_parser.add_argument("--metamorphic", action="store_true",
-                             help="also run the metamorphic relation "
-                                  "checks")
+                             help="also run the 9-relation battery of "
+                                  "`validate` on a gcc trace of --length "
+                                  "records")
     fuzz_parser.add_argument("--quiet", action="store_true",
                              help="suppress per-program progress lines")
-    _add_sizing(fuzz_parser)
+    _add_sizing(fuzz_parser, warmup=False, benchmarks=False)
 
     timeline_parser = sub.add_parser(
         "timeline", help="per-uop pipeline event trace / timeline export")
@@ -930,7 +941,7 @@ def main(argv=None) -> int:
                                       "(0 = record everything)")
     timeline_parser.add_argument("--sample-period", type=int, default=1,
                                  help="record one window in every N")
-    _add_sizing(timeline_parser)
+    _add_sizing(timeline_parser, benchmarks=False)
 
     metrics_parser = sub.add_parser(
         "metrics", help="unified metrics registry for one benchmark")
@@ -944,7 +955,7 @@ def main(argv=None) -> int:
     metrics_parser.add_argument("--json", action="store_true",
                                 help="emit one JSON document instead of "
                                      "tables")
-    _add_sizing(metrics_parser)
+    _add_sizing(metrics_parser, benchmarks=False)
 
     bench_parser = sub.add_parser(
         "bench", help="simulation-throughput benchmark "

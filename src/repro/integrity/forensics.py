@@ -1,7 +1,7 @@
 """Crash forensics: replayable crash-dump artifacts and their renderer.
 
 When a run dies with a :class:`~repro.integrity.errors.SimulationError`
-(or a validation invariant fails), the failure's payload — partial
+(a validation run included), the failure's payload — partial
 statistics, pipeline snapshot, replay recipe — is serialised to a JSON
 crash dump under ``<cache_dir>/crashes/`` (``.repro_cache/crashes/`` by
 default).  ``repro forensics`` renders a dump human-readably; ``repro
@@ -68,7 +68,7 @@ def replay_context(machine: str, benchmark: str, config: str, length: int,
                    warmup: int, seed: int, **flags: Any) -> Dict[str, Any]:
     """The replay recipe ``repro minimize`` reconstructs a run from.
 
-    Truthy *flags* (``oracle``, ``trace``, the validation ``check`` that
+    Truthy *flags* (``oracle``, ``trace``, the validation ``run`` that
     failed ...) are recorded as given, and the ``REPRO_CHAOS`` spec in
     force is added so injected faults replay too.
     """

@@ -144,7 +144,9 @@ def replay_run_fn(context: Dict[str, Any]
     A truthy ``oracle`` entry (failures raised while running under the
     commit-stream oracle) makes every probe re-check trace fidelity:
     the candidate itself becomes the golden stream, preserving "this
-    machine mis-retires its own input" while shrinking.
+    machine mis-retires its own input" while shrinking.  A ``run``
+    entry names a validation battery run, whose core and overrides the
+    probes rebuild.
     """
     from ..harness.runners import build_machine
     from ..uarch.params import core_config
@@ -159,7 +161,13 @@ def replay_run_fn(context: Dict[str, Any]
 
     if context.get("oracle"):
         from ..oracle.attach import oracle_run_fn
-        return oracle_run_fn(machine_name, base, chaos=spec)
+        options = {"chaos": spec}
+        if context.get("run"):
+            from ..validation import battery_runs
+            run = battery_runs(base)[str(context["run"])]
+            machine_name, base = run.machine, run.config
+            options.update(run.options)
+        return oracle_run_fn(machine_name, base, **options)
 
     def run(candidate: Sequence[TraceRecord]):
         machine = build_machine(machine_name, base)

@@ -23,15 +23,11 @@ invisible to performance assertions.  This package closes that hole:
 * :mod:`.selftest` — the seeded-mutation self-test.
 * :mod:`.fuzz` — random well-formed program generation and the fuzzing
   campaign (`repro fuzz`).
-* :mod:`.metamorphic` — cross-run relational checks (window-scaling and
-  inter-core-latency monotonicity).
 """
 
 from .attach import run_program_under_oracle, run_trace_under_oracle
 from .fuzz import FuzzReport, ProgramFuzzer, fuzz_campaign
 from .golden import GoldenEvent, GoldenStream
-from .metamorphic import (check_intercore_latency_monotonic,
-                          check_window_scaling, metamorphic_checks)
 from .mutate import MUTATION_KINDS, EventMutator, make_mutator
 from .oracle import CommitStreamOracle, OracleDivergence, OracleHook
 from .selftest import MutationOutcome, run_selftest
@@ -49,11 +45,8 @@ __all__ = [
     "OracleDivergence",
     "OracleHook",
     "ProgramFuzzer",
-    "check_intercore_latency_monotonic",
-    "check_window_scaling",
     "fuzz_campaign",
     "make_mutator",
-    "metamorphic_checks",
     "run_program_under_oracle",
     "run_selftest",
     "run_trace_under_oracle",

@@ -1,5 +1,7 @@
 """Tests for markdown report generation and the CLI entry point."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -81,8 +83,34 @@ def test_cli_run_unknown_experiment_is_usage_error(capsys):
 def test_cli_validate_unknown_benchmark_is_usage_error(capsys):
     """cmd_validate used to crash deep in trace generation; now 2."""
     assert main(["validate", "--benchmarks", "nope",
-                 "--length", "1000", "--warmup", "100"]) == 2
+                 "--length", "1000"]) == 2
     assert "unknown benchmark" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "gcc", "--length", "300", "--warmup", "100",
+     "--benchmarks", "mcf"],
+    ["profile", "gcc", "--length", "300", "--warmup", "100",
+     "--benchmarks", "mcf"],
+    ["timeline", "gcc", "--length", "300", "--warmup", "100",
+     "--format", "ascii", "--benchmarks", "mcf"],
+    ["metrics", "gcc", "--length", "300", "--warmup", "100",
+     "--benchmarks", "mcf"],
+    ["oracle", "gcc", "--length", "300", "--warmup", "100",
+     "--benchmarks", "mcf"],
+    ["fuzz", "--runs", "0", "--benchmarks", "mcf"],
+    ["fuzz", "--runs", "0", "--warmup", "100"],
+    ["sweep", "--benchmarks", "gcc", "--machines", "single",
+     "--no-cache", "--workers", "1", "--length", "300", "--warmup", "100",
+     "--seed", "3"],
+    ["validate", "--benchmarks", "gcc", "--length", "300",
+     "--warmup", "100"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_cli_rejects_sizing_flags_the_command_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_cli_usage_errors_exit_2():
@@ -178,6 +206,22 @@ def test_cli_fuzz_small_campaign(capsys):
     out = capsys.readouterr().out
     assert "fuzz campaign: 2 programs" in out
     assert "no divergences" in out
+
+
+def test_cli_fuzz_metamorphic_hang_fails_with_dumps(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_CHAOS", "stuck_queue:after=0")
+    monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "2000")
+    assert main(["fuzz", "--runs", "0", "--metamorphic",
+                 "--length", "600"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[FAIL]") == 6 and out.count("[PASS]") == 3
+    dumps = sorted(tmp_path.glob(".repro_cache/crashes/*.json"))
+    runs = {json.loads(dump.read_text())["context"]["run"]
+            for dump in dumps}
+    assert len(dumps) == len(runs) == 6
+    assert "fgstp/livelock" not in runs
 
 
 def test_cli_sweep_oracle_sample(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.validation import CHECKS, ValidationResult, validate_all
+from repro.validation import RELATIONS, ValidationResult, validate_all
 
 
 def test_battery_on_int_benchmark():
@@ -25,7 +25,9 @@ def test_battery_on_pointer_chaser():
 
 def test_battery_covers_all_checks():
     results = validate_all("gcc", length=1500)
-    assert len(results) == len(CHECKS)
+    assert list(results) == list(RELATIONS)
+    assert len(results) == 9
+    assert all(result.passed for result in results.values())
 
 
 def test_result_rendering():

@@ -1,56 +1,47 @@
-"""Unit tests for every cross-model validation check: pass AND fail.
+"""Unit tests for every relation of the validation battery: pass AND fail.
 
-The integration battery (``test_validation.py``) proves the checks
-pass on real machines; these tests stub the simulators out at the
-``repro.validation`` namespace to drive each check's failure branch —
-the branch a healthy codebase never exercises end to end.
+The integration battery (``test_validation.py``) proves the relations
+hold on real machines; these tests judge canned outcomes, so each
+relation's failure branch — the branch a healthy codebase never
+exercises end to end — runs too.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 import repro.validation as validation
+from repro.fgstp.orchestrator import FgStpMachine
+from repro.fgstp.params import FgStpParams
 from repro.integrity.errors import SimulationError, SimulationHang
-from repro.validation import (
-    CHECKS,
-    check_all_machines_commit_identical_work,
-    check_determinism,
-    check_fgstp_single_policy_matches_single_core,
-    check_ipc_bounds,
-    check_more_resources_never_catastrophic,
-    check_watchdog_fires_on_injected_livelock,
-    validate_all,
-)
+from repro.uarch.pipeline.machine import MachineShell
+from repro.validation import (DEFAULT_TOLERANCE, LIVELOCK_RUN, RELATIONS,
+                              Setting, battery_runs, judge, validate_all)
+
+#: Instructions in the canned trace.
+LENGTH = 100
 
 
 class FakeResult:
-    def __init__(self, cycles=1000, instructions=100, ipc=1.0):
+    def __init__(self, cycles=1000, instructions=LENGTH, ipc=1.0):
         self.cycles = cycles
         self.instructions = instructions
         self.ipc = ipc
 
 
-def _patch_simulators(monkeypatch, single, fusion, fgstp):
-    """Replace the three simulate_* entry points with canned results.
-
-    Each argument is either a FakeResult or a callable returning one
-    (called per invocation, for non-deterministic stubs).
-    """
-    def fn(canned):
-        if callable(canned):
-            return lambda trace, base: canned()
-        return lambda trace, base: canned
-
-    monkeypatch.setattr(validation, "simulate_single_core", fn(single))
-    monkeypatch.setattr(validation, "simulate_core_fusion", fn(fusion))
-    monkeypatch.setattr(validation, "simulate_fgstp", fn(fgstp))
+def _prompt_hang():
+    return SimulationHang("stuck", machine="fgstp", cycles=4000,
+                          instructions=10, detail="intercore")
 
 
-@pytest.fixture
-def trace():
-    # The checks only size and slice the trace; records are opaque.
-    return [object()] * 100
+def judged(base, changes=None, tolerance=DEFAULT_TOLERANCE):
+    """Judge canned outcomes on which every relation holds, with
+    *changes* (run name -> outcome) applied."""
+    outcomes = {name: FakeResult() for name in battery_runs(base)}
+    outcomes[LIVELOCK_RUN] = _prompt_hang()
+    outcomes.update(changes or {})
+    return judge(outcomes, Setting(base, LENGTH, tolerance))
 
 
 @pytest.fixture
@@ -58,241 +49,304 @@ def base(small_config):
     return small_config
 
 
+def test_healthy_outcomes_pass_every_relation(base):
+    failures = [str(r) for r in judged(base).values() if not r.passed]
+    assert not failures, failures
+
+
 class TestIdenticalCommittedWork:
 
-    def test_pass(self, monkeypatch, trace, base):
-        _patch_simulators(monkeypatch,
-                          FakeResult(instructions=100),
-                          FakeResult(instructions=100),
-                          FakeResult(instructions=100))
-        result = check_all_machines_commit_identical_work(trace, base)
-        assert result.passed
+    def test_pass(self, base):
+        assert judged(base)["identical_committed_work"].passed
 
-    def test_fail_on_divergent_counts(self, monkeypatch, trace, base):
-        _patch_simulators(monkeypatch,
-                          FakeResult(instructions=100),
-                          FakeResult(instructions=100),
-                          FakeResult(instructions=99))
-        result = check_all_machines_commit_identical_work(trace, base)
+    def test_fail_on_divergent_counts(self, base):
+        result = judged(base, {"fgstp": FakeResult(instructions=99)})[
+            "identical_committed_work"]
         assert not result.passed
         assert "99" in result.detail
 
-    def test_fail_when_counts_agree_but_miss_the_trace(
-            self, monkeypatch, trace, base):
-        _patch_simulators(monkeypatch,
-                          FakeResult(instructions=50),
-                          FakeResult(instructions=50),
-                          FakeResult(instructions=50))
-        result = check_all_machines_commit_identical_work(trace, base)
-        assert not result.passed
-
-
-class _StubFgStpMachine:
-    """FgStpMachine stand-in returning a fixed cycle count."""
-
-    cycles = 1000
-
-    def __init__(self, base, fgstp=None, policy="", **kwargs):
-        pass
-
-    def run(self, trace, **kwargs):
-        return FakeResult(cycles=type(self).cycles)
+    def test_fail_when_counts_agree_but_miss_the_trace(self, base):
+        short = {machine: FakeResult(instructions=50)
+                 for machine in ("single", "corefusion", "fgstp")}
+        assert not judged(base, short)["identical_committed_work"].passed
 
 
 class TestSinglePolicyEquivalence:
 
-    def _arm(self, monkeypatch, single_cycles, degenerate_cycles):
-        _patch_simulators(monkeypatch,
-                          FakeResult(cycles=single_cycles),
-                          FakeResult(), FakeResult())
+    @staticmethod
+    def _judge(base, single, degenerate):
+        return judged(base, {
+            "single": FakeResult(cycles=single),
+            "fgstp/policy-single": FakeResult(cycles=degenerate),
+        })["fgstp_single_policy_equivalence"]
 
-        class Stub(_StubFgStpMachine):
-            cycles = degenerate_cycles
+    def test_pass_within_tolerance(self, base):
+        for degenerate in (1050, 1100, 900):
+            assert self._judge(base, 1000, degenerate).passed, degenerate
 
-        monkeypatch.setattr(validation, "FgStpMachine", Stub)
-
-    def test_pass_within_tolerance(self, monkeypatch, trace, base):
-        self._arm(monkeypatch, 1000, 1050)
-        result = check_fgstp_single_policy_matches_single_core(
-            trace, base)
-        assert result.passed
-
-    def test_fail_beyond_tolerance(self, monkeypatch, trace, base):
-        self._arm(monkeypatch, 1000, 1500)
-        result = check_fgstp_single_policy_matches_single_core(
-            trace, base)
-        assert not result.passed
-        assert "delta" in result.detail
+    def test_fail_beyond_tolerance(self, base):
+        for degenerate in (1500, 1101, 899):
+            result = self._judge(base, 1000, degenerate)
+            assert not result.passed, degenerate
+            assert "delta" in result.detail
 
 
 class TestIpcBounds:
 
-    def test_pass(self, monkeypatch, trace, base):
-        _patch_simulators(monkeypatch,
-                          FakeResult(ipc=base.commit_width * 0.9),
-                          FakeResult(ipc=base.commit_width * 1.5),
-                          FakeResult(ipc=base.commit_width * 1.5))
-        assert check_ipc_bounds(trace, base).passed
+    def test_pass(self, base):
+        width = base.commit_width
+        result = judged(base, {
+            "single": FakeResult(ipc=width),
+            "corefusion": FakeResult(ipc=2 * width),
+            "fgstp": FakeResult(ipc=1.5 * width),
+        })["ipc_bounds"]
+        assert result.passed
 
-    def test_fail_on_superluminal_ipc(self, monkeypatch, trace, base):
-        _patch_simulators(monkeypatch,
-                          FakeResult(ipc=base.commit_width + 1),
-                          FakeResult(ipc=1.0), FakeResult(ipc=1.0))
-        result = check_ipc_bounds(trace, base)
-        assert not result.passed
-        assert "single" in result.detail
+    def test_fail_on_superluminal_ipc(self, base):
+        for machine, bound in (("single", 1), ("corefusion", 2),
+                               ("fgstp", 2)):
+            ipc = bound * base.commit_width + 0.1
+            result = judged(base, {machine: FakeResult(ipc=ipc)})[
+                "ipc_bounds"]
+            assert not result.passed, machine
+            assert machine in result.detail
 
-    def test_fail_on_nonpositive_ipc(self, monkeypatch, trace, base):
-        _patch_simulators(monkeypatch, FakeResult(ipc=1.0),
-                          FakeResult(ipc=0.0), FakeResult(ipc=1.0))
-        assert not check_ipc_bounds(trace, base).passed
+    def test_fail_on_nonpositive_ipc(self, base):
+        assert not judged(base, {"corefusion": FakeResult(ipc=0.0)})[
+            "ipc_bounds"].passed
 
 
 class TestDeterminism:
 
-    def test_pass(self, monkeypatch, trace, base):
-        _patch_simulators(monkeypatch, FakeResult(cycles=10),
-                          FakeResult(cycles=20), FakeResult(cycles=30))
-        assert check_determinism(trace, base).passed
+    def test_pass(self, base):
+        outcomes = {}
+        for cycles, machine in enumerate(("single", "corefusion",
+                                          "fgstp"), start=1):
+            outcomes[machine] = FakeResult(cycles=10 * cycles)
+            outcomes[f"{machine}/rerun"] = FakeResult(cycles=10 * cycles)
+        assert judged(base, outcomes)["determinism"].passed
 
-    def test_fail_on_run_to_run_drift(self, monkeypatch, trace, base):
-        counter = iter(range(100))
-
-        _patch_simulators(
-            monkeypatch,
-            lambda: FakeResult(cycles=1000 + next(counter)),
-            FakeResult(cycles=20), FakeResult(cycles=30))
-        result = check_determinism(trace, base)
+    def test_fail_on_run_to_run_drift(self, base):
+        result = judged(base, {"single/rerun": FakeResult(cycles=1001)})[
+            "determinism"]
         assert not result.passed
         assert "single" in result.detail
 
 
 class TestNoCatastrophicSlowdown:
 
-    def test_pass(self, monkeypatch, trace, base):
-        _patch_simulators(monkeypatch, FakeResult(cycles=1000),
-                          FakeResult(cycles=1500),
-                          FakeResult(cycles=1800))
-        assert check_more_resources_never_catastrophic(
-            trace, base).passed
+    def test_pass(self, base):
+        assert judged(base, {
+            "corefusion": FakeResult(cycles=1500),
+            "fgstp": FakeResult(cycles=1999),
+        })["no_catastrophic_slowdown"].passed
 
-    def test_fail_on_blowup(self, monkeypatch, trace, base):
-        _patch_simulators(monkeypatch, FakeResult(cycles=1000),
-                          FakeResult(cycles=1500),
-                          FakeResult(cycles=2500))
-        result = check_more_resources_never_catastrophic(trace, base)
-        assert not result.passed
-        assert "worst_ratio" in result.detail
+    def test_fail_on_blowup(self, base):
+        for machine in ("corefusion", "fgstp"):
+            result = judged(base, {machine: FakeResult(cycles=2000)})[
+                "no_catastrophic_slowdown"]
+            assert not result.passed, machine
+            assert "worst_ratio" in result.detail
 
 
 class TestWatchdogLivelock:
 
-    def _arm(self, monkeypatch, behaviour):
-        class Stub:
-            def __init__(self, base, fgstp=None, watchdog_window=None,
-                         **kwargs):
-                pass
-
-            def run(self, trace, **kwargs):
-                return behaviour()
-
-        monkeypatch.setattr(validation, "FgStpMachine", Stub)
-        monkeypatch.setattr(validation, "apply_chaos",
-                            lambda machine, spec, **kw: None)
-
-    def test_pass_on_prompt_hang(self, monkeypatch, trace, base):
-        def hang():
-            raise SimulationHang("stuck", machine="fgstp", cycles=4000,
-                                 instructions=10, detail="intercore")
-
-        self._arm(monkeypatch, hang)
-        result = check_watchdog_fires_on_injected_livelock(trace, base)
+    def test_pass_on_prompt_hang(self, base):
+        result = judged(base)["watchdog_livelock_detection"]
         assert result.passed
         assert "4000" in result.detail
 
-    def test_fail_on_late_hang(self, monkeypatch, trace, base):
-        def hang():
-            raise SimulationHang("stuck", cycles=50_000)
+    def test_fail_on_late_hang(self, base):
+        late = SimulationHang("stuck", cycles=10_000)
+        assert not judged(base, {LIVELOCK_RUN: late})[
+            "watchdog_livelock_detection"].passed
 
-        self._arm(monkeypatch, hang)
-        assert not check_watchdog_fires_on_injected_livelock(
-            trace, base).passed
-
-    def test_fail_on_wrong_failure_class(self, monkeypatch, trace,
-                                         base):
-        def wrong():
-            raise SimulationError("unrelated", detail="oops")
-
-        self._arm(monkeypatch, wrong)
-        result = check_watchdog_fires_on_injected_livelock(trace, base)
+    def test_fail_on_wrong_failure_class(self, base):
+        wrong = SimulationError("unrelated", detail="oops")
+        result = judged(base, {LIVELOCK_RUN: wrong})[
+            "watchdog_livelock_detection"]
         assert not result.passed
         assert "unexpected failure class" in result.detail
 
-    def test_fail_when_the_run_survives(self, monkeypatch, trace,
-                                        base):
-        self._arm(monkeypatch, lambda: FakeResult())
-        result = check_watchdog_fires_on_injected_livelock(trace, base)
+    def test_fail_when_the_run_survives(self, base):
+        result = judged(base, {LIVELOCK_RUN: FakeResult()})[
+            "watchdog_livelock_detection"]
         assert not result.passed
         assert "completed despite" in result.detail
+
+
+@pytest.mark.parametrize("machine", ["single", "fgstp"])
+class TestWindowScaling:
+
+    @staticmethod
+    def _judge(base, machine, small, big, tolerance=DEFAULT_TOLERANCE):
+        return judged(base, {
+            machine: FakeResult(cycles=small),
+            f"{machine}/window-x2": FakeResult(cycles=big),
+        }, tolerance)[f"window-scaling-{machine}"]
+
+    @pytest.mark.parametrize("big", [800, 1000, 1020])
+    def test_pass_within_slack(self, base, machine, big):
+        assert self._judge(base, machine, 1000, big).passed
+
+    def test_fail_when_the_larger_window_is_slower(self, base, machine):
+        result = self._judge(base, machine, 1000, 1021)
+        assert not result.passed
+        assert "limit 1020" in result.detail
+
+    def test_slack_is_the_tolerance(self, base, machine):
+        assert self._judge(base, machine, 1000, 1040, tolerance=0.05).passed
+
+
+class TestLatencyMonotonic:
+
+    @staticmethod
+    def _judge(base, cycles, tolerance=DEFAULT_TOLERANCE):
+        return judged(base, {
+            f"fgstp/latency-{latency}": FakeResult(cycles=count)
+            for latency, count in zip((1, 3, 6), cycles)
+        }, tolerance)["intercore-latency-monotonic"]
+
+    @pytest.mark.parametrize("cycles", [
+        (1000, 1010, 1030), (1000, 980, 1000), (1000, 1000, 1000)])
+    def test_pass_when_latency_never_helps(self, base, cycles):
+        assert self._judge(base, cycles).passed
+
+    @pytest.mark.parametrize("cycles,step", [
+        ((1000, 979, 1000), "1->3"), ((1000, 1000, 900), "3->6")])
+    def test_fail_when_latency_speeds_fgstp_up(self, base, cycles, step):
+        result = self._judge(base, cycles)
+        assert not result.passed
+        assert f"violations: {step}" in result.detail
+
+    def test_slack_is_the_tolerance(self, base):
+        assert self._judge(base, (1000, 960, 960), tolerance=0.05).passed
+
+
+def _failing_runs(monkeypatch, failures):
+    """Replace the battery's simulations by canned results, except the
+    runs in *failures* (run name -> error), which raise."""
+
+    def run(machine, trace, base, context=None, **options):
+        error = failures.get(context["run"])
+        if error is not None:
+            raise error
+        if context["run"] == LIVELOCK_RUN:
+            raise _prompt_hang()
+        return FakeResult(instructions=len(trace))
+
+    monkeypatch.setattr(validation, "run_trace_under_oracle", run)
+
+
+def _drain():
+    return SimulationError("machine exploded", machine="fgstp",
+                           cycles=123, detail="drain")
 
 
 class TestValidateAll:
 
     def test_crashing_check_becomes_a_failed_result_with_dump(
             self, monkeypatch, tmp_path):
-        def boom(trace, base):
-            raise SimulationError("machine exploded", machine="fgstp",
-                                  cycles=123, detail="drain")
-
-        boom.__name__ = "check_boom"
-        monkeypatch.setattr(validation, "CHECKS", [boom])
-        results = validate_all("gcc", length=64,
-                               crash_dir=tmp_path)
-        (result,) = results.values()
-        assert not result.passed
-        assert "error:drain" in result.detail
-        assert "crash dump" in result.detail
-        dumps = list(tmp_path.glob("*.json"))
-        assert dumps
-        payload = json.loads(dumps[0].read_text())
+        _failing_runs(monkeypatch, {"fgstp": _drain()})
+        results = validate_all("gcc", length=64, crash_dir=tmp_path)
+        assert list(results) == list(RELATIONS)
+        failed = {name for name, result in results.items()
+                  if not result.passed}
+        assert failed == {name for name, (reads, _) in RELATIONS.items()
+                          if "fgstp" in reads}
+        for name in failed:
+            assert "fgstp: error:drain" in results[name].detail
+            assert "crash dump" in results[name].detail
+        (dump,) = tmp_path.glob("*.json")
+        payload = json.loads(dump.read_text())
         assert payload["failure_class"] == "error:drain"
-        assert payload["context"]["check"] == "check_boom"
+        context = payload["context"]
+        assert (context["run"], context["machine"], context["oracle"]) \
+            == ("fgstp", "fgstp", True)
+
+    def test_one_dump_per_failed_run(self, monkeypatch, tmp_path):
+        _failing_runs(monkeypatch, {"fgstp/latency-3": _drain(),
+                                    "single/window-x2": _drain()})
+        results = validate_all("gcc", length=64, crash_dir=tmp_path)
+        assert list(results) == list(RELATIONS)
+        runs = sorted(json.loads(dump.read_text())["context"]["run"]
+                      for dump in tmp_path.glob("*.json"))
+        assert runs == ["fgstp/latency-3", "single/window-x2"]
+        assert {name for name, result in results.items()
+                if not result.passed} == {"intercore-latency-monotonic",
+                                          "window-scaling-single"}
+
+    @pytest.mark.parametrize("error,dumps", [
+        (SimulationHang("late", cycles=50_000), 0), (_drain(), 1)],
+        ids=["hang", "drain"])
+    def test_only_an_unexpected_livelock_failure_dumps(
+            self, monkeypatch, tmp_path, error, dumps):
+        _failing_runs(monkeypatch, {LIVELOCK_RUN: error})
+        results = validate_all("gcc", length=64, crash_dir=tmp_path)
+        assert not results["watchdog_livelock_detection"].passed
+        assert len(list(tmp_path.glob("*.json"))) == dumps
 
     def test_crash_dump_replays_on_the_failing_machine(
-            self, monkeypatch, tmp_path):
+            self, monkeypatch, tmp_path, small_config):
         from repro.integrity.minimize import (replay_run_fn,
                                               trace_from_context)
 
-        def hang(trace, base):
-            raise SimulationHang("single core wedged", machine="single")
-
-        hang.__name__ = "check_hang"
-        monkeypatch.setattr(validation, "CHECKS", [hang])
-        validate_all("gcc", length=64, crash_dir=tmp_path)
+        _failing_runs(monkeypatch, {"fgstp/policy-single": _drain()})
+        validate_all("gcc", length=600, crash_dir=tmp_path)
+        monkeypatch.undo()
         (dump,) = tmp_path.glob("*.json")
         context = json.loads(dump.read_text())["context"]
-        assert (context["machine"], context["warmup"]) == ("single", 0)
-        replayed = replay_run_fn(context)(trace_from_context(context))
-        assert replayed.machine == "single"
+        assert (context["run"], context["warmup"]) \
+            == ("fgstp/policy-single", 0)
+        trace = trace_from_context(context)
+        replayed = replay_run_fn(context)(trace)
+        degenerate = FgStpMachine(small_config,
+                                  FgStpParams(partition_latency=1),
+                                  policy="single").run(trace)
+        default = FgStpMachine(small_config).run(trace)
+        assert default.cycles != degenerate.cycles
+        assert replayed.cycles == degenerate.cycles
 
-    def test_crashing_check_without_dump_dir(self, monkeypatch):
-        def boom(trace, base):
-            raise SimulationError("machine exploded")
-
-        boom.__name__ = "check_boom"
-        monkeypatch.setattr(validation, "CHECKS", [boom])
+    def test_crashing_check_without_dump_dir(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        _failing_runs(monkeypatch, {"fgstp": _drain()})
         results = validate_all("gcc", length=64)
-        (result,) = results.values()
-        assert not result.passed
-        assert "crash dump" not in result.detail
+        assert not results["determinism"].passed
+        assert "crash dump" not in results["determinism"].detail
+        assert not list(tmp_path.rglob("*.json"))
 
-    def test_battery_is_complete(self):
-        names = {check.__name__ for check in CHECKS}
-        assert names == {
-            "check_all_machines_commit_identical_work",
-            "check_fgstp_single_policy_matches_single_core",
-            "check_ipc_bounds",
-            "check_determinism",
-            "check_more_resources_never_catastrophic",
-            "check_watchdog_fires_on_injected_livelock",
+    def test_battery_is_complete(self, small_config):
+        assert set(RELATIONS) == {
+            "identical_committed_work",
+            "fgstp_single_policy_equivalence",
+            "ipc_bounds",
+            "determinism",
+            "no_catastrophic_slowdown",
+            "watchdog_livelock_detection",
+            "window-scaling-single",
+            "window-scaling-fgstp",
+            "intercore-latency-monotonic",
         }
+        read = {run for reads, _ in RELATIONS.values() for run in reads}
+        assert read == set(battery_runs(small_config))
+
+    def test_each_configuration_is_simulated_once(self, monkeypatch):
+        calls = Counter()
+        simulate = MachineShell._simulate
+
+        def spy(self, trace, *args):
+            calls[(type(self).__name__, self.checkpoint_params_key(),
+                   self.watchdog.window, getattr(self, "_chaos_kinds", ()),
+                   len(trace))] += 1
+            return simulate(self, trace, *args)
+
+        monkeypatch.setattr(MachineShell, "_simulate", spy)
+        results = validate_all("gcc", length=600)
+        assert all(result.passed for result in results.values())
+        assert sum(calls.values()) == 13
+        reruns = sorted(key[0] for key, count in calls.items()
+                        if count == 2)
+        assert reruns == ["CoreFusionMachine", "FgStpMachine",
+                          "SingleCoreMachine"]
+        assert set(calls.values()) == {1, 2}
+

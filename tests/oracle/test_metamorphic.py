@@ -1,47 +1,42 @@
-"""Metamorphic relations: no golden model, just cross-run physics."""
+"""Metamorphic relations of the validation battery: no golden model,
+just cross-run physics."""
 
 import pytest
 
-from repro.oracle import (check_intercore_latency_monotonic,
-                          check_window_scaling, metamorphic_checks)
 from repro.uarch.params import small_core_config
-from repro.workloads.generator import generate_trace
+from repro.validation import run_battery
 
 
 @pytest.fixture(scope="module")
-def base():
-    return small_core_config()
+def results():
+    return run_battery("gcc", 1000, 1, small_core_config())
 
 
-@pytest.fixture(scope="module")
-def trace():
-    return generate_trace("gcc", 1000, seed=1)
-
-
-def test_window_scaling_single_core(base, trace):
-    result = check_window_scaling(trace, base, machine="single")
+def test_window_scaling_single_core(results):
+    result = results["window-scaling-single"]
     assert result.passed, result.detail
     assert result.name == "window-scaling-single"
 
 
-def test_window_scaling_fgstp(base, trace):
-    result = check_window_scaling(trace, base, machine="fgstp")
+def test_window_scaling_fgstp(results):
+    result = results["window-scaling-fgstp"]
     assert result.passed, result.detail
 
 
-def test_intercore_latency_monotonic(base, trace):
-    result = check_intercore_latency_monotonic(trace, base)
+def test_intercore_latency_monotonic(results):
+    result = results["intercore-latency-monotonic"]
     assert result.passed, result.detail
     assert "cycles" in result.detail
 
 
 @pytest.mark.slow
-def test_full_battery_on_longer_traces(base):
+def test_full_battery_on_longer_traces():
     # Looser slack than the default 2%: the partitioner is
     # latency-aware, so raising the queue latency can flip it to a
     # different (occasionally better) partition — milc lands ~2.6%
     # faster at latency 3 than 1.  The relation still bounds the trend.
     for benchmark in ("gcc", "milc", "mcf"):
-        trace = generate_trace(benchmark, 2500, seed=1)
-        for result in metamorphic_checks(trace, base, tolerance=0.05):
+        results = run_battery(benchmark, 2500, 1, small_core_config(),
+                              tolerance=0.05)
+        for result in results.values():
             assert result.passed, f"{benchmark}: {result}"

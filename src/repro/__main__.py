@@ -73,7 +73,8 @@ from .workloads.suite import suite_names
 def _add_sizing(parser: argparse.ArgumentParser, warmup: bool = True,
                 seed: bool = True, benchmarks: bool = True) -> None:
     """Register the trace-sizing flags; a command gets only those it
-    reads, so passing any other one is a usage error."""
+    reads, so passing any other one is a usage error, and so is a size
+    that leaves nothing to measure (see :func:`_check_sizing`)."""
     parser.add_argument("--length", type=int, default=30000,
                         help="trace length incl. warm-up (default 30000)")
     if warmup:
@@ -84,6 +85,20 @@ def _add_sizing(parser: argparse.ArgumentParser, warmup: bool = True,
     if benchmarks:
         parser.add_argument("--benchmarks", nargs="*", default=[],
                             help="restrict to these benchmarks")
+    parser.set_defaults(sizing_parser=parser)
+
+
+def _check_sizing(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2 through *parser* unless ``--length`` is positive and any
+    ``--warmup`` lies in ``[0, length)``."""
+    if args.length <= 0:
+        parser.error(f"--length must be positive, got {args.length}")
+    warmup = getattr(args, "warmup", 0)
+    if warmup < 0:
+        parser.error(f"--warmup must not be negative, got {warmup}")
+    if warmup >= args.length:
+        parser.error(f"--warmup {warmup} leaves nothing of --length "
+                     f"{args.length} to measure")
 
 
 def _config(args) -> ExperimentConfig:
@@ -994,6 +1009,8 @@ def main(argv=None) -> int:
                                    "a snapshot")
 
     args = parser.parse_args(argv)
+    if hasattr(args, "sizing_parser"):
+        _check_sizing(args.sizing_parser, args)
     handlers = {"list": cmd_list, "run": cmd_run,
                 "simulate": cmd_simulate, "profile": cmd_profile,
                 "sweep": cmd_sweep, "report": cmd_report,

@@ -14,9 +14,9 @@ execution, plus a fixed reconfiguration penalty per switch).
 The simulator does not simulate the winner's sample twice either.  A
 probe and its mode's region run share the machine, the warm-up and the
 records up to the sample's end (the probes run a prefix slice of the
-region's measured records, which :meth:`AdaptiveFgStpMachine._regions`
-re-sequences once), so they are one computation up to the first loop
-top whose commit point lies within the machine's lookahead
+region's measured records, a slice of the trace's own records that the
+machines number by position), so they are one computation up to the
+first loop top whose commit point lies within the machine's lookahead
 (``MachineShell._lookahead``) of that end.  Each probe keeps an
 in-memory snapshot there, and the winner's region run resumes from it;
 a probe whose sample covers the whole region already is the region
@@ -38,7 +38,7 @@ from ..stats.result import SimResult
 from ..trace.record import TraceRecord
 from ..uarch.params import CoreParams
 from ..uarch.pipeline.machine import SingleCoreMachine
-from ..uarch.warmup import reseq, split_warmup
+from ..uarch.warmup import split_warmup
 from .orchestrator import FgStpMachine
 from .params import FgStpParams
 
@@ -52,11 +52,11 @@ class _OffsetUop:
     """Read-only uop view whose ``seq`` is shifted into the global
     measured stream.
 
-    Region machines run re-sequenced slices (each region's measured
-    suffix restarts at seq 0), so a commit hook attached to the adaptive
-    machine would otherwise see the same seq repeatedly.  This proxy
-    presents ``local seq + region offset`` while forwarding every other
-    attribute to the real uop.
+    Region machines number their measured records by position, so each
+    region's seqs restart at 0 and a commit hook attached to the
+    adaptive machine would otherwise see the same seq repeatedly.  This
+    proxy presents ``local seq + region offset`` while forwarding every
+    other attribute to the real uop.
     """
 
     __slots__ = ("_uop", "seq")
@@ -217,10 +217,10 @@ class AdaptiveFgStpMachine:
     def _regions(self, trace: Sequence[TraceRecord], warmup: int):
         """Split the trace into regions of ``(records, warmup)``.
 
-        A region's records are its warm-up prefix as the trace holds it,
-        then its measured records re-sequenced densely from seq 0, so
-        the region machines run those as they stand.  The first region
-        absorbs the run-level warmup; later regions use the preceding
+        A region's records are a slice of *trace*: its warm-up prefix,
+        then its measured records, which the region machines number by
+        position.  The first region absorbs the run-level warmup (which
+        :meth:`_run_region` validates); later regions use the preceding
         region's tail as their (shorter) warm-up so caches and
         predictors stay trained across boundaries.
         """
@@ -234,11 +234,7 @@ class AdaptiveFgStpMachine:
                 lead, end = max(0, start - carry), min(n, start + region)
             else:
                 lead, start, end = 0, warmup, min(n, warmup + region)
-            region_warmup = start - lead
-            records = trace[lead:end]
-            prefix, measured = (split_warmup(records, region_warmup)
-                                if region_warmup else ([], reseq(records)))
-            regions.append((prefix + measured, region_warmup))
+            regions.append((trace[lead:end], start - lead))
             start = end
         return regions
 
@@ -262,7 +258,7 @@ class AdaptiveFgStpMachine:
         """A fresh region machine for *mode*.  Checkpointing is pinned
         off: the adaptive machine checkpoints at region boundaries
         itself, and env-driven inner snapshots would be both redundant
-        and taken under region-local (re-sequenced) traces."""
+        and keyed to a region's slice rather than the whole trace."""
         options = dict(watchdog_window=self.watchdog_window,
                        skip_ahead=self.skip_ahead, checkpoint_interval=0,
                        **observers)
@@ -273,10 +269,9 @@ class AdaptiveFgStpMachine:
     def _run_region(self, region_trace, region_warmup, workload,
                     offset: int = 0, cycle_offset: int = 0,
                     previous_mode: Optional[str] = None):
-        # The measured records are dense from seq 0 (see _regions), so
-        # each probe's sample is a prefix of them as they stand.
-        prefix = region_trace[:region_warmup]
-        measured = region_trace[region_warmup:]
+        # The machines number the measured records by position, so each
+        # probe's sample is a prefix of them as they stand.
+        prefix, measured = split_warmup(region_trace, region_warmup)
         sample = measured[:self.sample_instructions]
         # Only the winning mode's region run retires the region
         # architecturally: the probes model performance counters and

@@ -166,8 +166,7 @@ class FgStpMachine(MachineShell):
         """Simulate *trace* on the Fg-STP pair.
 
         Arguments, checkpoint resume and the structured failures are
-        those of :meth:`repro.uarch.pipeline.machine.SingleCoreMachine.run`;
-        *trace* must carry dense ``seq`` numbers from 0.
+        those of :meth:`repro.uarch.pipeline.machine.SingleCoreMachine.run`.
         """
         return self._simulate(trace, workload, warmup, resume_from)
 
@@ -431,7 +430,9 @@ class FgStpMachine(MachineShell):
         for feed in self._feed:
             while feed and feed[-1][1].seq >= squash_seq:
                 feed.pop()
-        self._batch = [r for r in self._batch if r.seq < squash_seq]
+        # The batch holds the records just below the fetch cursor.
+        batch = self._batch
+        del batch[max(0, squash_seq - self._fetch_cursor + len(batch)):]
         self._fetch_cursor = squash_seq
         for seq in [s for s in self._live if s >= squash_seq]:
             del self._live[seq]
@@ -526,7 +527,7 @@ class FgStpMachine(MachineShell):
                 correct = self.predictor.predict(record)
                 self.predictor.update(record)
                 if not correct:
-                    self._stall_seq = record.seq
+                    self._stall_seq = cursor - 1
                     break
                 if record.taken:
                     icache_line = -1
@@ -562,23 +563,25 @@ class FgStpMachine(MachineShell):
         if not batch:
             return
         self._batch = []
+        # The batch is always the records just below the fetch cursor.
+        first = self._fetch_cursor - len(batch)
         assignments = self.partitioner.partition(
-            batch, committed_seq=self.committed)
+            batch, first, committed_seq=self.committed)
         available_at = now + self.fgstp.partition_latency
         tracer = self.tracer
         live = self._live
         copies = self._copies
         feeds = self._feed
         uid = self._next_uid
-        for record, assignment in zip(batch, assignments):
-            seq = record.seq
+        for seq, (record, assignment) in enumerate(zip(batch, assignments),
+                                                   first):
             cores = assignment.cores
             if len(cores) == 1:
-                uops = [Uop(record, uid, False, cores[0])]
+                uops = [Uop(record, seq, uid, False, cores[0])]
                 uid += 1
             else:
-                uops = [Uop(record, uid, True, 0),
-                        Uop(record, uid + 1, True, 1)]
+                uops = [Uop(record, seq, uid, True, 0),
+                        Uop(record, seq, uid + 1, True, 1)]
                 uid += 2
             live[seq] = uops
             copies[seq] = len(uops)

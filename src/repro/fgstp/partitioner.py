@@ -56,7 +56,7 @@ class Assignment:
     """Partitioning decision for one dynamic instruction.
 
     Attributes:
-        seq: Dynamic sequence number.
+        seq: Dynamic sequence number (position in the tracked trace).
         cores: Execution cores (one entry, or two when replicated).
         comm_srcs: Source register values that must be communicated,
             as ``(producer_seq, dest_core)`` pairs (deduplicated by the
@@ -120,9 +120,10 @@ class Partitioner:
     """Stateful instruction partitioner (see module docstring).
 
     :meth:`track` installs the trace's dependence index and a per-seq
-    core mask (1 = core 0, 2 = core 1, 3 = replicated).  Every pass
-    reads a source's producer from the index and finds its cores by
-    where the producer lies:
+    core mask (1 = core 0, 2 = core 1, 3 = replicated).  A seq is a
+    position in the tracked trace; records' own ``seq`` fields are never
+    read.  Every pass reads a source's producer from the index and finds
+    its cores by where the producer lies:
 
     * at or above the batch's first seq it is in the batch, so its
       cores are this call's (pass-1 ``cores``, the replicated set);
@@ -152,6 +153,7 @@ class Partitioner:
         self.stats = PartitionStats()
         self._load = [0.0, 0.0]
         self._committed_seq = 0
+        self._first_seq = 0
         # The tracked trace's dependence index (per-position producers
         # and load producer stores) and each seq's current core mask.
         self._deps: Tuple[list, list] = ([], [])
@@ -182,15 +184,9 @@ class Partitioner:
     def track(self, trace: Sequence[TraceRecord]) -> None:
         """Partition *trace* from its start: index it, clear the mask.
 
-        Raises:
-            ValueError: naming the first record whose ``seq`` is not its
-                position (the index and mask are addressed by seq).
+        Index and mask are addressed by position in *trace*, whatever
+        its records' ``seq`` fields hold.
         """
-        for position, record in enumerate(trace):
-            if record.seq != position:
-                raise ValueError(
-                    f"record {position} has seq {record.seq}: the partition "
-                    f"unit needs dense seqs from 0")
         self._mask = bytearray(len(trace))
         self.index_trace(trace)
 
@@ -206,13 +202,15 @@ class Partitioner:
     # Batch partitioning
     # ------------------------------------------------------------------
 
-    def partition(self, batch: Sequence[TraceRecord],
+    def partition(self, batch: Sequence[TraceRecord], first_seq: int,
                   committed_seq: int = 0) -> List[Assignment]:
         """Assign every instruction in *batch* and record its cores.
 
         Args:
             batch: The next records of the tracked trace, in dynamic
                 order — after a squash, from the squashed seq.
+            first_seq: The position of ``batch[0]`` in the tracked
+                trace; ``batch[k]`` is seq ``first_seq + k``.
             committed_seq: The global commit frontier — values produced
                 by instructions older than this are architecturally
                 visible on both cores and never need communication.
@@ -221,6 +219,7 @@ class Partitioner:
         """
         if not batch:
             return []
+        self._first_seq = first_seq
         self._committed_seq = committed_seq
         self._last_steals.clear()
         policy = self.policy
@@ -257,9 +256,9 @@ class Partitioner:
         mem_pc_core = self._mem_pc_core
         steals = self._last_steals
         cores: List[int] = []
-        first = batch[0].seq
+        first = self._first_seq
         for offset, record in enumerate(batch):
-            seq = record.seq
+            seq = first + offset
             op_class = record.op_class
             # Closest in-flight producer (register chain): the youngest
             # in this batch, else a single-core one from earlier batches.
@@ -347,13 +346,13 @@ class Partitioner:
         producers = self._deps[0]
         mask = self._mask
         committed = self._committed_seq
-        first = batch[0].seq
+        first = self._first_seq
 
         # Consumer cores per batch offset (who reads my value, and
         # where) as a 2-bit mask: bit c set when core c reads it.
         consumer_mask = [0] * len(batch)
-        for offset, record in enumerate(batch):
-            sources = producers[record.seq]
+        for offset in range(len(batch)):
+            sources = producers[first + offset]
             if sources:
                 bit = 1 << cores[offset]
                 for producer in sources:
@@ -375,7 +374,7 @@ class Partitioner:
             # produced by replicas — are free; a repeated source counts
             # once per occurrence.
             seed_cost = 0
-            for producer in producers[record.seq]:
+            for producer in producers[first + offset]:
                 if producer >= first:
                     if producer - first not in replicated:
                         seed_cost += 1
@@ -395,8 +394,9 @@ class Partitioner:
         committed = self._committed_seq
         assignments: List[Assignment] = []
         solo_core1 = replicas = comm_values = cross_mem_deps = 0
+        first = self._first_seq
         for offset, record in enumerate(batch):
-            seq = record.seq
+            seq = first + offset
             if replicated and offset in replicated:
                 my_cores: Tuple[int, ...] = _PAIR
                 my_mask = 3

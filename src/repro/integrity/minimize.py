@@ -9,8 +9,8 @@ the repro becomes a regression fixture instead of a multi-minute rerun.
 The algorithm is Zeller's ddmin over the record list: try ever-finer
 complements, keep any subset that still fails identically, stop when no
 single chunk can be removed.  Candidate subsets are re-sequenced
-(:func:`repro.uarch.warmup.reseq`) before each probe run, because every
-machine requires dense ``seq`` numbering.
+(:func:`repro.uarch.warmup.reseq`) before each probe run, so a probe
+runs exactly the dense stand-alone trace a fixture would hold.
 
 ``repro minimize`` drives this from a crash dump's replay recipe; the
 harness-facing helpers live at the bottom so the core algorithm stays a

@@ -14,7 +14,6 @@ Public API::
 """
 
 from .assembler import Assembler, assemble
-from .disasm import disassemble
 from .errors import AssemblerError, ExecutionError, IsaError, ProgramError
 from .instruction import Instruction
 from .interpreter import ExecutionResult, Interpreter, MachineState, run_program
@@ -37,7 +36,6 @@ from .registers import (
 __all__ = [
     "Assembler",
     "assemble",
-    "disassemble",
     "AssemblerError",
     "ExecutionError",
     "IsaError",

@@ -66,20 +66,20 @@ def dependences(trace: Sequence[TraceRecord]) -> Tuple[
     Returns ``(producers, stores)``, two lists aligned with *trace*:
 
     * ``producers[i]`` holds, for each source of ``trace[i]`` in
-      ``srcs`` order (repeats kept), the ``seq`` of the latest older
+      ``srcs`` order (repeats kept), the position of the latest older
       record writing that register, or ``-1`` for a live-in;
-    * ``stores[i]`` is ``(seq, pc)`` of the latest older store to a
+    * ``stores[i]`` is ``(position, pc)`` of the latest older store to a
       load's ``mem_addr``, and ``None`` for a non-load or a load with no
       older store there.
 
-    Any trace is accepted; ``seq`` values are reported as recorded.
+    Positions index *trace*; the records' ``seq`` fields are not read.
     """
     reg_writer: Dict[int, int] = {}
     last_store: Dict[int, Tuple[int, int]] = {}
     writer_of = reg_writer.get
     producers: List[Tuple[int, ...]] = []
     stores: List[Optional[Tuple[int, int]]] = []
-    for record in trace:
+    for position, record in enumerate(trace):
         srcs = record.srcs
         producers.append(tuple([writer_of(src, -1) for src in srcs])
                          if srcs else ())
@@ -87,9 +87,9 @@ def dependences(trace: Sequence[TraceRecord]) -> Tuple[
         stores.append(last_store.get(record.mem_addr)
                       if op_class == _LOAD else None)
         if record.dst is not None:
-            reg_writer[record.dst] = record.seq
+            reg_writer[record.dst] = position
         if op_class == _STORE:
-            last_store[record.mem_addr] = (record.seq, record.pc)
+            last_store[record.mem_addr] = (position, record.pc)
     return producers, stores
 
 
@@ -97,12 +97,12 @@ def dependence_distances(trace: Sequence[TraceRecord]) -> List[int]:
     """Producer→consumer distances of every register read.
 
     For every dynamic register read whose producer appears earlier in the
-    trace, records ``consumer.seq - producer.seq``.  Reads of never-written
-    registers (live-ins) are skipped.
+    trace, records how many positions the consumer lies after the
+    producer.  Reads of never-written registers (live-ins) are skipped.
     """
     producers, _stores = dependences(trace)
-    return [record.seq - producer
-            for record, sources in zip(trace, producers)
+    return [position - producer
+            for position, sources in enumerate(producers)
             for producer in sources if producer >= 0]
 
 
@@ -116,9 +116,9 @@ def memory_dependence_count(trace: Sequence[TraceRecord],
             window).
     """
     _producers, stores = dependences(trace)
-    return sum(1 for record, store in zip(trace, stores)
+    return sum(1 for position, store in enumerate(stores)
                if store is not None
-               and (window is None or record.seq - store[0] <= window))
+               and (window is None or position - store[0] <= window))
 
 
 def summarize(trace: Sequence[TraceRecord]) -> TraceSummary:

@@ -11,13 +11,17 @@ simulating wrong-path instructions.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
+from ...isa.opcodes import OpClass
 from ...isa.program import INSTRUCTION_BYTES
 from ...trace.record import TraceRecord
 from ..branch.btb import FrontEndPredictor
 from .core import NO_EVENT, CycleCore
 from .uop import COMPLETED, COMMITTED, Uop
+
+_BRANCH = OpClass.BRANCH
+_JUMP = OpClass.JUMP
 
 
 class SelfFetchUnit:
@@ -84,32 +88,39 @@ class SelfFetchUnit:
         if cycle < self._icache_ready:
             return 0
 
-        fetched = 0
-        width = self.core.params.fetch_width
+        # Each uop takes one fetch-buffer slot and nothing drains the
+        # buffer during the loop, so its free space sizes the group once.
+        core = self.core
+        buffer = core._fetch_buffer
         trace = self.trace
-        while (fetched < width and self._cursor < len(trace)
-               and self.core.fetch_space() > 0):
-            record = trace[self._cursor]
-            line = (record.pc * INSTRUCTION_BYTES) // self.line_bytes
-            if line != self._current_line:
-                latency = self.core.hierarchy.fetch(
-                    record.pc * INSTRUCTION_BYTES)
-                self._current_line = line
-                if latency > self.core.params.l1i.hit_latency:
-                    # Line miss: the rest of this fetch group waits.
+        start = cursor = self._cursor
+        end = min(len(trace), cursor + core.params.fetch_width,
+                  cursor + core._fetch_capacity - len(buffer))
+        uid = self._next_uid
+        line_bytes = self.line_bytes
+        hit_latency = core.params.l1i.hit_latency
+        current_line = self._current_line
+        predictor = self.predictor
+        while cursor < end:
+            record = trace[cursor]
+            address = record.pc * INSTRUCTION_BYTES
+            line = address // line_bytes
+            if line != current_line:
+                latency = core.hierarchy.fetch(address)
+                current_line = line
+                if latency > hit_latency:
+                    # Line miss: this slot and the rest of the group wait.
                     self._icache_ready = cycle + latency
-                    if fetched:
-                        break
-                    # The missing line stalls even the first slot.
                     break
-            uop = self._make_uop(record)
-            self.core.push_fetched(uop, cycle)
-            self._cursor += 1
-            fetched += 1
-            self.fetched += 1
-            if record.is_control:
-                correct = self.predictor.predict(record)
-                self.predictor.update(record)
+            uop = Uop(record, cursor, uid)
+            uid += 1
+            uop.fetch_cycle = cycle
+            buffer.append(uop)
+            cursor += 1
+            op_class = record.op_class
+            if op_class == _BRANCH or op_class == _JUMP:
+                correct = predictor.predict(record)
+                predictor.update(record)
                 if not correct:
                     uop.predicted_wrong = True
                     self._stall_on = uop
@@ -117,8 +128,13 @@ class SelfFetchUnit:
                 if record.taken:
                     # A correctly-predicted taken transfer still ends the
                     # sequential fetch group (one taken branch per cycle).
-                    self._current_line = -1
+                    current_line = -1
                     break
+        self._current_line = current_line
+        self._cursor = cursor
+        self._next_uid = uid
+        fetched = cursor - start
+        self.fetched += fetched
         return fetched
 
     def next_event(self, cycle: int) -> int:
@@ -153,11 +169,6 @@ class SelfFetchUnit:
         """
         if self._stall_on is not None:
             self.mispredict_stalls += count
-
-    def _make_uop(self, record: TraceRecord) -> Uop:
-        uop = Uop(record, self._next_uid)
-        self._next_uid += 1
-        return uop
 
     def snapshot(self) -> dict:
         """JSON-able forensic snapshot of the front end's state."""

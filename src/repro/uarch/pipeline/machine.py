@@ -208,8 +208,9 @@ class MachineShell:
                       measured: Sequence[TraceRecord], workload: str,
                       snapshot: Optional[Snapshot] = None,
                       payload: Optional[bytes] = None) -> SimResult:
-        """Run the *measured* records, dense from seq 0, to completion
-        after the warm-up *prefix*; no periodic checkpoints.
+        """Run the *measured* records to completion after the warm-up
+        *prefix*; no periodic checkpoints.  A record's position in
+        *measured* is its seq, whatever its ``seq`` field holds.
 
         Without *payload* the run starts fresh, warmed on *prefix*, and
         polls *snapshot* in place of the periodic checkpointer.  With a
@@ -436,7 +437,9 @@ class SingleCoreMachine(MachineShell):
         """Simulate *trace* to completion and return the result.
 
         Args:
-            trace: The dynamic instruction stream.
+            trace: The dynamic instruction stream.  The measured records
+                run in place, numbered by their position after the
+                warm-up; their ``seq`` fields are not read.
             workload: Name recorded in the result.
             warmup: Number of leading instructions used to functionally
                 warm caches and the branch predictor; only the remainder

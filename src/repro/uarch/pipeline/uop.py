@@ -1,10 +1,11 @@
 """In-flight dynamic instruction (micro-op) state.
 
 A :class:`Uop` wraps one :class:`repro.trace.TraceRecord` while it flows
-through a :class:`repro.uarch.pipeline.core.CycleCore`.  The Fg-STP
+through a :class:`repro.uarch.pipeline.core.CycleCore`.  Its ``seq`` is
+the record's position in the measured stream, which its creator passes
+in; the record's own ``seq`` field is never read.  The Fg-STP
 orchestrator may create *two* uops for one trace record (replication) —
-they share the record's ``seq`` and both must complete before that seq
-commits.
+they share the ``seq`` and both must complete before that seq commits.
 
 :class:`ValueTag` is the handle for a value that arrives from outside the
 core (an inter-core communication queue in Fg-STP): consumers treat it as
@@ -104,11 +105,11 @@ class Uop:
         "predicted_wrong", "is_memory",
     )
 
-    def __init__(self, record: TraceRecord, uid: int,
+    def __init__(self, record: TraceRecord, seq: int, uid: int,
                  replica: bool = False, core_id: int = 0):
         self.record = record
         self.uid = uid
-        self.seq = record.seq
+        self.seq = seq
         # Cached off the record: read once per dispatch/commit/squash
         # per cycle on the hot path (a double property hop otherwise).
         op_class = record.op_class

@@ -6,8 +6,12 @@ methodology family) is to *functionally* warm the micro-architectural
 state on a prefix of the trace — touch the caches and train the
 predictor without timing anything — and measure only the suffix.
 
-:func:`warm_state` performs that functional pass; :func:`reseq` densely
-renumbers a trace suffix so it is a valid stand-alone trace.
+:func:`warm_state` performs that functional pass and :func:`split_warmup`
+cuts a trace into the two parts.  The measured suffix keeps the trace's
+own records: machines number each one by its position in the suffix,
+never by its ``seq`` field.  :func:`reseq` densely renumbers records
+into fresh ones, for a suffix that must stand alone as a trace (a
+minimized failure written to disk).
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ def reseq(records: Sequence[TraceRecord]) -> List[TraceRecord]:
 
 def split_warmup(records: Sequence[TraceRecord],
                  warmup: int) -> tuple:
-    """Split a trace into ``(warmup_prefix, reseq'd measured_suffix)``.
+    """Split a trace into ``(warmup_prefix, measured_suffix)``, two
+    slices of *records* that share its record objects.
 
     Raises:
         ValueError: when *warmup* leaves no instructions to measure.
@@ -76,6 +81,4 @@ def split_warmup(records: Sequence[TraceRecord],
         # guard silently returned ([], []) for it.
         raise ValueError(
             f"warmup {warmup} consumes the whole {len(records)}-record trace")
-    if warmup == 0:
-        return [], list(records)
-    return list(records[:warmup]), reseq(records[warmup:])
+    return records[:warmup], records[warmup:]

@@ -31,25 +31,24 @@ def test_commits_everything():
 
 
 @pytest.mark.parametrize("warmup", (0, 300))
-def test_regions_keep_their_warmup_and_resequence_the_rest_once(warmup):
-    """Each region is its warm-up prefix as the trace holds it, then its
-    measured records dense from seq 0 (seqs shifted here, so a region
-    without warm-up must be re-sequenced too)."""
+def test_regions_are_slices_of_the_trace_records(warmup):
+    """Each region is a slice of the trace's own records, its warm-up
+    prefix then its measured records, seqs as the trace holds them
+    (shifted here): the region machines number records by position."""
     trace = [TraceRecord(r.seq + 5, r.pc, r.op_class, r.dst, r.srcs,
                          r.mem_addr, r.mem_size, r.taken, r.target)
              for r in generate_trace("gcc", 2500)]
     machine = AdaptiveFgStpMachine(small_core_config(),
                                    sample_instructions=400,
                                    region_instructions=1000)
+    regions = machine._regions(trace, warmup)
+    assert len(regions) >= 3
     start = warmup
-    for records, region_warmup in machine._regions(trace, warmup):
+    for records, region_warmup in regions:
         lead = start - region_warmup
-        prefix, measured = records[:region_warmup], records[region_warmup:]
-        assert all(a is b for a, b in zip(prefix, trace[lead:start]))
-        assert [r.seq for r in measured] == list(range(len(measured)))
-        assert [r.pc for r in measured] == \
-            [r.pc for r in trace[start:start + len(measured)]]
-        start += len(measured)
+        assert len(records) > region_warmup
+        assert all(a is b for a, b in zip(records, trace[lead:]))
+        start = lead + len(records)
     assert start == len(trace)
 
 

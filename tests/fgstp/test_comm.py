@@ -9,7 +9,7 @@ from repro.uarch.pipeline.uop import DISPATCHED, Uop, ValueTag
 
 
 def make_consumer(seq=0):
-    uop = Uop(TraceRecord(seq, seq, OpClass.IALU, 1, (2,)), uid=seq)
+    uop = Uop(TraceRecord(seq, seq, OpClass.IALU, 1, (2,)), seq=seq, uid=seq)
     uop.state = DISPATCHED
     uop.pending = 1
     return uop

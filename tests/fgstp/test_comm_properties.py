@@ -22,7 +22,8 @@ from repro.uarch.pipeline.uop import DISPATCHED, Uop, ValueTag
 
 def make_tag(seq):
     tag = ValueTag(f"t{seq}")
-    consumer = Uop(TraceRecord(seq, seq, OpClass.IALU, 1, (2,)), uid=seq)
+    consumer = Uop(TraceRecord(seq, seq, OpClass.IALU, 1, (2,)), seq=seq,
+                   uid=seq)
     consumer.state = DISPATCHED
     consumer.pending = 1
     tag.consumers.append(consumer)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.fgstp.orchestrator import FgStpMachine, simulate_fgstp
 from repro.fgstp.params import FgStpParams
+from repro.harness.runners import MACHINES, build_machine
 from repro.isa.opcodes import OpClass
 from repro.trace.record import TraceRecord
 from repro.uarch.params import small_core_config
@@ -117,12 +118,19 @@ def test_commit_monotonic_seq():
     assert non_replica == list(range(len(trace)))
 
 
-def test_sparse_seqs_are_rejected_not_hung():
-    """A trace whose seqs do not start at 0 used to spin until the
-    watchdog filed an inter-core hang; now the partition unit names the
-    first record whose seq is not its position."""
+@pytest.mark.parametrize("machine", MACHINES)
+def test_shifted_seqs_run_like_dense_ones(machine):
+    """Machines number the measured records by position and never read
+    their seq fields, so a trace whose seqs start at 5 gives the dense
+    trace's result.  (The partition unit used to reject such a trace.)"""
+    dense = generate_trace("gcc", 600)
     shifted = [TraceRecord(r.seq + 5, r.pc, r.op_class, r.dst, r.srcs,
                            r.mem_addr, r.mem_size, r.taken, r.target)
-               for r in generate_trace("gcc", 600)]
-    with pytest.raises(ValueError, match="record 0 has seq 5"):
-        FgStpMachine(small_core_config()).run(shifted)
+               for r in dense]
+    overrides = ({"sample_instructions": 100, "region_instructions": 200}
+                 if machine == "fgstp-adaptive" else {})
+    for warmup in (0, 150):
+        results = [build_machine(machine, small_core_config(), **overrides)
+                   .run(trace, workload="gcc", warmup=warmup).as_dict()
+                   for trace in (dense, shifted)]
+        assert results[0] == results[1]

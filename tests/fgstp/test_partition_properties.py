@@ -41,7 +41,7 @@ def test_partition_covers_each_instruction_exactly_once(case):
     assignments = []
     for start in range(0, len(trace), batch_size):
         assignments.extend(
-            partitioner.partition(trace[start:start + batch_size]))
+            partitioner.partition(trace[start:start + batch_size], start))
 
     # Exactly one assignment per dynamic instruction, in order.
     assert [assignment.seq for assignment in assignments] \
@@ -73,7 +73,7 @@ def test_partition_without_replication_is_disjoint(case):
     partitioner.track(trace)
     for start in range(0, len(trace), batch_size):
         for assignment in partitioner.partition(
-                trace[start:start + batch_size]):
+                trace[start:start + batch_size], start):
             assert len(assignment.cores) == 1
             assert not assignment.replicated
     assert partitioner.stats.replicated == 0
@@ -85,5 +85,5 @@ def test_all_suite_profiles_partition_cleanly():
         trace = generate_trace(name, 64, seed=7)
         partitioner = Partitioner(FgStpParams(batch_size=16))
         partitioner.track(trace)
-        assignments = partitioner.partition(trace)
+        assignments = partitioner.partition(trace, 0)
         assert len(assignments) == len(trace)

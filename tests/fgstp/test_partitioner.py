@@ -30,7 +30,7 @@ def test_assigns_every_instruction():
     partitioner = make_partitioner()
     batch = [alu(i, dst=(i % 5) + 1) for i in range(20)]
     partitioner.track(batch)
-    assignments = partitioner.partition(batch)
+    assignments = partitioner.partition(batch, 0)
     assert len(assignments) == 20
     for assignment in assignments:
         assert assignment.cores in ((0,), (1,), (0, 1))
@@ -46,7 +46,7 @@ def test_chains_stay_on_one_core():
         else:
             batch.append(alu(i, dst=2, srcs=(2,)))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch)
+    assignments = partitioner.partition(batch, 0)
     chain_a = {assignments[i].cores for i in range(0, 12, 2)}
     chain_b = {assignments[i].cores for i in range(1, 12, 2)}
     assert len(chain_a) == 1
@@ -60,7 +60,7 @@ def test_independent_chains_split_across_cores():
         reg = (i % 2) + 1
         batch.append(alu(i, dst=reg, srcs=(reg,)))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch)
+    assignments = partitioner.partition(batch, 0)
     used_cores = {assignment.cores[0] for assignment in assignments}
     assert used_cores == {0, 1}
 
@@ -73,7 +73,7 @@ def test_mem_sites_sticky_by_pc():
         batch.append(TraceRecord(i, 77, OpClass.LOAD, 3, (20,),
                                  mem_addr=0x1000 + 8 * i, mem_size=8))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch)
+    assignments = partitioner.partition(batch, 0)
     assert len({a.cores for a in assignments}) == 1
 
 
@@ -97,9 +97,9 @@ def test_learned_pair_colocates_load_with_store():
         return records
 
     partitioner.track(batch(0) + batch(12))
-    partitioner.partition(batch(0))
+    partitioner.partition(batch(0), 0)
     partitioner.learn_pair(load_pc, store_pc)
-    assignments = partitioner.partition(batch(12))
+    assignments = partitioner.partition(batch(12), 12)
     store_cores = {assignments[i].cores[0] for i in range(0, 12, 2)}
     load_cores = {assignments[i].cores[0] for i in range(1, 12, 2)}
     assert store_cores == load_cores
@@ -121,11 +121,11 @@ def test_cross_core_mem_dep_reported_truthfully():
                     mem_addr=0xA00, mem_size=8),
     ]
     partitioner.track(warm + chain + batch)
-    partitioner.partition(warm)
+    partitioner.partition(warm, 0)
     store_core = partitioner._store_pc_core[50]
-    assignments = partitioner.partition(chain)
+    assignments = partitioner.partition(chain, 2)
     chain_core = assignments[-1].cores[0]
-    result = partitioner.partition(batch)
+    result = partitioner.partition(batch, 22)
     if result[1].cores[0] != result[0].cores[0]:
         assert result[1].mem_dep == (22, 50)
     else:
@@ -142,9 +142,9 @@ def test_cross_core_mem_dep_reported():
     batch_b = [alu(11 + i, dst=2, srcs=(2,)) for i in range(30)]
     batch_b.append(load(41, dst=2, addr=0x4000, srcs=(2,)))
     partitioner.track(batch_a + batch_b)
-    assignments_a = partitioner.partition(batch_a)
+    assignments_a = partitioner.partition(batch_a, 0)
     store_core = assignments_a[-1].cores[0]
-    assignments_b = partitioner.partition(batch_b)
+    assignments_b = partitioner.partition(batch_b, 11)
     load_assignment = assignments_b[-1]
     if load_assignment.cores[0] != store_core:
         assert load_assignment.mem_dep == (10, 10)
@@ -155,10 +155,10 @@ def test_cross_core_mem_dep_reported():
 def test_committed_values_need_no_communication():
     partitioner = make_partitioner()
     partitioner.track([alu(0, dst=1), alu(1, dst=2, srcs=(1,))])
-    partitioner.partition([alu(0, dst=1)])
+    partitioner.partition([alu(0, dst=1)], 0)
     # Producer commits; the consumer partitioned later must not report
     # any communication for r1.
-    assignments = partitioner.partition([alu(1, dst=2, srcs=(1,))],
+    assignments = partitioner.partition([alu(1, dst=2, srcs=(1,))], 1,
                                         committed_seq=1)
     assert assignments[0].comm_srcs == []
 
@@ -172,7 +172,7 @@ def test_replication_of_shared_cheap_value():
         reg = (i % 2) + 1
         batch.append(alu(i, dst=reg, srcs=(reg, 3)))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch, committed_seq=0)
+    assignments = partitioner.partition(batch, 0, committed_seq=0)
     consumer_cores = {assignments[i].cores[0] for i in range(1, 21)}
     if consumer_cores == {0, 1}:
         assert assignments[0].replicated
@@ -186,7 +186,7 @@ def test_replication_disabled():
         reg = (i % 2) + 1
         batch.append(alu(i, dst=reg, srcs=(reg, 3)))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch)
+    assignments = partitioner.partition(batch, 0)
     assert not any(a.replicated for a in assignments)
 
 
@@ -197,7 +197,7 @@ def test_expensive_ops_never_replicated():
         reg = (i % 2) + 34
         batch.append(TraceRecord(i, i, OpClass.FADD, reg, (reg, 33)))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch)
+    assignments = partitioner.partition(batch, 0)
     assert not assignments[0].replicated
 
 
@@ -210,8 +210,8 @@ def test_rewind_then_repartition_is_well_formed():
     batch = [alu(i, dst=(i % 3) + 1, srcs=((i % 3) + 1,))
              for i in range(12)]
     partitioner.track(batch)
-    first = partitioner.partition(list(batch))
-    second = partitioner.partition(list(batch))
+    first = partitioner.partition(list(batch), 0)
+    second = partitioner.partition(list(batch), 0)
     assert len(second) == len(first)
     assert all(a.cores in ((0,), (1,), (0, 1)) for a in second)
     assert list(partitioner._mask) == [
@@ -222,14 +222,14 @@ def test_stats_accumulate():
     partitioner = make_partitioner()
     batch = [alu(i, dst=1) for i in range(5)]
     partitioner.track(batch)
-    partitioner.partition(batch)
+    partitioner.partition(batch, 0)
     stats = partitioner.stats.as_dict()
     assert stats["assigned"] == 5
     assert stats["on_core0"] + stats["on_core1"] >= 5
 
 
 def test_empty_batch():
-    assert make_partitioner().partition([]) == []
+    assert make_partitioner().partition([], 0) == []
 
 
 def test_loads_balanced_over_long_run():
@@ -245,7 +245,7 @@ def test_loads_balanced_over_long_run():
         batches.append(batch)
     partitioner.track([record for batch in batches for record in batch])
     for batch in batches:
-        partitioner.partition(batch)
+        partitioner.partition(batch, batch[0].seq)
     stats = partitioner.stats
     share = stats.on_core[1] / stats.assigned
     assert 0.25 < share < 0.75

@@ -84,7 +84,7 @@ def _compare(case, data):
         if action == "partition":
             size = data.draw(st.integers(min_value=1, max_value=batch_size))
             batch = trace[cursor:cursor + size]
-            got = fast.partition(batch, committed_seq=committed)
+            got = fast.partition(batch, cursor, committed_seq=committed)
             want = reference.partition(batch, committed_seq=committed)
             assert _assignments(got) == _assignments(want)
             cursor += len(batch)

@@ -83,7 +83,7 @@ def test_set_policy_changes_assignment():
     set_policy(partitioner, roundrobin_policy)
     batch = [alu(i) for i in range(4)]
     partitioner.track(batch)
-    assignments = partitioner.partition(batch)
+    assignments = partitioner.partition(batch, 0)
     assert [a.cores[0] for a in assignments] == [0, 1, 0, 1]
 
 

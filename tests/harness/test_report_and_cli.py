@@ -113,6 +113,30 @@ def test_cli_rejects_sizing_flags_the_command_ignores(argv, capsys):
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "gcc", "--length", "0", "--warmup", "0"],
+                 id="simulate-length-0"),
+    pytest.param(["simulate", "gcc", "--length", "100", "--warmup", "100"],
+                 id="simulate-warmup-is-length"),
+    pytest.param(["simulate", "gcc", "--length", "100", "--warmup", "-5"],
+                 id="simulate-negative-warmup"),
+    pytest.param(["profile", "gcc", "--length", "-3", "--warmup", "0"],
+                 id="profile-negative-length"),
+    pytest.param(["validate", "--length", "0", "--benchmarks", "gcc"],
+                 id="validate-length-0"),
+    pytest.param(["sweep", "--benchmarks", "gcc", "--machines", "single",
+                  "--no-cache", "--workers", "1", "--length", "0"],
+                 id="sweep-length-0"),
+    pytest.param(["run", "E1", "--length", "100", "--warmup", "200"],
+                 id="run-warmup-past-length"),
+])
+def test_cli_rejects_sizes_that_leave_nothing_to_measure(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "error: --" in capsys.readouterr().err
+
+
 def test_cli_usage_errors_exit_2():
     """argparse-level errors share the usage exit code."""
     with pytest.raises(SystemExit) as excinfo:

@@ -118,7 +118,7 @@ def test_single_core_always_drains_and_bounds_ipc(records):
 def test_partitioner_assignment_invariants(records):
     partitioner = Partitioner(FgStpParams(batch_size=8, window_size=64))
     partitioner.track(records)
-    assignments = partitioner.partition(records)
+    assignments = partitioner.partition(records, 0)
     assert len(assignments) == len(records)
     for record, assignment in zip(records, assignments):
         assert assignment.seq == record.seq

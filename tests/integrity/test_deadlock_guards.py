@@ -78,7 +78,7 @@ def test_core_drain_error_carries_core_snapshot(small_config):
     core = CycleCore(small_config, CacheHierarchy(small_config),
                      name="probe")
     record = TraceRecord(0, 0, OpClass.IALU, 1, (1,))
-    core.push_fetched(Uop(record, 0), 0)
+    core.push_fetched(Uop(record, 0, 0), 0)
     with pytest.raises(PipelineDrainError, match="not drained") as excinfo:
         core.drain_check()
     error = excinfo.value

@@ -1,6 +1,8 @@
 """Unit tests for the assembler."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa.assembler import assemble
 from repro.isa.errors import AssemblerError
@@ -137,3 +139,147 @@ def test_mov_two_operands():
     program = assemble("mov r1, r2\nhalt")
     instr = program.instructions[0]
     assert instr.dst == 1 and instr.srcs == (2,)
+
+
+_INT_REGS = tuple(f"r{i}" for i in range(32))
+_FP_REGS = tuple(f"f{i}" for i in range(32))
+
+_RRR_INT = ("add", "sub", "and", "or", "xor", "shl", "shr", "sar",
+            "slt", "sltu", "min", "max", "mul", "mulh", "div", "rem")
+_RRI = ("addi", "andi", "ori", "xori", "shli", "shri", "slti")
+_RRR_FP = ("fadd", "fsub", "fmin", "fmax", "fcvt", "fmul", "fmadd",
+           "fdiv", "fsqrt")
+_BRANCHES = ("beq", "bne", "blt", "bge", "bltu", "bgeu")
+
+_KINDS = ("rrr", "rri", "li", "mov", "fp", "fli", "load", "store",
+          "fpload", "fpstore", "branch", "jmp", "call", "jr", "ret",
+          "nop")
+
+
+@st.composite
+def programs(draw):
+    """Source text of a random well-formed (not necessarily
+    terminating — never executed) program."""
+    int_reg = st.sampled_from(_INT_REGS)
+    fp_reg = st.sampled_from(_FP_REGS)
+    imm = st.integers(-4096, 4095)
+    data_size = draw(st.sampled_from((64, 256, 1024)))
+    disp = st.integers(0, data_size - 8)
+
+    n = draw(st.integers(min_value=3, max_value=20))
+    # Labels at arbitrary instruction indices; index n is the final
+    # halt, so every drawn label is a legal transfer target.
+    labelled = sorted(draw(st.sets(st.integers(0, n), max_size=4)))
+    labels = {index: f"T{index}" for index in labelled}
+    targets = st.sampled_from(sorted(labels.values())) if labels else None
+
+    lines = [".name prop", f".data {data_size}"]
+    for offset, value in draw(st.dictionaries(
+            st.integers(0, max(0, data_size - 8)),
+            st.integers(-2**31, 2**31), max_size=3)).items():
+        lines.append(f".word {offset} {value}")
+
+    for index in range(n):
+        if index in labels:
+            lines.append(f"{labels[index]}:")
+        kind = draw(st.sampled_from(_KINDS))
+        if kind in ("branch", "jmp", "call") and targets is None:
+            kind = "rrr"
+        if kind == "rrr":
+            op = draw(st.sampled_from(_RRR_INT))
+            line = (f"{op} {draw(int_reg)}, {draw(int_reg)}, "
+                    f"{draw(int_reg)}")
+        elif kind == "rri":
+            op = draw(st.sampled_from(_RRI))
+            line = (f"{op} {draw(int_reg)}, {draw(int_reg)}, "
+                    f"{draw(imm)}")
+        elif kind == "li":
+            line = f"li {draw(int_reg)}, {draw(imm)}"
+        elif kind == "mov":
+            line = f"mov {draw(int_reg)}, {draw(int_reg)}"
+        elif kind == "fp":
+            op = draw(st.sampled_from(_RRR_FP))
+            line = (f"{op} {draw(fp_reg)}, {draw(fp_reg)}, "
+                    f"{draw(fp_reg)}")
+        elif kind == "fli":
+            line = f"fli {draw(fp_reg)}, {draw(imm)}"
+        elif kind == "load":
+            op = draw(st.sampled_from(("ld", "ldb")))
+            line = (f"{op} {draw(int_reg)}, "
+                    f"{draw(disp)}({draw(int_reg)})")
+        elif kind == "store":
+            op = draw(st.sampled_from(("st", "stb")))
+            line = (f"{op} {draw(int_reg)}, "
+                    f"{draw(disp)}({draw(int_reg)})")
+        elif kind == "fpload":
+            line = f"fld {draw(fp_reg)}, {draw(disp)}({draw(int_reg)})"
+        elif kind == "fpstore":
+            line = f"fst {draw(fp_reg)}, {draw(disp)}({draw(int_reg)})"
+        elif kind == "branch":
+            op = draw(st.sampled_from(_BRANCHES))
+            line = (f"{op} {draw(int_reg)}, {draw(int_reg)}, "
+                    f"{draw(targets)}")
+        elif kind == "jmp":
+            line = f"jmp {draw(targets)}"
+        elif kind == "call":
+            line = f"call {draw(targets)}"
+        elif kind == "jr":
+            line = f"jr {draw(int_reg)}"
+        elif kind == "ret":
+            line = "ret"
+        else:
+            line = "nop"
+        lines.append(f"    {line}")
+    if n in labels:
+        lines.append(f"{labels[n]}:")
+    lines.append("    halt")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(programs())
+def test_assembly_is_deterministic(source):
+    assert assemble(source).instructions == assemble(source).instructions
+
+
+ALL_SHAPES = """
+.name shapes
+.data 128
+.word 0 7
+entry:
+    add r1, r2, r3
+    addi r4, r1, -17
+    li r5, 4095
+    mov r6, r5
+    fmadd f1, f2, f3
+    fsqrt f4, f5, f6
+    fli f7, -3
+    ld r7, 8(r5)
+    st r7, 16(r5)
+    fld f8, 24(r5)
+    fst f8, 32(r5)
+    stb r1, 1(r5)
+    ldb r2, 2(r5)
+    beq r1, r2, entry
+    jmp out
+    call entry
+    jr r31
+    ret
+    nop
+out:
+    halt
+"""
+
+
+def test_every_operand_shape_assembles():
+    program = assemble(ALL_SHAPES)
+    names = [instr.name for instr in program.instructions]
+    assert names == ["add", "addi", "li", "mov", "fmadd", "fsqrt", "fli",
+                     "ld", "st", "fld", "fst", "stb", "ldb", "beq", "jmp",
+                     "call", "jr", "ret", "nop", "halt"]
+    assert program.name == "shapes" and program.data_size == 128
+    assert program.data_init[0] == 7
+    assert program.labels == {"entry": 0, "out": 19}
+    # Transfers resolve to instruction indices.
+    assert [program.instructions[i].imm for i in (13, 14, 15)] == [0, 19, 0]
+    assert all(instr.label is None for instr in program.instructions)

@@ -21,7 +21,7 @@ class TestCommitEvent:
     def test_from_uop_copies_architectural_fields(self):
         record = _record(seq=7, pc=3, op_class=OpClass.LOAD, dst=4,
                          srcs=(5,), mem_addr=0x40, mem_size=8)
-        uop = Uop(record, uid=99, core_id=1)
+        uop = Uop(record, seq=7, uid=99, core_id=1)
         event = CommitEvent.from_uop(uop, cycle=123)
         assert event.seq == 7
         assert event.pc == 3
@@ -46,7 +46,7 @@ class TestCommitEvent:
             def __getattr__(self, name):
                 return getattr(self._uop, name)
 
-        uop = Uop(_record(seq=3), uid=0)
+        uop = Uop(_record(seq=3), seq=3, uid=0)
         event = CommitEvent.from_uop(OffsetProxy(uop, seq=1503), cycle=9)
         assert event.seq == 1503
         assert event.pc == 0

@@ -30,17 +30,17 @@ def make_core(params=None, **kwargs):
 
 def alu(seq, dst=None, srcs=()):
     return Uop(TraceRecord(seq, seq, OpClass.IALU, dst, tuple(srcs)),
-               uid=seq)
+               seq=seq, uid=seq)
 
 
 def load(seq, dst, addr, srcs=(9,)):
     return Uop(TraceRecord(seq, seq, OpClass.LOAD, dst, tuple(srcs),
-                           mem_addr=addr, mem_size=8), uid=seq)
+                           mem_addr=addr, mem_size=8), seq=seq, uid=seq)
 
 
 def store(seq, addr, srcs=(9, 8)):
     return Uop(TraceRecord(seq, seq, OpClass.STORE, None, tuple(srcs),
-                           mem_addr=addr, mem_size=8), uid=seq)
+                           mem_addr=addr, mem_size=8), seq=seq, uid=seq)
 
 
 def run_to_commit(core, uops, max_cycles=500):
@@ -73,7 +73,7 @@ def test_commit_is_in_order():
     core = make_core()
     # seq 0 is a slow divide, seq 1 a fast add: 1 completes first but
     # must not retire before 0.
-    div = Uop(TraceRecord(0, 0, OpClass.IDIV, 1, (2, 3)), uid=0)
+    div = Uop(TraceRecord(0, 0, OpClass.IDIV, 1, (2, 3)), seq=0, uid=0)
     add = alu(1, dst=4)
     committed, _ = run_to_commit(core, [div, add])
     assert [u.seq for u in committed] == [0, 1]
@@ -116,7 +116,8 @@ def test_issue_width_respected():
 def test_fu_pool_constrains_divides():
     params = small_core_config()  # one imul/idiv unit
     core = make_core(params)
-    divides = [Uop(TraceRecord(i, i, OpClass.IDIV, i % 6 + 1, ()), uid=i)
+    divides = [Uop(TraceRecord(i, i, OpClass.IDIV, i % 6 + 1, ()), seq=i,
+                   uid=i)
                for i in range(3)]
     run_to_commit(core, divides)
     cycles = sorted(u.issue_cycle for u in divides)
@@ -127,7 +128,7 @@ def test_rob_capacity_limits_dispatch():
     params = small_core_config().with_(rob_entries=4, iq_entries=4)
     core = make_core(params)
     # A slow head op keeps the ROB occupied.
-    head = Uop(TraceRecord(0, 0, OpClass.FDIV, 33, (34, 35)), uid=0)
+    head = Uop(TraceRecord(0, 0, OpClass.FDIV, 33, (34, 35)), seq=0, uid=0)
     rest = [alu(i, dst=(i % 6) + 1) for i in range(1, 8)]
     run_to_commit(core, [head] + rest)
     assert core.stats.rob_full_stalls > 0

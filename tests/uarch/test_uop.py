@@ -18,7 +18,7 @@ def alu_record(seq=0):
 
 
 def test_uop_initial_state():
-    uop = Uop(alu_record(), uid=7)
+    uop = Uop(alu_record(), seq=0, uid=7)
     assert uop.state == FETCHED
     assert uop.seq == 0
     assert uop.pending == 0
@@ -27,14 +27,14 @@ def test_uop_initial_state():
 
 
 def test_uop_repr_readable():
-    text = repr(Uop(alu_record(3), uid=1))
+    text = repr(Uop(alu_record(3), seq=3, uid=1))
     assert "seq=3" in text
     assert "IALU" in text
 
 
 def test_tag_satisfy_wakes_ready_consumers():
     tag = ValueTag("t")
-    consumer = Uop(alu_record(), uid=0)
+    consumer = Uop(alu_record(), seq=0, uid=0)
     consumer.state = DISPATCHED
     consumer.pending = 1
     tag.consumers.append(consumer)
@@ -46,7 +46,7 @@ def test_tag_satisfy_wakes_ready_consumers():
 
 def test_tag_satisfy_skips_squashed():
     tag = ValueTag()
-    consumer = Uop(alu_record(), uid=0)
+    consumer = Uop(alu_record(), seq=0, uid=0)
     consumer.state = SQUASHED
     consumer.pending = 1
     tag.consumers.append(consumer)
@@ -56,7 +56,7 @@ def test_tag_satisfy_skips_squashed():
 
 def test_tag_satisfy_partial_pending_not_woken():
     tag = ValueTag()
-    consumer = Uop(alu_record(), uid=0)
+    consumer = Uop(alu_record(), seq=0, uid=0)
     consumer.state = DISPATCHED
     consumer.pending = 2
     tag.consumers.append(consumer)
@@ -73,7 +73,7 @@ def test_tag_double_satisfy_rejected():
 
 def test_tag_keeps_max_operand_ready():
     tag = ValueTag()
-    consumer = Uop(alu_record(), uid=0)
+    consumer = Uop(alu_record(), seq=0, uid=0)
     consumer.state = DISPATCHED
     consumer.pending = 1
     consumer.operand_ready = 50

@@ -3,8 +3,9 @@
 The subsystem has three layers:
 
 * :mod:`repro.ckpt.state` — the serialized snapshot itself
-  (:class:`MachineCheckpoint`), trace fingerprinting, and the
-  checkpoint-specific error hierarchy.
+  (:class:`MachineCheckpoint`), trace fingerprinting (hashed once per
+  run inside a :func:`fingerprint_scope`), and the checkpoint-specific
+  error hierarchy.
 * :mod:`repro.ckpt.store` — the on-disk ``repro-ckpt-v1`` format:
   sha256-checksummed files under ``.repro_cache/checkpoints/`` with
   quarantine-on-corruption semantics mirroring the result cache.
@@ -23,6 +24,7 @@ from .state import (
     CheckpointError,
     CheckpointMismatch,
     MachineCheckpoint,
+    fingerprint_scope,
     trace_fingerprint,
 )
 from .store import (
@@ -49,6 +51,7 @@ __all__ = [
     "Checkpointer",
     "CheckpointStore",
     "MachineCheckpoint",
+    "fingerprint_scope",
     "heartbeat",
     "resolve_interval",
     "run_key",

@@ -80,7 +80,8 @@ class Checkpointer:
         self.sink = sink
         # The trace fingerprint and the store key are computed at the
         # first take(), so a run that ends before its first mark never
-        # hashes the trace.
+        # hashes the trace here (inside a fingerprint scope a hash the
+        # run already made is reused).
         self._trace = original_trace
         self.fingerprint: Optional[str] = None
         self.key: Optional[str] = None

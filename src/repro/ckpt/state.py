@@ -11,15 +11,21 @@ into the wrong machine, trace, or configuration.
 
 Fingerprints cover the *original* full trace (before the warmup split)
 so the harness can compute a checkpoint's identity without re-running
-the split.
+the split.  Inside a :func:`fingerprint_scope` each trace is hashed at
+most once: ``run_machine``'s checkpoint lookup, the restore check and
+the checkpointer's key share one value.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 import pickle
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 
 class CheckpointError(RuntimeError):
@@ -34,24 +40,68 @@ class CheckpointMismatch(CheckpointError):
     """A checkpoint does not belong to this machine/trace/config."""
 
 
+#: Record fields hashed as one marshalled column each (``op_class``
+#: is hashed as one byte per record).
+_COLUMNS = ("seq", "pc", "dst", "srcs", "mem_addr", "mem_size", "taken",
+            "target")
+
+#: The innermost :func:`fingerprint_scope`'s memo (``id(trace)`` ->
+#: ``(trace, fingerprint)``), or ``None`` outside any scope.
+_memo: ContextVar[Optional[Dict[int, Tuple[Sequence, str]]]] = \
+    ContextVar("trace_fingerprint_memo", default=None)
+
+
+def _hash_trace(trace: Sequence) -> str:
+    """The sha256 of *trace*, one field column at a time.
+
+    Each column is marshalled with format version 2, which writes every
+    value in full: later versions write back-references, whose presence
+    depends on which records share objects, so a trace and its disk
+    round trip could hash differently.
+    """
+    digest = hashlib.sha256(b"repro-trace-v2|%d|" % len(trace))
+    digest.update(bytes(map(attrgetter("op_class"), trace)))
+    for field in _COLUMNS:
+        digest.update(marshal.dumps(list(map(attrgetter(field), trace)), 2))
+    return digest.hexdigest()
+
+
 def trace_fingerprint(trace: Sequence) -> str:
     """Stable sha256 fingerprint of a trace (full, pre-warmup-split).
 
-    Hashes the fields of every record rather than pickling, so the
-    fingerprint is insensitive to object identity and pickle protocol.
+    Hashes every field of every record, so the fingerprint is
+    insensitive to object identity: a trace, its disk round trip and a
+    deep copy fingerprint alike.  Inside a :func:`fingerprint_scope` a
+    trace object is hashed once and its fingerprint reused.
     """
-    digest = hashlib.sha256()
-    digest.update(str(len(trace)).encode("ascii"))
-    for record in trace:
-        digest.update(
-            (
-                f"|{record.seq},{record.pc},{record.op_class.name},"
-                f"{record.dst},{','.join(map(str, record.srcs))},"
-                f"{record.mem_addr},{record.mem_size},{record.taken},"
-                f"{record.target}"
-            ).encode("ascii")
-        )
-    return digest.hexdigest()
+    memo = _memo.get()
+    if memo is None:
+        return _hash_trace(trace)
+    entry = memo.get(id(trace))
+    if entry is None:
+        # The entry keeps the trace alive, so no other object can take
+        # its id while the scope lasts.
+        entry = memo[id(trace)] = (trace, _hash_trace(trace))
+    return entry[1]
+
+
+@contextmanager
+def fingerprint_scope() -> Iterator[None]:
+    """Hash each trace at most once until the block exits.
+
+    ``run_machine`` and every machine run enter one, and a nested scope
+    shares the outer one's memo.  The memo dies with the outermost
+    block, so a trace mutated in place after a run is hashed afresh by
+    the next.
+    """
+    if _memo.get() is not None:
+        yield
+        return
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
 
 
 @dataclass

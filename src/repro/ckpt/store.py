@@ -59,7 +59,10 @@ class CheckpointStore:
         return self.directory / f"{key}.ckpt"
 
     def save(self, key: str, checkpoint: MachineCheckpoint) -> Path:
-        """Atomically write *checkpoint* as the latest for *key*."""
+        """Atomically write *checkpoint* as the latest for *key*.
+
+        A failed write or rename removes its temp file and re-raises.
+        """
         self.directory.mkdir(parents=True, exist_ok=True)
         header = json.dumps(
             {
@@ -71,11 +74,18 @@ class CheckpointStore:
         )
         path = self.path_for(key)
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        with open(tmp, "wb") as stream:
-            stream.write(header.encode("utf-8"))
-            stream.write(b"\n")
-            stream.write(checkpoint.payload)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as stream:
+                stream.write(header.encode("utf-8"))
+                stream.write(b"\n")
+                stream.write(checkpoint.payload)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
         return path
 
     def load(self, key: str) -> Optional[MachineCheckpoint]:

@@ -31,7 +31,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..ckpt.manager import Checkpointer, Snapshot
-from ..ckpt.state import MachineCheckpoint, dumps_state
+from ..ckpt.state import (MachineCheckpoint, dumps_state,
+                          fingerprint_scope)
 from ..integrity.errors import SimulationError
 from ..stats.cpistack import CPIStack, cpistack_of, maybe_validate
 from ..stats.result import SimResult
@@ -132,6 +133,7 @@ class AdaptiveFgStpMachine:
         #: ``None`` lets each follow the REPRO_SKIP_AHEAD environment.
         self.skip_ahead = skip_ahead
 
+    @fingerprint_scope()
     def run(self, trace: Sequence[TraceRecord], workload: str = "trace",
             warmup: int = 0,
             resume_from: Optional[MachineCheckpoint] = None) -> SimResult:
@@ -141,7 +143,8 @@ class AdaptiveFgStpMachine:
         fresh sub-machines, so between regions the only live state is
         the accumulator set) and ``resume_from`` restarts the region
         loop there — bit-identical to a straight-through run because
-        :meth:`_regions` is deterministic.
+        :meth:`_regions` is deterministic.  The restore check and the
+        checkpoints share one trace fingerprint.
         """
         regions = self._regions(trace, warmup)
         if resume_from is None:

@@ -36,6 +36,7 @@ paper-family methodology):
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ckpt.state import MachineCheckpoint
@@ -47,7 +48,7 @@ from ..uarch.branch.btb import FrontEndPredictor
 from ..uarch.cache.hierarchy import CacheHierarchy, make_shared_l2
 from ..uarch.params import CoreParams
 from ..uarch.pipeline.core import CycleCore
-from ..uarch.pipeline.machine import MachineShell
+from ..uarch.pipeline.machine import MachineShell, relink
 from ..uarch.pipeline.uop import (
     COMMITTED,
     COMPLETED,
@@ -348,6 +349,12 @@ class FgStpMachine(MachineShell):
         if count <= 0:
             self._copies.pop(seq, None)
             self._live.pop(seq, None)
+            # The partition unit sends no value from below the commit
+            # frontier, so no later consumer looks these tags up.
+            comm_tags = self._comm_tags
+            if comm_tags:
+                comm_tags.pop((seq, 0), None)
+                comm_tags.pop((seq, 1), None)
             self.committed = seq + 1
             if self.commit_hook is not None:
                 self.commit_hook(uop, cycle)
@@ -407,11 +414,14 @@ class FgStpMachine(MachineShell):
             return
         victim = min(self._pending_violations, key=lambda u: u.seq)
         self._pending_violations.clear()
+        # Only the victim's store is ever read: every other flagged load
+        # is younger and squashed with it.
+        store_pc = self._violation_store_pc.get(victim.uid)
+        self._violation_store_pc.clear()
         if victim.state in (SQUASHED, COMMITTED):
             return
         squash_seq = victim.seq
         self.dep_predictor.train_violation(victim.record.pc)
-        store_pc = self._violation_store_pc.pop(victim.uid, None)
         if store_pc is not None:
             # Teach the partitioner to co-locate this pair in future
             # (violations train with extra weight).
@@ -434,11 +444,19 @@ class FgStpMachine(MachineShell):
         batch = self._batch
         del batch[max(0, squash_seq - self._fetch_cursor + len(batch)):]
         self._fetch_cursor = squash_seq
-        for seq in [s for s in self._live if s >= squash_seq]:
-            del self._live[seq]
+        # Squashed uops never complete, so drop what they would have
+        # sent or checked on completion, and their own value tags.
+        live = self._live
+        send_map = self._send_map
+        watch = self._watch
+        comm_tags = self._comm_tags
+        for seq in [s for s in live if s >= squash_seq]:
+            for uop in live.pop(seq):
+                send_map.pop(uop.uid, None)
+                watch.pop(uop.uid, None)
             self._copies.pop(seq, None)
-        for key in [k for k in self._comm_tags if k[0] >= squash_seq]:
-            del self._comm_tags[key]
+            comm_tags.pop((seq, 0), None)
+            comm_tags.pop((seq, 1), None)
         if self._stall_seq is not None and self._stall_seq >= squash_seq:
             self._stall_seq = None
         self._fetch_resume_at = max(self._fetch_resume_at,
@@ -457,8 +475,8 @@ class FgStpMachine(MachineShell):
         for core, feed in zip(self.cores, self._feed):
             if not feed:
                 continue
-            # Each push takes one fetch-buffer slot, so sizing the pushes
-            # by the buffer's space once replaces push_fetched's check.
+            # Each push takes one fetch-buffer slot, so the buffer's
+            # free space sizes the pushes once and no push overflows it.
             buffer = core._fetch_buffer
             budget = min(width, core._fetch_capacity - len(buffer))
             while feed and budget > 0:
@@ -673,7 +691,9 @@ class FgStpMachine(MachineShell):
             return
         if self.fgstp.speculation \
                 and not self.dep_predictor.predicts_sync(record.pc):
-            self._watch.setdefault(store.uid, []).append(load_uop)
+            # A store that has completed already fired its check.
+            if store.state != COMPLETED:
+                self._watch.setdefault(store.uid, []).append(load_uop)
             return
         # Synchronise: the load waits for the store's data to cross.
         if store.complete_cycle is not None \
@@ -718,6 +738,11 @@ class FgStpMachine(MachineShell):
 
     def _adopt(self, trace: Sequence[TraceRecord]) -> None:
         self._trace = trace
+        # Every uop not yet fully committed is live, and the batch holds
+        # the records just below the fetch cursor.
+        relink(chain.from_iterable(self._live.values()), trace)
+        cursor = self._fetch_cursor
+        self._batch = list(trace[cursor - len(self._batch):cursor])
         self.partitioner.index_trace(trace)
         self._wire()
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ckpt.manager import resolve_interval
-from ..ckpt.state import CheckpointError, trace_fingerprint
+from ..ckpt.state import (CheckpointError, fingerprint_scope,
+                          trace_fingerprint)
 from ..ckpt.store import CheckpointStore, run_key
 from ..corefusion.machine import CoreFusionMachine
 from ..fgstp.adaptive import AdaptiveFgStpMachine
@@ -60,6 +61,7 @@ def build_machine(machine: str, base: CoreParams,
     return maybe_apply_env_chaos(model)
 
 
+@fingerprint_scope()
 def run_machine(machine: str, benchmark: str, base: CoreParams,
                 config: ExperimentConfig,
                 fgstp: Optional[FgStpParams] = None,
@@ -73,7 +75,9 @@ def run_machine(machine: str, benchmark: str, base: CoreParams,
     from the snapshot — bit-identical to starting over, minus the
     already-simulated cycles.  Resume is skipped for observed runs
     (tracer or commit hook attached): a mid-run attachment would see
-    only the resumed suffix of the event stream.
+    only the resumed suffix of the event stream.  The trace is hashed
+    at most once per call: the lookup, the restore check and the
+    checkpoints share its fingerprint.
     """
     trace = cache.get(benchmark, config.trace_length, config.seed)
     model = build_machine(machine, base, fgstp, **overrides)

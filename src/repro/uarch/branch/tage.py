@@ -43,6 +43,8 @@ class TagePredictor(DirectionPredictor):
         tag_bits: Tag width.
     """
 
+    _COUNTER_TABLES = ("_base",)
+
     def __init__(self, base_entries: int = 4096, table_entries: int = 512,
                  num_tables: int = 4, min_history: int = 4,
                  max_history: int = 64, tag_bits: int = 9):

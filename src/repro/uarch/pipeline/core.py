@@ -4,7 +4,7 @@
 fetch buffer -> dispatch (rename) into ROB/IQ/LSQ -> dataflow issue with
 functional-unit and width constraints -> completion -> in-order commit.
 
-The core is deliberately *fetch-agnostic*: instructions are pushed into
+The core is deliberately *fetch-agnostic*: instructions are appended to
 its fetch buffer by a fetch unit (:mod:`repro.uarch.pipeline.fetch` for a
 self-fetching machine, or the Fg-STP orchestrator's global front end).
 This is what lets the exact same core model serve as:
@@ -58,7 +58,6 @@ from .uop import (
     COMMITTED,
     COMPLETED,
     DISPATCHED,
-    FETCHED,
     ISSUED,
     SQUASHED,
     Uop,
@@ -167,27 +166,6 @@ class CycleCore:
         self._next_cluster = 0
         self._cluster_dispatched = [0] * num_clusters
         self._dispatch_blocked: Optional[str] = None  # this cycle's cause
-
-    # ------------------------------------------------------------------
-    # Feeding (called by a fetch unit / orchestrator)
-    # ------------------------------------------------------------------
-
-    def fetch_space(self) -> int:
-        """How many more uops the fetch buffer accepts right now."""
-        return self._fetch_capacity - len(self._fetch_buffer)
-
-    def push_fetched(self, uop: Uop, cycle: int) -> None:
-        """Insert *uop* into the fetch buffer (front end's job).
-
-        Raises:
-            RuntimeError: when the buffer is full — fetch units must check
-                :meth:`fetch_space` first.
-        """
-        if len(self._fetch_buffer) >= self._fetch_capacity:
-            raise RuntimeError(f"{self.name}: fetch buffer overflow")
-        uop.state = FETCHED
-        uop.fetch_cycle = cycle
-        self._fetch_buffer.append(uop)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -753,7 +731,10 @@ class CycleCore:
         Used by the Fg-STP orchestrator on memory-dependence violations.
         The fetch buffer, ROB, IQ and LSQ are purged; the register and
         store maps are rebuilt from the surviving (older) uops.  Heap
-        entries for squashed uops are invalidated lazily.
+        entries for squashed uops are invalidated lazily.  A squashed
+        uop that waited on inter-core values lets go of their tags: it
+        is in each unsatisfied tag's consumer list, and the two would
+        otherwise keep each other alive.
 
         Returns:
             Number of uops squashed.
@@ -771,6 +752,7 @@ class CycleCore:
             if uop.seq >= seq:
                 if uop.state == DISPATCHED:
                     self._iq_count -= 1
+                    uop.extra_deps = []
                 if uop.is_memory:
                     self._lsq_count -= 1
                 uop.state = SQUASHED

@@ -183,9 +183,3 @@ class SelfFetchUnit:
             "stalled_on": (uop_brief(self._stall_on)
                            if self._stall_on is not None else None),
         }
-
-    def reset_to(self, seq: int) -> None:
-        """Rewind the fetch cursor to *seq* (used after a squash)."""
-        self._cursor = seq
-        self._stall_on = None
-        self._current_line = -1

@@ -15,10 +15,12 @@ the base of the fused Core Fusion machine (a fused machine is a single
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterable, Optional, Sequence, Tuple
 
 from ...ckpt.manager import Checkpointer, Snapshot
-from ...ckpt.state import MachineCheckpoint, dumps_state, loads_state
+from ...ckpt.state import (MachineCheckpoint, dumps_state,
+                           fingerprint_scope, loads_state)
 from ...integrity.errors import (SimulationError, SimulationHang,
                                  SimulationLimit)
 from ...integrity.forensics import uop_brief
@@ -32,9 +34,20 @@ from ..params import CoreParams
 from ..warmup import split_warmup, warm_state
 from .core import CycleCore, skip_ahead_enabled
 from .fetch import SelfFetchUnit
+from .uop import Uop
 
 #: Committed uops remembered for crash forensics ("what retired last").
 RECENT_COMMITS = 16
+
+
+def relink(uops: Iterable[Uop], trace: Sequence[TraceRecord]) -> None:
+    """Point each restored uop at the caller's record of its seq.
+
+    A checkpoint's uops unpickle with copies of their records; without
+    this, a resumed run would retire the copies.
+    """
+    for uop in uops:
+        uop.record = trace[uop.seq]
 
 
 class MachineShell:
@@ -163,7 +176,8 @@ class MachineShell:
 
     def _adopt(self, trace: Sequence[TraceRecord]) -> None:
         """Reattach a restored checkpoint's state to the measured
-        *trace* and to this machine's observers."""
+        *trace* (every uop that can still retire gets the caller's
+        record, see :func:`relink`) and to this machine's observers."""
         raise NotImplementedError
 
     def _extra(self) -> dict:
@@ -182,10 +196,15 @@ class MachineShell:
     # Run loop
     # ------------------------------------------------------------------
 
+    @fingerprint_scope()
     def _simulate(self, trace: Sequence[TraceRecord], workload: str,
                   warmup: int,
                   resume_from: Optional[MachineCheckpoint]) -> SimResult:
-        """Run *trace* to completion (see :meth:`SingleCoreMachine.run`)."""
+        """Run *trace* to completion (see :meth:`SingleCoreMachine.run`).
+
+        The restore check and the periodic checkpoints share one trace
+        fingerprint, computed when the first of them needs it.
+        """
         if not trace:
             return SimResult(self.machine_label, self.config_name,
                              workload, 0, 0)
@@ -521,6 +540,8 @@ class SingleCoreMachine(MachineShell):
 
     def _adopt(self, trace: Sequence[TraceRecord]) -> None:
         self.fetch.trace = trace
+        # Every uop that can still retire is in the ROB or fetch buffer.
+        relink(chain(self.core._rob, self.core._fetch_buffer), trace)
 
     def _extra(self) -> dict:
         return {

@@ -5,12 +5,17 @@ served intact (sha256-verified) or quarantined and treated as absent —
 a corrupt snapshot must never poison a resume.
 """
 
+import copy
+import io
 import json
+import os
 
 import pytest
 
+from repro.ckpt import state
 from repro.ckpt.state import (CheckpointCorruption, CheckpointMismatch,
-                              MachineCheckpoint, dumps_state, loads_state,
+                              MachineCheckpoint, dumps_state,
+                              fingerprint_scope, loads_state,
                               trace_fingerprint)
 from repro.ckpt.store import (CHECKPOINT_FORMAT, CheckpointStore, run_key)
 from repro.integrity.chaos import ChaosSpec, apply_chaos
@@ -65,6 +70,47 @@ def test_corrupt_payload_quarantined(tmp_path):
     quarantined = list((tmp_path / "quarantine").iterdir())
     assert any(entry.suffix != ".reason" for entry in quarantined)
     assert any(entry.suffix == ".reason" for entry in quarantined)
+
+
+class _FullDisk:
+    """A file opened for writing that fails after one byte."""
+
+    def __init__(self, path, mode):
+        self._stream = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._stream.close()
+
+    def write(self, data):
+        self._stream.write(data[:1])
+        raise OSError("injected write failure")
+
+
+@pytest.mark.parametrize("fail", ("write", "replace"))
+def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch, fail):
+    """A failed write or rename leaves the previous checkpoint as the
+    only file: the temp file is gone, the error reaches the caller."""
+    from repro.ckpt import store as store_module
+
+    store = CheckpointStore(tmp_path / "ckpts")
+    store.save("k", _checkpoint())
+
+    def broken(*args):
+        raise OSError("injected replace failure")
+
+    if fail == "replace":
+        monkeypatch.setattr(os, "replace", broken)
+    else:
+        monkeypatch.setattr(store_module, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="injected"):
+        store.save("k", _checkpoint())
+    monkeypatch.undo()
+    assert sorted(path.name for path in (tmp_path / "ckpts").iterdir()) \
+        == ["k.ckpt"]
+    assert loads_state(store.load("k").payload) == {"answer": 41}
 
 
 def test_garbage_header_quarantined(tmp_path):
@@ -123,6 +169,97 @@ def test_trace_fingerprint_sensitivity():
     assert trace_fingerprint(trace) != trace_fingerprint(trace[:-1])
     assert trace_fingerprint(trace) != \
         trace_fingerprint(generate_trace("gcc", 200, 2))
+
+
+def test_fingerprint_ignores_object_identity():
+    """A generated trace, its disk round trip and a deep copy share no
+    record objects, yet fingerprint alike."""
+    from repro.trace.io import read_trace, write_trace
+
+    trace = generate_trace("gcc", 3000, 1)
+    stream = io.BytesIO()
+    write_trace(trace, stream)
+    stream.seek(0)
+    reread = read_trace(stream)
+    assert reread[0] is not trace[0]
+    assert trace_fingerprint(reread) == trace_fingerprint(trace)
+    assert trace_fingerprint(copy.deepcopy(trace)) == \
+        trace_fingerprint(trace)
+
+
+@pytest.mark.parametrize("field", ("seq", "pc", "op_class", "dst", "srcs",
+                                   "mem_addr", "mem_size", "taken",
+                                   "target"))
+def test_fingerprint_sees_every_field(field):
+    from repro.isa.opcodes import OpClass
+
+    trace = generate_trace("gcc", 300, 1)
+    record = copy.copy(trace[150])
+    value = {"seq": 7, "pc": 12345, "dst": 30, "srcs": (1, 2, 3),
+             "mem_addr": 0xdead0, "mem_size": 3, "target": 999,
+             "taken": not record.taken,
+             "op_class": (OpClass.NOP if record.op_class != OpClass.NOP
+                          else OpClass.IALU)}[field]
+    assert getattr(record, field) != value
+    setattr(record, field, value)
+    changed = trace[:150] + [record] + trace[151:]
+    assert trace_fingerprint(changed) != trace_fingerprint(trace)
+
+
+def test_fingerprint_scope_hashes_a_trace_once(monkeypatch):
+    """Within a scope each trace object is hashed once; the memo dies
+    with the scope, so a trace changed in place afterwards is hashed
+    afresh."""
+    hashed = []
+    original = state._hash_trace
+    monkeypatch.setattr(state, "_hash_trace",
+                        lambda trace: hashed.append(1) or original(trace))
+    trace = generate_trace("gcc", 300, 1)
+    with fingerprint_scope():
+        first = trace_fingerprint(trace)
+        with fingerprint_scope():
+            assert trace_fingerprint(trace) == first
+        assert trace_fingerprint(trace[:]) == first
+    assert len(hashed) == 2  # the slice is another object
+    trace[10].pc += 1
+    assert trace_fingerprint(trace) != first
+    assert len(hashed) == 3
+
+
+@pytest.mark.parametrize("machine", ("single", "fgstp", "fgstp-adaptive"))
+def test_run_machine_hashes_its_trace_once(tmp_path, monkeypatch, machine):
+    """The checkpoint lookup, the restore check and the checkpoints of
+    one ``run_machine`` call share one fingerprint, cold or resumed."""
+    from repro.harness.config import ExperimentConfig
+    from repro.harness.runners import run_machine
+    from repro.workloads.suite import TraceCache
+
+    hashed = []
+    original = state._hash_trace
+    monkeypatch.setattr(state, "_hash_trace",
+                        lambda trace: hashed.append(1) or original(trace))
+    store = CheckpointStore(tmp_path / "ckpts")
+    found = []
+    load = store.load
+
+    def load_spy(key):
+        checkpoint = load(key)
+        found.append(checkpoint is not None)
+        return checkpoint
+
+    monkeypatch.setattr(store, "load", load_spy)
+    config = ExperimentConfig(trace_length=2400, warmup=400, seed=3)
+    overrides = ({"sample_instructions": 300, "region_instructions": 600}
+                 if machine == "fgstp-adaptive" else {})
+    cache = TraceCache()
+    results = []
+    for _ in range(2):  # cold, then resumed from the latest checkpoint
+        results.append(run_machine(
+            machine, "gcc", core_config("small"), config, cache=cache,
+            checkpoint_interval=700, checkpoint_sink=store, **overrides))
+        assert len(hashed) == len(results)
+    assert found == [False, True]
+    assert results[0].as_dict() == results[1].as_dict()
 
 
 def test_run_before_its_first_mark_never_fingerprints(monkeypatch):

@@ -6,7 +6,10 @@ is stored on) keeps the machine, its trace and everything in flight
 alive until a full collection.  These tests run each machine with the
 cycle collector disabled, drop it, and require that weak references to
 the machine, its partitioner and every adaptive region machine are
-already dead.
+already dead, and that a collection then finds no cyclic garbage at
+all (a squashed uop and the value tag it waited on used to form one).
+The Fg-STP orchestrator's per-seq maps hold in-flight entries only, so
+a finished run leaves them empty.
 """
 
 import gc
@@ -96,3 +99,32 @@ def test_adaptive_region_machines_need_no_collector(trace):
         # of the two regions whose sample does not cover it.
         assert len(machines) == 8
         assert _alive(refs + machines + partitioners) == []
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_fgstp_maps_hold_only_in_flight_entries(policy, trace):
+    machine = FgStpMachine(small_core_config(), policy=policy)
+    _run(machine, trace)
+    assert machine._comm_tags == {}
+    assert machine._send_map == {}
+    assert machine._watch == {}
+    assert machine._violation_store_pc == {}
+
+
+@pytest.mark.parametrize("name", ("fgstp", "fgstp-adaptive"))
+def test_finished_machine_leaves_no_cyclic_garbage(name, trace):
+    overrides = ({"sample_instructions": 300, "region_instructions": 400}
+                 if name == "fgstp-adaptive" else {})
+    with collector_disabled():
+        machine = build_machine(name, small_core_config(), FgStpParams(),
+                                **overrides)
+        _run(machine, trace)
+        del machine
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            garbage = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+    assert garbage == 0

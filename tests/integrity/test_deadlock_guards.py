@@ -74,11 +74,17 @@ def test_limit_message_still_matches_legacy_pattern(small_config):
         machine.run(generate_trace("gcc", 200))
 
 
+def fetch(core, uop, cycle):
+    """Append *uop* to the core's fetch buffer, as both front ends do."""
+    uop.fetch_cycle = cycle
+    core._fetch_buffer.append(uop)
+
+
 def test_core_drain_error_carries_core_snapshot(small_config):
     core = CycleCore(small_config, CacheHierarchy(small_config),
                      name="probe")
     record = TraceRecord(0, 0, OpClass.IALU, 1, (1,))
-    core.push_fetched(Uop(record, 0, 0), 0)
+    fetch(core, Uop(record, 0, 0), 0)
     with pytest.raises(PipelineDrainError, match="not drained") as excinfo:
         core.drain_check()
     error = excinfo.value

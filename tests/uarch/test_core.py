@@ -43,6 +43,12 @@ def store(seq, addr, srcs=(9, 8)):
                            mem_addr=addr, mem_size=8), seq=seq, uid=seq)
 
 
+def fetch(core, uop, cycle):
+    """Append *uop* to the core's fetch buffer, as both front ends do."""
+    uop.fetch_cycle = cycle
+    core._fetch_buffer.append(uop)
+
+
 def run_to_commit(core, uops, max_cycles=500):
     """Feed everything, then cycle until all uops commit."""
     cursor = 0
@@ -52,8 +58,9 @@ def run_to_commit(core, uops, max_cycles=500):
         core.phase_complete(cycle)
         core.phase_issue(cycle)
         core.phase_dispatch(cycle)
-        while cursor < len(uops) and core.fetch_space() > 0:
-            core.push_fetched(uops[cursor], cycle)
+        while cursor < len(uops) \
+                and len(core._fetch_buffer) < core._fetch_capacity:
+            fetch(core, uops[cursor], cycle)
             cursor += 1
         if len(committed) == len(uops):
             return committed, cycle
@@ -168,7 +175,7 @@ def test_external_dependency_blocks_issue():
     tag = ValueTag("ext")
     uop = alu(0, dst=1)
     uop.extra_deps.append(tag)
-    core.push_fetched(uop, 0)
+    fetch(core, uop, 0)
     for cycle in range(10):
         core.phase_commit(cycle)
         core.phase_complete(cycle)
@@ -192,7 +199,7 @@ def test_pre_satisfied_tag_checked_at_dispatch():
     tag.ready_cycle = 42
     uop = alu(0, dst=1)
     uop.extra_deps.append(tag)
-    core.push_fetched(uop, 0)
+    fetch(core, uop, 0)
     for cycle in range(60):
         core.phase_commit(cycle)
         core.phase_complete(cycle)
@@ -204,7 +211,7 @@ def test_pre_satisfied_tag_checked_at_dispatch():
 def test_delay_uop_postpones_issue():
     core = make_core()
     uop = alu(0, dst=1)
-    core.push_fetched(uop, 0)
+    fetch(core, uop, 0)
     core.phase_dispatch(0)
     core.delay_uop(uop, 25)
     for cycle in range(1, 40):
@@ -218,7 +225,7 @@ def test_squash_from_removes_younger():
     core = make_core()
     uops = [alu(i, dst=i + 1) for i in range(6)]
     for uop in uops:
-        core.push_fetched(uop, 0)
+        fetch(core, uop, 0)
     core.phase_dispatch(0)  # dispatches only fetch-width worth
     count = core.squash_from(2)
     assert count == 4
@@ -231,28 +238,20 @@ def test_squash_rebuilds_register_map():
     core = make_core()
     old_writer = alu(0, dst=5)
     new_writer = alu(1, dst=5)
-    core.push_fetched(old_writer, 0)
-    core.push_fetched(new_writer, 0)
+    fetch(core, old_writer, 0)
+    fetch(core, new_writer, 0)
     core.phase_dispatch(0)
     core.squash_from(1)
     # A later consumer of r5 must now link to the old writer.
     consumer = alu(2, dst=6, srcs=(5,))
-    core.push_fetched(consumer, 1)
+    fetch(core, consumer, 1)
     core.phase_dispatch(1)
     assert consumer in old_writer.consumers or consumer.pending == 0
 
 
-def test_fetch_buffer_overflow_guard():
-    core = make_core()
-    for i in range(core.fetch_space()):
-        core.push_fetched(alu(i), 0)
-    with pytest.raises(RuntimeError, match="overflow"):
-        core.push_fetched(alu(99), 0)
-
-
 def test_drain_check_raises_when_busy():
     core = make_core()
-    core.push_fetched(alu(0, dst=1), 0)
+    fetch(core, alu(0, dst=1), 0)
     with pytest.raises(RuntimeError, match="not drained"):
         core.drain_check()
 
@@ -268,7 +267,7 @@ def test_commit_gate_blocks_retirement():
         core.phase_issue(cycle)
         core.phase_dispatch(cycle)
         if not cursor_pushed:
-            core.push_fetched(uop, cycle)
+            fetch(core, uop, cycle)
             cursor_pushed = True
     assert not committed
     assert uop.state == COMPLETED

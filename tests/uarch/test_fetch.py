@@ -90,11 +90,3 @@ def test_icache_miss_stalls_fetch():
     # Cold L1I: the line is being fetched, nothing delivered at cycle 0.
     assert fetch.fetched == 0
 
-
-def test_reset_to_rewinds():
-    trace = alu_run(10)
-    core, fetch = make(trace)
-    drive(core, fetch, 20)
-    assert fetch.done()
-    fetch.reset_to(5)
-    assert not fetch.done()

@@ -1,5 +1,8 @@
 """Unit tests for direction predictors."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.uarch.branch.predictors import (
@@ -111,3 +114,68 @@ def test_factory_rejects_unknown():
     params = BranchPredictorParams(kind="neural")
     with pytest.raises(ValueError, match="unknown predictor"):
         make_direction_predictor(params)
+
+
+KINDS = ("bimodal", "gshare", "tournament", "perceptron", "tage")
+
+
+def _branches(seed, count=3000):
+    rng = random.Random(seed)
+    return [(rng.randrange(512), rng.random() < 0.6) for _ in range(count)]
+
+
+def _trained(kind):
+    predictor = make_direction_predictor(BranchPredictorParams(
+        kind=kind, table_entries=1024, history_bits=8))
+    for pc, taken in _branches(1):
+        predictor.update(pc, taken)
+    return predictor
+
+
+def _counter_tables(predictor):
+    parts = [predictor] + [getattr(predictor, name) for name in
+                           ("_bimodal", "_gshare") if hasattr(predictor,
+                                                              name)]
+    return {(type(part).__name__, name): getattr(part, name)
+            for part in parts for name in part._COUNTER_TABLES}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pickle_round_trip_is_exact(kind):
+    predictor = _trained(kind)
+    restored = pickle.loads(pickle.dumps(predictor))
+    tables = _counter_tables(restored)
+    assert tables == _counter_tables(predictor)
+    assert all(type(table) is list for table in tables.values())
+    for pc, taken in _branches(2):
+        assert restored.predict(pc) == predictor.predict(pc)
+        restored.update(pc, taken)
+        predictor.update(pc, taken)
+    assert _counter_tables(restored) == _counter_tables(predictor)
+
+
+@pytest.mark.parametrize("kind", ("bimodal", "gshare", "tournament", "tage"))
+def test_counter_tables_pickle_as_bytes(kind):
+    predictor = _trained(kind)
+    state = predictor.__getstate__()
+    assert predictor._COUNTER_TABLES
+    for name in predictor._COUNTER_TABLES:
+        assert state[name] == bytes(getattr(predictor, name))
+    assert all(type(getattr(predictor, name)) is list
+               for name in predictor._COUNTER_TABLES)
+
+
+@pytest.mark.parametrize("kind", ("bimodal", "gshare", "tournament", "tage"))
+def test_list_format_state_still_loads(kind):
+    """Payloads written before the tables pickled as bytes hold the
+    instance dict as it is at run time."""
+    predictor = _trained(kind)
+    restored = type(predictor).__new__(type(predictor))
+    restored.__setstate__(dict(vars(predictor)))
+    for name in predictor._COUNTER_TABLES:
+        table = getattr(restored, name)
+        assert type(table) is list
+        assert table == getattr(predictor, name)
+        assert table is not getattr(predictor, name)
+    for pc, _ in _branches(3, 200):
+        assert restored.predict(pc) == predictor.predict(pc)

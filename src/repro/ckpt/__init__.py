@@ -6,9 +6,10 @@ The subsystem has three layers:
   (:class:`MachineCheckpoint`), trace fingerprinting (hashed once per
   run inside a :func:`fingerprint_scope`), and the checkpoint-specific
   error hierarchy.
-* :mod:`repro.ckpt.store` — the on-disk ``repro-ckpt-v1`` format:
-  sha256-checksummed files under ``.repro_cache/checkpoints/`` with
-  quarantine-on-corruption semantics mirroring the result cache.
+* :mod:`repro.ckpt.store` — ``repro-ckpt-v1`` files under
+  ``.repro_cache/checkpoints/``, a thin client of :mod:`repro.diskstore`
+  like the result and trace caches: one checksummed envelope, one
+  quarantine, and a run key that includes ``MODEL_VERSION``.
 * :mod:`repro.ckpt.manager` — the :class:`Checkpointer` that machines
   consult at quiesced commit boundaries, driven by
   ``REPRO_CHECKPOINT_INTERVAL`` (0 = off; off by default so tier-1

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from ..diskstore import atomic_write
 from ..stats.store import ResultStore, _exclusive
 
 #: On-disk format tag of ``manifest.json``; bump on breaking change.
@@ -84,17 +85,14 @@ class Campaign:
             raise CampaignError(
                 f"campaign {campaign_id!r} already exists at {path}; "
                 f"resume it with --resume, or pick another --campaign id")
-        path.mkdir(parents=True, exist_ok=True)
         manifest = {
             "format": CAMPAIGN_FORMAT,
             "id": campaign_id,
             "created_unix": time.time(),
             "recipe": dict(recipe),
         }
-        tmp = path / f"manifest.{os.getpid()}.tmp"
-        with tmp.open("w") as stream:
-            json.dump(manifest, stream, indent=1, sort_keys=True)
-        os.replace(tmp, path / "manifest.json")
+        text = json.dumps(manifest, indent=1, sort_keys=True)
+        atomic_write(path / "manifest.json", text.encode("utf-8"))
         return cls(path=path, manifest=manifest)
 
     @classmethod

@@ -45,9 +45,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
                     Sequence, Set, Tuple, Union)
 
+from .. import diskstore
 from ..ckpt.manager import set_heartbeat
 from ..fgstp.params import FgStpParams
 from ..integrity.errors import JobMemoryExceeded, SimulationError
@@ -106,7 +107,7 @@ class SweepJob:
     def key(self) -> str:
         """Content-hash of everything that determines this job's result."""
         parts = [
-            str(_RESULT_CACHE_VERSION),
+            diskstore.MODEL_VERSION,
             self.machine,
             trace_key(self.benchmark, self.config.trace_length,
                       self.config.seed),
@@ -124,8 +125,7 @@ class SweepJob:
             # Same reasoning: traced results carry ``extra["pipetrace"]``
             # so they must not be served to (or from) plain runs.
             parts.append("trace")
-        blob = "|".join(parts)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
+        return diskstore.key(*parts)
 
 
 def make_job(machine: str, benchmark: str, base: CoreParams,
@@ -393,14 +393,8 @@ def _call_with_rss_limit(function: Callable[[SweepJob], SimResult],
 # Outcome bookkeeping
 # ----------------------------------------------------------------------
 
-#: Schema version of cached :class:`SimResult` entries.  Part of every
-#: job's cache key, so bumping it orphans (rather than serves) entries
-#: produced by older code.  v2: results carry ``extra["cpistack"]``
-#: (cycle-accounting CPI stacks) and queue stats gained
-#: ``mouth_blocked_cycles``.  v3: entries are checksummed wrappers
-#: (``{"sha256": ..., "result": ...}``) so silent on-disk corruption is
-#: detected and quarantined instead of served.
-_RESULT_CACHE_VERSION = 3
+#: Envelope tag of a cached :class:`SimResult` (its JSON is the body).
+RESULT_FORMAT = "repro-result-v1"
 
 
 @dataclass
@@ -533,12 +527,6 @@ class SweepOutcome:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _result_digest(payload: Mapping[str, Any]) -> str:
-    """Content checksum of a cached result's canonical JSON form."""
-    canonical = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class SweepError(RuntimeError):
@@ -944,58 +932,32 @@ class ExperimentEngine:
                             metrics: Optional[SweepMetrics] = None
                             ) -> Optional[SimResult]:
         path = self._result_path(job)
-        if path is None or not path.exists():
+        if path is None:
             return None
         try:
-            with path.open() as stream:
-                wrapper = json.load(stream)
-            payload = wrapper["result"]
-            digest = _result_digest(payload)
-            if wrapper.get("sha256") != digest:
-                raise ValueError(f"checksum mismatch in {path.name}")
-            return SimResult.from_dict(payload)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                OSError) as exc:
-            # Corrupt entry (truncated write, bit rot, foreign schema):
-            # move it aside for inspection and recompute.
-            self._quarantine(path, exc)
+            entry = diskstore.get(path, RESULT_FORMAT)
+            if entry is None:
+                return None
+            return SimResult.from_dict(json.loads(entry[1]))
+        except (KeyError, TypeError, ValueError) as exc:
+            diskstore.quarantine(path, exc)
+            self._emit("stage",
+                       f"quarantined corrupt cache entry {path.name} "
+                       f"({exc}); recomputing")
             if metrics is not None:
                 metrics.quarantined += 1
             return None
-
-    def _quarantine(self, path: Path, reason: Exception) -> None:
-        if self.cache_dir is None:
-            return
-        quarantine_dir = self.cache_dir / "quarantine"
-        try:
-            quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine_dir / path.name)
-            self._emit("stage",
-                       f"quarantined corrupt cache entry {path.name} "
-                       f"({reason}); recomputing")
-        except OSError:
-            try:
-                path.unlink()  # fallback: drop it so it is not re-served
-            except OSError:
-                pass
 
     def _store_cached_result(self, job: SweepJob, result: SimResult) -> None:
         path = self._result_path(job)
         if path is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = result.as_dict()
-        wrapper = {"sha256": _result_digest(payload), "result": payload}
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        body = json.dumps(result.as_dict(), sort_keys=True)
         try:
-            with tmp.open("w") as stream:
-                json.dump(wrapper, stream, sort_keys=True)
-            os.replace(tmp, path)
+            diskstore.put(path, body.encode("utf-8"), RESULT_FORMAT,
+                          {"job": job.name})
         except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+            pass  # a full disk costs a recompute, not the sweep
 
     def _crash_dir(self) -> Optional[Path]:
         return self.cache_dir / "crashes" if self.cache_dir else None

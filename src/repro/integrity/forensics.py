@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from ..diskstore import atomic_write
 from .chaos import ENV_CHAOS
 from .errors import SimulationError
 
@@ -99,7 +99,6 @@ def write_crash_dump(error: SimulationError,
             context's benchmark).
     """
     directory = Path(directory) if directory else DEFAULT_CRASH_DIR
-    directory.mkdir(parents=True, exist_ok=True)
     payload = error.as_dict()
     payload["format"] = DUMP_FORMAT
     if context:
@@ -113,18 +112,8 @@ def write_crash_dump(error: SimulationError,
     name = (f"crash-{error.machine or 'machine'}-{workload}-{stamp}"
             f"-{os.getpid()}-{next(_counter)}.json")
     path = directory / name
-    handle, tmp_name = tempfile.mkstemp(dir=str(directory), suffix=".tmp")
-    try:
-        with os.fdopen(handle, "w") as stream:
-            json.dump(payload, stream, sort_keys=True, indent=1,
-                      default=str)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    text = json.dumps(payload, sort_keys=True, indent=1, default=str)
+    atomic_write(path, text.encode("utf-8"))
     return path
 
 

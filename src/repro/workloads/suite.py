@@ -10,12 +10,11 @@ regenerating them.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
+import io
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
+from .. import diskstore
 from ..trace.io import TraceFormatError, read_trace, write_trace
 from ..trace.record import TraceRecord
 from .generator import generate_trace
@@ -23,8 +22,13 @@ from .profiles import ALL_NAMES, SPEC_FP_NAMES, SPEC_INT_NAMES, get_profile
 
 #: Bump when trace *content* for a given (name, length, seed) can change
 #: (generator algorithm or profile calibration changes) so stale disk
-#: cache entries are never reused.
-TRACE_CACHE_VERSION = 1
+#: cache entries are never reused.  v2: entries moved into the
+#: :mod:`repro.diskstore` envelope.
+TRACE_CACHE_VERSION = 2
+
+#: Envelope tag of a cached trace (its :mod:`repro.trace.io` bytes are
+#: the body).
+TRACE_FORMAT = "repro-trace-v1"
 
 
 def trace_key(name: str, length: int, seed: int) -> str:
@@ -40,8 +44,7 @@ def trace_key(name: str, length: int, seed: int) -> str:
         profile = repr(get_profile(name))
     except KeyError:
         profile = "<unknown>"
-    blob = f"{TRACE_CACHE_VERSION}|{name}|{length}|{seed}|{profile}"
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
+    return diskstore.key(TRACE_CACHE_VERSION, name, length, seed, profile)
 
 
 class TraceCache:
@@ -69,14 +72,15 @@ class TraceCache:
 class DiskTraceCache(TraceCache):
     """Trace cache with a shared on-disk tier under *cache_dir*.
 
-    Layout: ``<cache_dir>/traces/<content-hash>.trace`` in the binary
-    format of :mod:`repro.trace.io`.  Writes are atomic (temp file +
-    ``os.replace``) so concurrent workers racing to fill the same entry
-    can never expose a torn file; the losers simply overwrite with
-    identical bytes.  A corrupt or truncated entry is moved aside to
-    ``<cache_dir>/quarantine/`` (for inspection — a recurring corruption
-    points at a storage or writer bug, not bad luck), regenerated and
-    rewritten rather than propagated.
+    Layout: ``<cache_dir>/traces/<content-hash>.trace``, a
+    :mod:`repro.diskstore` entry whose body is the binary format of
+    :mod:`repro.trace.io`.  Writes are atomic, so concurrent workers
+    racing to fill the same entry can never expose a torn file; the
+    losers simply overwrite with identical bytes.  An entry that fails
+    its checksum, does not parse or has the wrong length is
+    quarantined (for inspection: a recurring corruption points at a
+    storage or writer bug, not bad luck), regenerated and rewritten
+    rather than propagated.
 
     Attributes:
         hits / misses: In-memory tier statistics.
@@ -88,7 +92,6 @@ class DiskTraceCache(TraceCache):
     def __init__(self, cache_dir: Union[str, Path]):
         super().__init__()
         self.cache_dir = Path(cache_dir) / "traces"
-        self.quarantine_dir = Path(cache_dir) / "quarantine"
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
@@ -108,48 +111,25 @@ class DiskTraceCache(TraceCache):
 
     def _load(self, name: str, length: int, seed: int) -> List[TraceRecord]:
         path = self.path_for(name, length, seed)
-        if path.exists():
-            try:
-                trace = read_trace(path)
-                if len(trace) == length:
-                    self.disk_hits += 1
-                    return trace
-                self._quarantine(path, f"length {len(trace)} != {length}")
-            except TraceFormatError as exc:
-                self._quarantine(path, str(exc))
-            except OSError:
-                pass  # unreadable, not provably corrupt: regenerate
+        try:
+            entry = diskstore.get(path, TRACE_FORMAT)
+            if entry is not None:
+                trace = read_trace(io.BytesIO(entry[1]))
+                if len(trace) != length:
+                    raise TraceFormatError(
+                        f"length {len(trace)} != {length}")
+                self.disk_hits += 1
+                return trace
+        except (TraceFormatError, ValueError) as exc:
+            self.quarantined += 1
+            diskstore.quarantine(path, exc)
         self.disk_misses += 1
         trace = generate_trace(name, length, seed)
-        self._persist(trace, path)
+        body = io.BytesIO()
+        write_trace(trace, body)
+        diskstore.put(path, body.getvalue(), TRACE_FORMAT,
+                      {"name": name, "length": length, "seed": seed})
         return trace
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt entry aside so it is kept but never re-served."""
-        self.quarantined += 1
-        try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, self.quarantine_dir / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def _persist(self, trace: Sequence[TraceRecord], path: Path) -> None:
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(dir=str(self.cache_dir),
-                                            suffix=".tmp")
-        try:
-            with os.fdopen(handle, "wb") as stream:
-                write_trace(trace, stream)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
 
 
 #: Default shared cache used by the harness and benchmarks.

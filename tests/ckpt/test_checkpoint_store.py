@@ -8,7 +8,6 @@ a corrupt snapshot must never poison a resume.
 import copy
 import io
 import json
-import os
 
 import pytest
 
@@ -70,47 +69,6 @@ def test_corrupt_payload_quarantined(tmp_path):
     quarantined = list((tmp_path / "quarantine").iterdir())
     assert any(entry.suffix != ".reason" for entry in quarantined)
     assert any(entry.suffix == ".reason" for entry in quarantined)
-
-
-class _FullDisk:
-    """A file opened for writing that fails after one byte."""
-
-    def __init__(self, path, mode):
-        self._stream = open(path, mode)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._stream.close()
-
-    def write(self, data):
-        self._stream.write(data[:1])
-        raise OSError("injected write failure")
-
-
-@pytest.mark.parametrize("fail", ("write", "replace"))
-def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch, fail):
-    """A failed write or rename leaves the previous checkpoint as the
-    only file: the temp file is gone, the error reaches the caller."""
-    from repro.ckpt import store as store_module
-
-    store = CheckpointStore(tmp_path / "ckpts")
-    store.save("k", _checkpoint())
-
-    def broken(*args):
-        raise OSError("injected replace failure")
-
-    if fail == "replace":
-        monkeypatch.setattr(os, "replace", broken)
-    else:
-        monkeypatch.setattr(store_module, "open", _FullDisk, raising=False)
-    with pytest.raises(OSError, match="injected"):
-        store.save("k", _checkpoint())
-    monkeypatch.undo()
-    assert sorted(path.name for path in (tmp_path / "ckpts").iterdir()) \
-        == ["k.ckpt"]
-    assert loads_state(store.load("k").payload) == {"answer": 41}
 
 
 def test_garbage_header_quarantined(tmp_path):

@@ -50,8 +50,8 @@ def test_truncated_result_entry_is_quarantined_and_recomputed(tmp_path):
     assert rerun.ok
     assert rerun.metrics.quarantined == 1
     assert rerun.metrics.result_cache_hits == 0  # recomputed, not served
-    assert [p.name for p in (cache / "quarantine").iterdir()] \
-        == [entry.name]
+    assert sorted(p.name for p in (cache / "quarantine").iterdir()) \
+        == [entry.name, f"{entry.name}.reason"]
     assert rerun.results[0].cycles == baseline.results[0].cycles
     # The recomputed entry is back on disk and healthy again.
     third = ExperimentEngine(max_workers=1, cache_dir=cache).run(jobs)
@@ -60,14 +60,15 @@ def test_truncated_result_entry_is_quarantined_and_recomputed(tmp_path):
 
 
 def test_checksum_catches_tampered_but_valid_json(tmp_path):
-    """Bit rot that still parses: the sha256 wrapper must reject it."""
+    """Bit rot that still parses: the sha256 envelope must reject it."""
     cache = tmp_path / "cache"
     jobs = _jobs()
     baseline = ExperimentEngine(max_workers=1, cache_dir=cache).run(jobs)
     (entry,) = _result_files(cache)
-    wrapper = json.loads(entry.read_text())
-    wrapper["result"]["cycles"] += 1  # payload no longer matches sha256
-    entry.write_text(json.dumps(wrapper))
+    header, body = entry.read_text().split("\n", 1)
+    result = json.loads(body)
+    result["cycles"] += 1  # body no longer matches sha256
+    entry.write_text(header + "\n" + json.dumps(result))
 
     rerun = ExperimentEngine(max_workers=1, cache_dir=cache).run(jobs)
     assert rerun.metrics.quarantined == 1

@@ -333,17 +333,17 @@ def test_schema_bump_regenerates_stale_cached_results(tmp_path,
                                                       monkeypatch):
     """Results cached by older code must be re-run, not served stale.
 
-    Simulates a pre-upgrade cache by writing entries under schema
-    version 1, then checks that the current version ignores them and
-    regenerates results that carry the new ``cpistack`` payload.
+    Simulates a pre-upgrade cache by writing entries under an older
+    ``MODEL_VERSION``, then checks that the current version ignores them
+    and regenerates results that carry the new ``cpistack`` payload.
     """
-    import repro.harness.parallel as parallel_mod
+    from repro import diskstore
 
     jobs = small_matrix(benchmarks=("gcc",), seeds=(1,),
                         machines=("single",))
     cache_dir = tmp_path / "cache"
 
-    monkeypatch.setattr(parallel_mod, "_RESULT_CACHE_VERSION", 1)
+    monkeypatch.setattr(diskstore, "MODEL_VERSION", 1)
     stale_key = jobs[0].key()
     old = ExperimentEngine(max_workers=1, cache_dir=cache_dir).run(jobs)
     assert old.ok and old.metrics.result_cache_hits == 0
@@ -361,6 +361,39 @@ def test_schema_bump_regenerates_stale_cached_results(tmp_path,
     again = ExperimentEngine(max_workers=1, cache_dir=cache_dir).run(jobs)
     assert again.metrics.result_cache_hits == len(jobs)
     assert "cpistack" in again.results[0].extra
+
+
+def test_model_version_bump_orphans_stale_checkpoints(tmp_path,
+                                                      monkeypatch):
+    """A checkpoint written under an older ``MODEL_VERSION`` is never
+    resumed: the version is part of its run key, so the run starts cold
+    and matches a run that never checkpointed."""
+    from repro import diskstore
+    from repro.ckpt.store import CheckpointStore, run_key
+    from repro.harness.runners import run_machine
+    from repro.workloads.suite import TraceCache
+
+    base = core_config("small")
+    config = ExperimentConfig(trace_length=2400, warmup=400, seed=3)
+    store = CheckpointStore(tmp_path / "checkpoints")
+    key = run_key("single", "gcc", 400, "pk", "fp")
+    monkeypatch.setattr(diskstore, "MODEL_VERSION", 1)
+    assert run_key("single", "gcc", 400, "pk", "fp") != key
+    run_machine("single", "gcc", base, config, cache=TraceCache(),
+                checkpoint_interval=700, checkpoint_sink=store)
+    (stale,) = store.directory.glob("*.ckpt")
+
+    monkeypatch.undo()
+    found = []
+    load = store.load
+    monkeypatch.setattr(store, "load",
+                        lambda key: found.append(load(key)) or found[-1])
+    resumed = run_machine("single", "gcc", base, config, cache=TraceCache(),
+                          checkpoint_interval=700, checkpoint_sink=store)
+    assert found == [None]
+    assert stale.exists()  # orphaned, not quarantined
+    assert resumed.as_dict() == run_machine(
+        "single", "gcc", base, config, cache=TraceCache()).as_dict()
 
 
 # -- job identity -------------------------------------------------------

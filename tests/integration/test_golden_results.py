@@ -8,10 +8,16 @@ registries over a fixed machine x benchmark x config matrix, plus the
 shape of two structured failures per cycle-level machine, and compares
 them with ``golden_results.json``.
 
-A deliberate timing change regenerates the fixture with::
+A deliberate timing change bumps ``repro.diskstore.MODEL_VERSION``, so
+no result or checkpoint of the old model is served from a warm
+``.repro_cache/``, and regenerates the fixture with::
 
     PYTHONPATH=src python tests/integration/test_golden_results.py \\
         > tests/integration/golden_results.json
+
+then adds the new file's sha256 to :data:`FIXTURE_SHA256` under the new
+version.  A fixture regenerated without a bump fails
+``test_fixture_is_pinned_to_the_model_version``.
 """
 
 import hashlib
@@ -20,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.diskstore import MODEL_VERSION
 from repro.fgstp.params import FgStpParams
 from repro.harness.runners import build_machine
 from repro.integrity.chaos import ChaosSpec, apply_chaos
@@ -29,6 +36,10 @@ from repro.uarch.params import core_config
 from repro.workloads.generator import generate_trace
 
 FIXTURE = Path(__file__).with_name("golden_results.json")
+#: sha256 of the fixture file for each ``MODEL_VERSION``.
+FIXTURE_SHA256 = {
+    4: "65a1c86064c34cbdfecbc7e218a82aa582c9e5f5f585973733724ec974c6b8c4",
+}
 LENGTH, WARMUP, SEED = 3000, 600, 11
 BENCHMARKS = ("gcc", "mcf", "milc")
 CONFIGS = ("small", "medium")
@@ -103,6 +114,13 @@ def compute_golden() -> dict:
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_is_pinned_to_the_model_version():
+    digest = hashlib.sha256(FIXTURE.read_bytes()).hexdigest()
+    assert FIXTURE_SHA256.get(MODEL_VERSION) == digest, (
+        f"golden_results.json (sha256 {digest}) is not pinned for "
+        f"MODEL_VERSION {MODEL_VERSION}; a timing change bumps the version")
 
 
 @pytest.mark.parametrize("cell", RESULT_CELLS)

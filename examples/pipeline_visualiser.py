@@ -5,7 +5,7 @@ Renders per-uop timelines for two tiny contrasting programs — a serial
 dependence chain and the same work split into two independent chains —
 so the dataflow limit is visible cycle by cycle.  The timelines come
 from the pipeline tracer (:mod:`repro.obs`), the same events ``repro
-timeline`` exports.
+simulate --view timeline`` exports.
 
 Usage::
 

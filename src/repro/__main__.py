@@ -4,9 +4,13 @@ Commands:
 
 * ``list`` — show the registered experiments and benchmark suite.
 * ``run E1 [E4 ...]`` — run experiments and print their tables.
-* ``simulate <benchmark>`` — run one benchmark on all three machines.
-* ``profile <benchmark>`` — CPI stacks (cycle accounting) on all three
-  machines, with the ledger invariant checked.
+* ``simulate <benchmark>`` — run one benchmark on machines (default
+  single, Core Fusion and Fg-STP) and render the runs as one
+  ``--view``: ``speedup`` (the default: cycles, IPC and speedup over
+  the first machine), ``cpi`` (CPI stacks, every ledger validated),
+  ``metrics`` (each run's metrics registry, as tables or ``--json``)
+  or ``timeline`` (per-uop pipeline events as Chrome trace-event JSON
+  for Perfetto, Konata logs, JSONL or an ASCII timeline).
 * ``sweep`` — fan a benchmark × seed × machine × config matrix across
   worker processes (disk-backed cache, retries, progress metrics).
   Cached sweeps are journaled *campaigns*: SIGINT/SIGTERM stop them
@@ -25,11 +29,6 @@ Commands:
 * ``fuzz`` — differential fuzzing: random well-formed programs through
   the functional interpreter and every machine under the oracle,
   shrinking any divergence to a regression fixture.
-* ``timeline`` — per-uop pipeline event traces for one benchmark on
-  any machines, exported as Chrome trace-event JSON (load in
-  Perfetto), Konata pipeline logs, JSONL, or an ASCII timeline.
-* ``metrics`` — run machines and print every counter and gauge of the
-  metrics registry built from each result.
 * ``bench`` — simulation-throughput benchmark: pinned workload matrix
   across the machines, instructions/s and kilo-cycles/s from multi-rep
   medians, ``BENCH_<date>.json`` snapshot, instructions/s regression
@@ -40,7 +39,8 @@ Exit codes are uniform across commands: 0 = success, 1 = an experiment
 or validation failed (including a simulation that hung or overflowed —
 the failure leaves a crash dump and the exit line points at it), 2 =
 usage error (unknown benchmark, experiment id, missing crash dump or
-malformed arguments — argparse errors also exit 2).
+malformed arguments, such as a flag the command or view does not read
+— argparse errors also exit 2).
 """
 
 from __future__ import annotations
@@ -101,6 +101,30 @@ def _check_sizing(parser: argparse.ArgumentParser, args) -> None:
                      f"{args.length} to measure")
 
 
+def _unknown_benchmarks(args) -> list:
+    """The benchmark names on the command line that are not in the
+    suite: the positional of ``simulate``/``oracle`` and any
+    ``--benchmarks``."""
+    names = list(getattr(args, "benchmarks", None) or [])
+    if hasattr(args, "benchmark"):
+        names.append(args.benchmark)
+    return [name for name in names if name not in PROFILES]
+
+
+def _positive(kind, or_zero: bool = False):
+    """An argparse type: *kind* of the text, rejected (exit 2) unless
+    it is positive, or zero too with *or_zero*."""
+    def parse(text):
+        value = kind(text)
+        if not (value >= 0 if or_zero else value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'non-negative' if or_zero else 'positive'}, "
+                f"got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _config(args) -> ExperimentConfig:
     return ExperimentConfig(trace_length=args.length, warmup=args.warmup,
                             seed=args.seed,
@@ -137,27 +161,27 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_benchmark(args, machines, make_tracer=None):
-    """Run ``args.benchmark``'s trace on each of *machines*.
+def _run_benchmark(args):
+    """Run ``args.benchmark``'s trace on each of ``args.machines``.
 
-    *make_tracer*, when given, builds a fresh tracer for every machine.
+    Only the timeline view attaches a tracer, a fresh one per machine.
     A run that fails with a structured error writes a crash dump and
     prints a one-line pointer to it.
 
     Returns:
         ``(exit_code, runs)`` with ``runs[machine] = (result, tracer)``.
-        The exit code is 2 for an unknown benchmark, 1 when a run
-        failed, else 0.
+        The exit code is 1 when a run failed, else 0.
     """
-    if args.benchmark not in PROFILES:
-        print(f"unknown benchmark {args.benchmark!r}; see `list`",
-              file=sys.stderr)
-        return 2, {}
+    from .obs.tracer import PipelineTracer
+
     base = core_config(args.config)
     trace = generate_trace(args.benchmark, args.length, args.seed)
     runs = {}
-    for machine_name in machines:
-        tracer = make_tracer() if make_tracer is not None else None
+    for machine_name in dict.fromkeys(args.machines):  # each one once
+        tracer = (PipelineTracer(capacity=args.capacity,
+                                 sample_window=args.sample_window,
+                                 sample_period=args.sample_period)
+                  if args.view == "timeline" else None)
         machine = build_machine(machine_name, base, tracer=tracer)
         try:
             result = machine.run(trace, workload=args.benchmark,
@@ -176,30 +200,50 @@ def _run_benchmark(args, machines, make_tracer=None):
     return 0, runs
 
 
-#: The machines ``simulate`` and ``profile`` compare.
-_COMPARED = ("single", "corefusion", "fgstp")
+#: The flags only one ``simulate`` view reads, with their defaults.
+#: The parser gives them none, so a flag given to another view can be
+#: told apart and rejected.
+_VIEW_FLAGS = {
+    "speedup": {},
+    "cpi": {},
+    "metrics": {"json": False},
+    "timeline": {"format": "chrome", "out": None, "capacity": 65536,
+                 "sample_window": 0, "sample_period": 1},
+}
+
+
+def _check_view(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2 through *parser* on a flag only another view reads, then
+    fill in the defaults of the flags *args*' view reads."""
+    for view, defaults in _VIEW_FLAGS.items():
+        for flag, default in defaults.items():
+            if not hasattr(args, flag):
+                setattr(args, flag, default)
+            elif view != args.view:
+                parser.error(f"--{flag.replace('_', '-')} is read only "
+                             f"by --view {view}")
 
 
 def cmd_simulate(args) -> int:
-    code, runs = _run_benchmark(args, _COMPARED)
+    code, runs = _run_benchmark(args)
     if code:
         return code
-    single, fusion, fgstp = (runs[name][0] for name in _COMPARED)
-    rows = [
-        ["single", single.cycles, single.ipc, 1.0],
-        ["corefusion", fusion.cycles, fusion.ipc,
-         single.cycles / fusion.cycles],
-        ["fgstp", fgstp.cycles, fgstp.ipc, single.cycles / fgstp.cycles],
-    ]
+    views = {"speedup": _speedup_view, "cpi": _cpi_view,
+             "metrics": _metrics_view, "timeline": _timeline_view}
+    return views[args.view](args, runs)
+
+
+def _speedup_view(args, runs) -> int:
+    first = next(iter(runs.values()))[0]
+    rows = [[machine, result.cycles, result.ipc,
+             first.cycles / result.cycles]
+            for machine, (result, _) in runs.items()]
     print(render_table(["machine", "cycles", "ipc", "speedup"], rows,
                        title=f"{args.benchmark} on {args.config}"))
     return 0
 
 
-def cmd_profile(args) -> int:
-    code, runs = _run_benchmark(args, _COMPARED)
-    if code:
-        return code
+def _cpi_view(args, runs) -> int:
     stacks = {}
     failed = False
     for machine, (result, _) in runs.items():
@@ -223,6 +267,75 @@ def cmd_profile(args) -> int:
         print(cpistack_comparison(
             stacks, title=f"{args.benchmark}: CPI by cause"))
     return 1 if failed else 0
+
+
+def _timeline_view(args, runs) -> int:
+    import json
+
+    from .harness.report import occupancy_text, timeline_text
+    from .obs.export import chrome_trace, events_jsonl, konata_log
+
+    machine_events = {name: tracer.events()
+                      for name, (_, tracer) in runs.items()}
+
+    out = Path(args.out) if args.out else None
+    if args.format == "chrome":
+        payload = chrome_trace(machine_events)
+        if out is not None:
+            with out.open("w") as stream:
+                json.dump(payload, stream)
+            print(f"wrote {out} "
+                  f"({len(payload['traceEvents'])} trace events; "
+                  f"load in Perfetto / chrome://tracing)")
+        else:
+            print(json.dumps(payload))
+        return 0
+    for machine_name, events in machine_events.items():
+        if args.format == "ascii":
+            print(timeline_text(
+                events, title=f"{machine_name}: pipeline timeline "
+                              f"({args.benchmark}, {args.config})"))
+            print()
+            print(occupancy_text(
+                events, title=f"{machine_name}: commit occupancy"))
+            print()
+            continue
+        if args.format == "konata":
+            text = konata_log(events)
+        else:  # jsonl
+            text = "".join(line + "\n" for line in events_jsonl(events))
+        if out is not None:
+            path = (out if len(machine_events) == 1
+                    else out.with_name(
+                        f"{out.stem}.{machine_name}{out.suffix}"))
+            path.write_text(text)
+            print(f"wrote {path}")
+        else:
+            print(f"== {machine_name} ==")
+            print(text, end="")
+    return 0
+
+
+def _metrics_view(args, runs) -> int:
+    import json
+
+    from .harness.report import metrics_table
+    from .obs.metrics import metrics_of
+
+    registries = {name: metrics_of(result)
+                  for name, (result, _) in runs.items()}
+    if args.json:
+        print(json.dumps(
+            {name: registry.as_dict()
+             for name, registry in registries.items()},
+            indent=1, sort_keys=True))
+        return 0
+    for machine_name, registry in registries.items():
+        print(metrics_table(
+            registry, title=f"{machine_name}: metrics "
+                            f"({args.benchmark}, {args.config})"))
+        print()
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -267,10 +380,6 @@ def cmd_sweep(args) -> int:
             args.checkpoint_interval = recipe.get("checkpoint_interval")
 
     benchmarks = args.benchmarks or suite_names("all")
-    unknown = [name for name in benchmarks if name not in PROFILES]
-    if unknown:
-        print(f"unknown benchmarks {unknown}; see `list`", file=sys.stderr)
-        return 2
 
     if args.checkpoint_interval is not None:
         # Through the environment so pool workers inherit it and every
@@ -426,10 +535,6 @@ def cmd_oracle(args) -> int:
               f"functional execution of kernel {args.kernel!r} "
               "(dataflow-checked)")
     else:
-        if args.benchmark not in PROFILES:
-            print(f"unknown benchmark {args.benchmark!r}; see `list`",
-                  file=sys.stderr)
-            return 2
         golden = None
         trace = generate_trace(args.benchmark, args.length, args.seed)
         warmup = args.warmup
@@ -487,108 +592,11 @@ def cmd_fuzz(args) -> int:
     return 1 if failed else 0
 
 
-def _obs_machines(args):
-    return list(args.machines) or list(MACHINES)
-
-
-def cmd_timeline(args) -> int:
-    import json
-
-    from .harness.report import occupancy_text, timeline_text
-    from .obs.export import chrome_trace, events_jsonl, konata_log
-    from .obs.tracer import PipelineTracer
-
-    if args.experiment:
-        experiment_id = args.experiment.upper()
-        if experiment_id not in REGISTRY:
-            print(f"unknown experiment {args.experiment!r}; see `list`",
-                  file=sys.stderr)
-            return 2
-        # E2 is the small-CMP headline; every other experiment's
-        # machines run the medium configuration.
-        args.config = "small" if experiment_id == "E2" else "medium"
-    code, runs = _run_benchmark(
-        args, _obs_machines(args),
-        lambda: PipelineTracer(capacity=args.capacity,
-                               sample_window=args.sample_window,
-                               sample_period=args.sample_period))
-    if code:
-        return code
-    machine_events = {name: tracer.events()
-                      for name, (_, tracer) in runs.items()}
-
-    out = Path(args.out) if args.out else None
-    if args.format == "chrome":
-        payload = chrome_trace(machine_events)
-        if out is not None:
-            with out.open("w") as stream:
-                json.dump(payload, stream)
-            print(f"wrote {out} "
-                  f"({len(payload['traceEvents'])} trace events; "
-                  f"load in Perfetto / chrome://tracing)")
-        else:
-            print(json.dumps(payload))
-        return 0
-    for machine_name, events in machine_events.items():
-        if args.format == "ascii":
-            print(timeline_text(
-                events, title=f"{machine_name}: pipeline timeline "
-                              f"({args.benchmark}, {args.config})"))
-            print()
-            print(occupancy_text(
-                events, title=f"{machine_name}: commit occupancy"))
-            print()
-            continue
-        if args.format == "konata":
-            text = konata_log(events)
-        else:  # jsonl
-            text = "".join(line + "\n" for line in events_jsonl(events))
-        if out is not None:
-            path = (out if len(machine_events) == 1
-                    else out.with_name(
-                        f"{out.stem}.{machine_name}{out.suffix}"))
-            path.write_text(text)
-            print(f"wrote {path}")
-        else:
-            print(f"== {machine_name} ==")
-            print(text, end="")
-    return 0
-
-
-def cmd_metrics(args) -> int:
-    import json
-
-    from .harness.report import metrics_table
-    from .obs.metrics import metrics_of
-
-    code, runs = _run_benchmark(args, _obs_machines(args))
-    if code:
-        return code
-    registries = {name: metrics_of(result)
-                  for name, (result, _) in runs.items()}
-    if args.json:
-        print(json.dumps(
-            {name: registry.as_dict()
-             for name, registry in registries.items()},
-            indent=1, sort_keys=True))
-        return 0
-    for machine_name, registry in registries.items():
-        print(metrics_table(
-            registry, title=f"{machine_name}: metrics "
-                            f"({args.benchmark}, {args.config})"))
-        print()
-    return 0
-
-
 def cmd_bench(args) -> int:
     from .harness import bench
 
     machines = args.machines or list(bench.PINNED_MACHINES)
     benchmarks = args.benchmarks or list(bench.PINNED_BENCHMARKS)
-    unknown = [name for name in benchmarks if name not in PROFILES]
-    if unknown:
-        print(f"unknown benchmarks {unknown}; see `list`", file=sys.stderr)
-        return 2
     if args.reps < 1:
         print(f"--reps must be >= 1: {args.reps}", file=sys.stderr)
         return 2
@@ -646,10 +654,6 @@ def cmd_validate(args) -> int:
     from .validation import validate_all
 
     benchmarks = args.benchmarks or ["gcc", "milc", "mcf"]
-    unknown = [name for name in benchmarks if name not in PROFILES]
-    if unknown:
-        print(f"unknown benchmarks {unknown}; see `list`", file=sys.stderr)
-        return 2
     any_failed = False
     for benchmark in benchmarks:
         print(f"validating on {benchmark} "
@@ -769,19 +773,50 @@ def main(argv=None) -> int:
                             help="experiment ids, e.g. E1 E4")
     _add_sizing(run_parser)
 
-    sim_parser = sub.add_parser("simulate",
-                                help="one benchmark on all machines")
+    sim_parser = sub.add_parser(
+        "simulate", help="run one benchmark on machines and show it as "
+                         "a speedup table, CPI stacks, metrics or a "
+                         "pipeline timeline")
     sim_parser.add_argument("benchmark")
+    sim_parser.add_argument("--view", default="speedup",
+                            choices=tuple(_VIEW_FLAGS),
+                            help="how to show the runs (default speedup)")
     sim_parser.add_argument("--config", default="medium",
                             choices=("small", "medium"))
+    sim_parser.add_argument("--machines", nargs="+",
+                            default=["single", "corefusion", "fgstp"],
+                            choices=MACHINES,
+                            help="machines to run; speedups are over the "
+                                 "first (default single corefusion "
+                                 "fgstp)")
+    # Flags of one view (see _VIEW_FLAGS) have no parser default.
+    metrics_flags = sim_parser.add_argument_group("--view metrics")
+    metrics_flags.add_argument("--json", action="store_true",
+                               default=argparse.SUPPRESS,
+                               help="one JSON document instead of tables")
+    timeline_flags = sim_parser.add_argument_group("--view timeline")
+    timeline_flags.add_argument("--format", default=argparse.SUPPRESS,
+                                choices=("chrome", "konata", "jsonl",
+                                         "ascii"),
+                                help="output format (default chrome; "
+                                     "load in Perfetto)")
+    timeline_flags.add_argument("--out", default=argparse.SUPPRESS,
+                                help="output file (default stdout; "
+                                     "multi-machine konata/jsonl files "
+                                     "get a machine suffix)")
+    timeline_flags.add_argument("--capacity", type=_positive(int),
+                                default=argparse.SUPPRESS,
+                                help="event ring capacity (default 65536)")
+    timeline_flags.add_argument("--sample-window",
+                                type=_positive(int, or_zero=True),
+                                default=argparse.SUPPRESS,
+                                help="cycles per sampling window "
+                                     "(default 0 = record everything)")
+    timeline_flags.add_argument("--sample-period", type=_positive(int),
+                                default=argparse.SUPPRESS,
+                                help="record one window in every N "
+                                     "(default 1)")
     _add_sizing(sim_parser, benchmarks=False)
-
-    profile_parser = sub.add_parser(
-        "profile", help="CPI stacks for one benchmark on all machines")
-    profile_parser.add_argument("benchmark")
-    profile_parser.add_argument("--config", default="medium",
-                                choices=("small", "medium"))
-    _add_sizing(profile_parser, benchmarks=False)
 
     # No abbreviations: `--seed` would otherwise mean `--seeds` here.
     sweep_parser = sub.add_parser(
@@ -801,7 +836,8 @@ def main(argv=None) -> int:
                               default=os.cpu_count() or 1,
                               help="worker processes (default: all cores; "
                                    "1 = serial)")
-    sweep_parser.add_argument("--timeout", type=float, default=None,
+    sweep_parser.add_argument("--timeout", type=_positive(float),
+                              default=None,
                               help="per-job timeout in seconds")
     sweep_parser.add_argument("--retries", type=int, default=1,
                               help="retries per failed job (default 1)")
@@ -834,12 +870,14 @@ def main(argv=None) -> int:
                               help="resume an interrupted campaign: "
                                    "rebuild its recipe, skip every "
                                    "already-cached job, finish the rest")
-    sweep_parser.add_argument("--stuck-after", type=float, default=None,
+    sweep_parser.add_argument("--stuck-after", type=_positive(float),
+                              default=None,
                               metavar="SECONDS",
                               help="kill and requeue a pool worker whose "
                                    "heartbeat goes silent this long "
                                    "(default: no preemption)")
-    sweep_parser.add_argument("--rss-limit-mb", type=int, default=None,
+    sweep_parser.add_argument("--rss-limit-mb", type=_positive(int),
+                              default=None,
                               metavar="MIB",
                               help="per-job address-space budget; "
                                    "overruns fail structurally instead "
@@ -927,68 +965,17 @@ def main(argv=None) -> int:
                              help="suppress per-program progress lines")
     _add_sizing(fuzz_parser, warmup=False, benchmarks=False)
 
-    timeline_parser = sub.add_parser(
-        "timeline", help="per-uop pipeline event trace / timeline export")
-    timeline_parser.add_argument("benchmark", nargs="?", default="gcc",
-                                 help="benchmark to trace (default gcc)")
-    timeline_parser.add_argument("--experiment", default=None,
-                                 help="size the run like this experiment "
-                                      "(E2 = small CMP, others medium)")
-    timeline_parser.add_argument("--config", default="medium",
-                                 choices=("small", "medium"))
-    timeline_parser.add_argument("--machines", nargs="*", default=[],
-                                 choices=MACHINES,
-                                 help="machines to trace (default: all)")
-    timeline_parser.add_argument("--format", default="chrome",
-                                 choices=("chrome", "konata", "jsonl",
-                                          "ascii"),
-                                 help="output format (default chrome; "
-                                      "load in Perfetto)")
-    timeline_parser.add_argument("--out", default=None,
-                                 help="output file (default stdout; "
-                                      "multi-machine konata/jsonl files "
-                                      "get a machine suffix)")
-    timeline_parser.add_argument("--capacity", type=int, default=65536,
-                                 help="event ring capacity "
-                                      "(default 65536)")
-    timeline_parser.add_argument("--sample-window", type=int, default=0,
-                                 help="cycles per sampling window "
-                                      "(0 = record everything)")
-    timeline_parser.add_argument("--sample-period", type=int, default=1,
-                                 help="record one window in every N")
-    _add_sizing(timeline_parser, benchmarks=False)
-
-    metrics_parser = sub.add_parser(
-        "metrics", help="unified metrics registry for one benchmark")
-    metrics_parser.add_argument("benchmark", nargs="?", default="gcc",
-                                help="benchmark to run (default gcc)")
-    metrics_parser.add_argument("--config", default="medium",
-                                choices=("small", "medium"))
-    metrics_parser.add_argument("--machines", nargs="*", default=[],
-                                choices=MACHINES,
-                                help="machines to run (default: all)")
-    metrics_parser.add_argument("--json", action="store_true",
-                                help="emit one JSON document instead of "
-                                     "tables")
-    _add_sizing(metrics_parser, benchmarks=False)
-
     bench_parser = sub.add_parser(
-        "bench", help="simulation-throughput benchmark "
-                      "(pinned matrix, snapshot + regression check)")
+        "bench", help="simulation-throughput benchmark (pinned matrix: "
+                      "gcc mcf milc, 30000/10000, seed 42; snapshot + "
+                      "regression check)")
     bench_parser.add_argument("--machines", nargs="*", default=[],
                               choices=MACHINES,
                               help="machines to run (default: all)")
-    bench_parser.add_argument("--benchmarks", nargs="*", default=[],
-                              help="benchmarks to run "
-                                   "(default: gcc mcf milc)")
     bench_parser.add_argument("--config", default="medium",
                               choices=("small", "medium"))
-    bench_parser.add_argument("--length", type=int, default=30000,
-                              help="pinned trace length (default 30000)")
-    bench_parser.add_argument("--warmup", type=int, default=10000,
-                              help="pinned warm-up (default 10000)")
-    bench_parser.add_argument("--seed", type=int, default=42,
-                              help="pinned trace seed (default 42)")
+    _add_sizing(bench_parser)
+    bench_parser.set_defaults(seed=42)
     bench_parser.add_argument("--reps", type=int, default=3,
                               help="measured repetitions per cell; one "
                                    "extra warm-up rep is discarded "
@@ -1011,13 +998,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "sizing_parser"):
         _check_sizing(args.sizing_parser, args)
+    if args.command == "simulate":
+        _check_view(sim_parser, args)
+    unknown = _unknown_benchmarks(args)
+    if unknown:
+        print(f"unknown benchmark(s) {unknown}; see `list`",
+              file=sys.stderr)
+        return 2
     handlers = {"list": cmd_list, "run": cmd_run,
-                "simulate": cmd_simulate, "profile": cmd_profile,
-                "sweep": cmd_sweep, "report": cmd_report,
-                "validate": cmd_validate, "forensics": cmd_forensics,
-                "minimize": cmd_minimize, "oracle": cmd_oracle,
-                "fuzz": cmd_fuzz, "timeline": cmd_timeline,
-                "metrics": cmd_metrics, "bench": cmd_bench}
+                "simulate": cmd_simulate, "sweep": cmd_sweep,
+                "report": cmd_report, "validate": cmd_validate,
+                "forensics": cmd_forensics, "minimize": cmd_minimize,
+                "oracle": cmd_oracle, "fuzz": cmd_fuzz,
+                "bench": cmd_bench}
     return handlers[args.command](args)
 
 

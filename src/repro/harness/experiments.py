@@ -445,7 +445,11 @@ def e13_prefetching(config: ExperimentConfig) -> ExperimentReport:
         cycles = {}
         for machine_name in ("single", "corefusion", "fgstp"):
             for prefetch in (False, True):
-                machine = build_machine(machine_name, base)
+                # No checkpoints with a prefetcher: the run key does not
+                # see it, so they would resume plain runs.
+                machine = build_machine(
+                    machine_name, base,
+                    checkpoint_interval=0 if prefetch else None)
                 if prefetch:
                     if machine_name == "fgstp":
                         for hierarchy in machine.hierarchies:

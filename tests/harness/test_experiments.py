@@ -130,6 +130,24 @@ def test_e11_adaptive():
     assert "geomean_adaptive_gain" in report.metrics
 
 
+def test_e13_prints_the_same_table_when_checkpointing(tmp_path,
+                                                     monkeypatch, capsys):
+    """The machines E13 gives a prefetcher take no checkpoints (the run
+    key does not see the prefetcher); the plain ones still do."""
+    from repro.__main__ import main
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "E13", "--length", "1200", "--warmup", "400",
+            "--benchmarks", "gcc"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("REPRO_CHECKPOINT_INTERVAL", "200")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+    checkpoints = tmp_path / ".repro_cache" / "checkpoints"
+    assert len(list(checkpoints.glob("*.ckpt"))) == 3  # one per machine
+
+
 def test_render_includes_metrics():
     report = ExperimentReport("EX", "t", ["a"], [[1.0]],
                               metrics={"m": 1.5})

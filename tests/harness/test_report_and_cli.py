@@ -55,7 +55,7 @@ def test_cli_simulate_unknown_benchmark(capsys):
 
 
 def test_cli_profile_prints_balanced_stacks(capsys):
-    assert main(["profile", "gcc", "--config", "small",
+    assert main(["simulate", "gcc", "--view", "cpi", "--config", "small",
                  "--length", "1500", "--warmup", "500"]) == 0
     out = capsys.readouterr().out
     # One stack table per machine plus the comparison table.
@@ -69,7 +69,7 @@ def test_cli_profile_prints_balanced_stacks(capsys):
 
 
 def test_cli_profile_unknown_benchmark_is_usage_error(capsys):
-    assert main(["profile", "nope", "--length", "1000",
+    assert main(["simulate", "nope", "--view", "cpi", "--length", "1000",
                  "--warmup", "100"]) == 2
     assert "unknown benchmark" in capsys.readouterr().err
 
@@ -90,12 +90,17 @@ def test_cli_validate_unknown_benchmark_is_usage_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "gcc", "--length", "300", "--warmup", "100",
      "--benchmarks", "mcf"],
-    ["profile", "gcc", "--length", "300", "--warmup", "100",
-     "--benchmarks", "mcf"],
-    ["timeline", "gcc", "--length", "300", "--warmup", "100",
-     "--format", "ascii", "--benchmarks", "mcf"],
-    ["metrics", "gcc", "--length", "300", "--warmup", "100",
-     "--benchmarks", "mcf"],
+    # The ids of the views keep the names of the commands they replace.
+    pytest.param(["simulate", "gcc", "--view", "cpi", "--length", "300",
+                  "--warmup", "100", "--benchmarks", "mcf"],
+                 id="profile--benchmarks"),
+    pytest.param(["simulate", "gcc", "--view", "timeline", "--length",
+                  "300", "--warmup", "100", "--format", "ascii",
+                  "--benchmarks", "mcf"],
+                 id="timeline--benchmarks"),
+    pytest.param(["simulate", "gcc", "--view", "metrics", "--length",
+                  "300", "--warmup", "100", "--benchmarks", "mcf"],
+                 id="metrics--benchmarks"),
     ["oracle", "gcc", "--length", "300", "--warmup", "100",
      "--benchmarks", "mcf"],
     ["fuzz", "--runs", "0", "--benchmarks", "mcf"],
@@ -120,7 +125,8 @@ def test_cli_rejects_sizing_flags_the_command_ignores(argv, capsys):
                  id="simulate-warmup-is-length"),
     pytest.param(["simulate", "gcc", "--length", "100", "--warmup", "-5"],
                  id="simulate-negative-warmup"),
-    pytest.param(["profile", "gcc", "--length", "-3", "--warmup", "0"],
+    pytest.param(["simulate", "gcc", "--view", "cpi", "--length", "-3",
+                  "--warmup", "0"],
                  id="profile-negative-length"),
     pytest.param(["validate", "--length", "0", "--benchmarks", "gcc"],
                  id="validate-length-0"),
@@ -129,6 +135,13 @@ def test_cli_rejects_sizing_flags_the_command_ignores(argv, capsys):
                  id="sweep-length-0"),
     pytest.param(["run", "E1", "--length", "100", "--warmup", "200"],
                  id="run-warmup-past-length"),
+    pytest.param(["bench", "--no-write", "--length", "0", "--warmup", "0"],
+                 id="bench-length-0"),
+    pytest.param(["bench", "--no-write", "--length", "100",
+                  "--warmup", "200"],
+                 id="bench-warmup-past-length"),
+    pytest.param(["bench", "--no-write", "--length", "5000"],
+                 id="bench-default-warmup-past-length"),
 ])
 def test_cli_rejects_sizes_that_leave_nothing_to_measure(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -147,6 +160,77 @@ def test_cli_usage_errors_exit_2():
 def test_cli_requires_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_has_one_observed_run_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == 0
+    assert ("{list,run,simulate,sweep,report,validate,forensics,minimize,"
+            "oracle,fuzz,bench}") in capsys.readouterr().out
+
+
+def test_cli_simulate_speedups_are_over_the_first_machine(monkeypatch,
+                                                          capsys):
+    import repro.__main__ as cli
+
+    original, built = cli.build_machine, []
+
+    def build(name, *args, **kwargs):
+        built.append(name)
+        return original(name, *args, **kwargs)
+    monkeypatch.setattr(cli, "build_machine", build)
+    assert main(["simulate", "gcc", "--config", "small", "--machines",
+                 "fgstp", "single", "fgstp", "--length", "1200",
+                 "--warmup", "400"]) == 0
+    assert built == ["fgstp", "single"]  # a machine named twice runs once
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("fgstp", "single"))]
+    assert [row[0] for row in rows] == ["fgstp", "single"]
+    fgstp, single = (int(row[1]) for row in rows)
+    assert rows[0][3] == "1.000"
+    assert rows[1][3] == f"{fgstp / single:.3f}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "nope"],
+    ["simulate", "nope", "--view", "timeline"],
+    ["oracle", "nope"],
+    ["run", "E3", "--benchmarks", "gcc", "nope"],
+    ["report", "--benchmarks", "nope"],
+    ["sweep", "--benchmarks", "nope", "--no-cache"],
+    ["validate", "--benchmarks", "nope"],
+    ["bench", "--benchmarks", "nope", "--no-write"],
+], ids=["simulate", "simulate-timeline", "oracle", "run", "report", "sweep",
+        "validate", "bench"])
+def test_cli_checks_benchmark_names_before_running(argv, monkeypatch,
+                                                   capsys):
+    import repro.__main__ as cli
+
+    def run(_args):
+        raise AssertionError("an unknown benchmark must run nothing")
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", run)
+    assert main(argv) == 2
+    assert "unknown benchmark(s) ['nope']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--timeout", "-1"),
+    ("--timeout", "0"),
+    ("--stuck-after", "0"),
+    ("--stuck-after", "-1"),
+    ("--rss-limit-mb", "0"),
+    ("--rss-limit-mb", "-5"),
+])
+def test_cli_sweep_rejects_limits_that_are_not_positive(flag, value,
+                                                        capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--benchmarks", "gcc", "--machines", "single",
+              "--no-cache", "--workers", "1", "--length", "300",
+              "--warmup", "100", flag, value])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be positive, got {value}" in (
+        capsys.readouterr().err)
 
 
 def test_cli_sweep_serial_with_store(tmp_path, capsys):

@@ -547,7 +547,7 @@ def cmd_oracle(args) -> int:
     for machine_name in machines:
         context = replay_context(machine_name, args.benchmark,
                                  args.config, args.length, args.warmup,
-                                 args.seed, oracle=True)
+                                 args.seed, kernel=args.kernel, oracle=True)
         try:
             result = run_trace_under_oracle(
                 machine_name, trace, base, golden=golden,

@@ -10,10 +10,12 @@ The subsystem has three layers:
   ``.repro_cache/checkpoints/``, a thin client of :mod:`repro.diskstore`
   like the result and trace caches: one checksummed envelope, one
   quarantine, and a run key that includes ``MODEL_VERSION``.
-* :mod:`repro.ckpt.manager` — the :class:`Checkpointer` that machines
-  consult at quiesced commit boundaries, driven by
-  ``REPRO_CHECKPOINT_INTERVAL`` (0 = off; off by default so tier-1
-  stays fast).
+* :mod:`repro.ckpt.manager` — :meth:`Checkpointer.begin`, where every
+  machine run starts: it resolves the interval
+  (``REPRO_CHECKPOINT_INTERVAL``; 0 = off, the default, so tier-1 stays
+  fast), the chaos guard and the sink once, looks up and restores the
+  run's latest checkpoint, and returns the :class:`Checkpointer` the
+  run loop polls at quiesced commit boundaries.
 
 The hard invariant: restoring a mid-run checkpoint and resuming is
 bit-identical to a straight-through run — same final stats, CPI-stack

@@ -1,16 +1,16 @@
-"""Periodic checkpoint capture at quiesced commit boundaries.
+"""One checkpoint lifecycle per machine run.
 
-Machines consult a :class:`Checkpointer` at the top of their run loop:
-``due(committed)`` is a cheap integer compare, and ``take(...)`` asks
-the machine for a payload, wraps it in a :class:`MachineCheckpoint`,
-and hands it to the sink (by default a :class:`CheckpointStore` on
-disk).  The interval is measured in *committed measured instructions*
-and resolves from ``REPRO_CHECKPOINT_INTERVAL`` when the machine was
-not given an explicit value; 0 disables checkpointing entirely, and it
-is off by default so tier-1 runs never pay the pickling cost.
-
-A :class:`Snapshot` answers the same run-loop protocol in memory: it
-keeps one payload and writes nothing (the adaptive machine's probes).
+Every machine run starts in :meth:`Checkpointer.begin`, the one place
+that resolves the interval (in committed measured instructions: the
+machine's ``checkpoint_interval``, else ``REPRO_CHECKPOINT_INTERVAL``;
+0, the default, is off, so tier-1 runs never pay the pickling cost),
+the chaos guard and the sink, and that looks up, restores or
+quarantines the run's latest checkpoint.  The run loop then polls the
+returned :class:`Checkpointer`: ``due(committed)`` is a cheap integer
+compare, and ``take(...)`` saves the machine's payload as a
+:class:`MachineCheckpoint`.  A :class:`Snapshot` answers the same
+protocol in memory: it keeps one payload and writes nothing (the
+adaptive machine's probes).
 
 The module-level heartbeat hook lets the sweep harness observe worker
 liveness: every successful ``take`` touches the heartbeat, so a worker
@@ -21,9 +21,10 @@ runs for a long time.
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
-from .state import MachineCheckpoint, trace_fingerprint
+from .. import diskstore
+from .state import CheckpointError, MachineCheckpoint, trace_fingerprint
 from .store import CheckpointStore, run_key
 
 ENV_INTERVAL = "REPRO_CHECKPOINT_INTERVAL"
@@ -64,57 +65,95 @@ def resolve_interval(explicit: Optional[int]) -> int:
 class Checkpointer:
     """Drives periodic checkpoints for one machine run.
 
-    Created via :meth:`maybe`, which returns ``None`` when
-    checkpointing is off for this run — machines guard every call site
+    Created by :meth:`begin`, which returns ``None`` in its place when
+    checkpointing is off for the run — machines guard every call site
     with ``if ckpt is not None`` so the disabled path costs nothing.
     """
 
     def __init__(self, interval: int, machine: str, workload: str,
                  original_trace: Sequence, warmup: int, params_key: str,
-                 sink, start: int = 0):
+                 sink):
         self.interval = interval
         self.machine = machine
         self.workload = workload
         self.warmup = warmup
         self.params_key = params_key
         self.sink = sink
-        # The trace fingerprint and the store key are computed at the
-        # first take(), so a run that ends before its first mark never
-        # hashes the trace here (inside a fingerprint scope a hash the
-        # run already made is reused).
+        # The trace fingerprint and the store key are computed when a
+        # lookup or the first take() needs them (see _run_key).
         self._trace = original_trace
         self.fingerprint: Optional[str] = None
         self.key: Optional[str] = None
-        # First mark strictly past the starting point, so a restored
-        # run does not immediately re-take the checkpoint it resumed
-        # from.
-        self.next_mark = interval * (start // interval + 1)
+        self.next_mark = interval
         self.last_path: Optional[str] = None
         self.last_committed: Optional[int] = None
 
     @classmethod
-    def maybe(cls, machine, label: str, workload: str,
-              original_trace: Sequence, warmup: int,
-              start: int = 0) -> Optional["Checkpointer"]:
-        """Build a checkpointer for *machine*'s run, or ``None``.
+    def begin(cls, machine, label: str, workload: str,
+              original_trace: Sequence, warmup: int, keys: Sequence[str],
+              resume_from: Optional[MachineCheckpoint] = None,
+              horizon: int = 0
+              ) -> Tuple[Optional[dict], Optional["Checkpointer"]]:
+        """Start *machine*'s run over *original_trace* (the trace before
+        its warm-up split): ``(state, checkpointer)``.
 
-        Disabled when the resolved interval is 0, or when chaos other
-        than ``corrupt_checkpoint`` is active on the machine (fault
-        injectors wrap state in closures that cannot be pickled, and a
-        checkpoint of a deliberately-corrupted machine is worthless).
+        *state* is the restored state, holding every one of *keys*, or
+        ``None`` for a cold start.  The checkpointer is ``None`` when
+        the interval is 0 or chaos other than ``corrupt_checkpoint`` is
+        active (fault wrappers do not pickle).  Its sink is the
+        machine's ``checkpoint_sink`` (an object with ``save``, and with
+        ``load`` if its runs should resume) or a :class:`CheckpointStore`.
+
+        Without *resume_from*, a checkpointing run with no observer and
+        no chaos loads its latest checkpoint if it could have written
+        one: if *horizon*, the last committed count at which the run
+        polls :meth:`due`, reaches the interval.  A found checkpoint
+        that does not restore is quarantined and the run starts cold;
+        an explicit *resume_from* that does not restore raises
+        :class:`CheckpointMismatch` or :class:`CheckpointCorruption`.
         """
-        interval = resolve_interval(
-            getattr(machine, "checkpoint_interval", None))
-        if interval <= 0:
-            return None
-        chaos_kinds = getattr(machine, "_chaos_kinds", ())
-        if any(kind != "corrupt_checkpoint" for kind in chaos_kinds):
-            return None
-        sink = getattr(machine, "checkpoint_sink", None)
-        if sink is None:
-            sink = CheckpointStore()
-        return cls(interval, label, workload, original_trace, warmup,
-                   machine.checkpoint_params_key(), sink, start=start)
+        interval = resolve_interval(machine.checkpoint_interval)
+        chaos = getattr(machine, "_chaos_kinds", ())
+        ckpt = None
+        if interval > 0 and all(kind == "corrupt_checkpoint"
+                                for kind in chaos):
+            sink = machine.checkpoint_sink
+            ckpt = cls(interval, label, workload, original_trace, warmup,
+                       machine.checkpoint_params_key(),
+                       CheckpointStore() if sink is None else sink)
+        lookup = (resume_from is None and ckpt is not None and not chaos
+                  and machine.commit_hook is None and machine.tracer is None
+                  and horizon >= interval and hasattr(ckpt.sink, "load"))
+        if lookup:
+            resume_from = ckpt.sink.load(ckpt._run_key())
+        if resume_from is None:
+            return None, ckpt
+        try:
+            state = resume_from.restore(label, original_trace, warmup,
+                                        machine.checkpoint_params_key(),
+                                        keys)
+        except CheckpointError as error:
+            if not lookup:
+                raise
+            diskstore.quarantine(ckpt.sink.path_for(ckpt.key), error)
+            return None, ckpt
+        if ckpt is not None:
+            # The first mark lies past the restored point, so the run
+            # does not re-take the checkpoint it resumed from.
+            ckpt.next_mark = interval * (resume_from.committed // interval
+                                         + 1)
+        return state, ckpt
+
+    def _run_key(self) -> str:
+        """The run's store key.  The trace is hashed the first time, so
+        a run that neither looks up nor reaches its first mark never
+        hashes it here (inside a fingerprint scope a hash the run
+        already made is reused)."""
+        if self.key is None:
+            self.fingerprint = trace_fingerprint(self._trace)
+            self.key = run_key(self.machine, self.workload, self.warmup,
+                               self.params_key, self.fingerprint)
+        return self.key
 
     def due(self, committed: int) -> bool:
         return committed >= self.next_mark
@@ -128,10 +167,7 @@ class Checkpointer:
         """
         while self.next_mark <= committed:
             self.next_mark += self.interval
-        if self.key is None:
-            self.fingerprint = trace_fingerprint(self._trace)
-            self.key = run_key(self.machine, self.workload, self.warmup,
-                               self.params_key, self.fingerprint)
+        key = self._run_key()
         checkpoint = MachineCheckpoint(
             machine=self.machine,
             workload=self.workload,
@@ -142,17 +178,10 @@ class Checkpointer:
             committed=committed,
             payload=payload_fn(),
         )
-        path = self._write(checkpoint)
+        path = self.sink.save(key, checkpoint)
         self.last_path = str(path) if path is not None else None
         self.last_committed = committed
         heartbeat()
-
-    def _write(self, checkpoint: MachineCheckpoint):
-        save = getattr(self.sink, "save", None)
-        if save is not None:
-            return save(self.key, checkpoint)
-        # Bare-callable sink (tests, chaos wrappers).
-        return self.sink(self.key, checkpoint)
 
     def anchor(self, error) -> None:
         """Attach the latest checkpoint to a structured simulation

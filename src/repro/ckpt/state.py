@@ -11,9 +11,9 @@ into the wrong machine, trace, or configuration.
 
 Fingerprints cover the *original* full trace (before the warmup split)
 so the harness can compute a checkpoint's identity without re-running
-the split.  Inside a :func:`fingerprint_scope` each trace is hashed at
-most once: ``run_machine``'s checkpoint lookup, the restore check and
-the checkpointer's key share one value.
+the split.  Inside a :func:`fingerprint_scope`, which every machine run
+enters, each trace is hashed at most once: the run's checkpoint lookup,
+the restore check and the checkpointer's key share one value.
 """
 
 from __future__ import annotations
@@ -89,10 +89,9 @@ def trace_fingerprint(trace: Sequence) -> str:
 def fingerprint_scope() -> Iterator[None]:
     """Hash each trace at most once until the block exits.
 
-    ``run_machine`` and every machine run enter one, and a nested scope
-    shares the outer one's memo.  The memo dies with the outermost
-    block, so a trace mutated in place after a run is hashed afresh by
-    the next.
+    Every machine run enters one, and a nested scope shares the outer
+    one's memo.  The memo dies with the outermost block, so a trace
+    mutated in place after a run is hashed afresh by the next.
     """
     if _memo.get() is not None:
         yield

@@ -141,23 +141,21 @@ class AdaptiveFgStpMachine:
 
         Checkpoints are taken at *region boundaries* (regions run on
         fresh sub-machines, so between regions the only live state is
-        the accumulator set) and ``resume_from`` restarts the region
+        the accumulator set), and a resumed run restarts the region
         loop there — bit-identical to a straight-through run because
-        :meth:`_regions` is deterministic.  The restore check and the
-        checkpoints share one trace fingerprint.
+        :meth:`_regions` is deterministic.  Resume and checkpoints
+        follow :meth:`Checkpointer.begin`, as for the shell machines;
+        the last region's start is the last commit count polled.
         """
         regions = self._regions(trace, warmup)
-        if resume_from is None:
+        state, ckpt = Checkpointer.begin(
+            self, "fgstp-adaptive", workload, trace, warmup, _REGION_STATE,
+            resume_from, horizon=sum(len(records) - lead
+                                     for records, lead in regions[:-1]))
+        if state is None:
             state = {"region_index": 0, "total_cycles": 0,
                      "total_instructions": 0, "switches": 0, "modes": [],
                      "stacks": [], "previous_mode": None}
-        else:
-            restored = resume_from.restore(
-                "fgstp-adaptive", trace, warmup,
-                self.checkpoint_params_key(), _REGION_STATE)
-            state = {name: restored[name] for name in _REGION_STATE}
-        ckpt = Checkpointer.maybe(self, "fgstp-adaptive", workload, trace,
-                                  warmup, start=state["total_instructions"])
         try:
             for index in range(state["region_index"], len(regions)):
                 state["region_index"] = index

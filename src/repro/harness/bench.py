@@ -94,7 +94,10 @@ def run_cell(machine: str, benchmark: str, config: str = PINNED_CONFIG,
     times: List[float] = []
     first = None
     for rep in range(reps + 1):
-        model = build_machine(machine, base, FgStpParams())
+        # Plain runs only: a checkpointing repetition would time the
+        # pickling, and a later one would resume from its checkpoints.
+        model = build_machine(machine, base, FgStpParams(),
+                              checkpoint_interval=0)
         start = time.perf_counter()
         result = model.run(trace, workload=benchmark, warmup=warmup)
         elapsed = time.perf_counter() - start

@@ -1,18 +1,16 @@
 """Machine runners: one uniform entry point per machine model.
 
-Every experiment goes through :func:`run_machine` so machines are built
-fresh per run (no state leaks between measurements) and traces come from
-the shared cache.
+Every engine experiment goes through :func:`run_machine` so machines
+are built fresh per run (no state leaks between measurements) and
+traces come from the shared cache.  Checkpoint resume is the machine's
+own business (:meth:`repro.ckpt.manager.Checkpointer.begin`), so a run
+here resumes exactly as a direct ``Machine.run`` does.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..ckpt.manager import resolve_interval
-from ..ckpt.state import (CheckpointError, fingerprint_scope,
-                          trace_fingerprint)
-from ..ckpt.store import CheckpointStore, run_key
 from ..corefusion.machine import CoreFusionMachine
 from ..fgstp.adaptive import AdaptiveFgStpMachine
 from ..fgstp.orchestrator import FgStpMachine
@@ -61,7 +59,6 @@ def build_machine(machine: str, base: CoreParams,
     return maybe_apply_env_chaos(model)
 
 
-@fingerprint_scope()
 def run_machine(machine: str, benchmark: str, base: CoreParams,
                 config: ExperimentConfig,
                 fgstp: Optional[FgStpParams] = None,
@@ -69,45 +66,13 @@ def run_machine(machine: str, benchmark: str, base: CoreParams,
                 **overrides) -> SimResult:
     """Run *benchmark* on *machine* and return the result.
 
-    When checkpointing is active for this run (a positive
-    ``checkpoint_interval`` override or ``REPRO_CHECKPOINT_INTERVAL``)
-    and a compatible on-disk checkpoint exists, simulation auto-resumes
-    from the snapshot — bit-identical to starting over, minus the
-    already-simulated cycles.  Resume is skipped for observed runs
-    (tracer or commit hook attached): a mid-run attachment would see
-    only the resumed suffix of the event stream.  The trace is hashed
-    at most once per call: the lookup, the restore check and the
-    checkpoints share its fingerprint.
+    The trace comes from *cache* and the machine from
+    :func:`build_machine`; with checkpointing on, the run resumes from
+    its latest compatible checkpoint, bit-identical to starting over.
     """
     trace = cache.get(benchmark, config.trace_length, config.seed)
-    model = build_machine(machine, base, fgstp, **overrides)
-    resume_from = _auto_resume(model, machine, benchmark, trace,
-                               config.warmup, overrides)
-    try:
-        return model.run(trace, workload=benchmark, warmup=config.warmup,
-                         resume_from=resume_from)
-    except CheckpointError:
-        # Stale or incompatible snapshot (e.g. serialization drift):
-        # fall back to a clean from-scratch run on a fresh machine.
-        model = build_machine(machine, base, fgstp, **overrides)
-        return model.run(trace, workload=benchmark, warmup=config.warmup)
-
-
-def _auto_resume(model, machine: str, benchmark: str, trace,
-                 warmup: int, overrides: dict):
-    """The on-disk checkpoint to resume *model* from, or ``None``."""
-    if resolve_interval(getattr(model, "checkpoint_interval", None)) <= 0:
-        return None
-    if getattr(model, "_chaos_kinds", ()):
-        return None
-    if any(overrides.get(name) is not None
-           for name in ("tracer", "commit_hook")):
-        return None
-    sink = getattr(model, "checkpoint_sink", None)
-    store = sink if isinstance(sink, CheckpointStore) else CheckpointStore()
-    key = run_key(machine, benchmark, warmup,
-                  model.checkpoint_params_key(), trace_fingerprint(trace))
-    return store.load(key)
+    return build_machine(machine, base, fgstp, **overrides).run(
+        trace, workload=benchmark, warmup=config.warmup)
 
 
 def config_for(name: str) -> CoreParams:

@@ -65,17 +65,20 @@ def uop_brief(uop: Any) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 
 def replay_context(machine: str, benchmark: str, config: str, length: int,
-                   warmup: int, seed: int, **flags: Any) -> Dict[str, Any]:
+                   warmup: int, seed: int, kernel: Optional[str] = None,
+                   **flags: Any) -> Dict[str, Any]:
     """The replay recipe ``repro minimize`` reconstructs a run from.
 
-    Truthy *flags* (``oracle``, ``trace``, the validation ``run`` that
-    failed ...) are recorded as given, and the ``REPRO_CHAOS`` spec in
-    force is added so injected faults replay too.
+    A run of a *kernel* program records the kernel instead of the
+    benchmark sizing it did not use.  Truthy *flags* (``oracle``,
+    ``trace``, the validation ``run`` that failed ...) are recorded as
+    given, and the ``REPRO_CHAOS`` spec in force is added so injected
+    faults replay too.
     """
-    context: Dict[str, Any] = {
-        "machine": machine, "benchmark": benchmark, "config": config,
-        "length": length, "warmup": warmup, "seed": seed,
-    }
+    context: Dict[str, Any] = (
+        {"machine": machine, "kernel": kernel, "config": config} if kernel
+        else {"machine": machine, "benchmark": benchmark, "config": config,
+              "length": length, "warmup": warmup, "seed": seed})
     context.update((key, value) for key, value in flags.items() if value)
     chaos = os.environ.get(ENV_CHAOS)
     if chaos:

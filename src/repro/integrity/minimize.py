@@ -179,13 +179,17 @@ def replay_run_fn(context: Dict[str, Any]
 
 
 def trace_from_context(context: Dict[str, Any]) -> List[TraceRecord]:
-    """Regenerate the failing trace named by a replay recipe.
+    """Regenerate the failing trace named by a replay recipe: a
+    kernel's functionally executed trace, or a generated benchmark.
 
     Raises:
-        KeyError: when the recipe does not name a benchmark.
+        KeyError: when the recipe names no benchmark and no known kernel.
     """
     from ..workloads.generator import generate_trace
+    from ..workloads.kernels import run_kernel
 
+    if context.get("kernel"):
+        return run_kernel(str(context["kernel"])).trace
     benchmark = context["benchmark"]
     length = int(context.get("length", 0))
     seed = int(context.get("seed", 1))

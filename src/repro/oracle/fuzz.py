@@ -13,8 +13,9 @@ through the link register.
 
 :func:`fuzz_campaign` runs each generated program through the shadow
 interpreter (architectural golden stream) and then through the timing
-machines under the commit-stream oracle; any divergence is ddmin-shrunk
-and written out as a regression fixture (``.asm`` source + minimized
+machines under the commit-stream oracle; any divergence, hang or other
+:class:`~repro.integrity.errors.SimulationError` is ddmin-shrunk and
+written out as a regression fixture (``.asm`` source + minimized
 ``.trace`` + ``.json`` sidecar with the replay recipe).
 """
 
@@ -26,11 +27,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..integrity.errors import SimulationError
 from ..isa.assembler import assemble
 from ..isa.program import Program
 from .attach import oracle_run_fn, run_trace_under_oracle
 from .golden import GoldenStream
-from .oracle import OracleDivergence
 
 #: General-purpose integer destination pool (reserved ids excluded).
 _INT_POOL = tuple(f"r{i}" for i in range(1, 13))
@@ -57,7 +58,7 @@ class FuzzProgram:
 
 @dataclass
 class FuzzFailure:
-    """One oracle divergence found by the campaign."""
+    """One failed machine run (an oracle divergence, a hang ...)."""
 
     program: str
     machine: str
@@ -333,8 +334,9 @@ def fuzz_campaign(runs: int = 20,
 
     Each generated program is executed by the shadow interpreter (which
     also dataflow-checks every record) and its trace replayed on every
-    machine under the commit-stream oracle.  Divergences do not abort
-    the campaign; they are shrunk (when *shrink*) and collected.
+    machine under the commit-stream oracle.  Failures (a divergence or
+    any other :class:`SimulationError`, such as a hang) do not abort the
+    campaign; they are shrunk (when *shrink*) and collected.
 
     Args:
         runs: Number of programs to generate.
@@ -375,24 +377,23 @@ def fuzz_campaign(runs: int = 20,
                     context={"fuzz_seed": seed, "fuzz_index": index,
                              "machine": machine},
                     **overrides)
-            except OracleDivergence as divergence:
+            except SimulationError as error:
                 failure = FuzzFailure(
                     program=generated.name, machine=machine,
-                    failure_class=divergence.failure_class,
-                    message=str(divergence))
+                    failure_class=error.failure_class, message=str(error))
                 if log:
-                    log(f"  DIVERGENCE on {machine}: {divergence}")
+                    log(f"  {error.failure_class} on {machine}: {error}")
                 if shrink:
                     minimized = minimize_failure(
                         golden.records,
                         oracle_run_fn(machine, base, fgstp=fgstp,
                                       **overrides),
-                        failure_class=divergence.failure_class)
+                        failure_class=error.failure_class)
                     failure.minimized_length = minimized.minimized_length
                     if fixture_dir is not None and minimized.reproduced:
                         failure.fixture = str(_write_fixture(
                             Path(fixture_dir), generated, machine,
-                            divergence, minimized.records))
+                            error, minimized.records))
                 report.failures.append(failure)
             else:
                 report.instructions += len(golden)
@@ -400,20 +401,19 @@ def fuzz_campaign(runs: int = 20,
 
 
 def _write_fixture(directory: Path, generated: FuzzProgram, machine: str,
-                   divergence: OracleDivergence,
-                   records) -> Path:
+                   error: SimulationError, records) -> Path:
     """Write a shrunk failure as a replayable regression fixture."""
     from ..trace.io import write_trace
 
     directory.mkdir(parents=True, exist_ok=True)
-    stem = f"{generated.name}-{machine}-{divergence.detail or 'oracle'}"
+    stem = f"{generated.name}-{machine}-{error.detail or error.kind}"
     (directory / f"{stem}.asm").write_text(generated.source)
     write_trace(records, directory / f"{stem}.trace")
     meta = {
         "program": generated.name,
         "machine": machine,
-        "failure_class": divergence.failure_class,
-        "message": str(divergence),
+        "failure_class": error.failure_class,
+        "message": str(error),
         "minimized_length": len(records),
         "trace": f"{stem}.trace",
         "source": f"{stem}.asm",

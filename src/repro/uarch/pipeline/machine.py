@@ -81,8 +81,9 @@ class MachineShell:
             :class:`SimResult`.
         checkpoint_interval: Committed-instruction checkpoint cadence
             (``None`` = follow ``REPRO_CHECKPOINT_INTERVAL``; 0 = off).
-        checkpoint_sink: Store the snapshots land in (``None`` = the
-            default on-disk store).
+        checkpoint_sink: Object whose ``save`` the snapshots go to, and
+            whose ``load`` finds a run's latest one (``None`` = the
+            default on-disk store; see :mod:`repro.ckpt.manager`).
 
     A machine provides ``cores`` (its :class:`CycleCore` objects), a
     ``predictor``, :meth:`checkpoint_params_key`, the class attributes
@@ -202,20 +203,21 @@ class MachineShell:
                   resume_from: Optional[MachineCheckpoint]) -> SimResult:
         """Run *trace* to completion (see :meth:`SingleCoreMachine.run`).
 
-        The restore check and the periodic checkpoints share one trace
-        fingerprint, computed when the first of them needs it.
+        :meth:`Checkpointer.begin` decides whether the run resumes and
+        whether it checkpoints; its lookup, the restore check and the
+        checkpoints share one trace fingerprint.
         """
         if not trace:
             return SimResult(self.machine_label, self.config_name,
                              workload, 0, 0)
         prefix, measured = (split_warmup(trace, warmup) if warmup
                             else ((), trace))
-        if resume_from is None:
-            cycle = self._fresh(prefix, measured)
-        else:
-            cycle = self._restore(resume_from, measured, trace, warmup)
-        ckpt = Checkpointer.maybe(self, self.machine_label, workload, trace,
-                                  warmup, start=self.committed)
+        state, ckpt = Checkpointer.begin(
+            self, self.machine_label, workload, trace, warmup,
+            self._SHELL_STATE + self._STATE + ("cycle",), resume_from,
+            horizon=len(measured) - 1)
+        cycle = (self._fresh(prefix, measured) if state is None
+                 else self._adopt_state(state, measured))
         try:
             return self._run_loop(workload, cycle, len(measured), ckpt)
         except SimulationError as error:
@@ -387,19 +389,6 @@ class MachineShell:
             for owner, name, value in detached:
                 setattr(owner, name, value)
 
-    def _restore(self, checkpoint: MachineCheckpoint, measured_trace,
-                 original_trace, warmup: int) -> int:
-        """Adopt a checkpoint's state; returns the resume cycle.
-
-        Validates that the checkpoint belongs to this machine, trace,
-        and configuration before touching anything.
-        """
-        names = self._SHELL_STATE + self._STATE
-        state = checkpoint.restore(
-            self.machine_label, original_trace, warmup,
-            self.checkpoint_params_key(), names + ("cycle",))
-        return self._adopt_state(state, measured_trace)
-
     def _adopt_state(self, state: dict, measured_trace) -> int:
         """Install an unpickled checkpoint *state* over the measured
         trace; returns the resume cycle."""
@@ -467,6 +456,8 @@ class SingleCoreMachine(MachineShell):
                 earlier run over the *same* trace/warmup/configuration;
                 simulation restarts from the snapshot and the final
                 result is bit-identical to a straight-through run.
+                Without it, a checkpointing run resumes from its latest
+                checkpoint in the sink (see :mod:`repro.ckpt.manager`).
 
         Raises:
             SimulationLimit: if the run exceeds ``max_cycles``.

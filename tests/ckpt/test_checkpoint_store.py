@@ -8,6 +8,7 @@ a corrupt snapshot must never poison a resume.
 import copy
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -232,8 +233,9 @@ def test_run_before_its_first_mark_never_fingerprints(monkeypatch):
     monkeypatch.setattr(manager, "trace_fingerprint", forbidden)
     saved = []
     trace = generate_trace("gcc", 1200, 1)
+    sink = SimpleNamespace(save=lambda *args: saved.append(args))
     SingleCoreMachine(core_config("small"), checkpoint_interval=900,
-                      checkpoint_sink=lambda *args: saved.append(args)) \
+                      checkpoint_sink=sink) \
         .run(trace, workload="gcc", warmup=400)
     assert saved == []
 

@@ -36,6 +36,17 @@ def test_run_cell_shape_and_medians():
         entry["instructions"] / entry["median_s"], rel=1e-3)
 
 
+def test_run_cell_times_plain_runs_only(tmp_path, monkeypatch):
+    """Under an environment checkpoint interval a cell still writes no
+    checkpoint, so no repetition pickles or resumes."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_CHECKPOINT_INTERVAL", "100")
+    entry = bench.run_cell("single", "gcc", config="small", length=600,
+                           warmup=200, seed=3, reps=2)
+    assert entry["instructions"] == 400
+    assert not (tmp_path / ".repro_cache").exists()
+
+
 def test_run_cell_rejects_zero_reps():
     with pytest.raises(ValueError):
         bench.run_cell("single", "gcc", reps=0)
@@ -64,7 +75,7 @@ def _drifting(monkeypatch):
                              1000 + next(runs), len(trace) - warmup)
 
     monkeypatch.setattr(bench, "build_machine",
-                        lambda machine, base, fgstp: Drifting())
+                        lambda machine, base, fgstp, **options: Drifting())
 
 
 def test_run_cell_fails_when_reps_disagree(monkeypatch):

@@ -133,9 +133,20 @@ def test_e11_adaptive():
 def test_e13_prints_the_same_table_when_checkpointing(tmp_path,
                                                      monkeypatch, capsys):
     """The machines E13 gives a prefetcher take no checkpoints (the run
-    key does not see the prefetcher); the plain ones still do."""
+    key does not see the prefetcher); the plain ones still do, and a
+    second checkpointing run resumes them to the same table."""
     from repro.__main__ import main
+    from repro.ckpt.store import CheckpointStore
 
+    found = []
+    load = CheckpointStore.load
+
+    def load_spy(store, key):
+        checkpoint = load(store, key)
+        found.append(checkpoint is not None)
+        return checkpoint
+
+    monkeypatch.setattr(CheckpointStore, "load", load_spy)
     monkeypatch.chdir(tmp_path)
     argv = ["run", "E13", "--length", "1200", "--warmup", "400",
             "--benchmarks", "gcc"]
@@ -146,6 +157,10 @@ def test_e13_prints_the_same_table_when_checkpointing(tmp_path,
     assert capsys.readouterr().out == plain
     checkpoints = tmp_path / ".repro_cache" / "checkpoints"
     assert len(list(checkpoints.glob("*.ckpt"))) == 3  # one per machine
+    assert found == [False] * 3
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+    assert found == [False] * 3 + [True] * 3
 
 
 def test_render_includes_metrics():

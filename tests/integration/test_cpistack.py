@@ -3,8 +3,8 @@
 Every timing model must emit a CPI stack whose components sum *exactly*
 to the measured cycle count — the one-cycle-one-cause ledger invariant.
 (The ``REPRO_CPISTACK_CHECK`` flag set in conftest already validates
-every run in the suite; these tests pin the end-to-end guarantees the
-``repro profile`` command advertises.)
+every run in the suite; these tests pin the end-to-end guarantees
+``repro simulate --view cpi`` advertises.)
 """
 
 import pytest

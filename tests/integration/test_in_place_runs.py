@@ -7,6 +7,7 @@ built while a machine runs.  A run resumed from a checkpoint retires the
 caller's records too, not the unpickled copies its payload holds.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -64,8 +65,9 @@ def test_no_trace_record_is_built_during_a_run(machine, monkeypatch):
 def test_a_resumed_run_retires_the_callers_records(machine):
     trace = generate_trace("gcc", LENGTH, 3)
     saved = []
-    _build(machine, checkpoint_interval=400,
-           checkpoint_sink=lambda key, checkpoint: saved.append(checkpoint)) \
+    sink = SimpleNamespace(
+        save=lambda key, checkpoint: saved.append(checkpoint))
+    _build(machine, checkpoint_interval=400, checkpoint_sink=sink) \
         .run(trace, workload="gcc", warmup=WARMUP)
     checkpoint = saved[1]
     retired = []

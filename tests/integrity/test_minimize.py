@@ -120,6 +120,37 @@ def test_trace_from_context_requires_a_recipe():
         trace_from_context({"benchmark": "gcc"})
 
 
+def test_trace_from_context_rebuilds_a_kernel_program():
+    from repro.oracle.golden import GoldenStream
+    from repro.workloads.kernels import KERNELS
+
+    trace = trace_from_context({"kernel": "vector_sum"})
+    assert len(trace) == 9007
+    assert trace == GoldenStream.from_program(
+        KERNELS["vector_sum"]()).records
+
+
+def test_cli_oracle_kernel_dump_names_and_shrinks_its_kernel(
+        tmp_path, monkeypatch, capsys):
+    """A ``repro oracle --kernel`` crash dump records the kernel and none
+    of the benchmark sizing the run did not use, and ``repro minimize``
+    shrinks that kernel's trace."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_CHAOS", "stuck_queue:after=0")
+    monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "1000")
+    assert main(["oracle", "--kernel", "vector_sum",
+                 "--machines", "fgstp"]) == 1
+    [dump] = (tmp_path / ".repro_cache" / "crashes").glob("*.json")
+    context = json.loads(dump.read_text())["context"]
+    assert context["kernel"] == "vector_sum"
+    assert not {"benchmark", "length", "warmup", "seed"} & set(context)
+
+    monkeypatch.delenv("REPRO_CHAOS")  # the recipe carries the spec
+    assert main(["minimize", str(dump)]) == 0
+    out = capsys.readouterr().out
+    assert "minimizing 9007-record trace preserving hang:intercore" in out
+
+
 def test_cli_minimize_writes_fixture_and_sidecar(tmp_path, monkeypatch,
                                                  capsys):
     monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "1000")

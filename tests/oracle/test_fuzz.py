@@ -59,6 +59,27 @@ class TestCampaign:
         text = describe_report(report)
         assert "no divergences" in text
 
+    def test_a_hang_is_recorded_not_raised(self, tmp_path, monkeypatch):
+        """A run that hangs is a failure like a divergence: recorded
+        with its class, then shrunk into a fixture."""
+        monkeypatch.setenv("REPRO_CHAOS", "stuck_queue:after=0")
+        monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "1000")
+        report = fuzz_campaign(runs=1, machines=("fgstp",), shrink=False)
+        [failure] = report.failures
+        assert failure.failure_class.startswith("hang:")
+        assert failure.fixture is None
+
+        report = fuzz_campaign(runs=1, machines=("fgstp",),
+                               fixture_dir=tmp_path)
+        [failure] = report.failures
+        [sidecar] = tmp_path.glob("*.json")
+        assert failure.fixture == str(sidecar)
+        meta = json.loads(sidecar.read_text())
+        assert meta["failure_class"] == failure.failure_class
+        assert 0 < meta["minimized_length"] == failure.minimized_length
+        assert len(read_trace(tmp_path / meta["trace"])) \
+            == failure.minimized_length
+
     @pytest.mark.fuzz
     def test_nightly_scale_campaign_all_machines(self):
         report = fuzz_campaign(runs=10, seed=0,

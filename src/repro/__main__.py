@@ -52,15 +52,15 @@ from pathlib import Path
 
 from .harness.config import ExperimentConfig
 from .harness.experiments import REGISTRY, run_experiment
-from .harness.parallel import ExperimentEngine, matrix_jobs
+from .harness.parallel import (ExperimentEngine, SweepError, SweepJob,
+                               execute_job, make_job, matrix_jobs)
 from .harness.report import (cpistack_comparison, cpistack_table,
                              run_and_render, sweep_to_text)
-from .harness.runners import MACHINES, build_machine
+from .harness.runners import MACHINES
 from .integrity.errors import SimulationError
 from .integrity.forensics import (DEFAULT_CRASH_DIR, CrashDumpError,
                                   latest_crash_dump, load_crash_dump,
-                                  render_crash_dump, replay_context,
-                                  write_crash_dump)
+                                  render_crash_dump, write_crash_dump)
 from .stats.cpistack import AttributionError, cpistack_of
 from .stats.store import ResultStore
 from .stats.tables import render_table
@@ -128,7 +128,7 @@ def _positive(kind, or_zero: bool = False):
 def _config(args) -> ExperimentConfig:
     return ExperimentConfig(trace_length=args.length, warmup=args.warmup,
                             seed=args.seed,
-                            benchmarks=list(args.benchmarks))
+                            benchmarks=list(getattr(args, "benchmarks", [])))
 
 
 def cmd_list(_args) -> int:
@@ -153,7 +153,11 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return 2
     for experiment_id in experiment_ids:
-        report = run_experiment(experiment_id, config)
+        try:
+            report = run_experiment(experiment_id, config)
+        except SweepError as error:
+            print(error, file=sys.stderr)
+            return 1
         print(report.render())
         if report.notes:
             print(f"  note: {report.notes}")
@@ -178,20 +182,15 @@ def _run_benchmark(args):
     trace = generate_trace(args.benchmark, args.length, args.seed)
     runs = {}
     for machine_name in dict.fromkeys(args.machines):  # each one once
+        job = make_job(machine_name, args.benchmark, base, _config(args))
         tracer = (PipelineTracer(capacity=args.capacity,
                                  sample_window=args.sample_window,
                                  sample_period=args.sample_period)
                   if args.view == "timeline" else None)
-        machine = build_machine(machine_name, base, tracer=tracer)
         try:
-            result = machine.run(trace, workload=args.benchmark,
-                                 warmup=args.warmup)
+            result = execute_job(job, trace, tracer=tracer)
         except SimulationError as error:
-            dump = write_crash_dump(
-                error, context=replay_context(
-                    machine_name, args.benchmark, args.config,
-                    args.length, args.warmup, args.seed),
-                workload=args.benchmark)
+            dump = write_crash_dump(error, context=job.as_dict())
             print(f"{machine_name}: {error.failure_class}: {error} "
                   f"[crash dump: {dump}; inspect with "
                   f"`python -m repro forensics`]", file=sys.stderr)
@@ -502,12 +501,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    print(run_and_render(config=_config(args)))
+    try:
+        print(run_and_render(config=_config(args)))
+    except SweepError as error:
+        print(error, file=sys.stderr)
+        return 1
     return 0
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import OracleDivergence, run_trace_under_oracle
     from .oracle.golden import GoldenStream
     from .oracle.selftest import format_outcomes, run_selftest
 
@@ -529,38 +531,34 @@ def cmd_oracle(args) -> int:
                   f"{sorted(KERNELS)}", file=sys.stderr)
             return 2
         golden = GoldenStream.from_program(KERNELS[args.kernel]())
-        trace, warmup = golden.records, 0
-        workload = args.kernel
+        trace = golden.records
+        jobs = [SweepJob(machine, "", base, ExperimentConfig(warmup=0),
+                         oracle=True, kernel=args.kernel)
+                for machine in machines]
         print(f"golden stream: {len(golden)} instructions from "
               f"functional execution of kernel {args.kernel!r} "
               "(dataflow-checked)")
     else:
         golden = None
         trace = generate_trace(args.benchmark, args.length, args.seed)
-        warmup = args.warmup
-        workload = args.benchmark
+        jobs = [make_job(machine, args.benchmark, base, _config(args),
+                         oracle=True) for machine in machines]
         print(f"golden stream: trace fidelity over "
-              f"{len(trace) - warmup} measured instructions of "
+              f"{len(trace) - args.warmup} measured instructions of "
               f"{args.benchmark}")
 
     failed = False
-    for machine_name in machines:
-        context = replay_context(machine_name, args.benchmark,
-                                 args.config, args.length, args.warmup,
-                                 args.seed, kernel=args.kernel, oracle=True)
+    for job in jobs:
         try:
-            result = run_trace_under_oracle(
-                machine_name, trace, base, golden=golden,
-                workload=workload, warmup=warmup, context=context)
+            result = execute_job(job, trace, golden=golden)
         except SimulationError as error:
-            dump = write_crash_dump(error, context=context,
-                                    workload=workload)
-            print(f"  {machine_name}: {error.failure_class}: {error} "
+            dump = write_crash_dump(error, context=job.as_dict())
+            print(f"  {job.machine}: {error.failure_class}: {error} "
                   f"[crash dump: {dump}; shrink with "
                   f"`python -m repro minimize`]", file=sys.stderr)
             failed = True
             continue
-        print(f"  {machine_name}: OK — "
+        print(f"  {job.machine}: OK — "
               f"{result.extra['oracle']['checked']} retirements checked "
               f"in {result.cycles} cycles")
     return 1 if failed else 0
@@ -708,12 +706,12 @@ def cmd_minimize(args) -> int:
     context = dump.get("context") or {}
     try:
         trace = trace_from_context(context)
-    except KeyError as error:
+        run_fn = replay_run_fn(context)
+    except (KeyError, TypeError, ValueError) as error:
         print(f"{path}: replay recipe is incomplete ({error})",
               file=sys.stderr)
         return 2
     failure_class = dump.get("failure_class") or None
-    run_fn = replay_run_fn(context)
     suffix = checkpoint_suffix(trace, context)
     if suffix is not None:
         # The dump is anchored to a checkpoint: everything before the

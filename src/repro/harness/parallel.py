@@ -1,8 +1,8 @@
 """Parallel experiment execution engine.
 
 Every experiment in this repository reduces to a matrix of independent
-``run_machine`` calls — benchmark × seed × machine × configuration — and
-the matrix is embarrassingly parallel.  This module fans those jobs out
+:class:`SweepJob` runs — benchmark × seed × machine × configuration —
+and the matrix is embarrassingly parallel.  This module fans those jobs out
 across a :class:`concurrent.futures.ProcessPoolExecutor` with:
 
 * a **disk-backed cache** shared by all workers: generated traces
@@ -51,14 +51,18 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional,
 from .. import diskstore
 from ..ckpt.manager import set_heartbeat
 from ..fgstp.params import FgStpParams
+from ..integrity.chaos import ENV_CHAOS, ChaosSpec, apply_chaos
 from ..integrity.errors import JobMemoryExceeded, SimulationError
-from ..integrity.forensics import replay_context, write_crash_dump
+from ..integrity.forensics import write_crash_dump
+from ..isa.opcodes import OpClass
 from ..stats.result import SimResult
-from ..uarch.params import CoreParams, core_config
+from ..trace.record import TraceRecord
+from ..uarch.params import (BranchPredictorParams, CacheParams, CoreParams,
+                            core_config)
 from ..workloads.suite import (DEFAULT_CACHE, DiskTraceCache, TraceCache,
                                trace_key)
 from .config import ExperimentConfig
-from .runners import run_machine
+from .runners import new_machine
 
 
 # ----------------------------------------------------------------------
@@ -67,7 +71,9 @@ from .runners import run_machine
 
 @dataclass(frozen=True)
 class SweepJob:
-    """One independent simulation: benchmark × machine × config × seed.
+    """One simulation: the one description of a run, which
+    :func:`execute_job` runs and every crash dump stores
+    (:meth:`as_dict`) for ``repro minimize`` to rebuild.
 
     Attributes:
         machine: Machine label (see :data:`repro.harness.runners.MACHINES`).
@@ -85,6 +91,9 @@ class SweepJob:
             ``extra["pipetrace"]`` block.  Timing is unaffected (traced
             runs are bit-identical), but the extra block earns the job
             a distinct cache key.
+        kernel: Run this :data:`~repro.workloads.kernels.KERNELS`
+            program instead of a benchmark (no sizing; warm-up 0).
+        chaos: Fault-injection spec; empty means ``REPRO_CHAOS``'s.
     """
 
     machine: str
@@ -95,37 +104,87 @@ class SweepJob:
     overrides: Tuple[Tuple[str, Any], ...] = ()
     oracle: bool = False
     trace: bool = False
+    kernel: str = ""
+    chaos: str = ""
+
+    @property
+    def workload(self) -> str:
+        """The kernel or benchmark this job runs."""
+        return self.kernel or self.benchmark
 
     @property
     def name(self) -> str:
         """Short human-readable label for progress lines."""
         suffix = ("/oracle" if self.oracle else "") \
             + ("/trace" if self.trace else "")
-        return (f"{self.machine}/{self.benchmark}"
+        return (f"{self.machine}/{self.workload}"
                 f"/{self.base.name}/s{self.config.seed}{suffix}")
+
+    def chaos_spec(self) -> str:
+        """The chaos spec in force: the job's own, else ``REPRO_CHAOS``."""
+        return self.chaos or os.environ.get(ENV_CHAOS, "").strip()
 
     def key(self) -> str:
         """Content-hash of everything that determines this job's result."""
         parts = [
             diskstore.MODEL_VERSION,
             self.machine,
-            trace_key(self.benchmark, self.config.trace_length,
-                      self.config.seed),
+            f"kernel:{self.kernel}" if self.kernel
+            else trace_key(self.benchmark, self.config.trace_length,
+                           self.config.seed),
             str(self.config.warmup),
             repr(self.base),
             repr(self.fgstp),
             repr(self.overrides),
         ]
-        if self.oracle:
-            # Appended conditionally so pre-oracle cache entries keep
-            # their keys (an oracle-checked result also carries an
-            # ``extra["oracle"]`` block plain runs lack).
-            parts.append("oracle")
-        if self.trace:
-            # Same reasoning: traced results carry ``extra["pipetrace"]``
-            # so they must not be served to (or from) plain runs.
-            parts.append("trace")
+        # Markers join only when set, so plain keys never change, and no
+        # checked, traced or faulted result is served to a plain run.
+        parts += [flag for flag in ("oracle", "trace") if getattr(self, flag)]
+        chaos = self.chaos_spec()
+        if chaos:
+            parts.append(f"chaos:{chaos}")
         return diskstore.key(*parts)
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The job as JSON fields: every core and Fg-STP field, and the
+        chaos spec in force; a kernel job names no benchmark sizing."""
+        recipe: Dict[str, Any] = {"machine": self.machine}
+        recipe.update({"kernel": self.kernel} if self.kernel else {
+            "benchmark": self.benchmark, "length": self.config.trace_length,
+            "warmup": self.config.warmup, "seed": self.config.seed})
+        recipe["core"] = dict(dataclasses.asdict(self.base), latencies={
+            op.name: cycles for op, cycles in self.base.latencies.items()})
+        recipe["fgstp"] = self.fgstp and dataclasses.asdict(self.fgstp)
+        recipe["overrides"] = dict(self.overrides)
+        recipe.update((flag, True) for flag in ("oracle", "trace")
+                      if getattr(self, flag))
+        if self.chaos_spec():
+            recipe["chaos"] = self.chaos_spec()
+        return recipe
+
+    @classmethod
+    def from_dict(cls, recipe: Dict[str, Any]) -> "SweepJob":
+        """Rebuild a job from :meth:`as_dict`'s fields.
+
+        Raises:
+            KeyError: on a missing field (a crash dump written before
+                dumps stored jobs has no ``core``).
+        """
+        kernel = recipe.get("kernel", "")
+        config = ExperimentConfig(warmup=0) if kernel else ExperimentConfig(
+            recipe["length"], recipe["warmup"], recipe["seed"])
+        core = recipe["core"]
+        base = CoreParams(**dict(
+            core, branch=BranchPredictorParams(**core["branch"]),
+            latencies={OpClass[op]: cycles
+                       for op, cycles in core["latencies"].items()},
+            **{level: CacheParams(**core[level])
+               for level in ("l1d", "l1i", "l2")}))
+        fgstp = recipe["fgstp"] and FgStpParams(**recipe["fgstp"])
+        return cls(recipe["machine"], "" if kernel else recipe["benchmark"],
+                   base, config, fgstp, tuple(recipe["overrides"].items()),
+                   bool(recipe.get("oracle")), bool(recipe.get("trace")),
+                   kernel, recipe.get("chaos", ""))
 
 
 def make_job(machine: str, benchmark: str, base: CoreParams,
@@ -238,17 +297,6 @@ def _worker_run(job_fn: Callable[["SweepJob"], SimResult],
     return _call_with_rss_limit(job_fn, job, rss_limit_mb)
 
 
-def _attach_pipetrace(job: SweepJob, overrides: Dict[str, Any]):
-    """Build the sampled tracer a traced job runs under."""
-    from ..obs.tracer import PipelineTracer
-
-    tracer = PipelineTracer(capacity=TRACE_RING_CAPACITY,
-                            sample_window=TRACE_SAMPLE_WINDOW,
-                            sample_period=TRACE_SAMPLE_PERIOD)
-    overrides["tracer"] = tracer
-    return tracer
-
-
 def _finish_pipetrace(job: SweepJob, result: SimResult,
                       tracer) -> SimResult:
     """Dump the traced job's events and annotate its result."""
@@ -271,26 +319,51 @@ def _finish_pipetrace(job: SweepJob, result: SimResult,
     return result
 
 
-def execute_job(job: SweepJob) -> SimResult:
-    """Run one job against the process-local trace cache."""
-    overrides = dict(job.overrides)
-    tracer = _attach_pipetrace(job, overrides) if job.trace else None
-    if job.oracle:
-        from ..oracle.attach import run_trace_under_oracle
+def job_trace(job: SweepJob) -> List[TraceRecord]:
+    """The trace *job* names: its kernel's, or its benchmark's (cached)."""
+    if job.kernel:
+        from ..workloads.kernels import run_kernel
+        return run_kernel(job.kernel).trace
+    return _PROCESS_CACHE.get(job.benchmark, job.config.trace_length,
+                              job.config.seed)
 
-        trace = _PROCESS_CACHE.get(job.benchmark, job.config.trace_length,
-                                   job.config.seed)
-        result = run_trace_under_oracle(
-            job.machine, trace, job.base, fgstp=job.fgstp,
-            workload=job.benchmark, warmup=job.config.warmup,
-            **overrides)
+
+def execute_job(job: SweepJob,
+                trace: Optional[Sequence[TraceRecord]] = None,
+                golden=None, tracer=None) -> SimResult:
+    """Run *job* on *trace* (default :func:`job_trace`): the one way a
+    job runs, for the engine, the relation battery, ``repro simulate``,
+    ``repro oracle``, the fuzzer and the minimizer's probes.
+
+    The machine gets the job's core, Fg-STP parameters, overrides and
+    chaos spec in force, and *tracer*, unless the job samples into its
+    own.  An oracle job checks every retirement against *golden*
+    (default: trace fidelity over the measured records).
+    """
+    if trace is None:
+        trace = job_trace(job)
+    if job.trace:
+        from ..obs.tracer import PipelineTracer
+        tracer = PipelineTracer(capacity=TRACE_RING_CAPACITY,
+                                sample_window=TRACE_SAMPLE_WINDOW,
+                                sample_period=TRACE_SAMPLE_PERIOD)
+
+    def build(**observers):
+        model = new_machine(job.machine, job.base, job.fgstp, tracer=tracer,
+                            **dict(job.overrides), **observers)
+        spec = job.chaos_spec()
+        if spec:
+            apply_chaos(model, ChaosSpec.parse(spec), strict=False)
+        return model
+
+    if job.oracle:
+        from ..oracle.attach import run_checked
+        result = run_checked(build, trace, job.machine, job.workload,
+                             job.config.warmup, golden)
     else:
-        result = run_machine(job.machine, job.benchmark, job.base,
-                             job.config, fgstp=job.fgstp,
-                             cache=_PROCESS_CACHE, **overrides)
-    if tracer is not None:
-        result = _finish_pipetrace(job, result, tracer)
-    return result
+        result = build().run(trace, workload=job.workload,
+                             warmup=job.config.warmup)
+    return _finish_pipetrace(job, result, tracer) if job.trace else result
 
 
 class JobTimeout(Exception):
@@ -430,7 +503,7 @@ class JobFailure:
     history: List[Dict[str, Any]] = field(default_factory=list)
 
     def __str__(self) -> str:
-        text = (f"{self.job.name}: {self.kind} after "
+        text = (f"{self.job.name}: {self.failure_class or self.kind} after "
                 f"{self.attempts} attempt(s): {self.error}")
         if self.dump_path:
             text += f" [crash dump: {self.dump_path}]"
@@ -986,17 +1059,12 @@ class ExperimentEngine:
             failure.partial = exc.partial or None
             crash_dir = self._crash_dir()
             if crash_dir is not None:
-                context = replay_context(
-                    job.machine, job.benchmark, job.base.name,
-                    job.config.trace_length, job.config.warmup,
-                    job.config.seed, oracle=job.oracle, trace=job.trace)
+                context = job.as_dict()
                 if failure.history:
                     context["retry_history"] = failure.history
                 try:
                     failure.dump_path = str(write_crash_dump(
-                        exc, directory=crash_dir,
-                        context=context,
-                        workload=job.benchmark))
+                        exc, directory=crash_dir, context=context))
                 except OSError:
                     pass
         outcome.failures.append(failure)

@@ -29,34 +29,29 @@ MACHINES = ("single", "corefusion", "fgstp", "fgstp-adaptive")
 def build_machine(machine: str, base: CoreParams,
                   fgstp: Optional[FgStpParams] = None,
                   **overrides):
-    """Construct a fresh machine model.
-
-    Args:
-        machine: One of :data:`MACHINES`.
-        base: Per-core configuration.
-        fgstp: Fg-STP parameters (fgstp machines only).
-        **overrides: Machine-specific constructor arguments (e.g. Core
-            Fusion overhead knobs).
-
-    The ``REPRO_CHAOS`` fault-injection spec, when set, is applied to
-    the freshly built machine (kinds inapplicable to it are skipped),
-    so every harness path — ``repro simulate``, sweeps, validation —
-    can be chaos-tested without code changes.
-
-    Raises:
-        ValueError: on an unknown machine name.
+    """:func:`new_machine` with the ``REPRO_CHAOS`` fault-injection
+    spec, when set, applied (kinds inapplicable to the machine are
+    skipped), so every harness path can be chaos-tested without code
+    changes; a sweep job applies its own spec instead, when it has one.
     """
+    return maybe_apply_env_chaos(new_machine(machine, base, fgstp,
+                                             **overrides))
+
+
+def new_machine(machine: str, base: CoreParams,
+                fgstp: Optional[FgStpParams] = None, **overrides):
+    """Construct a fresh *machine* (one of :data:`MACHINES`, else
+    ``ValueError``) on the core *base*, with Fg-STP parameters *fgstp*
+    (fgstp machines only) and machine constructor *overrides*."""
     if machine == "single":
-        model = SingleCoreMachine(base, **overrides)
-    elif machine == "corefusion":
-        model = CoreFusionMachine(base, **overrides)
-    elif machine == "fgstp":
-        model = FgStpMachine(base, fgstp, **overrides)
-    elif machine == "fgstp-adaptive":
-        model = AdaptiveFgStpMachine(base, fgstp, **overrides)
-    else:
-        raise ValueError(f"unknown machine {machine!r}; known: {MACHINES}")
-    return maybe_apply_env_chaos(model)
+        return SingleCoreMachine(base, **overrides)
+    if machine == "corefusion":
+        return CoreFusionMachine(base, **overrides)
+    if machine == "fgstp":
+        return FgStpMachine(base, fgstp, **overrides)
+    if machine == "fgstp-adaptive":
+        return AdaptiveFgStpMachine(base, fgstp, **overrides)
+    raise ValueError(f"unknown machine {machine!r}; known: {MACHINES}")
 
 
 def run_machine(machine: str, benchmark: str, base: CoreParams,

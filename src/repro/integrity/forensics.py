@@ -4,8 +4,11 @@ When a run dies with a :class:`~repro.integrity.errors.SimulationError`
 (a validation run included), the failure's payload — partial
 statistics, pipeline snapshot, replay recipe — is serialised to a JSON
 crash dump under ``<cache_dir>/crashes/`` (``.repro_cache/crashes/`` by
-default).  ``repro forensics`` renders a dump human-readably; ``repro
-minimize`` replays its recipe while shrinking the trace.
+default).  The replay recipe is the failed run's job
+(:meth:`repro.harness.parallel.SweepJob.as_dict`) plus its writer's
+extras (retry history, battery run name, checkpoint anchor).  ``repro
+forensics`` renders a dump human-readably; ``repro minimize`` rebuilds
+the job and replays it while shrinking the trace.
 
 Dump files are written atomically (temp + rename) and named
 ``crash-<machine>-<workload>-<utc timestamp>-<pid>-<n>.json`` so
@@ -22,7 +25,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..diskstore import atomic_write
-from .chaos import ENV_CHAOS
 from .errors import SimulationError
 
 #: Self-describing format tag checked on load.
@@ -64,28 +66,6 @@ def uop_brief(uop: Any) -> Dict[str, Any]:
 # Writing / loading
 # ----------------------------------------------------------------------
 
-def replay_context(machine: str, benchmark: str, config: str, length: int,
-                   warmup: int, seed: int, kernel: Optional[str] = None,
-                   **flags: Any) -> Dict[str, Any]:
-    """The replay recipe ``repro minimize`` reconstructs a run from.
-
-    A run of a *kernel* program records the kernel instead of the
-    benchmark sizing it did not use.  Truthy *flags* (``oracle``,
-    ``trace``, the validation ``run`` that failed ...) are recorded as
-    given, and the ``REPRO_CHAOS`` spec in force is added so injected
-    faults replay too.
-    """
-    context: Dict[str, Any] = (
-        {"machine": machine, "kernel": kernel, "config": config} if kernel
-        else {"machine": machine, "benchmark": benchmark, "config": config,
-              "length": length, "warmup": warmup, "seed": seed})
-    context.update((key, value) for key, value in flags.items() if value)
-    chaos = os.environ.get(ENV_CHAOS)
-    if chaos:
-        context["chaos"] = chaos
-    return context
-
-
 def write_crash_dump(error: SimulationError,
                      directory: Union[str, Path, None] = None,
                      context: Optional[Dict[str, Any]] = None,
@@ -96,10 +76,9 @@ def write_crash_dump(error: SimulationError,
         error: The failure to dump (its full payload is preserved).
         directory: Dump directory (default
             ``.repro_cache/crashes/`` relative to the working dir).
-        context: Extra replay context merged over the error's own
-            (benchmark / length / seed / machine / chaos ...).
-        workload: Workload name for the filename (falls back to the
-            context's benchmark).
+        context: Replay recipe merged over the error's own.
+        workload: Workload name for the filename (default: the
+            context's kernel or benchmark).
     """
     directory = Path(directory) if directory else DEFAULT_CRASH_DIR
     payload = error.as_dict()
@@ -109,8 +88,9 @@ def write_crash_dump(error: SimulationError,
         merged.update(context)
         payload["context"] = merged
     payload["written_unix"] = time.time()
-    workload = workload or str(payload["context"].get("benchmark", "")
-                               if payload.get("context") else "") or "run"
+    recipe = payload.get("context") or {}
+    workload = (workload or recipe.get("kernel") or recipe.get("benchmark")
+                or "run")
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
     name = (f"crash-{error.machine or 'machine'}-{workload}-{stamp}"
             f"-{os.getpid()}-{next(_counter)}.json")

@@ -12,19 +12,20 @@ single chunk can be removed.  Candidate subsets are re-sequenced
 (:func:`repro.uarch.warmup.reseq`) before each probe run, so a probe
 runs exactly the dense stand-alone trace a fixture would hold.
 
-``repro minimize`` drives this from a crash dump's replay recipe; the
-harness-facing helpers live at the bottom so the core algorithm stays a
-pure function usable on any ``run_fn``.
+``repro minimize`` drives this from a crash dump's replay recipe, the
+failed run's :class:`~repro.harness.parallel.SweepJob`, and runs every
+candidate on that job; the harness-facing helpers live at the bottom so
+the core algorithm stays a pure function usable on any ``run_fn``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..trace.record import TraceRecord
 from ..uarch.warmup import reseq
-from .chaos import ChaosSpec, apply_chaos
 from .errors import SimulationError
 
 
@@ -134,68 +135,39 @@ def minimize_failure(trace: Sequence[TraceRecord],
 
 def replay_run_fn(context: Dict[str, Any]
                   ) -> Callable[[Sequence[TraceRecord]], Any]:
-    """Build a probe runner from a crash dump's replay recipe.
+    """Build a probe runner from a crash dump's replay recipe, the
+    failed :class:`~repro.harness.parallel.SweepJob`: each probe runs
+    the job on a candidate, so on its machine, core, Fg-STP parameters,
+    overrides, chaos spec and oracle flag.  An oracle job's probe
+    checks the candidate's own trace fidelity, preserving "this machine
+    mis-retires its own input".  Probes run without warm-up — the
+    minimizer shrinks raw triggers, and warm-up prefixes are exactly
+    the bulk it exists to remove — and without a sampled tracer.
 
-    The recipe must name the machine and core config; a ``chaos`` entry
-    is re-applied to every probe machine so injected faults reproduce.
-    Probes run without warm-up — the minimizer shrinks raw triggers, and
-    warm-up prefixes are exactly the kind of bulk it exists to remove.
-
-    A truthy ``oracle`` entry (failures raised while running under the
-    commit-stream oracle) makes every probe re-check trace fidelity:
-    the candidate itself becomes the golden stream, preserving "this
-    machine mis-retires its own input" while shrinking.  A ``run``
-    entry names a validation battery run, whose core and overrides the
-    probes rebuild.
+    Raises:
+        KeyError: when the recipe is not a job's.
     """
-    from ..harness.runners import build_machine
-    from ..uarch.params import core_config
+    from ..harness.parallel import SweepJob, execute_job
 
-    # A drain error raised by one Fg-STP core names that core
-    # (``fgstp-core0``): replay the machine that owns it.  A recipe
-    # without a machine replays on Fg-STP.
-    machine_name = str(context.get("machine") or "fgstp").split("-core")[0]
-    base = core_config(str(context.get("config", "small")))
-    chaos_raw = context.get("chaos")
-    spec = ChaosSpec.parse(str(chaos_raw)) if chaos_raw else None
-
-    if context.get("oracle"):
-        from ..oracle.attach import oracle_run_fn
-        options = {"chaos": spec}
-        if context.get("run"):
-            from ..validation import battery_runs
-            run = battery_runs(base)[str(context["run"])]
-            machine_name, base = run.machine, run.config
-            options.update(run.options)
-        return oracle_run_fn(machine_name, base, **options)
+    job = SweepJob.from_dict(context)
+    probe = dataclasses.replace(job, config=job.config.with_(warmup=0),
+                                trace=False)
 
     def run(candidate: Sequence[TraceRecord]):
-        machine = build_machine(machine_name, base)
-        if spec is not None:
-            apply_chaos(machine, spec, strict=False)
-        return machine.run(list(candidate), workload="minimize", warmup=0)
+        return execute_job(probe, list(candidate))
 
     return run
 
 
 def trace_from_context(context: Dict[str, Any]) -> List[TraceRecord]:
-    """Regenerate the failing trace named by a replay recipe: a
-    kernel's functionally executed trace, or a generated benchmark.
+    """Regenerate the failing trace a replay recipe's job names.
 
     Raises:
-        KeyError: when the recipe names no benchmark and no known kernel.
+        KeyError: when the recipe is not a job's.
     """
-    from ..workloads.generator import generate_trace
-    from ..workloads.kernels import run_kernel
+    from ..harness.parallel import SweepJob, job_trace
 
-    if context.get("kernel"):
-        return run_kernel(str(context["kernel"])).trace
-    benchmark = context["benchmark"]
-    length = int(context.get("length", 0))
-    seed = int(context.get("seed", 1))
-    if length <= 0:
-        raise KeyError("replay recipe has no trace length")
-    return generate_trace(benchmark, length, seed)
+    return job_trace(SweepJob.from_dict(context))
 
 
 def checkpoint_suffix(trace: Sequence[TraceRecord],

@@ -6,12 +6,34 @@ construction; everything else in the package is machine-agnostic.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..stats.result import SimResult
 from ..trace.record import TraceRecord
 from .golden import GoldenStream
 from .oracle import CommitStreamOracle
+
+
+def run_checked(build: Callable[..., Any], trace: Sequence[TraceRecord],
+                machine: str, workload: str = "trace", warmup: int = 0,
+                golden: Optional[GoldenStream] = None, mutator=None,
+                context: Optional[Dict[str, Any]] = None) -> SimResult:
+    """Run *trace* on ``build(commit_hook=hook)`` with every retirement
+    checked (see :func:`run_trace_under_oracle` for the arguments)."""
+    if golden is None:
+        golden = GoldenStream.from_trace(trace[warmup:] if warmup else trace)
+    oracle = CommitStreamOracle(golden, machine=machine, workload=workload,
+                                context=context)
+    hook = oracle.hook(mutator=mutator)
+    result = build(commit_hook=hook).run(trace, workload=workload,
+                                         warmup=warmup)
+    hook.finish()
+    result.extra["oracle"] = {
+        "checked": oracle.events_checked,
+        "golden_source": golden.source,
+    }
+    return result
 
 
 def run_trace_under_oracle(machine: str,
@@ -22,7 +44,6 @@ def run_trace_under_oracle(machine: str,
                            workload: str = "trace",
                            warmup: int = 0,
                            mutator=None,
-                           chaos=None,
                            context: Optional[Dict[str, Any]] = None,
                            **overrides) -> SimResult:
     """Run *trace* on *machine* with every retirement checked.
@@ -39,8 +60,6 @@ def run_trace_under_oracle(machine: str,
             architecturally, so the golden stream starts after them.
         mutator: Optional :class:`~repro.oracle.mutate.EventMutator`
             injected between machine and oracle (self-test only).
-        chaos: Optional :class:`~repro.integrity.chaos.ChaosSpec`
-            applied to the freshly built machine (minimizer replays).
         context: Replay recipe attached to any divergence raised.
         **overrides: Machine-specific constructor arguments.
 
@@ -51,24 +70,9 @@ def run_trace_under_oracle(machine: str,
     """
     from ..harness.runners import build_machine
 
-    trace = list(trace)
-    if golden is None:
-        golden = GoldenStream.from_trace(trace[warmup:] if warmup else trace)
-    oracle = CommitStreamOracle(golden, machine=machine, workload=workload,
-                                context=context)
-    hook = oracle.hook(mutator=mutator)
-    model = build_machine(machine, base, fgstp, commit_hook=hook,
-                          **overrides)
-    if chaos is not None:
-        from ..integrity.chaos import apply_chaos
-        apply_chaos(model, chaos, strict=False)
-    result = model.run(trace, workload=workload, warmup=warmup)
-    hook.finish()
-    result.extra["oracle"] = {
-        "checked": oracle.events_checked,
-        "golden_source": golden.source,
-    }
-    return result
+    build = partial(build_machine, machine, base, fgstp, **overrides)
+    return run_checked(build, list(trace), machine, workload, warmup,
+                       golden, mutator, context)
 
 
 def run_program_under_oracle(program,
@@ -100,19 +104,3 @@ def run_program_under_oracle(program,
             machine, trace, base, fgstp=fgstp, golden=golden,
             workload=workload, **overrides)
     return golden, results
-
-
-def oracle_run_fn(machine: str, base, fgstp=None, chaos=None, **overrides):
-    """A ddmin probe runner that checks trace fidelity on each candidate.
-
-    The golden stream is rebuilt from the candidate itself, so the
-    preserved property is "this machine mis-retires its own input" —
-    exactly what shrinks an oracle divergence to its minimal trigger.
-    """
-
-    def run(candidate: Sequence[TraceRecord]):
-        return run_trace_under_oracle(
-            machine, list(candidate), base, fgstp=fgstp,
-            workload="oracle-probe", chaos=chaos, **overrides)
-
-    return run

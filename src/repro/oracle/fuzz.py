@@ -12,11 +12,11 @@ a small hot set of addresses, dense conditional branches, and calls
 through the link register.
 
 :func:`fuzz_campaign` runs each generated program through the shadow
-interpreter (architectural golden stream) and then through the timing
-machines under the commit-stream oracle; any divergence, hang or other
-:class:`~repro.integrity.errors.SimulationError` is ddmin-shrunk and
-written out as a regression fixture (``.asm`` source + minimized
-``.trace`` + ``.json`` sidecar with the replay recipe).
+interpreter (architectural golden stream) and then, as an oracle job,
+through the timing machines; any divergence, hang or other
+:class:`~repro.integrity.errors.SimulationError` is ddmin-shrunk on
+that job and written out as a regression fixture (``.asm`` source +
+minimized ``.trace`` + ``.json`` sidecar holding the job).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..integrity.errors import SimulationError
 from ..isa.assembler import assemble
 from ..isa.program import Program
-from .attach import oracle_run_fn, run_trace_under_oracle
 from .golden import GoldenStream
 
 #: General-purpose integer destination pool (reserved ids excluded).
@@ -77,7 +76,7 @@ class FuzzReport:
         machines: Machines each program ran on.
         instructions: Total golden (dynamic) instructions checked, per
             machine run.
-        failures: Divergences found (empty on a clean campaign).
+        failures: Failed runs (empty on a clean campaign).
     """
 
     runs: int = 0
@@ -352,6 +351,8 @@ def fuzz_campaign(runs: int = 20,
         log: Optional progress sink (e.g. ``print``).
         **overrides: Machine constructor overrides.
     """
+    from ..harness.config import ExperimentConfig
+    from ..harness.parallel import execute_job, make_job
     from ..harness.runners import MACHINES
     from ..integrity.minimize import minimize_failure
     from ..uarch.params import core_config
@@ -369,14 +370,12 @@ def fuzz_campaign(runs: int = 20,
         if log:
             log(f"[{index + 1}/{runs}] {generated.name}: "
                 f"{len(golden)} instructions")
+        config = ExperimentConfig(trace_length=len(golden), warmup=0)
         for machine in machines:
+            job = make_job(machine, generated.name, base, config,
+                           fgstp=fgstp, oracle=True, **overrides)
             try:
-                run_trace_under_oracle(
-                    machine, golden.records, base, fgstp=fgstp,
-                    golden=golden, workload=generated.name,
-                    context={"fuzz_seed": seed, "fuzz_index": index,
-                             "machine": machine},
-                    **overrides)
+                execute_job(job, golden.records, golden=golden)
             except SimulationError as error:
                 failure = FuzzFailure(
                     program=generated.name, machine=machine,
@@ -386,13 +385,12 @@ def fuzz_campaign(runs: int = 20,
                 if shrink:
                     minimized = minimize_failure(
                         golden.records,
-                        oracle_run_fn(machine, base, fgstp=fgstp,
-                                      **overrides),
+                        lambda candidate: execute_job(job, list(candidate)),
                         failure_class=error.failure_class)
                     failure.minimized_length = minimized.minimized_length
                     if fixture_dir is not None and minimized.reproduced:
                         failure.fixture = str(_write_fixture(
-                            Path(fixture_dir), generated, machine,
+                            Path(fixture_dir), generated, job,
                             error, minimized.records))
                 report.failures.append(failure)
             else:
@@ -400,23 +398,25 @@ def fuzz_campaign(runs: int = 20,
     return report
 
 
-def _write_fixture(directory: Path, generated: FuzzProgram, machine: str,
+def _write_fixture(directory: Path, generated: FuzzProgram, job,
                    error: SimulationError, records) -> Path:
-    """Write a shrunk failure as a replayable regression fixture."""
+    """Write a shrunk failure of *job* as a replayable regression
+    fixture; the sidecar holds the job, whose trace *records* are."""
     from ..trace.io import write_trace
 
     directory.mkdir(parents=True, exist_ok=True)
-    stem = f"{generated.name}-{machine}-{error.detail or error.kind}"
+    stem = f"{generated.name}-{job.machine}-{error.detail or error.kind}"
     (directory / f"{stem}.asm").write_text(generated.source)
     write_trace(records, directory / f"{stem}.trace")
     meta = {
         "program": generated.name,
-        "machine": machine,
+        "machine": job.machine,
         "failure_class": error.failure_class,
         "message": str(error),
         "minimized_length": len(records),
         "trace": f"{stem}.trace",
         "source": f"{stem}.asm",
+        "job": job.as_dict(),
     }
     (directory / f"{stem}.json").write_text(json.dumps(meta, indent=2))
     return directory / f"{stem}.json"
@@ -434,12 +434,13 @@ def describe_report(report: FuzzReport) -> str:
     if report.clean:
         lines.append("  no divergences")
     else:
-        lines.append(f"  {len(report.failures)} divergence(s):")
+        lines.append(f"  {len(report.failures)} failure(s):")
         for failure in report.failures:
+            shrunk = (f"minimized to {failure.minimized_length}"
+                      if failure.minimized_length else "not shrunk")
             where = (f" [fixture: {failure.fixture}]"
                      if failure.fixture else "")
             lines.append(
                 f"    {failure.program} on {failure.machine}: "
-                f"{failure.failure_class} "
-                f"(minimized to {failure.minimized_length}){where}")
+                f"{failure.failure_class} ({shrunk}){where}")
     return "\n".join(lines)

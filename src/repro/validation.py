@@ -3,9 +3,9 @@
 The commit-stream oracle proves *what* a machine retires; these
 relations check its cycle counts against other runs on the same trace.
 Running is split from judging: :func:`battery_runs` names every
-simulation the relations read, :func:`run_battery` simulates each one
-once per trace under the oracle, and each relation in
-:data:`RELATIONS` is a function of the outcomes — a
+simulation the relations read as a job, :func:`run_battery` runs each
+one once per trace (outside the sweep engine, so reruns do simulate),
+and each relation in :data:`RELATIONS` is a function of the outcomes — a
 :class:`~repro.stats.result.SimResult` or the
 :class:`~repro.integrity.errors.SimulationError` a run raised — so a
 test can hand it canned ones.  ``repro validate`` (:func:`validate_all`)
@@ -14,18 +14,19 @@ and ``repro fuzz --metamorphic`` both run this battery.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, NamedTuple, Optional, Union
+from typing import Dict, NamedTuple, Optional, Union
 
 from .fgstp.params import FgStpParams
-from .integrity.chaos import ChaosSpec
+from .harness.config import ExperimentConfig
+from .harness.parallel import SweepJob, execute_job, make_job
 from .integrity.errors import SimulationError, SimulationHang
-from .integrity.forensics import replay_context, write_crash_dump
-from .oracle.attach import run_trace_under_oracle
+from .integrity.forensics import write_crash_dump
 from .stats.result import SimResult
 from .uarch.params import CoreParams, small_core_config
-from .workloads.generator import generate_trace
+from .workloads.suite import TraceCache
 
 #: A run's outcome: its result, or the structured failure it raised.
 Outcome = Union[SimResult, SimulationError]
@@ -59,36 +60,32 @@ class ValidationResult:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-class Run(NamedTuple):
-    """One simulation the relations read."""
-
-    machine: str
-    config: CoreParams
-    #: Keyword arguments of :func:`run_trace_under_oracle`.
-    options: Dict[str, Any]
-    #: Replay only this many leading trace records (``None``: all).
-    records: Optional[int] = None
-
-
-def battery_runs(base: CoreParams) -> Dict[str, Run]:
-    """Every run the relations read, by name, built on the core *base*."""
+def battery_runs(benchmark: str, length: int, seed: int,
+                 base: CoreParams) -> Dict[str, SweepJob]:
+    """Every run the relations read, by name: an oracle-checked job on
+    the core *base* replaying *benchmark*'s *length*-record trace (the
+    livelock run's first :data:`LIVELOCK_RECORDS`) with no warm-up."""
+    config = ExperimentConfig(trace_length=length, warmup=0, seed=seed)
     wide = base.with_(name=f"{base.name}-x2win",
                       rob_entries=2 * base.rob_entries,
                       iq_entries=2 * base.iq_entries,
                       lsq_entries=2 * base.lsq_entries)
-    runs = {machine: Run(machine, base, {}) for machine in MACHINES}
-    runs.update({f"{machine}/rerun": Run(machine, base, {})
-                 for machine in MACHINES})
-    runs["fgstp/policy-single"] = Run(
-        "fgstp", base, {"fgstp": FgStpParams(partition_latency=1),
-                        "policy": "single"})
-    runs[LIVELOCK_RUN] = Run(
-        "fgstp", base, {"chaos": ChaosSpec.parse("stuck_queue:after=0"),
-                        "watchdog_window": 2_000}, LIVELOCK_RECORDS)
-    runs.update({f"{machine}/window-x2": Run(machine, wide, {})
+
+    def job(machine, core=base, **options):
+        return make_job(machine, benchmark, core, config, oracle=True,
+                        **options)
+
+    runs = {machine: job(machine) for machine in MACHINES}
+    runs.update({f"{machine}/rerun": job(machine) for machine in MACHINES})
+    runs["fgstp/policy-single"] = job(
+        "fgstp", fgstp=FgStpParams(partition_latency=1), policy="single")
+    runs[LIVELOCK_RUN] = dataclasses.replace(
+        job("fgstp", watchdog_window=2_000), chaos="stuck_queue:after=0",
+        config=config.with_(trace_length=min(length, LIVELOCK_RECORDS)))
+    runs.update({f"{machine}/window-x2": job(machine, wide)
                  for machine in ("single", "fgstp")})
-    runs.update({f"fgstp/latency-{latency}": Run(
-        "fgstp", base, {"fgstp": FgStpParams(queue_latency=latency)})
+    runs.update({f"fgstp/latency-{latency}": job(
+        "fgstp", fgstp=FgStpParams(queue_latency=latency))
         for latency in LATENCIES})
     return runs
 
@@ -244,23 +241,20 @@ def run_battery(benchmark: str, length: int, seed: int, base: CoreParams,
                 tolerance: float = DEFAULT_TOLERANCE,
                 crash_dir: Optional[Union[str, Path]] = None
                 ) -> Dict[str, ValidationResult]:
-    """Simulate every run once on *benchmark*'s trace, then judge them.
+    """Run every job of :func:`battery_runs` once, then judge them.
 
     A run that raises a :class:`SimulationError` fails every relation
     that reads it.  With *crash_dir*, it leaves one crash dump whose
-    replay recipe (``oracle``, ``run``) ``repro minimize`` rebuilds the
-    run from; the livelock run's expected hang leaves none.
+    replay recipe is its job plus its name (``run``); the livelock
+    run's expected hang leaves none.
     """
-    trace = generate_trace(benchmark, length, seed)
+    traces = TraceCache()
     outcomes: Dict[str, Outcome] = {}
     dumps: Dict[str, Path] = {}
-    for name, run in battery_runs(base).items():
-        context = replay_context(run.machine, benchmark, base.name, length,
-                                 0, seed, oracle=True, run=name)
+    for name, job in battery_runs(benchmark, length, seed, base).items():
         try:
-            outcomes[name] = run_trace_under_oracle(
-                run.machine, trace[:run.records], run.config,
-                workload=benchmark, context=context, **run.options)
+            outcomes[name] = execute_job(job, traces.get(
+                benchmark, job.config.trace_length, seed))
         except SimulationError as error:
             outcomes[name] = error
             expected = name == LIVELOCK_RUN and isinstance(error,
@@ -269,11 +263,11 @@ def run_battery(benchmark: str, length: int, seed: int, base: CoreParams,
                 continue
             try:
                 dumps[name] = write_crash_dump(
-                    error, directory=Path(crash_dir), context=context,
-                    workload=benchmark)
+                    error, directory=Path(crash_dir),
+                    context={**job.as_dict(), "run": name})
             except OSError:
                 pass
-    return judge(outcomes, Setting(base, len(trace), tolerance), dumps)
+    return judge(outcomes, Setting(base, length, tolerance), dumps)
 
 
 def validate_all(benchmark: str = "gcc", length: int = 4000, seed: int = 1,

@@ -102,12 +102,11 @@ class TestExecution:
 class TestMinimizerReplay:
 
     def test_oracle_context_builds_a_checking_probe(self):
-        run = replay_run_fn({"machine": "single", "config": "small",
-                             "oracle": True})
+        run = replay_run_fn(_job(oracle=True).as_dict())
         result = run(generate_trace("gcc", 80, 1))
         assert result.extra["oracle"]["checked"] == 80
 
     def test_plain_context_probe_is_unchecked(self):
-        run = replay_run_fn({"machine": "single", "config": "small"})
+        run = replay_run_fn(_job().as_dict())
         result = run(generate_trace("gcc", 80, 1))
         assert "oracle" not in result.extra

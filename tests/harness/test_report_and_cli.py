@@ -174,12 +174,12 @@ def test_cli_simulate_speedups_are_over_the_first_machine(monkeypatch,
                                                           capsys):
     import repro.__main__ as cli
 
-    original, built = cli.build_machine, []
+    original, built = cli.execute_job, []
 
-    def build(name, *args, **kwargs):
-        built.append(name)
-        return original(name, *args, **kwargs)
-    monkeypatch.setattr(cli, "build_machine", build)
+    def run(job, *args, **kwargs):
+        built.append(job.machine)
+        return original(job, *args, **kwargs)
+    monkeypatch.setattr(cli, "execute_job", run)
     assert main(["simulate", "gcc", "--config", "small", "--machines",
                  "fgstp", "single", "fgstp", "--length", "1200",
                  "--warmup", "400"]) == 0

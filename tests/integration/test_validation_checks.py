@@ -38,7 +38,8 @@ def _prompt_hang():
 def judged(base, changes=None, tolerance=DEFAULT_TOLERANCE):
     """Judge canned outcomes on which every relation holds, with
     *changes* (run name -> outcome) applied."""
-    outcomes = {name: FakeResult() for name in battery_runs(base)}
+    outcomes = {name: FakeResult()
+                for name in battery_runs("gcc", LENGTH, 1, base)}
     outcomes[LIVELOCK_RUN] = _prompt_hang()
     outcomes.update(changes or {})
     return judge(outcomes, Setting(base, LENGTH, tolerance))
@@ -226,16 +227,25 @@ class TestLatencyMonotonic:
 def _failing_runs(monkeypatch, failures):
     """Replace the battery's simulations by canned results, except the
     runs in *failures* (run name -> error), which raise."""
+    names = {}
+    battery = validation.battery_runs
 
-    def run(machine, trace, base, context=None, **options):
-        error = failures.get(context["run"])
+    def named_runs(*args):
+        jobs = battery(*args)
+        names.update((id(job), name) for name, job in jobs.items())
+        return jobs
+
+    def run(job, trace):
+        name = names[id(job)]
+        error = failures.get(name)
         if error is not None:
             raise error
-        if context["run"] == LIVELOCK_RUN:
+        if name == LIVELOCK_RUN:
             raise _prompt_hang()
         return FakeResult(instructions=len(trace))
 
-    monkeypatch.setattr(validation, "run_trace_under_oracle", run)
+    monkeypatch.setattr(validation, "battery_runs", named_runs)
+    monkeypatch.setattr(validation, "execute_job", run)
 
 
 def _drain():
@@ -328,7 +338,7 @@ class TestValidateAll:
             "intercore-latency-monotonic",
         }
         read = {run for reads, _ in RELATIONS.values() for run in reads}
-        assert read == set(battery_runs(small_config))
+        assert read == set(battery_runs("gcc", LENGTH, 1, small_config))
 
     def test_each_configuration_is_simulated_once(self, monkeypatch):
         calls = Counter()

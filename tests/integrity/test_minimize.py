@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.harness.config import ExperimentConfig
+from repro.harness.parallel import SweepJob
 from repro.integrity.chaos import ChaosSpec, apply_chaos
 from repro.integrity.errors import SimulationHang, SimulationLimit
 from repro.integrity.forensics import write_crash_dump
@@ -13,7 +15,15 @@ from repro.integrity.minimize import (minimize_failure, replay_run_fn,
 from repro.isa.opcodes import OpClass
 from repro.trace.io import read_trace
 from repro.trace.record import TraceRecord
+from repro.uarch.params import small_core_config
 from repro.workloads.generator import generate_trace
+
+
+def _recipe(length, chaos="", machine="fgstp"):
+    """The replay recipe of a job on gcc (seed 1) on the small core."""
+    return SweepJob(machine, "gcc", small_core_config(),
+                    ExperimentConfig(trace_length=length, warmup=0),
+                    chaos=chaos).as_dict()
 
 
 def _alu_trace(n):
@@ -93,8 +103,7 @@ def test_end_to_end_replay_shrinks_injected_livelock(monkeypatch,
     recipe and shrinks the trace to <= 32 records failing identically."""
     monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "1000")
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
-    context = {"machine": "fgstp", "config": "small", "benchmark": "gcc",
-               "length": 1500, "seed": 1, "chaos": "stuck_queue:after=0"}
+    context = _recipe(1500, chaos="stuck_queue:after=0")
     trace = trace_from_context(context)
     assert len(trace) == 1500
     result = minimize_failure(trace, replay_run_fn(context),
@@ -102,15 +111,6 @@ def test_end_to_end_replay_shrinks_injected_livelock(monkeypatch,
     assert result.reproduced
     assert result.minimized_length <= 32
     assert result.last_error.failure_class == "hang:intercore"
-
-
-@pytest.mark.parametrize("recorded", [
-    "fgstp-core1",  # a drain error names the failing core
-    "",
-])
-def test_replay_falls_back_to_the_fgstp_machine(recorded):
-    run = replay_run_fn({"machine": recorded, "config": "small"})
-    assert run(generate_trace("gcc", 200)).machine == "fgstp"
 
 
 def test_trace_from_context_requires_a_recipe():
@@ -124,7 +124,9 @@ def test_trace_from_context_rebuilds_a_kernel_program():
     from repro.oracle.golden import GoldenStream
     from repro.workloads.kernels import KERNELS
 
-    trace = trace_from_context({"kernel": "vector_sum"})
+    trace = trace_from_context(SweepJob(
+        "fgstp", "", small_core_config(), ExperimentConfig(warmup=0),
+        kernel="vector_sum").as_dict())
     assert len(trace) == 9007
     assert trace == GoldenStream.from_program(
         KERNELS["vector_sum"]()).records
@@ -163,11 +165,8 @@ def test_cli_minimize_writes_fixture_and_sidecar(tmp_path, monkeypatch,
     apply_chaos(machine, ChaosSpec.parse("stuck_queue:after=0"))
     with pytest.raises(SimulationHang) as excinfo:
         machine.run(generate_trace("gcc", 1500))
-    write_crash_dump(
-        excinfo.value, directory=tmp_path,
-        context={"machine": "fgstp", "config": "small",
-                 "benchmark": "gcc", "length": 1500, "seed": 1,
-                 "chaos": "stuck_queue:after=0"})
+    write_crash_dump(excinfo.value, directory=tmp_path,
+                     context=_recipe(1500, chaos="stuck_queue:after=0"))
 
     output = tmp_path / "fixture.min.trace"
     code = main(["minimize", "--crash-dir", str(tmp_path),
@@ -196,9 +195,7 @@ def test_cli_minimize_unreproducible_dump_exits_one(tmp_path, monkeypatch,
     # A dump whose recipe runs cleanly (no chaos): nothing reproduces.
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     error = SimulationHang("stale", machine="fgstp", detail="intercore",
-                           context={"machine": "fgstp", "config": "small",
-                                    "benchmark": "gcc", "length": 400,
-                                    "seed": 1})
+                           context=_recipe(400))
     write_crash_dump(error, directory=tmp_path)
     assert main(["minimize", "--crash-dir", str(tmp_path)]) == 1
     assert "did not reproduce" in capsys.readouterr().err

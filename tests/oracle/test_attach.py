@@ -3,11 +3,12 @@ ddmin integration, and the 1k-instruction fuzz acceptance run."""
 
 import pytest
 
+from repro.harness.config import ExperimentConfig
+from repro.harness.parallel import execute_job, make_job
 from repro.harness.runners import MACHINES
 from repro.integrity.minimize import minimize_failure
 from repro.oracle import (GoldenStream, OracleDivergence, ProgramFuzzer,
                           run_program_under_oracle, run_trace_under_oracle)
-from repro.oracle.attach import oracle_run_fn
 from repro.oracle.mutate import make_mutator
 from repro.uarch.params import small_core_config
 from repro.workloads.generator import generate_trace
@@ -97,9 +98,13 @@ def test_minimizer_shrinks_an_oracle_divergence(base):
     assert result.last_error.detail == "order"
 
 
-def test_oracle_run_fn_probe_passes_on_clean_traces(base, trace):
-    probe = oracle_run_fn("single", base)
-    result = probe(trace[:100])
+def test_oracle_job_probe_passes_on_clean_traces(base, trace):
+    """An oracle job run on a candidate trace (a minimizer probe)
+    checks that candidate's trace fidelity."""
+    job = make_job("single", "gcc", base,
+                   ExperimentConfig(trace_length=600, warmup=0, seed=5),
+                   oracle=True)
+    result = execute_job(job, trace[:100])
     assert result.extra["oracle"]["checked"] == 100
 
 

@@ -1,14 +1,19 @@
 """ProgramFuzzer generation invariants and campaign behaviour."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
+from repro.harness.config import ExperimentConfig
+from repro.harness.parallel import SweepJob, execute_job, make_job
+from repro.integrity.errors import SimulationError
 from repro.oracle import (GoldenStream, OracleDivergence, ProgramFuzzer,
                           fuzz_campaign)
 from repro.oracle.fuzz import _write_fixture, describe_report
 from repro.trace.io import read_trace
-from repro.uarch.params import small_core_config
+from repro.uarch.params import core_config, small_core_config
 
 
 class TestGeneration:
@@ -80,6 +85,37 @@ class TestCampaign:
         assert len(read_trace(tmp_path / meta["trace"])) \
             == failure.minimized_length
 
+    def test_a_fixture_replays_on_the_job_in_its_sidecar(self, tmp_path,
+                                                         monkeypatch):
+        """The sidecar holds the failed job — here a medium core and the
+        chaos spec its few records need to hang — and the fixture's
+        trace is that job's."""
+        monkeypatch.setenv("REPRO_CHAOS", "stuck_queue:after=0")
+        monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "1000")
+        report = fuzz_campaign(runs=2, seed=1, machines=("fgstp",),
+                               base=core_config("medium"),
+                               fixture_dir=tmp_path)
+        [failure] = report.failures  # fuzz_1_0 never crosses the queues
+        meta = json.loads(Path(failure.fixture).read_text())
+        assert meta["job"]["core"]["name"] == "medium"
+        assert meta["job"]["chaos"] == "stuck_queue:after=0"
+        monkeypatch.delenv("REPRO_CHAOS")
+        with pytest.raises(SimulationError) as excinfo:
+            execute_job(SweepJob.from_dict(meta["job"]),
+                        read_trace(tmp_path / meta["trace"]))
+        assert excinfo.value.failure_class == meta["failure_class"]
+
+    def test_report_counts_failures_and_names_unshrunk_ones(self,
+                                                            monkeypatch,
+                                                            capsys):
+        monkeypatch.setenv("REPRO_CHAOS", "stuck_queue:after=0")
+        monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "1000")
+        assert main(["fuzz", "--runs", "1", "--machines", "fgstp",
+                     "--no-shrink", "--quiet"]) == 1
+        out = capsys.readouterr().out
+        assert "  1 failure(s):" in out
+        assert "fuzz_1_0 on fgstp: hang:intercore (not shrunk)" in out
+
     @pytest.mark.fuzz
     def test_nightly_scale_campaign_all_machines(self):
         report = fuzz_campaign(runs=10, seed=0,
@@ -96,10 +132,14 @@ class TestFixtures:
         divergence = OracleDivergence(
             "fgstp: commit-stream divergence (order): skipped seq 3",
             machine="fgstp", detail="order")
-        sidecar = _write_fixture(tmp_path, generated, "fgstp",
+        job = make_job("fgstp", generated.name, small_core_config(),
+                       ExperimentConfig(trace_length=len(golden), warmup=0),
+                       oracle=True)
+        sidecar = _write_fixture(tmp_path, generated, job,
                                  divergence, golden.records[:5])
         meta = json.loads(sidecar.read_text())
         assert meta["failure_class"] == "oracle:order"
+        assert SweepJob.from_dict(meta["job"]).key() == job.key()
         assert meta["minimized_length"] == 5
         assert (tmp_path / meta["source"]).read_text() == generated.source
         replayed = read_trace(tmp_path / meta["trace"])
@@ -115,6 +155,6 @@ class TestFixtures:
                         failure_class="oracle:memory", message="boom",
                         minimized_length=7)])
         text = describe_report(report)
-        assert "1 divergence(s)" in text
+        assert "1 failure(s)" in text
         assert "oracle:memory" in text
         assert "minimized to 7" in text

@@ -38,9 +38,9 @@ Commands:
 Exit codes are uniform across commands: 0 = success, 1 = an experiment
 or validation failed (including a simulation that hung or overflowed —
 the failure leaves a crash dump and the exit line points at it), 2 =
-usage error (unknown benchmark, experiment id, missing crash dump or
-malformed arguments, such as a flag the command or view does not read
-— argparse errors also exit 2).
+usage error (unknown benchmark, experiment id, missing crash dump, a
+malformed ``REPRO_CHAOS`` spec or malformed arguments, such as a flag
+the command or view does not read — argparse errors also exit 2).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .harness.parallel import (ExperimentEngine, SweepError, SweepJob,
 from .harness.report import (cpistack_comparison, cpistack_table,
                              run_and_render, sweep_to_text)
 from .harness.runners import MACHINES
+from .integrity.chaos import ENV_CHAOS, ChaosError, spec_from_env
 from .integrity.errors import SimulationError
 from .integrity.forensics import (DEFAULT_CRASH_DIR, CrashDumpError,
                                   latest_crash_dump, load_crash_dump,
@@ -1002,6 +1003,11 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown benchmark(s) {unknown}; see `list`",
               file=sys.stderr)
+        return 2
+    try:
+        spec_from_env()
+    except ChaosError as error:
+        print(f"{ENV_CHAOS}: {error}", file=sys.stderr)
         return 2
     handlers = {"list": cmd_list, "run": cmd_run,
                 "simulate": cmd_simulate, "sweep": cmd_sweep,

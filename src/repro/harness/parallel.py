@@ -51,7 +51,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional,
 from .. import diskstore
 from ..ckpt.manager import set_heartbeat
 from ..fgstp.params import FgStpParams
-from ..integrity.chaos import ENV_CHAOS, ChaosSpec, apply_chaos
+from ..integrity.chaos import maybe_apply_env_chaos, spec_from_env
 from ..integrity.errors import JobMemoryExceeded, SimulationError
 from ..integrity.forensics import write_crash_dump
 from ..isa.opcodes import OpClass
@@ -121,8 +121,8 @@ class SweepJob:
                 f"/{self.base.name}/s{self.config.seed}{suffix}")
 
     def chaos_spec(self) -> str:
-        """The chaos spec in force: the job's own, else ``REPRO_CHAOS``."""
-        return self.chaos or os.environ.get(ENV_CHAOS, "").strip()
+        """The chaos spec in force: the job's own, else ``REPRO_CHAOS``'s."""
+        return str(spec_from_env(self.chaos) or "")
 
     def key(self) -> str:
         """Content-hash of everything that determines this job's result."""
@@ -152,14 +152,21 @@ class SweepJob:
         recipe.update({"kernel": self.kernel} if self.kernel else {
             "benchmark": self.benchmark, "length": self.config.trace_length,
             "warmup": self.config.warmup, "seed": self.config.seed})
-        recipe["core"] = dict(dataclasses.asdict(self.base), latencies={
-            op.name: cycles for op, cycles in self.base.latencies.items()})
+        # The core's two dicts travel as pair lists: a dump's sort_keys
+        # would reorder objects, and with them the rebuilt core's repr,
+        # hence its key.
+        recipe["core"] = dict(
+            dataclasses.asdict(self.base),
+            fu_pool=list(self.base.fu_pool.items()),
+            latencies=[(op.name, cycles)
+                       for op, cycles in self.base.latencies.items()])
         recipe["fgstp"] = self.fgstp and dataclasses.asdict(self.fgstp)
         recipe["overrides"] = dict(self.overrides)
         recipe.update((flag, True) for flag in ("oracle", "trace")
                       if getattr(self, flag))
-        if self.chaos_spec():
-            recipe["chaos"] = self.chaos_spec()
+        chaos = self.chaos_spec()
+        if chaos:
+            recipe["chaos"] = chaos
         return recipe
 
     @classmethod
@@ -176,13 +183,15 @@ class SweepJob:
         core = recipe["core"]
         base = CoreParams(**dict(
             core, branch=BranchPredictorParams(**core["branch"]),
+            fu_pool=dict(core["fu_pool"]),
             latencies={OpClass[op]: cycles
-                       for op, cycles in core["latencies"].items()},
+                       for op, cycles in core["latencies"]},
             **{level: CacheParams(**core[level])
                for level in ("l1d", "l1i", "l2")}))
         fgstp = recipe["fgstp"] and FgStpParams(**recipe["fgstp"])
         return cls(recipe["machine"], "" if kernel else recipe["benchmark"],
-                   base, config, fgstp, tuple(recipe["overrides"].items()),
+                   base, config, fgstp,
+                   tuple(sorted(recipe["overrides"].items())),
                    bool(recipe.get("oracle")), bool(recipe.get("trace")),
                    kernel, recipe.get("chaos", ""))
 
@@ -193,7 +202,8 @@ def make_job(machine: str, benchmark: str, base: CoreParams,
              oracle: bool = False,
              trace: bool = False,
              **overrides) -> SweepJob:
-    """Build a :class:`SweepJob` from ``run_machine``-style arguments."""
+    """Build a :class:`SweepJob`; *overrides* are machine constructor
+    keywords."""
     return SweepJob(machine=machine, benchmark=benchmark, base=base,
                     config=config, fgstp=fgstp,
                     overrides=tuple(sorted(overrides.items())),
@@ -349,12 +359,9 @@ def execute_job(job: SweepJob,
                                 sample_period=TRACE_SAMPLE_PERIOD)
 
     def build(**observers):
-        model = new_machine(job.machine, job.base, job.fgstp, tracer=tracer,
-                            **dict(job.overrides), **observers)
-        spec = job.chaos_spec()
-        if spec:
-            apply_chaos(model, ChaosSpec.parse(spec), strict=False)
-        return model
+        return maybe_apply_env_chaos(
+            new_machine(job.machine, job.base, job.fgstp, tracer=tracer,
+                        **dict(job.overrides), **observers), job.chaos)
 
     if job.oracle:
         from ..oracle.attach import run_checked

@@ -1,10 +1,12 @@
-"""Machine runners: one uniform entry point per machine model.
+"""Machine construction: one uniform builder per machine model.
 
-Every engine experiment goes through :func:`run_machine` so machines
-are built fresh per run (no state leaks between measurements) and
-traces come from the shared cache.  Checkpoint resume is the machine's
-own business (:meth:`repro.ckpt.manager.Checkpointer.begin`), so a run
-here resumes exactly as a direct ``Machine.run`` does.
+Every run builds its machine fresh (no state leaks between
+measurements): a sweep job through
+:func:`repro.harness.parallel.execute_job`, which calls
+:func:`new_machine`, and other harness paths through
+:func:`build_machine`.  Checkpoint resume is the machine's own business
+(:meth:`repro.ckpt.manager.Checkpointer.begin`), so every run resumes
+exactly as a direct ``Machine.run`` does.
 """
 
 from __future__ import annotations
@@ -16,11 +18,8 @@ from ..fgstp.adaptive import AdaptiveFgStpMachine
 from ..fgstp.orchestrator import FgStpMachine
 from ..fgstp.params import FgStpParams
 from ..integrity.chaos import maybe_apply_env_chaos
-from ..stats.result import SimResult
 from ..uarch.params import CoreParams, core_config
 from ..uarch.pipeline.machine import SingleCoreMachine
-from ..workloads.suite import DEFAULT_CACHE, TraceCache
-from .config import ExperimentConfig
 
 #: Machines the harness knows how to build.
 MACHINES = ("single", "corefusion", "fgstp", "fgstp-adaptive")
@@ -32,8 +31,7 @@ def build_machine(machine: str, base: CoreParams,
     """:func:`new_machine` with the ``REPRO_CHAOS`` fault-injection
     spec, when set, applied (kinds inapplicable to the machine are
     skipped), so every harness path can be chaos-tested without code
-    changes; a sweep job applies its own spec instead, when it has one.
-    """
+    changes."""
     return maybe_apply_env_chaos(new_machine(machine, base, fgstp,
                                              **overrides))
 
@@ -52,22 +50,6 @@ def new_machine(machine: str, base: CoreParams,
     if machine == "fgstp-adaptive":
         return AdaptiveFgStpMachine(base, fgstp, **overrides)
     raise ValueError(f"unknown machine {machine!r}; known: {MACHINES}")
-
-
-def run_machine(machine: str, benchmark: str, base: CoreParams,
-                config: ExperimentConfig,
-                fgstp: Optional[FgStpParams] = None,
-                cache: TraceCache = DEFAULT_CACHE,
-                **overrides) -> SimResult:
-    """Run *benchmark* on *machine* and return the result.
-
-    The trace comes from *cache* and the machine from
-    :func:`build_machine`; with checkpointing on, the run resumes from
-    its latest compatible checkpoint, bit-identical to starting over.
-    """
-    trace = cache.get(benchmark, config.trace_length, config.seed)
-    return build_machine(machine, base, fgstp, **overrides).run(
-        trace, workload=benchmark, warmup=config.warmup)
 
 
 def config_for(name: str) -> CoreParams:

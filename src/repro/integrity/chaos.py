@@ -33,10 +33,12 @@ Fault kinds (see :data:`KINDS`):
   resume.
 
 Specs parse from strings (``"stuck_queue:after=0,queue=0"``) so they
-travel through crash-dump replay recipes and the ``REPRO_CHAOS``
-environment flag (applied by
-:func:`repro.harness.runners.build_machine`, hence by ``repro
-simulate`` / ``repro sweep`` and every harness path).
+travel through sweep jobs, their crash-dump replay recipes and the
+``REPRO_CHAOS`` environment flag.  :func:`maybe_apply_env_chaos` applies
+a job's own spec, else the flag's, for
+:func:`repro.harness.parallel.execute_job` and
+:func:`repro.harness.runners.build_machine`, hence for every harness
+path.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-#: Environment flag: when set, ``build_machine`` applies the spec to
-#: every machine it constructs (kinds that do not apply to a machine
-#: are skipped silently).
+#: Environment flag: when set, its spec is applied to every machine a
+#: harness path builds without a spec of its own (kinds that do not
+#: apply to a machine are skipped silently).
 ENV_CHAOS = "REPRO_CHAOS"
 
 #: Every fault kind the harness can inject.
@@ -113,9 +115,10 @@ class ChaosSpec:
         return f"{self.kind}:{rendered}"
 
 
-def spec_from_env() -> Optional[ChaosSpec]:
-    """The spec named by ``REPRO_CHAOS``, or ``None`` when unset."""
-    raw = os.environ.get(ENV_CHAOS)
+def spec_from_env(spec: str = "") -> Optional[ChaosSpec]:
+    """The spec in force: *spec* when given, else the one named by
+    ``REPRO_CHAOS``, else ``None``."""
+    raw = spec or os.environ.get(ENV_CHAOS)
     if not raw or not raw.strip():
         return None
     return ChaosSpec.parse(raw)
@@ -161,11 +164,12 @@ def apply_chaos(machine: Any, spec: ChaosSpec, strict: bool = True) -> Any:
     return machine
 
 
-def maybe_apply_env_chaos(machine: Any) -> Any:
-    """Apply the ``REPRO_CHAOS`` spec when set (non-strict)."""
-    spec = spec_from_env()
-    if spec is not None:
-        apply_chaos(machine, spec, strict=False)
+def maybe_apply_env_chaos(machine: Any, spec: str = "") -> Any:
+    """Apply the spec in force (:func:`spec_from_env`), if any, to
+    *machine* (non-strict)."""
+    parsed = spec_from_env(spec)
+    if parsed is not None:
+        apply_chaos(machine, parsed, strict=False)
     return machine
 
 

@@ -26,7 +26,7 @@ from .integrity.errors import SimulationError, SimulationHang
 from .integrity.forensics import write_crash_dump
 from .stats.result import SimResult
 from .uarch.params import CoreParams, small_core_config
-from .workloads.suite import TraceCache
+from .workloads.generator import generate_trace
 
 #: A run's outcome: its result, or the structured failure it raised.
 Outcome = Union[SimResult, SimulationError]
@@ -248,13 +248,15 @@ def run_battery(benchmark: str, length: int, seed: int, base: CoreParams,
     replay recipe is its job plus its name (``run``); the livelock
     run's expected hang leaves none.
     """
-    traces = TraceCache()
+    trace = generate_trace(benchmark, length, seed)
     outcomes: Dict[str, Outcome] = {}
     dumps: Dict[str, Path] = {}
     for name, job in battery_runs(benchmark, length, seed, base).items():
         try:
-            outcomes[name] = execute_job(job, traces.get(
-                benchmark, job.config.trace_length, seed))
+            # A generated trace's prefix is the shorter trace, so the
+            # livelock job's slice is the trace its recipe names.
+            outcomes[name] = execute_job(job,
+                                         trace[:job.config.trace_length])
         except SimulationError as error:
             outcomes[name] = error
             expected = name == LIVELOCK_RUN and isinstance(error,

@@ -188,10 +188,10 @@ def test_fingerprint_scope_hashes_a_trace_once(monkeypatch):
 @pytest.mark.parametrize("machine", ("single", "fgstp", "fgstp-adaptive"))
 def test_run_machine_hashes_its_trace_once(tmp_path, monkeypatch, machine):
     """The checkpoint lookup, the restore check and the checkpoints of
-    one ``run_machine`` call share one fingerprint, cold or resumed."""
+    one engine job run (``execute_job``) share one fingerprint, cold or
+    resumed."""
     from repro.harness.config import ExperimentConfig
-    from repro.harness.runners import run_machine
-    from repro.workloads.suite import TraceCache
+    from repro.harness.parallel import execute_job, make_job
 
     hashed = []
     original = state._hash_trace
@@ -210,12 +210,12 @@ def test_run_machine_hashes_its_trace_once(tmp_path, monkeypatch, machine):
     config = ExperimentConfig(trace_length=2400, warmup=400, seed=3)
     overrides = ({"sample_instructions": 300, "region_instructions": 600}
                  if machine == "fgstp-adaptive" else {})
-    cache = TraceCache()
+    job = make_job(machine, "gcc", core_config("small"), config,
+                   checkpoint_interval=700, checkpoint_sink=store,
+                   **overrides)
     results = []
     for _ in range(2):  # cold, then resumed from the latest checkpoint
-        results.append(run_machine(
-            machine, "gcc", core_config("small"), config, cache=cache,
-            checkpoint_interval=700, checkpoint_sink=store, **overrides))
+        results.append(execute_job(job))
         assert len(hashed) == len(results)
     assert found == [False, True]
     assert results[0].as_dict() == results[1].as_dict()
@@ -292,21 +292,20 @@ def test_corrupt_checkpoint_chaos_is_detected(tmp_path):
 
 def test_corrupt_checkpoint_chaos_never_poisons_run_machine(
         tmp_path, monkeypatch):
-    """Under env chaos + env interval, ``run_machine`` stays correct:
-    auto-resume refuses the chaos-built machine and results match a
-    clean run exactly."""
+    """Under env chaos + env interval, an engine job run
+    (``execute_job``) stays correct: auto-resume refuses the chaos-built
+    machine and results match a clean run exactly."""
     from repro.harness.config import ExperimentConfig
-    from repro.harness.runners import run_machine
-    from repro.workloads.suite import TraceCache
+    from repro.harness.parallel import execute_job, make_job
 
     base = core_config("small")
     config = ExperimentConfig(trace_length=2500, warmup=500, seed=3)
-    clean = run_machine("single", "gcc", base, config, cache=TraceCache())
+    clean = execute_job(make_job("single", "gcc", base, config))
 
     monkeypatch.setenv("REPRO_CHECKPOINT_INTERVAL", "600")
     monkeypatch.setenv("REPRO_CHAOS", "corrupt_checkpoint")
     store = CheckpointStore(tmp_path / "ckpts")
+    job = make_job("single", "gcc", base, config, checkpoint_sink=store)
     for _ in range(2):  # second run must not resume from corrupt files
-        chaotic = run_machine("single", "gcc", base, config,
-                              cache=TraceCache(), checkpoint_sink=store)
+        chaotic = execute_job(job)
         assert chaotic.as_dict() == clean.as_dict()

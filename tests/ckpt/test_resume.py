@@ -4,7 +4,8 @@
 checkpoints, has no observer and no chaos, and could have written one;
 a found checkpoint that does not restore is quarantined and the run
 starts cold, while an explicit ``resume_from`` that does not restore
-raises.  A direct ``Machine.run`` and ``run_machine`` resume alike.
+raises.  A direct ``Machine.run`` and an engine job run
+(``execute_job``) resume alike.
 """
 
 from dataclasses import replace
@@ -15,12 +16,12 @@ from repro.ckpt import state
 from repro.ckpt.state import CheckpointCorruption
 from repro.ckpt.store import CheckpointStore
 from repro.harness.config import ExperimentConfig
-from repro.harness.runners import MACHINES, build_machine, run_machine
+from repro.harness.parallel import execute_job, make_job
+from repro.harness.runners import MACHINES, build_machine
 from repro.obs.events import UOP
 from repro.obs.tracer import PipelineTracer
 from repro.uarch.params import core_config
 from repro.workloads.generator import generate_trace
-from repro.workloads.suite import TraceCache
 
 LENGTH, WARMUP, INTERVAL = 2400, 400, 700
 
@@ -98,9 +99,9 @@ def test_a_one_region_adaptive_job_never_hashes_its_trace(tmp_path,
 
     monkeypatch.setattr(state, "_hash_trace", forbidden)
     config = ExperimentConfig(trace_length=1200, warmup=400, seed=1)
-    result = run_machine("fgstp-adaptive", "gcc", core_config("medium"),
-                         config, cache=TraceCache(), checkpoint_interval=300,
-                         checkpoint_sink=CheckpointStore(tmp_path))
+    result = execute_job(make_job(
+        "fgstp-adaptive", "gcc", core_config("medium"), config,
+        checkpoint_interval=300, checkpoint_sink=CheckpointStore(tmp_path)))
     assert result.instructions == 800
     assert result.extra["modes"] and len(result.extra["modes"]) == 1
     assert not list(tmp_path.iterdir())
@@ -111,13 +112,11 @@ def test_a_traced_run_does_not_resume(tmp_path):
     so a traced run starts cold even with its checkpoint on disk."""
     store = SpyStore(tmp_path / "checkpoints")
     config = ExperimentConfig(trace_length=LENGTH, warmup=WARMUP, seed=3)
-    cache = TraceCache()
-    options = dict(cache=cache, checkpoint_interval=INTERVAL,
-                   checkpoint_sink=store)
-    run_machine("single", "gcc", core_config("small"), config, **options)
+    job = make_job("single", "gcc", core_config("small"), config,
+                   checkpoint_interval=INTERVAL, checkpoint_sink=store)
+    execute_job(job)
     assert list((tmp_path / "checkpoints").glob("*.ckpt"))
     tracer = PipelineTracer()
-    run_machine("single", "gcc", core_config("small"), config,
-                tracer=tracer, **options)
+    execute_job(job, tracer=tracer)
     assert store.found == [None]  # only the untraced run looked
     assert tracer.events(UOP)[0].seq == 0

@@ -24,8 +24,18 @@ SIZING = ExperimentConfig(trace_length=1500, warmup=500, seed=1)
 SMALL = core_config("small")
 
 
-def _round_trip(job):
-    return SweepJob.from_dict(json.loads(json.dumps(job.as_dict())))
+def _round_trip(job, directory):
+    """*job* rebuilt from a crash dump written with its recipe (the dump
+    sorts every nested key)."""
+    path = write_crash_dump(SimulationHang("x"), directory=directory,
+                            context=job.as_dict())
+    return SweepJob.from_dict(load_crash_dump(path)["context"])
+
+
+def _params_key(job):
+    """The checkpoint parameter key of the machine *job* runs on."""
+    return new_machine(job.machine, job.base, job.fgstp,
+                       **dict(job.overrides)).checkpoint_params_key()
 
 
 class _Submitted(Exception):
@@ -49,17 +59,17 @@ def _submitted(monkeypatch, experiment_id):
 # -- the recipe --------------------------------------------------------
 
 @pytest.mark.parametrize("experiment_id", ["E4", "E5", "E8", "E14", "E15"])
-def test_experiment_jobs_rebuild_with_their_keys(monkeypatch,
+def test_experiment_jobs_rebuild_with_their_keys(tmp_path, monkeypatch,
                                                  experiment_id):
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     jobs = _submitted(monkeypatch, experiment_id)
     assert len({job.key() for job in jobs}) == len(jobs) > 1
     for job in jobs:
-        assert _round_trip(job).key() == job.key()
+        assert _round_trip(job, tmp_path).key() == job.key()
 
 
 def test_battery_oracle_traced_and_kernel_jobs_rebuild_with_their_keys(
-        monkeypatch):
+        tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     jobs = list(validation.battery_runs("gcc", 3500, 1, SMALL).values())
     jobs += [
@@ -70,7 +80,9 @@ def test_battery_oracle_traced_and_kernel_jobs_rebuild_with_their_keys(
                  oracle=True, kernel="vector_sum"),
     ]
     for job in jobs:
-        assert _round_trip(job).key() == job.key()
+        rebuilt = _round_trip(job, tmp_path)
+        assert rebuilt.key() == job.key()
+        assert _params_key(rebuilt) == _params_key(job)
 
 
 @pytest.mark.parametrize("job, key", [
@@ -251,6 +263,16 @@ def test_cli_run_exits_one_naming_each_failed_job(hanging_engine, capsys):
         json.loads(path.read_text())["context"]["fgstp"]["queue_latency"]
         for path in (hanging_engine / "crashes").glob("*.json"))
     assert latencies == [1, 2, 3, 5, 10, 20]
+
+
+def test_a_malformed_chaos_spec_is_a_usage_error(monkeypatch, capsys):
+    """Every job's key reads the spec in force, so the CLI checks it
+    before a command runs."""
+    monkeypatch.setenv("REPRO_CHAOS", "bogus")
+    assert main(["run", "E3", "--benchmarks", "gcc", "--length", "1200",
+                 "--warmup", "400"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "REPRO_CHAOS: unknown chaos kind 'bogus'")
 
 
 def test_cli_report_exits_one_naming_each_failed_job(hanging_engine,

@@ -370,17 +370,16 @@ def test_model_version_bump_orphans_stale_checkpoints(tmp_path,
     and matches a run that never checkpointed."""
     from repro import diskstore
     from repro.ckpt.store import CheckpointStore, run_key
-    from repro.harness.runners import run_machine
-    from repro.workloads.suite import TraceCache
 
     base = core_config("small")
     config = ExperimentConfig(trace_length=2400, warmup=400, seed=3)
     store = CheckpointStore(tmp_path / "checkpoints")
+    job = make_job("single", "gcc", base, config, checkpoint_interval=700,
+                   checkpoint_sink=store)
     key = run_key("single", "gcc", 400, "pk", "fp")
     monkeypatch.setattr(diskstore, "MODEL_VERSION", 1)
     assert run_key("single", "gcc", 400, "pk", "fp") != key
-    run_machine("single", "gcc", base, config, cache=TraceCache(),
-                checkpoint_interval=700, checkpoint_sink=store)
+    execute_job(job)
     (stale,) = store.directory.glob("*.ckpt")
 
     monkeypatch.undo()
@@ -388,12 +387,11 @@ def test_model_version_bump_orphans_stale_checkpoints(tmp_path,
     load = store.load
     monkeypatch.setattr(store, "load",
                         lambda key: found.append(load(key)) or found[-1])
-    resumed = run_machine("single", "gcc", base, config, cache=TraceCache(),
-                          checkpoint_interval=700, checkpoint_sink=store)
+    resumed = execute_job(job)
     assert found == [None]
     assert stale.exists()  # orphaned, not quarantined
-    assert resumed.as_dict() == run_machine(
-        "single", "gcc", base, config, cache=TraceCache()).as_dict()
+    assert resumed.as_dict() == execute_job(
+        make_job("single", "gcc", base, config)).as_dict()
 
 
 # -- job identity -------------------------------------------------------

@@ -3,16 +3,10 @@
 import pytest
 
 from repro.harness.config import ExperimentConfig
-from repro.harness.parallel import run_suites
-from repro.harness.runners import (
-    MACHINES,
-    build_machine,
-    config_for,
-    run_machine,
-)
+from repro.harness.parallel import execute_job, make_job, run_suites
+from repro.harness.runners import MACHINES, build_machine, config_for
 from repro.uarch.params import small_core_config
 from repro.workloads.generator import generate_trace
-from repro.workloads.suite import TraceCache
 
 QUICK = ExperimentConfig(trace_length=1200, warmup=400)
 
@@ -44,8 +38,8 @@ def test_config_for():
 
 
 def test_run_machine_returns_result():
-    result = run_machine("single", "gcc", small_core_config(), QUICK,
-                         cache=TraceCache())
+    result = execute_job(make_job("single", "gcc", small_core_config(),
+                                  QUICK))
     assert result.workload == "gcc"
     assert result.instructions == QUICK.trace_length - QUICK.warmup
 

@@ -16,7 +16,8 @@ Two cheap-but-broad guards:
 import pytest
 
 from repro.harness.config import QUICK
-from repro.harness.runners import config_for, run_machine
+from repro.harness.parallel import execute_job, make_job
+from repro.harness.runners import config_for
 from repro.workloads.generator import generate_trace
 from repro.workloads.suite import DiskTraceCache, TraceCache, suite_names
 
@@ -30,8 +31,9 @@ _CACHE = TraceCache()
 
 @pytest.mark.parametrize("name", suite_names("all"))
 def test_fgstp_never_slower_than_single_beyond_tolerance(name):
-    single = run_machine("single", name, _BASE, QUICK, cache=_CACHE)
-    fgstp = run_machine("fgstp", name, _BASE, QUICK, cache=_CACHE)
+    trace = _CACHE.get(name, QUICK.trace_length, QUICK.seed)
+    single = execute_job(make_job("single", name, _BASE, QUICK), trace)
+    fgstp = execute_job(make_job("fgstp", name, _BASE, QUICK), trace)
     assert fgstp.cycles <= single.cycles * TOLERANCE, (
         f"{name}: fgstp {fgstp.cycles} cycles vs single {single.cycles} "
         f"(ratio {fgstp.cycles / single.cycles:.3f} > {TOLERANCE})")

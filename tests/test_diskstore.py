@@ -17,15 +17,14 @@ from repro.ckpt.state import MachineCheckpoint, dumps_state
 from repro.ckpt.store import CheckpointStore
 from repro.harness.campaign import Campaign
 from repro.harness.config import ExperimentConfig
-from repro.harness.parallel import ExperimentEngine, make_job
-from repro.harness.runners import run_machine
+from repro.harness.parallel import ExperimentEngine, execute_job, make_job
 from repro.integrity.errors import SimulationHang
 from repro.integrity.forensics import write_crash_dump
 from repro.stats.result import SimResult
 from repro.trace.io import _HEADER, _RECORD, read_trace
 from repro.uarch.params import core_config
 from repro.workloads.generator import generate_trace
-from repro.workloads.suite import DiskTraceCache, TraceCache
+from repro.workloads.suite import DiskTraceCache
 
 
 def _files(root):
@@ -250,16 +249,16 @@ def test_flipped_checkpoint_byte_is_quarantined_and_run_cold(tmp_path):
     base = core_config("small")
     config = ExperimentConfig(trace_length=2400, warmup=400, seed=3)
     store = CheckpointStore(tmp_path / "checkpoints")
-    fresh = run_machine("single", "gcc", base, config, cache=TraceCache())
-    run_machine("single", "gcc", base, config, cache=TraceCache(),
-                checkpoint_interval=700, checkpoint_sink=store)
+    fresh = execute_job(make_job("single", "gcc", base, config))
+    job = make_job("single", "gcc", base, config, checkpoint_interval=700,
+                   checkpoint_sink=store)
+    execute_job(job)
     (path,) = store.directory.glob("*.ckpt")
     data = bytearray(path.read_bytes())
     body = data.index(b"\n") + 1
     data[(body + len(data)) // 2] ^= 0xFF
     path.write_bytes(bytes(data))
 
-    resumed = run_machine("single", "gcc", base, config, cache=TraceCache(),
-                          checkpoint_interval=700, checkpoint_sink=store)
+    resumed = execute_job(job)
     assert _quarantined(tmp_path) == [path.name, f"{path.name}.reason"]
     assert resumed.as_dict() == fresh.as_dict()

@@ -6,6 +6,7 @@ from repro.trace.analysis import summarize
 from repro.trace.record import validate_trace
 from repro.workloads.generator import SyntheticWorkload, generate_trace
 from repro.workloads.profiles import get_profile
+from repro.workloads.suite import suite_names
 
 
 def test_traces_are_valid():
@@ -43,10 +44,17 @@ def test_repeated_calls_on_one_workload_are_stable():
 
 
 def test_prefix_property():
-    """A shorter trace is a prefix of a longer one (same skeleton walk)."""
+    """A shorter trace is a prefix of a longer one (same skeleton walk),
+    for every benchmark: the relation battery hands its livelock run a
+    prefix of its trace, and that run's recipe regenerates the prefix
+    as a trace of its own length."""
     long = generate_trace("hmmer", 2000)
     short = generate_trace("hmmer", 1000)
     assert long[:1000] == short
+    for seed in (1, 7):
+        for name in suite_names("all"):
+            assert generate_trace(name, 5000, seed)[:3000] \
+                == generate_trace(name, 3000, seed), (name, seed)
 
 
 def test_mix_matches_profile():

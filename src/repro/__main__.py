@@ -425,6 +425,7 @@ def cmd_sweep(args) -> int:
         timeout=args.timeout,
         retries=args.retries,
         cache_dir=cache_root,
+        result_cache=not args.no_cache,
         progress=progress,
         oracle_sample=args.oracle_sample,
         trace_sample=args.trace_sample,
@@ -843,7 +844,8 @@ def main(argv=None) -> int:
     sweep_parser.add_argument("--cache-dir", default=".repro_cache",
                               help="disk cache root (default .repro_cache)")
     sweep_parser.add_argument("--no-cache", action="store_true",
-                              help="disable the disk cache entirely")
+                              help="disable the disk cache and the "
+                                   "in-memory result tier")
     sweep_parser.add_argument("--store", default=None,
                               help="append results to this JSON-lines "
                                    "result store")

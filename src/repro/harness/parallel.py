@@ -9,7 +9,9 @@ across a :class:`concurrent.futures.ProcessPoolExecutor` with:
   (:class:`repro.workloads.suite.DiskTraceCache`) and finished
   :class:`~repro.stats.result.SimResult` records (content-hash keyed
   JSON under ``<cache_dir>/results/``) are persisted so repeated sweeps
-  and sibling workers never redo work;
+  and sibling workers never redo work; in front of the result tier,
+  each engine keeps every finished record in memory, so it simulates
+  each distinct job once;
 * **robustness**: a per-job timeout, bounded retry with exponential
   backoff, and graceful degradation — a broken pool (dead worker,
   unavailable multiprocessing) drains the remaining jobs serially in
@@ -35,6 +37,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import signal
 import threading
 import time
@@ -43,7 +46,7 @@ from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
                                 wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, List, Optional,
                     Sequence, Set, Tuple, Union)
@@ -54,6 +57,7 @@ from ..fgstp.params import FgStpParams
 from ..integrity.chaos import maybe_apply_env_chaos, spec_from_env
 from ..integrity.errors import JobMemoryExceeded, SimulationError
 from ..integrity.forensics import write_crash_dump
+from ..integrity.watchdog import window_from_env
 from ..isa.opcodes import OpClass
 from ..stats.result import SimResult
 from ..trace.record import TraceRecord
@@ -68,6 +72,29 @@ from .runners import new_machine
 # ----------------------------------------------------------------------
 # Jobs
 # ----------------------------------------------------------------------
+
+_DEFAULT_FGSTP = FgStpParams()
+
+
+def _differences(value: Any, default: Any, prefix: str = "") -> List[str]:
+    """``field=value`` for each field of *value* that differs from
+    *default*; nested dataclasses and dicts are compared entry by entry
+    (``branch.kind=gshare``, ``latencies.IMUL=4``)."""
+    if value == default:
+        return []
+    if dataclasses.is_dataclass(value) and type(value) is type(default):
+        entries = [(item.name, getattr(value, item.name),
+                    getattr(default, item.name))
+                   for item in dataclasses.fields(value)]
+    elif isinstance(value, dict) and isinstance(default, dict):
+        entries = [(getattr(entry, "name", entry), value.get(entry),
+                    default.get(entry)) for entry in {**default, **value}]
+    else:
+        return [f"{prefix}={value}"]
+    return [change for entry, left, right in entries
+            for change in _differences(
+                left, right, f"{prefix}.{entry}" if prefix else entry)]
+
 
 @dataclass(frozen=True)
 class SweepJob:
@@ -112,42 +139,67 @@ class SweepJob:
         """The kernel or benchmark this job runs."""
         return self.kernel or self.benchmark
 
-    @property
+    @cached_property
     def name(self) -> str:
-        """Short human-readable label for progress lines."""
-        suffix = ("/oracle" if self.oracle else "") \
-            + ("/trace" if self.trace else "")
-        return (f"{self.machine}/{self.workload}"
-                f"/{self.base.name}/s{self.config.seed}{suffix}")
+        """Short human-readable label for progress lines: what differs
+        from the defaults (Fg-STP fields, core fields against the named
+        config, overrides) follows the seed, so no two sweep points
+        share a name."""
+        try:
+            named = core_config(self.base.name)
+        except KeyError:
+            named = self.base
+        changes = (_differences(self.fgstp or _DEFAULT_FGSTP,
+                                _DEFAULT_FGSTP)
+                   + _differences(self.base, named)
+                   + [f"{option}={value}" for option, value in self.overrides]
+                   + [flag for flag in ("oracle", "trace")
+                      if getattr(self, flag)])
+        return "/".join([self.machine, self.workload, self.base.name,
+                         f"s{self.config.seed}", *changes])
+
+    @cached_property
+    def trace_key(self) -> str:
+        """The generated trace's key; empty for a kernel job."""
+        return "" if self.kernel else trace_key(
+            self.benchmark, self.config.trace_length, self.config.seed)
+
+    @cached_property
+    def _static_key(self) -> str:
+        """Everything in :meth:`key` but the model version and chaos.
+
+        Default Fg-STP parameters key as ``None``: both build the same
+        machine, so they are one simulation.
+        """
+        fgstp = None if self.fgstp == _DEFAULT_FGSTP else self.fgstp
+        # Markers join only when set, so plain keys never change, and no
+        # checked or traced result is served to a plain run.
+        return "|".join([
+            self.machine,
+            f"kernel:{self.kernel}" if self.kernel else self.trace_key,
+            str(self.config.warmup), repr(self.base), repr(fgstp),
+            repr(self.overrides),
+            *[flag for flag in ("oracle", "trace") if getattr(self, flag)]])
 
     def chaos_spec(self) -> str:
         """The chaos spec in force: the job's own, else ``REPRO_CHAOS``'s."""
         return str(spec_from_env(self.chaos) or "")
 
     def key(self) -> str:
-        """Content-hash of everything that determines this job's result."""
-        parts = [
-            diskstore.MODEL_VERSION,
-            self.machine,
-            f"kernel:{self.kernel}" if self.kernel
-            else trace_key(self.benchmark, self.config.trace_length,
-                           self.config.seed),
-            str(self.config.warmup),
-            repr(self.base),
-            repr(self.fgstp),
-            repr(self.overrides),
-        ]
-        # Markers join only when set, so plain keys never change, and no
-        # checked, traced or faulted result is served to a plain run.
-        parts += [flag for flag in ("oracle", "trace") if getattr(self, flag)]
+        """Content-hash of everything that determines this job's result.
+
+        The model version and the chaos spec in force are read at every
+        call, so neither a version bump nor a fault is ever served
+        another's result.
+        """
         chaos = self.chaos_spec()
-        if chaos:
-            parts.append(f"chaos:{chaos}")
-        return diskstore.key(*parts)
+        return diskstore.key(diskstore.MODEL_VERSION, self._static_key,
+                             *([f"chaos:{chaos}"] if chaos else []))
 
     def as_dict(self) -> Dict[str, Any]:
-        """The job as JSON fields: every core and Fg-STP field, and the
-        chaos spec in force; a kernel job names no benchmark sizing."""
+        """The job as JSON fields: every core and Fg-STP field, the chaos
+        spec and the watchdog window in force (unless the job sets its
+        own); a kernel job names no benchmark sizing."""
         recipe: Dict[str, Any] = {"machine": self.machine}
         recipe.update({"kernel": self.kernel} if self.kernel else {
             "benchmark": self.benchmark, "length": self.config.trace_length,
@@ -167,6 +219,8 @@ class SweepJob:
         chaos = self.chaos_spec()
         if chaos:
             recipe["chaos"] = chaos
+        if "watchdog_window" not in recipe["overrides"]:
+            recipe["watchdog_window"] = window_from_env()
         return recipe
 
     @classmethod
@@ -536,7 +590,8 @@ class SweepMetrics:
             ``SIGALRM`` off the main thread / on this platform).
         preempted: Hung workers killed by the heartbeat monitor (their
             jobs were requeued against the retry budget).
-        result_cache_hits: Jobs satisfied from the on-disk result cache.
+        result_cache_hits: Jobs served from the result cache (the
+            engine's memory tier, else the disk tier).
         quarantined: Corrupt result-cache entries moved aside (to
             ``<cache_dir>/quarantine/``) and recomputed.
         traces_reused / traces_generated: Distinct traces the sweep
@@ -639,8 +694,11 @@ class ExperimentEngine:
         retries: Extra attempts after a failed/timed-out first try.
         cache_dir: Root of the shared disk cache (traces + results);
             ``None`` disables both disk tiers.
-        result_cache: Serve/persist finished results from
-            ``<cache_dir>/results/`` (requires *cache_dir*).
+        result_cache: Serve finished results again, keyed by
+            :meth:`SweepJob.key`: from this engine's memory tier, which
+            keeps one entry per finished job or disk hit, then from
+            ``<cache_dir>/results/`` when *cache_dir* is set.  ``False``
+            turns off both tiers.
         trace_cache: Trace cache for in-process jobs (defaults to a
             fresh per-run cache, or the disk cache when *cache_dir* is
             set).
@@ -690,7 +748,9 @@ class ExperimentEngine:
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.result_cache = bool(result_cache and self.cache_dir)
+        self.result_cache = bool(result_cache)
+        # Job key -> the pickled record a disk hit would decode.
+        self._memory: Dict[str, bytes] = {}
         self.trace_cache = trace_cache
         self.progress = progress
         self.oracle_sample = min(1.0, max(0.0, float(oracle_sample)))
@@ -721,8 +781,7 @@ class ExperimentEngine:
                                metrics=metrics)
 
         probe_started = time.monotonic()
-        trace_keys = {trace_key(job.benchmark, job.config.trace_length,
-                                job.config.seed) for job in jobs}
+        trace_keys = {job.trace_key for job in jobs} - {""}
         preexisting = self._existing_trace_keys(trace_keys)
         pending: List[int] = []
         for index, job in enumerate(jobs):
@@ -1003,22 +1062,31 @@ class ExperimentEngine:
 
     # -- caching and reporting helpers ---------------------------------
 
-    def _result_path(self, job: SweepJob) -> Optional[Path]:
-        if not self.result_cache or self.cache_dir is None:
+    def _result_path(self, key: str) -> Optional[Path]:
+        if self.cache_dir is None:
             return None
-        return self.cache_dir / "results" / f"{job.key()}.json"
+        return self.cache_dir / "results" / f"{key}.json"
 
     def _load_cached_result(self, job: SweepJob,
                             metrics: Optional[SweepMetrics] = None
                             ) -> Optional[SimResult]:
-        path = self._result_path(job)
+        """A fresh result for *job* from the memory tier, else from a
+        verified disk entry (which then joins the memory tier)."""
+        if not self.result_cache:
+            return None
+        key = job.key()
+        entry = self._memory.get(key)
+        if entry is not None:
+            return SimResult.from_dict(pickle.loads(entry))
+        path = self._result_path(key)
         if path is None:
             return None
         try:
-            entry = diskstore.get(path, RESULT_FORMAT)
-            if entry is None:
+            stored = diskstore.get(path, RESULT_FORMAT)
+            if stored is None:
                 return None
-            return SimResult.from_dict(json.loads(entry[1]))
+            record = json.loads(stored[1])
+            result = SimResult.from_dict(record)
         except (KeyError, TypeError, ValueError) as exc:
             diskstore.quarantine(path, exc)
             self._emit("stage",
@@ -1027,12 +1095,22 @@ class ExperimentEngine:
             if metrics is not None:
                 metrics.quarantined += 1
             return None
+        self._memory[key] = pickle.dumps(record, pickle.HIGHEST_PROTOCOL)
+        return result
 
     def _store_cached_result(self, job: SweepJob, result: SimResult) -> None:
-        path = self._result_path(job)
+        """Keep *result* in the memory tier as the record a disk hit
+        decodes, and on disk; anything but a :class:`SimResult` (a
+        custom ``job_fn``'s return) is not kept."""
+        if not self.result_cache or not isinstance(result, SimResult):
+            return
+        key = job.key()
+        body = json.dumps(result.as_dict(), sort_keys=True)
+        self._memory[key] = pickle.dumps(json.loads(body),
+                                         pickle.HIGHEST_PROTOCOL)
+        path = self._result_path(key)
         if path is None:
             return
-        body = json.dumps(result.as_dict(), sort_keys=True)
         try:
             diskstore.put(path, body.encode("utf-8"), RESULT_FORMAT,
                           {"job": job.name})

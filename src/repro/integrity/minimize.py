@@ -138,11 +138,13 @@ def replay_run_fn(context: Dict[str, Any]
     """Build a probe runner from a crash dump's replay recipe, the
     failed :class:`~repro.harness.parallel.SweepJob`: each probe runs
     the job on a candidate, so on its machine, core, Fg-STP parameters,
-    overrides, chaos spec and oracle flag.  An oracle job's probe
-    checks the candidate's own trace fidelity, preserving "this machine
-    mis-retires its own input".  Probes run without warm-up — the
-    minimizer shrinks raw triggers, and warm-up prefixes are exactly
-    the bulk it exists to remove — and without a sampled tracer.
+    overrides, chaos spec and oracle flag, and with the watchdog window
+    the run had (whatever ``REPRO_WATCHDOG_WINDOW`` says now).  An
+    oracle job's probe checks the candidate's own trace fidelity,
+    preserving "this machine mis-retires its own input".  Probes run
+    without warm-up — the minimizer shrinks raw triggers, and warm-up
+    prefixes are exactly the bulk it exists to remove — and without a
+    sampled tracer.
 
     Raises:
         KeyError: when the recipe is not a job's.
@@ -150,7 +152,11 @@ def replay_run_fn(context: Dict[str, Any]
     from ..harness.parallel import SweepJob, execute_job
 
     job = SweepJob.from_dict(context)
+    overrides = dict(job.overrides)
+    if "watchdog_window" in context:
+        overrides.setdefault("watchdog_window", context["watchdog_window"])
     probe = dataclasses.replace(job, config=job.config.with_(warmup=0),
+                                overrides=tuple(sorted(overrides.items())),
                                 trace=False)
 
     def run(candidate: Sequence[TraceRecord]):

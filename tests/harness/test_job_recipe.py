@@ -18,6 +18,7 @@ from repro.harness.runners import new_machine
 from repro.integrity.errors import SimulationHang
 from repro.integrity.forensics import load_crash_dump, write_crash_dump
 from repro.integrity.minimize import replay_run_fn, trace_from_context
+from repro.integrity.watchdog import DEFAULT_WINDOW
 from repro.uarch.params import core_config
 
 SIZING = ExperimentConfig(trace_length=1500, warmup=500, seed=1)
@@ -102,6 +103,45 @@ def test_keys_without_chaos_are_unchanged(monkeypatch, job, key):
     """Cache keys written before jobs carried a chaos spec stay valid."""
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     assert job.key() == key
+
+
+def test_default_fgstp_parameters_key_as_none(tmp_path, monkeypatch):
+    """Both build the same machine, so they are one simulation, before
+    and after a crash-dump round trip."""
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    plain = make_job("fgstp", "gcc", SMALL, SIZING)
+    explicit = make_job("fgstp", "gcc", SMALL, SIZING, fgstp=FgStpParams())
+    assert explicit.key() == plain.key()
+    assert _round_trip(explicit, tmp_path).key() == plain.key()
+    assert _round_trip(plain, tmp_path).key() == plain.key()
+    assert explicit.name == plain.name == "fgstp/gcc/small/s1"
+    assert make_job("fgstp", "gcc", SMALL, SIZING,
+                    fgstp=FgStpParams(queue_latency=3)).key() != plain.key()
+
+
+def test_a_job_name_shows_what_differs_from_the_defaults():
+    medium = core_config("medium")
+    bimodal = medium.with_(branch=dataclasses.replace(medium.branch,
+                                                      kind="bimodal"))
+    assert make_job("fgstp", "gcc", medium, SIZING,
+                    fgstp=FgStpParams(queue_latency=20)).name \
+        == "fgstp/gcc/medium/s1/queue_latency=20"
+    assert make_job("fgstp", "gcc", medium, SIZING,
+                    fgstp=FgStpParams(window_size=64, speculation=False),
+                    policy="roundrobin").name \
+        == ("fgstp/gcc/medium/s1/window_size=64/speculation=False"
+            "/policy=roundrobin")
+    assert make_job("single", "mcf", bimodal, SIZING, oracle=True).name \
+        == "single/mcf/medium/s1/branch.kind=bimodal/oracle"
+    assert make_job("single", "mcf", SMALL.with_(rob_entries=96),
+                    SIZING).name == "single/mcf/small/s1/rob_entries=96"
+
+
+@pytest.mark.parametrize("experiment_id",
+                         ["E4", "E5", "E8", "E9", "E14", "E15"])
+def test_every_sweep_point_has_its_own_name(monkeypatch, experiment_id):
+    jobs = _submitted(monkeypatch, experiment_id)
+    assert len({job.name for job in jobs}) == len(jobs)
 
 
 def test_the_chaos_in_force_is_part_of_the_key(monkeypatch):
@@ -252,17 +292,59 @@ def hanging_engine(tmp_path, monkeypatch):
     return tmp_path / "cache"
 
 
+def _e4_dumps(cache):
+    """E4's crash dumps under *cache*: queue latency -> dump context."""
+    contexts = [json.loads(path.read_text())["context"]
+                for path in (cache / "crashes").glob("*.json")]
+    return {context["fgstp"]["queue_latency"]: context
+            for context in contexts}
+
+
 def test_cli_run_exits_one_naming_each_failed_job(hanging_engine, capsys):
     assert main(["run", "E4", "--benchmarks", "gcc", "--length", "1200",
                  "--warmup", "400"]) == 1
     heading, *lines = capsys.readouterr().err.splitlines()
     assert heading == "6 job(s) failed:" and len(lines) == 6
-    assert all(line.startswith("  fgstp/gcc/medium/s1: hang:intercore")
+    assert all(": hang:intercore after " in line
                and "[crash dump: " in line for line in lines)
-    latencies = sorted(
-        json.loads(path.read_text())["context"]["fgstp"]["queue_latency"]
-        for path in (hanging_engine / "crashes").glob("*.json"))
-    assert latencies == [1, 2, 3, 5, 10, 20]
+    # The default latency (2) is the plain Fg-STP job, so its name
+    # carries no latency; every other point names its own.
+    names = [line.split(": hang:intercore")[0].strip() for line in lines]
+    assert names == ["fgstp/gcc/medium/s1" + (
+        "" if latency == FgStpParams().queue_latency
+        else f"/queue_latency={latency}")
+        for latency in (1, 2, 3, 5, 10, 20)]
+    assert sorted(_e4_dumps(hanging_engine)) == [1, 2, 3, 5, 10, 20]
+
+
+def test_a_dump_replays_with_the_runs_watchdog_window(hanging_engine,
+                                                      monkeypatch):
+    """The run's ``REPRO_WATCHDOG_WINDOW`` travels in its dump, so the
+    replay hangs after the run's window, not the replaying shell's."""
+    assert main(["run", "E4", "--benchmarks", "gcc", "--length", "1200",
+                 "--warmup", "400"]) == 1
+    context = _e4_dumps(hanging_engine)[20]
+    assert context["watchdog_window"] == 1000
+    monkeypatch.delenv("REPRO_WATCHDOG_WINDOW")
+    monkeypatch.delenv("REPRO_CHAOS")  # the job carries its own
+    with pytest.raises(SimulationHang, match="no commit for 1001 cycles"):
+        replay_run_fn(context)(trace_from_context(context))
+    # A job's own window still wins over the recorded one.
+    own = dict(context, overrides={"watchdog_window": 3000})
+    with pytest.raises(SimulationHang, match="no commit for 3001 cycles"):
+        replay_run_fn(own)(trace_from_context(own))
+
+
+def test_a_recipe_records_the_window_in_force_unless_the_job_sets_one(
+        monkeypatch):
+    monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "1000")
+    job = make_job("fgstp", "gcc", SMALL, SIZING)
+    assert job.as_dict()["watchdog_window"] == 1000
+    monkeypatch.delenv("REPRO_WATCHDOG_WINDOW")
+    assert job.as_dict()["watchdog_window"] == DEFAULT_WINDOW
+    own = make_job("fgstp", "gcc", SMALL, SIZING, watchdog_window=3000)
+    assert "watchdog_window" not in own.as_dict()
+    assert own.as_dict()["overrides"] == {"watchdog_window": 3000}
 
 
 def test_a_malformed_chaos_spec_is_a_usage_error(monkeypatch, capsys):

@@ -43,7 +43,7 @@ class FgStpParams:
         partition_latency: Pipeline depth of the partition unit (cycles
             between global fetch and availability for core dispatch).
         queue_latency: Inter-core value-queue latency in cycles.  The
-            default (3) models dedicated point-to-point wires between
+            default (2) models dedicated point-to-point wires between
             adjacent cores — the "dedicated hardware with minimum and
             localized impact" the paper describes; E4 sweeps this knob.
         queue_bandwidth: Values each queue can deliver per cycle.

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..corefusion.machine import default_frontend_overhead
 from ..fgstp.params import FgStpParams
 from ..stats.aggregate import geomean
 from ..stats.tables import render_table
@@ -310,13 +311,19 @@ def e7_replication(config: ExperimentConfig) -> ExperimentReport:
 
 
 def e8_fusion_overhead(config: ExperimentConfig) -> ExperimentReport:
-    """E8: Core Fusion overhead sensitivity (baseline validation)."""
+    """E8: Core Fusion overhead sensitivity (baseline validation).
+
+    The medium core's default overhead passes no override: that point
+    is the plain Core Fusion job, which E1 runs too.
+    """
+    default = default_frontend_overhead(config_for("medium"))
     return _sensitivity(
         config, "E8",
         ("Core Fusion speedup vs. fusion front-end overhead "
          "(medium config)"),
         "frontend_overhead", [0, 2, 4, 6, 8],
-        lambda overhead: {"frontend_overhead": overhead},
+        lambda overhead: ({} if overhead == default
+                          else {"frontend_overhead": overhead}),
         machine="corefusion",
         notes=("Validates the baseline: fusion gains erode as the added "
                "front-end depth grows."))
@@ -485,14 +492,17 @@ def e14_partition_policies(config: ExperimentConfig) -> ExperimentReport:
 
     The slice-growth policy (the paper's design) against round-robin,
     block-modulo and access/execute-decoupled assignments, with
-    everything-on-one-core as the sanity bound.
+    everything-on-one-core as the sanity bound.  The default policy
+    passes no override: that point is the plain Fg-STP job, which E1
+    runs too.
     """
     from ..fgstp.policies import POLICIES
 
     return _sensitivity(
         config, "E14",
         "Partition-policy comparison (Fg-STP speedup over 1 core)",
-        "policy", list(POLICIES), lambda policy: {"policy": policy},
+        "policy", list(POLICIES),
+        lambda policy: {} if policy == "chain" else {"policy": policy},
         notes=("'single' routes everything to core 0 and must track the "
                "single-core baseline; 'chain' is the paper's design."))
 

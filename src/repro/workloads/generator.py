@@ -23,14 +23,22 @@ What the skeleton gives us that naive i.i.d. sampling would not:
 Register dependences are sampled per operand with a geometric distance
 distribution around the profile's ``mean_dep_distance`` — short distances
 produce serial chains (low ILP), long distances wide dataflow.
+
+Every trace is a function of ``Random``'s ``random()``, ``getrandbits()``
+and ``gauss()`` alone.  The library's other draws are written out here
+(:func:`_below`, :func:`_shuffle`, :func:`_uniform`,
+:func:`_expovariate`) exactly as CPython 3.10-3.13 computes them, which
+also skips their wrapper layers on the hot paths; see
+``docs/workloads.md`` for the determinism contract.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
-from typing import List, Optional
+from collections import deque
+from math import log
+from typing import Callable, List, Optional
 
 from ..isa.opcodes import OpClass
 from ..trace.record import TraceRecord
@@ -58,6 +66,9 @@ _RELOAD_PROB = 0.10
 #: How far back a reload may reach into the recent-store history.
 _RELOAD_DEPTH = 12
 
+#: Probability an operand reads the next strand's values.
+_CROSS_STRAND = 0.08
+
 _WORD = 8
 _LINE = 64
 
@@ -69,6 +80,18 @@ _WARM_BASE, _WARM_SIZE = 0x0010_0000, 64 * 1024
 _GRAPH_BASE, _GRAPH_SIZE = 0x0100_0000, 512 * 1024
 _COLD_BASE, _COLD_SIZE = 0x1000_0000, 64 * 1024 * 1024
 _STREAM_BASE, _STREAM_SPACING = 0x4000_0000, 16 * 1024 * 1024
+#: Bytes a site's sequential stream covers before it wraps.
+_STREAM_SPAN = _STREAM_SPACING // 2
+
+#: Body-entry kinds.  Entries are lists, the kind first:
+#: ``[_COMP, pc, op_class, fp, nsrcs]``,
+#: ``[_MEM, pc, fp, reload_rank, site, base, stride]`` (*site* indexes
+#: the walk's stream cursors) and ``[_INDUCTION, pc, reg]``.
+_COMP, _MEM, _INDUCTION = range(3)
+
+_IALU, _IMUL, _IDIV = OpClass.IALU, OpClass.IMUL, OpClass.IDIV
+_FADD, _FMUL, _FDIV = OpClass.FADD, OpClass.FMUL, OpClass.FDIV
+_LOAD, _STORE, _BRANCH = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
 
 
 def _name_hash(name: str) -> int:
@@ -84,16 +107,63 @@ def _split_pool(pool: List[int], parts: int) -> List[List[int]]:
     return slices
 
 
-@dataclass
-class _Block:
-    """One basic block of the synthetic skeleton."""
+# ----------------------------------------------------------------------
+# Draws: ``random.Random``'s, written out over its two C-level methods
+# ----------------------------------------------------------------------
 
-    pc: int
-    body: List[dict] = field(default_factory=list)  # instruction templates
-    branch: Optional[dict] = None                   # terminator descriptor
-    next_block: int = 0
-    taken_block: int = 0
-    induction: int = _INDUCTION_REGS[0]             # this block's loop counter
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``Random._randbelow(n)`` for ``n > 0``: a uniform int in
+    ``[0, n)`` from the same ``getrandbits`` draws.  ``choice(seq)`` is
+    ``seq[_below(len(seq))]``, ``randrange(n)`` is ``_below(n)`` and
+    ``randint(a, b)`` is ``a + _below(b - a + 1)``.  Like the library,
+    it draws ``n.bit_length()`` bits and rejects values >= n, so a power
+    of two rejects half its draws."""
+    bits = n.bit_length()
+    draw = getrandbits(bits)
+    while draw >= n:
+        draw = getrandbits(bits)
+    return draw
+
+
+def _shuffle(getrandbits: Callable[[int], int], items: list) -> None:
+    """``Random.shuffle(items)``: the same swaps from the same draws."""
+    for i in range(len(items) - 1, 0, -1):
+        j = _below(getrandbits, i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def _uniform(random_: Callable[[], float], a: float, b: float) -> float:
+    """``Random.uniform(a, b)``, rounding included."""
+    return a + (b - a) * random_()
+
+
+def _expovariate(random_: Callable[[], float], lambd: float) -> float:
+    """``Random.expovariate(lambd)``, rounding included."""
+    return -log(1.0 - random_()) / lambd
+
+
+class _Block:
+    """One basic block of the synthetic skeleton: body entries at
+    ``pc``..``branch_pc - 1`` and a terminating branch at ``branch_pc``.
+
+    A loop back-edge has a trip count (``trip`` >= 2); any other branch
+    has ``trip == 0`` and is taken with probability ``taken_prob``.
+    """
+
+    __slots__ = ("pc", "body", "induction", "branch_pc", "trip",
+                 "taken_prob", "next_block", "taken_block", "target_pc")
+
+    def __init__(self, pc: int, body: List[list], induction: int,
+                 trip: int, taken_prob: float):
+        self.pc = pc
+        self.body = body
+        self.induction = induction      # this block's loop counter
+        self.branch_pc = pc + len(body)
+        self.trip = trip
+        self.taken_prob = taken_prob
+        self.next_block = 0
+        self.taken_block = 0
+        self.target_pc = 0
 
 
 class SyntheticWorkload:
@@ -110,7 +180,6 @@ class SyntheticWorkload:
         # (PYTHONHASHSEED) and would break trace reproducibility.
         rng = random.Random((_name_hash(profile.name)
                              ^ (seed * 2654435761)) & 0xFFFFFFFF)
-        self._stream_count = 0
         self._build_skeleton(rng)
 
     # ------------------------------------------------------------------
@@ -119,36 +188,97 @@ class SyntheticWorkload:
 
     def _build_skeleton(self, rng: random.Random) -> None:
         profile = self.profile
-        blocks: List[_Block] = []
-        pc = 0
+        random_, getrandbits, gauss = rng.random, rng.getrandbits, rng.gauss
+        fp_suite = profile.suite == "fp"
+        frac_fp_ops = profile.frac_fp_ops
+        frac_div = profile.frac_div
+        frac_div_mul = profile.frac_div + profile.frac_mul
+        frac_hard = profile.frac_hard_branch
+        frac_hard_guard = profile.frac_hard_branch + 0.35
+        mean_trip = max(2, profile.loop_iterations)
         # Body size targets the profile's dynamic branch fraction: one
         # terminator branch per block of mean (1/frac_branch - 1) body
         # instructions.  Low variance keeps the dynamic fraction close to
         # target despite visit-frequency weighting.
         mean_body = max(2.0, 1.0 / max(profile.frac_branch, 0.02) - 1.0)
+        # Stratified body composition: every block matches the target
+        # mix.  Loop-dominated walks make a handful of blocks dominate
+        # the dynamic stream, so assigning kinds i.i.d. per site would
+        # let one block's random composition define the whole trace's
+        # mix.  Quota assignment with randomised rounding keeps each
+        # block individually on target.
+        mem_per_slot = ((profile.frac_load + profile.frac_store)
+                        * (1.0 / max(1.0 - profile.frac_branch, 1e-6)))
+        stream_bases: List[int] = []
+        blocks: List[_Block] = []
+        pc = 0
         for _ in range(profile.static_blocks):
-            size = max(2, int(round(rng.gauss(mean_body, 0.25 * mean_body))))
-            templates = self._block_templates(rng, size)
-            induction = rng.choice(_INDUCTION_REGS)
+            size = max(2, int(round(gauss(mean_body, 0.25 * mean_body))))
+            exact = mem_per_slot * size
+            n_mem = int(exact)
+            if random_() < exact - n_mem:
+                n_mem += 1
+            # Memory sites are dual-role: whether one execution is a load
+            # or a store (and whether a load pointer-chases), and its
+            # region (stream / warm / cold / hot), are rolled per
+            # *dynamic* instance, so the dynamic mixtures stay on target
+            # even when a handful of loop blocks dominate the walk.  Each
+            # site owns a sequential stream, staggered within its slot
+            # so concurrent streams do not all alias to the same cache
+            # sets.
+            body: List[list] = []
+            for _ in range(min(n_mem, size)):
+                fp = fp_suite and random_() < 0.7
+                site = len(stream_bases)
+                base = (_STREAM_BASE + site * _STREAM_SPACING
+                        + _below(getrandbits, _STREAM_SPACING // 4 // _LINE)
+                        * _LINE)
+                stride = _WORD * (1, 1, 1, 1, 2)[_below(getrandbits, 5)]
+                # Spill/reload partner: this site always reloads the
+                # rank-th most recent store (PC-stable pairing, like
+                # real stack slots — what store-set predictors learn).
+                reload_rank = 1 + _below(getrandbits, _RELOAD_DEPTH)
+                stream_bases.append(base)
+                body.append([_MEM, 0, fp, reload_rank, site, base, stride])
+            while len(body) < size:
+                fp = random_() < frac_fp_ops
+                sub = random_()
+                if sub < frac_div:
+                    op_class = _FDIV if fp else _IDIV
+                elif sub < frac_div_mul:
+                    op_class = _FMUL if fp else _IMUL
+                else:
+                    op_class = _FADD if fp else _IALU
+                body.append([_COMP, 0, op_class, fp,
+                             2 if random_() < 0.75 else 1])
+            _shuffle(getrandbits, body)
+            induction = _INDUCTION_REGS[_below(getrandbits, 2)]
             if size >= 3:
                 # One induction update per block: the serial i = i + 1
                 # chain every loop iteration advances (real loops always
                 # step their counter).  It replaces a *computation* slot
                 # so the memory/branch mix stays on target.
-                comp_offsets = [i for i, t in enumerate(templates)
-                                if t["kind"] == "comp"]
-                offset = (rng.choice(comp_offsets) if comp_offsets
-                          else rng.randrange(size))
-                templates[offset] = {"kind": "induction", "reg": induction}
-            block = _Block(pc=pc)
-            block.induction = induction
-            for offset, template in enumerate(templates):
-                template["pc"] = pc + offset
-                block.body.append(template)
-            pc += size
-            block.branch = self._make_branch(rng, pc)
-            pc += 1
+                comp_offsets = [offset for offset, entry in enumerate(body)
+                                if entry[0] == _COMP]
+                offset = (comp_offsets[_below(getrandbits,
+                                              len(comp_offsets))]
+                          if comp_offsets else _below(getrandbits, size))
+                body[offset] = [_INDUCTION, 0, induction]
+            for offset, entry in enumerate(body):
+                entry[1] = pc + offset
+            trip, taken_prob = 0, 0.0
+            roll = random_()
+            if roll < frac_hard:
+                taken_prob = _uniform(random_, 0.4, 0.6)
+            elif roll < frac_hard_guard:
+                # Guard: strongly biased not-taken, i.i.d.
+                taken_prob = _uniform(random_, 0.01, 0.08)
+            else:
+                # Loop back-edge with a (nearly) deterministic trip count.
+                trip = max(2, int(gauss(mean_trip, mean_trip * 0.25)))
+            block = _Block(pc, body, induction, trip, taken_prob)
             blocks.append(block)
+            pc = block.branch_pc + 1
 
         # Wire successors: fallthrough to the next block (wrapping); the
         # taken edge is a short backward hop for loop back-edges and a
@@ -156,104 +286,14 @@ class SyntheticWorkload:
         n = len(blocks)
         for index, block in enumerate(blocks):
             block.next_block = (index + 1) % n
-            descriptor = block.branch
-            if descriptor["kind"] == "loop":
-                back = rng.randint(0, min(3, n - 1))
+            if block.trip:
+                back = _below(getrandbits, min(3, n - 1) + 1)
                 block.taken_block = (index - back) % n
             else:
-                block.taken_block = rng.randrange(n)
-            descriptor["target_pc"] = blocks[block.taken_block].pc
+                block.taken_block = _below(getrandbits, n)
+            block.target_pc = blocks[block.taken_block].pc
         self.blocks = blocks
-
-    def _block_templates(self, rng: random.Random, size: int) -> List[dict]:
-        """Stratified body composition: every block matches the target mix.
-
-        Loop-dominated walks make a handful of blocks dominate the
-        dynamic stream, so assigning kinds i.i.d. per site would let one
-        block's random composition define the whole trace's mix.  Quota
-        assignment with randomised rounding keeps each block individually
-        on target.
-        """
-        profile = self.profile
-        scale = 1.0 / max(1.0 - profile.frac_branch, 1e-6)
-
-        def quota(fraction: float) -> int:
-            exact = fraction * scale * size
-            base = int(exact)
-            return base + (1 if rng.random() < exact - base else 0)
-
-        # Memory sites are dual-role: whether one execution is a load or
-        # a store (and whether a load pointer-chases) is rolled per
-        # *dynamic* instance, so the dynamic mix stays on target even
-        # when a handful of loop blocks dominate the walk.
-        n_mem = min(quota(profile.frac_load + profile.frac_store), size)
-        templates: List[dict] = [self._mem_template(rng)
-                                 for _ in range(n_mem)]
-        while len(templates) < size:
-            templates.append(self._comp_template(rng))
-        rng.shuffle(templates)
-        return templates
-
-    def _comp_template(self, rng: random.Random) -> dict:
-        profile = self.profile
-        fp = rng.random() < profile.frac_fp_ops
-        sub = rng.random()
-        if sub < profile.frac_div:
-            op_class = OpClass.FDIV if fp else OpClass.IDIV
-        elif sub < profile.frac_div + profile.frac_mul:
-            op_class = OpClass.FMUL if fp else OpClass.IMUL
-        else:
-            op_class = OpClass.FADD if fp else OpClass.IALU
-        return {"kind": "comp", "op_class": op_class, "fp": fp,
-                "nsrcs": 2 if rng.random() < 0.75 else 1}
-
-    def _mem_template(self, rng: random.Random) -> dict:
-        """Create a memory site.
-
-        Each site carries a private sequential-stream cursor; on every
-        dynamic execution the access rolls load-vs-store, pointer-chase,
-        and the profile's region mixture (stream / warm / cold / hot).
-        Rolling dynamically rather than fixing behaviour per site keeps
-        the *dynamic* mixtures on target even when a handful of loop
-        blocks dominate the walk.
-        """
-        profile = self.profile
-        fp = profile.suite == "fp" and rng.random() < 0.7
-        # Stagger stream bases within their slot so concurrent streams do
-        # not all alias to the same cache sets.
-        stagger = rng.randrange(_STREAM_SPACING // 4 // _LINE) * _LINE
-        base = (_STREAM_BASE + self._stream_count * _STREAM_SPACING
-                + stagger)
-        self._stream_count += 1
-        stride = _WORD * rng.choice((1, 1, 1, 1, 2))
-        mem_total = profile.frac_load + profile.frac_store
-        return {"kind": "mem", "fp": fp,
-                "p_store": profile.frac_store / mem_total if mem_total
-                else 0.0,
-                # Spill/reload partner: this site always reloads the
-                # rank-th most recent store (PC-stable pairing, like
-                # real stack slots — what store-set predictors learn).
-                "reload_rank": rng.randint(1, _RELOAD_DEPTH),
-                "base": base, "span": _STREAM_SPACING // 2,
-                "stride": stride, "cursor": base}
-
-    def _make_branch(self, rng: random.Random, pc: int) -> dict:
-        profile = self.profile
-        roll = rng.random()
-        if roll < profile.frac_hard_branch:
-            return {"pc": pc, "kind": "hard",
-                    "taken_prob": rng.uniform(0.4, 0.6),
-                    "target_pc": 0}
-        if roll < profile.frac_hard_branch + 0.35:
-            # Guard: strongly biased not-taken, i.i.d.
-            return {"pc": pc, "kind": "guard",
-                    "taken_prob": rng.uniform(0.01, 0.08),
-                    "target_pc": 0}
-        # Loop back-edge with a (nearly) deterministic trip count.
-        mean = max(2, profile.loop_iterations)
-        trip = max(2, int(rng.gauss(mean, mean * 0.25)))
-        return {"pc": pc, "kind": "loop", "trip": trip, "count": 0,
-                "target_pc": 0}
+        self._stream_bases = stream_bases
 
     # ------------------------------------------------------------------
     # Dynamic walk
@@ -267,184 +307,160 @@ class SyntheticWorkload:
         rng = random.Random(
             (_name_hash(profile.name) * 31
              + self.seed * 1013904223) & 0x7FFFFFFF)
-        records: List[TraceRecord] = []
-
-        # Reset per-site state so equal calls yield equal traces.
-        for block in self.blocks:
-            for template in block.body:
-                if template["kind"] == "mem":
-                    template["cursor"] = template["base"]
-            if block.branch["kind"] == "loop":
-                block.branch["count"] = 0
+        random_, getrandbits = rng.random, rng.getrandbits
+        mem_total = profile.frac_load + profile.frac_store
+        p_store = profile.frac_store / mem_total if mem_total else 0.0
+        frac_chase = profile.frac_pointer_chase
+        mem_stream = profile.mem_stream
+        mem_warm = profile.mem_warm
+        mem_warm_cold = profile.mem_warm + profile.mem_cold
 
         # Independent dependence strands: successive loop iterations
         # rotate through strands, so iteration i+1's values do not (in
         # the common case) depend on iteration i's — the fine-grain
         # parallelism the paper's partitioner extracts.  Each strand owns
-        # a slice of the destination register pools.
+        # a slice of the destination register pools; ``pools[s][fp]``
+        # and ``recents[s][fp]`` are strand *s*'s integer (fp False) or
+        # floating-point (fp True) slice and recent destinations.
         strands = max(1, profile.strands)
-        int_slices = _split_pool(_INT_DEST_POOL, strands)
-        fp_slices = _split_pool(_FP_DEST_POOL, strands)
-        recent_int: List[List[int]] = [[] for _ in range(strands)]
-        recent_fp: List[List[int]] = [[] for _ in range(strands)]
-        recent_stores: List[int] = []   # addresses, for reload pairs
-        last_load_dst: Optional[int] = None
-        block_index = 0
-        iteration = 0
+        pools = list(zip(_split_pool(_INT_DEST_POOL, strands),
+                         _split_pool(_FP_DEST_POOL, strands)))
+        recents = [([], []) for _ in range(strands)]
         # Dependence distance within a strand: the stream interleaves
         # `strands` strands, so a local distance d is a global distance
         # of roughly d * strands.
-        local_mean = max(1.0, profile.mean_dep_distance / strands)
-        cross_strand = 0.08
+        lambd = 1.0 / max(1.0, profile.mean_dep_distance / strands)
 
         def pick_src(strand: int, fp: bool) -> int:
-            if rng.random() < cross_strand and strands > 1:
+            if random_() < _CROSS_STRAND:
                 strand = (strand + 1) % strands
-            recent = (recent_fp if fp else recent_int)[strand]
+            recent = recents[strand][fp]
             if not recent:
-                pool = (fp_slices if fp else int_slices)[strand]
-                return rng.choice(pool)
-            distance = int(rng.expovariate(1.0 / local_mean)) + 1
-            if distance > len(recent):
-                distance = len(recent)
-            return recent[-distance]
+                pool = pools[strand][fp]
+                return pool[_below(getrandbits, len(pool))]
+            distance = int(_expovariate(random_, lambd)) + 1
+            return recent[-distance] if distance <= len(recent) \
+                else recent[0]
 
-        def pick_dest(strand: int, fp: bool) -> int:
-            pool = (fp_slices if fp else int_slices)[strand]
-            return rng.choice(pool)
+        # Per-trace site state: stream cursors and loop trip counters.
+        cursors = self._stream_bases[:]
+        trip_counts = [0] * len(self.blocks)
 
-        def note_dest(strand: int, dst: int) -> None:
-            recent = (recent_int if dst < 32 else recent_fp)[strand]
-            recent.append(dst)
-            if len(recent) > 64:
-                del recent[:32]
+        def next_addr(site: int, base: int, stride: int) -> int:
+            """The next address of a memory site: one roll of the
+            profile's region mixture."""
+            roll = random_()
+            if roll < mem_stream:
+                addr = cursors[site]
+                cursor = addr + stride
+                cursors[site] = (base if cursor >= base + _STREAM_SPAN
+                                 else cursor)
+                return addr
+            roll -= mem_stream
+            if roll < mem_warm:
+                region, span = _WARM_BASE, _WARM_SIZE
+            elif roll < mem_warm_cold:
+                region, span = _COLD_BASE, _COLD_SIZE
+            else:
+                region, span = _HOT_BASE, _HOT_SIZE
+            return region + _below(getrandbits, span // _WORD) * _WORD
 
-        while len(records) < length:
-            block = self.blocks[block_index]
+        recent_stores: deque = deque(maxlen=_RELOAD_DEPTH)  # addresses
+        last_load_dst: Optional[int] = None
+        records: List[TraceRecord] = []
+        append = records.append
+        blocks = self.blocks
+        block_index = 0
+        iteration = 0
+        seq = 0
+        while seq < length:
+            block = blocks[block_index]
             strand = iteration % strands
-            for template in block.body:
-                if len(records) >= length:
-                    return records
-                record = self._emit(template, len(records), rng, strand,
-                                    pick_src, pick_dest, last_load_dst,
-                                    block.induction, recent_stores)
-                records.append(record)
-                if record.is_store:
-                    recent_stores.append(record.mem_addr)
-                    if len(recent_stores) > _RELOAD_DEPTH:
-                        del recent_stores[0]
-                if record.is_load:
-                    last_load_dst = record.dst
-                if record.dst is not None and record.dst < _INDUCTION_REGS[0]:
-                    note_dest(strand, record.dst)
-                elif record.dst is not None and record.dst >= 33:
-                    note_dest(strand, record.dst)
-            if len(records) >= length:
+            pool_pair = pools[strand]
+            recent_pair = recents[strand]
+            body = block.body
+            room = length - seq
+            for entry in (body if len(body) < room else body[:room]):
+                kind = entry[0]
+                if kind == _COMP:
+                    _, pc, op_class, fp, nsrcs = entry
+                    srcs = ((pick_src(strand, fp), pick_src(strand, fp))
+                            if nsrcs == 2 else (pick_src(strand, fp),))
+                    pool = pool_pair[fp]
+                    dst = pool[_below(getrandbits, len(pool))]
+                    append(TraceRecord(seq, pc, op_class, dst, srcs))
+                elif kind == _MEM:
+                    _, pc, fp, reload_rank, site, base, stride = entry
+                    is_store = random_() < p_store
+                    if not is_store and random_() < frac_chase:
+                        # Serial pointer chain: the address register is
+                        # the previous load's destination; addresses land
+                        # in the graph region.  Chase chains deliberately
+                        # cross strands — they are the serial backbone
+                        # that limits partitioning (mcf-style).
+                        srcs = ((last_load_dst,) if last_load_dst is not None
+                                else (pick_src(strand, False),))
+                        addr = _GRAPH_BASE + _below(
+                            getrandbits, _GRAPH_SIZE // _LINE) * _LINE
+                        fp = False
+                    else:
+                        if not is_store and recent_stores \
+                                and random_() < _RELOAD_PROB:
+                            # Spill/reload: read back the site's
+                            # fixed-rank recent store.
+                            addr = recent_stores[
+                                -min(reload_rank, len(recent_stores))]
+                        else:
+                            addr = next_addr(site, base, stride)
+                        addr_src = (block.induction
+                                    if random_() < _ADDR_FROM_INDUCTION
+                                    else pick_src(strand, False))
+                        if is_store:
+                            append(TraceRecord(
+                                seq, pc, _STORE, None,
+                                (addr_src, pick_src(strand, fp)), addr, _WORD))
+                            recent_stores.append(addr)
+                            seq += 1
+                            continue
+                        srcs = (addr_src,)
+                    pool = pool_pair[fp]
+                    dst = pool[_below(getrandbits, len(pool))]
+                    append(TraceRecord(seq, pc, _LOAD, dst, srcs, addr,
+                                       _WORD))
+                    last_load_dst = dst
+                else:
+                    _, pc, reg = entry
+                    append(TraceRecord(seq, pc, _IALU, reg, (reg,)))
+                    seq += 1
+                    continue
+                # A computation or a load: its destination is the
+                # strand's newest value.
+                seq += 1
+                recent = recent_pair[fp]
+                recent.append(dst)
+                if len(recent) > 64:
+                    del recent[:32]
+            if len(body) >= room:
                 break
-            descriptor = block.branch
-            taken = self._branch_outcome(descriptor, rng)
             # Loop branches compare the induction register against the
             # loop bound (a live-in); other branches read strand values.
-            if descriptor["kind"] == "loop":
+            trip = block.trip
+            if trip:
+                count = trip_counts[block_index] + 1
+                taken = count < trip
+                trip_counts[block_index] = count if taken else 0
                 branch_srcs = (block.induction, _BOUND_REG)
+                iteration += 1
             else:
+                taken = random_() < block.taken_prob
                 branch_srcs = (pick_src(strand, False),
                                pick_src(strand, False))
-            records.append(TraceRecord(
-                seq=len(records), pc=descriptor["pc"],
-                op_class=OpClass.BRANCH, dst=None,
-                srcs=branch_srcs,
-                taken=taken,
-                target=descriptor["target_pc"] if taken else None))
-            if descriptor["kind"] == "loop":
-                iteration += 1
+            append(TraceRecord(seq, block.branch_pc, _BRANCH, None,
+                               branch_srcs, None, 0, taken,
+                               block.target_pc if taken else None))
+            seq += 1
             block_index = block.taken_block if taken else block.next_block
         return records
-
-    @staticmethod
-    def _branch_outcome(descriptor: dict, rng: random.Random) -> bool:
-        if descriptor["kind"] == "loop":
-            descriptor["count"] += 1
-            if descriptor["count"] >= descriptor["trip"]:
-                descriptor["count"] = 0
-                return False
-            return True
-        return rng.random() < descriptor["taken_prob"]
-
-    def _emit(self, template: dict, seq: int, rng: random.Random,
-              strand: int, pick_src, pick_dest,
-              last_load_dst: Optional[int],
-              induction_reg: int,
-              recent_stores: List[int]) -> TraceRecord:
-        kind = template["kind"]
-        pc = template["pc"]
-        if kind == "induction":
-            reg = template["reg"]
-            return TraceRecord(seq, pc, OpClass.IALU, reg, (reg,))
-        if kind == "mem":
-            is_store = rng.random() < template["p_store"]
-            if not is_store and rng.random() < \
-                    self.profile.frac_pointer_chase:
-                # Serial pointer chain: the address register is the
-                # previous load's destination; addresses land in the
-                # graph region.  Chase chains deliberately cross strands
-                # — they are the serial backbone that limits partitioning
-                # (mcf-style).
-                if last_load_dst is not None:
-                    srcs = (last_load_dst,)
-                else:
-                    srcs = (pick_src(strand, False),)
-                addr = (_GRAPH_BASE
-                        + rng.randrange(_GRAPH_SIZE // _LINE) * _LINE)
-                return TraceRecord(seq, pc, OpClass.LOAD,
-                                   pick_dest(strand, False), srcs,
-                                   mem_addr=addr, mem_size=_WORD)
-            fp = template["fp"]
-            if not is_store and recent_stores \
-                    and rng.random() < _RELOAD_PROB:
-                # Spill/reload: read back the site's fixed-rank recent
-                # store (PC-stable pairing).
-                rank = min(template["reload_rank"], len(recent_stores))
-                addr = recent_stores[-rank]
-            else:
-                addr = self._next_addr(template, rng)
-            if rng.random() < _ADDR_FROM_INDUCTION:
-                addr_src = induction_reg
-            else:
-                addr_src = pick_src(strand, False)
-            if not is_store:
-                return TraceRecord(
-                    seq, pc, OpClass.LOAD, pick_dest(strand, fp),
-                    (addr_src,),
-                    mem_addr=addr, mem_size=_WORD)
-            return TraceRecord(
-                seq, pc, OpClass.STORE, None,
-                (addr_src, pick_src(strand, fp)),
-                mem_addr=addr, mem_size=_WORD)
-        # Computation.
-        fp = template["fp"]
-        srcs = tuple(pick_src(strand, fp)
-                     for _ in range(template["nsrcs"]))
-        return TraceRecord(seq, pc, template["op_class"],
-                           pick_dest(strand, fp), srcs)
-
-    def _next_addr(self, template: dict, rng: random.Random) -> int:
-        profile = self.profile
-        roll = rng.random()
-        if roll < profile.mem_stream:
-            addr = template["cursor"]
-            template["cursor"] += template["stride"]
-            if template["cursor"] >= template["base"] + template["span"]:
-                template["cursor"] = template["base"]
-            return addr
-        roll -= profile.mem_stream
-        if roll < profile.mem_warm:
-            base, span = _WARM_BASE, _WARM_SIZE
-        elif roll < profile.mem_warm + profile.mem_cold:
-            base, span = _COLD_BASE, _COLD_SIZE
-        else:
-            base, span = _HOT_BASE, _HOT_SIZE
-        return base + rng.randrange(span // _WORD) * _WORD
 
 
 def generate_trace(name: str, length: int,

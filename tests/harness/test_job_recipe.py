@@ -137,6 +137,21 @@ def test_a_job_name_shows_what_differs_from_the_defaults():
                     SIZING).name == "single/mcf/small/s1/rob_entries=96"
 
 
+@pytest.mark.parametrize("experiment_id, machine",
+                         [("E4", "fgstp"), ("E8", "corefusion"),
+                          ("E14", "fgstp")])
+def test_a_default_sweep_point_is_the_plain_job(monkeypatch, experiment_id,
+                                                machine):
+    """E4's default latency, E8's default fusion overhead and E14's
+    default policy build the plain machine, so they share its key and
+    name: one simulation with E1's job."""
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    plain = make_job(machine, "gcc", core_config("medium"), SIZING)
+    matches = [job for job in _submitted(monkeypatch, experiment_id)
+               if job.key() == plain.key()]
+    assert [job.name for job in matches] == [f"{machine}/gcc/medium/s1"]
+
+
 @pytest.mark.parametrize("experiment_id",
                          ["E4", "E5", "E8", "E9", "E14", "E15"])
 def test_every_sweep_point_has_its_own_name(monkeypatch, experiment_id):

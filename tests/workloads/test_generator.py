@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ckpt.state import trace_fingerprint
 from repro.trace.analysis import summarize
 from repro.trace.record import validate_trace
 from repro.workloads.generator import SyntheticWorkload, generate_trace
@@ -141,3 +142,70 @@ def test_strand_independence():
     dests = {r.dst for r in trace
              if r.dst is not None and not r.is_memory}
     assert len(dests) > 12  # several strand slices in play
+
+
+#: Length of the pinned traces: most of them end inside a block body.
+_PIN_LENGTH = 1237
+#: ``seed benchmark trace_fingerprint`` of every benchmark's
+#: ``_PIN_LENGTH``-record trace.  A deliberate trace change bumps
+#: ``TRACE_CACHE_VERSION`` and ``MODEL_VERSION`` and regenerates these
+#: and the golden fixture (see docs/workloads.md).
+_PINNED = """\
+1 perlbench d3cc758ef1a26702f9cec9b4ecb446eff5cf408ae744a3a07e68c41834323cf7
+1 bzip2 f670947a4cc85a0488f59f12ad1f020458796aaa597d44147e97195df5064d19
+1 gcc 43c9143d86da7bd52101fc79a9f0628802d8453aca5669af6b17caa2bdf3d75f
+1 mcf d113ed7ae6b0dd4fd5a68568566bb0a1a62f6a42d8ac719b5dcd172c4a0f380c
+1 gobmk bb966b0d202121a30cd5d615cb5396dce7c04774e9c5b47360e4058e3405c820
+1 hmmer a6e2c10a03ae7ab9ef070b11b6f27841c5b1d9793bdff0103c674d95d1c23d5a
+1 sjeng 77be8032fd327bf19b5295a06439797bd9b7abb2ec982dfd3bc433d91dfb5162
+1 libquantum 85017454864f423cd488b58ed69863b014859aeb8d29861bc0e4e6576dc36cfe
+1 h264ref 239d8d53bcd01068cddbe0d4e864b6d970b8f7305122feb255a4d6c6e9f89581
+1 omnetpp 36116af3729366e02a8742673a0cfb0738747f2f827032f614ae3110e255cfb5
+1 astar 40ae972e12a1094596ba50b83992811911ae9d0a7ffb27f8c956b29f5987b943
+1 xalancbmk bde7eade931e5eb066fa44438ca9ba4b3d27a060adb133e381718b0d7dc9182b
+1 bwaves 0bbac65f6bf0d9f3e0204ea980ea3cbfdff51993f5e6de0ac5d4291d3dd03bd6
+1 milc b291e0ca48079baedf98ccec8175f35087c05da1d7e20890b1867043033ac14f
+1 zeusmp 42f0b0e8e39162f05e1ad8b887fd99ced3a906e9898ab2025abca47b8c36dbb2
+1 gromacs 07656ce965b248c7145dc58c4fb2d9a6af1d97915a270bbd162dc21ff3f50829
+1 leslie3d f0e5d386e9559bd9e22d386c9de2ac0d24f512ab08fd9f7157f57c7c865ad505
+1 namd 13515d1c558d7e88ae71d47664983ee215dc30534a3bfaaaa1d82093e66dfd8f
+1 soplex d1d8f11a21d27bf0234ad01d81e77b1a23113e707d8078eb1af253f29da9b3b0
+1 lbm 5a854239b1ed797d6eccdcabf9ba3cd5c9abb773ee33d32744ba64f552515df7
+42 perlbench 9bc60447a497fed26bb841ddafa3e0f7198e75ba7a351ff42bedd9e0f53f1240
+42 bzip2 e54a0b33b75dc585045d8029a829fe07b7f59051159467fcc68e8737bb6c03b1
+42 gcc 3c340039f102730b831ee8b02c10d675a54336c3abf4969b1819f18c14435385
+42 mcf 9551c2c4ee0f94adcf9cd4c911912ea29fa7518d129896ce1bb0842507d2b919
+42 gobmk f429dd47f8c5b0c271c8e6f3554bffca9eab0f8838a3114999c79150d1d37ffd
+42 hmmer 3b7e6a5ecafeea43dddc5751e46f40027472dbbb4b3156d9154aea908be5de2d
+42 sjeng 97407e3cc855b6d72f52a3ea0bc38d944d871c94f90acdecdf0621ed2c1b8c25
+42 libquantum 93c2efc83052ec6221baffde6bced56f026a0bef240e0aaeb349ea7170c9927b
+42 h264ref a79dae4f3c7b635e4dd1843ede8efce71926c6077982d7112647eb055ea685d1
+42 omnetpp 6f85e197af9f854233dda996a5a30563c746b5dd624ebc06821a41c79c700af9
+42 astar 0a5a02406cd2ae1259e6525f4523fa7abf3b999e7206c93acf9f291234f7f81f
+42 xalancbmk 95a50d8aecd6a98df0c54fdf2c33cca689b731944ad1c0e7adb89aead3575879
+42 bwaves 39e4fe1344f461b29621be22232702ebcabfd090e21aff41095d6f8e92456860
+42 milc 7d97744cccd344a376095f479930da5a4a989dd5ff10b7e42fe7dc5b12a851e7
+42 zeusmp a2e4d0cb7b7d79bf0495e84acd21b9d329f0b816d1b9b022c80cc104311a80e5
+42 gromacs 22ee23577f0e11dfca977e7a6d4de250d631da92b8e2699ce1b88436828a8d34
+42 leslie3d 3adf8fe0469bba3bbc689c1847c76d2d241fbef9dc2d070def7b1eb970da20e1
+42 namd 9b6df3c42ffe2ca3fcd90c2ee5440adecfe92b4e2786b7fa375430d2ff24901a
+42 soplex 432c89aded2c8ca0d8b0a9521961143975e470914ff1bb860c3effa75ec1645e
+42 lbm 102e4d83e84ed75aa862931f3f3cb2f636e96e960b35c6a9cff6be0bb7a1c35a
+"""
+_PINS = [(int(seed), name, digest) for seed, name, digest
+         in map(str.split, _PINNED.splitlines())]
+
+
+@pytest.mark.parametrize("seed, name, fingerprint", _PINS,
+                         ids=[f"{name}-s{seed}" for seed, name, _ in _PINS])
+def test_every_benchmark_trace_is_pinned(seed, name, fingerprint):
+    """Every record of every benchmark's trace stays the same: a
+    generator change that moves one draw fails here."""
+    assert trace_fingerprint(generate_trace(name, _PIN_LENGTH, seed)) \
+        == fingerprint
+
+
+def test_every_benchmark_is_pinned_at_each_seed():
+    for seed in (1, 42):
+        assert [name for pin_seed, name, _ in _PINS if pin_seed == seed] \
+            == suite_names("all")

@@ -145,18 +145,24 @@ class SweepJob:
         from the defaults (Fg-STP fields, core fields against the named
         config, overrides) follows the seed, so no two sweep points
         share a name."""
-        try:
-            named = core_config(self.base.name)
-        except KeyError:
-            named = self.base
-        changes = (_differences(self.fgstp or _DEFAULT_FGSTP,
-                                _DEFAULT_FGSTP)
-                   + _differences(self.base, named)
+        core, fgstp = self.machine_differences()
+        changes = (fgstp + core
                    + [f"{option}={value}" for option, value in self.overrides]
                    + [flag for flag in ("oracle", "trace")
                       if getattr(self, flag)])
         return "/".join([self.machine, self.workload, self.base.name,
                          f"s{self.config.seed}", *changes])
+
+    def machine_differences(self) -> Tuple[List[str], List[str]]:
+        """``field=value`` for each core field that differs from the
+        named config, and for each Fg-STP field that differs from
+        ``FgStpParams()``."""
+        try:
+            named = core_config(self.base.name)
+        except KeyError:
+            named = self.base
+        return (_differences(self.base, named),
+                _differences(self.fgstp or _DEFAULT_FGSTP, _DEFAULT_FGSTP))
 
     @cached_property
     def trace_key(self) -> str:

@@ -156,6 +156,30 @@ def _render_mapping(mapping: Dict[str, Any], indent: str,
             lines.append(f"{indent}{key}: {value}")
 
 
+def _render_recipe(recipe: Dict[str, Any], lines: List[str]) -> None:
+    """Render a replay recipe with its machine as differences: ``core``
+    as its config name and the fields that differ from that config,
+    ``fgstp`` as the fields that differ from the defaults (what the
+    job's name lists).  A recipe whose job does not rebuild (a dump
+    written before dumps stored jobs has no ``core``) renders whole."""
+    from ..harness.parallel import SweepJob
+
+    try:
+        core, fgstp = SweepJob.from_dict(recipe).machine_differences()
+    except (KeyError, TypeError, ValueError):
+        _render_mapping(recipe, "  ", lines)
+        return
+    for key in sorted(recipe):
+        if key == "core":
+            lines.append(f"  core: {recipe['core'].get('name')}")
+            lines.extend(f"    {change}" for change in core)
+        elif key == "fgstp" and recipe["fgstp"] is not None:
+            lines.append("  fgstp:" if fgstp else "  fgstp: defaults")
+            lines.extend(f"    {change}" for change in fgstp)
+        else:
+            _render_mapping({key: recipe[key]}, "  ", lines)
+
+
 #: Columns of the crash-dump mini-timeline.
 _TIMELINE_WIDTH = 48
 
@@ -229,7 +253,7 @@ def render_crash_dump(dump: Dict[str, Any]) -> str:
     if context:
         lines.append("")
         lines.append("replay recipe:")
-        _render_mapping(context, "  ", lines)
+        _render_recipe(context, lines)
     partial = dump.get("partial") or {}
     if partial:
         lines.append("")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional
 
-from ..trace.record import TraceRecord
+from ..trace.record import TraceRecord, positions
 from .errors import ExecutionError
 from .opcodes import OpClass
 from .program import Program
@@ -178,8 +178,8 @@ class Interpreter:
             raise ExecutionError(f"unhandled op class {op_class}")
 
         state.pc = next_pc
-        return TraceRecord(seq, pc, op_class, instr.dst, instr.srcs,
-                           mem_addr, mem_size, taken, target)
+        return TraceRecord(positions(seq + 1)[seq], pc, op_class, instr.dst,
+                           instr.srcs, mem_addr, mem_size, taken, target)
 
     @staticmethod
     def _mem_access(state: MachineState, addr: int, size: int):

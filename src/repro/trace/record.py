@@ -10,11 +10,18 @@ Records are produced either by the functional interpreter
 (:mod:`repro.isa.interpreter`) running a real program, or by the synthetic
 workload generators (:mod:`repro.workloads`) which emit statistically
 calibrated streams directly.
+
+Records never change once made, so every producer shares their field
+values instead of allocating one per record: a record's ``seq`` is the
+process-wide :func:`positions` int of its position, and its ``srcs`` the
+one :data:`SOURCES` tuple of that value.  A trace's records are equal
+to separately allocated ones, field for field; they only cost less.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import threading
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa.opcodes import OpClass
 
@@ -24,6 +31,26 @@ _LOAD = OpClass.LOAD
 _STORE = OpClass.STORE
 _BRANCH = OpClass.BRANCH
 _JUMP = OpClass.JUMP
+
+#: ``_POSITIONS[i]`` is the ``seq`` of every record at position *i*: one
+#: int object per position (about 36 bytes with its list slot), made by
+#: the longest trace so far and kept for the process.
+_POSITIONS: List[int] = []
+_POSITIONS_LOCK = threading.Lock()
+
+#: The one tuple of each distinct ``srcs`` value, which every record of
+#: that value holds: producers take ``SOURCES.setdefault(srcs, srcs)``.
+#: Bounded by the register file (a few thousand tuples at most).
+SOURCES: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+
+def positions(length: int) -> List[int]:
+    """The process's shared ``seq`` ints, at least *length* of them
+    (``positions(n)[i] == i``)."""
+    if len(_POSITIONS) < length:
+        with _POSITIONS_LOCK:  # two growers must not both append
+            _POSITIONS.extend(range(len(_POSITIONS), length))
+    return _POSITIONS
 
 
 class TraceRecord:

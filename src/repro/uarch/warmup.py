@@ -18,10 +18,14 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from ..isa.opcodes import OpClass
 from ..isa.program import INSTRUCTION_BYTES
-from ..trace.record import TraceRecord
+from ..trace.record import TraceRecord, positions
 from .branch.btb import FrontEndPredictor
 from .cache.hierarchy import CacheHierarchy
+
+_LOAD, _STORE = OpClass.LOAD, OpClass.STORE
+_BRANCH, _JUMP = OpClass.BRANCH, OpClass.JUMP
 
 
 def warm_state(records: Sequence[TraceRecord],
@@ -33,20 +37,27 @@ def warm_state(records: Sequence[TraceRecord],
     Predictor statistics accumulated during warm-up are reset afterwards
     so reported misprediction rates cover only the measured window.
     """
+    if hierarchy is not None:
+        l1i_access, l1d_access = hierarchy.l1i.access, hierarchy.l1d.access
+    if predictor is not None:
+        predict, update = predictor.predict, predictor.update
     last_line = -1
     for record in records:
+        op_class = record.op_class
         if hierarchy is not None:
-            line = (record.pc * INSTRUCTION_BYTES) // line_bytes
+            fetch = record.pc * INSTRUCTION_BYTES
+            line = fetch // line_bytes
             if line != last_line:
-                hierarchy.l1i.access(record.pc * INSTRUCTION_BYTES)
+                l1i_access(fetch)
                 last_line = line
-            if record.is_load:
-                hierarchy.l1d.access(record.mem_addr, is_write=False)
-            elif record.is_store:
-                hierarchy.l1d.access(record.mem_addr, is_write=True)
-        if predictor is not None and record.is_control:
-            predictor.predict(record)
-            predictor.update(record)
+            if op_class == _LOAD:
+                l1d_access(record.mem_addr, False)
+            elif op_class == _STORE:
+                l1d_access(record.mem_addr, True)
+        if predictor is not None and (op_class == _BRANCH
+                                      or op_class == _JUMP):
+            predict(record)
+            update(record)
     if predictor is not None:
         predictor.lookups = 0
         predictor.mispredictions = 0
@@ -58,11 +69,12 @@ def warm_state(records: Sequence[TraceRecord],
 
 
 def reseq(records: Sequence[TraceRecord]) -> List[TraceRecord]:
-    """Densely renumber *records* starting at seq 0 (fresh objects)."""
+    """Densely renumber *records* starting at seq 0 (fresh objects whose
+    ``seq`` is the shared position int)."""
     return [
         TraceRecord(seq, r.pc, r.op_class, r.dst, r.srcs,
                     r.mem_addr, r.mem_size, r.taken, r.target)
-        for seq, r in enumerate(records)
+        for seq, r in zip(positions(len(records)), records)
     ]
 
 

@@ -41,7 +41,7 @@ from math import log
 from typing import Callable, List, Optional
 
 from ..isa.opcodes import OpClass
-from ..trace.record import TraceRecord
+from ..trace.record import SOURCES, TraceRecord, positions
 from .profiles import WorkloadProfile, get_profile
 
 #: Destination register pools (flat architectural ids; r0/ABI regs and
@@ -86,7 +86,7 @@ _STREAM_SPAN = _STREAM_SPACING // 2
 #: Body-entry kinds.  Entries are lists, the kind first:
 #: ``[_COMP, pc, op_class, fp, nsrcs]``,
 #: ``[_MEM, pc, fp, reload_rank, site, base, stride]`` (*site* indexes
-#: the walk's stream cursors) and ``[_INDUCTION, pc, reg]``.
+#: the walk's stream cursors) and ``[_INDUCTION, pc, reg, srcs]``.
 _COMP, _MEM, _INDUCTION = range(3)
 
 _IALU, _IMUL, _IDIV = OpClass.IALU, OpClass.IMUL, OpClass.IDIV
@@ -142,22 +142,30 @@ def _expovariate(random_: Callable[[], float], lambd: float) -> float:
     return -log(1.0 - random_()) / lambd
 
 
+def _shared_srcs(*srcs: int) -> tuple:
+    """The shared source tuple of *srcs* (see :data:`SOURCES`)."""
+    return SOURCES.setdefault(srcs, srcs)
+
+
 class _Block:
     """One basic block of the synthetic skeleton: body entries at
     ``pc``..``branch_pc - 1`` and a terminating branch at ``branch_pc``.
 
-    A loop back-edge has a trip count (``trip`` >= 2); any other branch
-    has ``trip == 0`` and is taken with probability ``taken_prob``.
+    A loop back-edge has a trip count (``trip`` >= 2) and reads
+    ``loop_srcs``; any other branch has ``trip == 0`` and is taken with
+    probability ``taken_prob``.
     """
 
-    __slots__ = ("pc", "body", "induction", "branch_pc", "trip",
-                 "taken_prob", "next_block", "taken_block", "target_pc")
+    __slots__ = ("pc", "body", "induction", "loop_srcs", "branch_pc",
+                 "trip", "taken_prob", "next_block", "taken_block",
+                 "target_pc")
 
     def __init__(self, pc: int, body: List[list], induction: int,
                  trip: int, taken_prob: float):
         self.pc = pc
         self.body = body
         self.induction = induction      # this block's loop counter
+        self.loop_srcs = _shared_srcs(induction, _BOUND_REG)
         self.branch_pc = pc + len(body)
         self.trip = trip
         self.taken_prob = taken_prob
@@ -263,7 +271,8 @@ class SyntheticWorkload:
                 offset = (comp_offsets[_below(getrandbits,
                                               len(comp_offsets))]
                           if comp_offsets else _below(getrandbits, size))
-                body[offset] = [_INDUCTION, 0, induction]
+                body[offset] = [_INDUCTION, 0, induction,
+                                _shared_srcs(induction)]
             for offset, entry in enumerate(body):
                 entry[1] = pc + offset
             trip, taken_prob = 0, 0.0
@@ -345,6 +354,12 @@ class SyntheticWorkload:
         # Per-trace site state: stream cursors and loop trip counters.
         cursors = self._stream_bases[:]
         trip_counts = [0] * len(self.blocks)
+        # Records share equal field values: ``seq`` and ``srcs`` through
+        # the process-wide tables, region and graph addresses (which
+        # recur; a stream address does not) through this trace's dict.
+        seqs = positions(length)
+        shared = SOURCES.setdefault
+        shared_addr = {}.setdefault
 
         def next_addr(site: int, base: int, stride: int) -> int:
             """The next address of a memory site: one roll of the
@@ -363,7 +378,8 @@ class SyntheticWorkload:
                 region, span = _COLD_BASE, _COLD_SIZE
             else:
                 region, span = _HOT_BASE, _HOT_SIZE
-            return region + _below(getrandbits, span // _WORD) * _WORD
+            addr = region + _below(getrandbits, span // _WORD) * _WORD
+            return shared_addr(addr, addr)
 
         recent_stores: deque = deque(maxlen=_RELOAD_DEPTH)  # addresses
         last_load_dst: Optional[int] = None
@@ -388,7 +404,8 @@ class SyntheticWorkload:
                             if nsrcs == 2 else (pick_src(strand, fp),))
                     pool = pool_pair[fp]
                     dst = pool[_below(getrandbits, len(pool))]
-                    append(TraceRecord(seq, pc, op_class, dst, srcs))
+                    append(TraceRecord(seqs[seq], pc, op_class, dst,
+                                       shared(srcs, srcs)))
                 elif kind == _MEM:
                     _, pc, fp, reload_rank, site, base, stride = entry
                     is_store = random_() < p_store
@@ -402,6 +419,7 @@ class SyntheticWorkload:
                                 else (pick_src(strand, False),))
                         addr = _GRAPH_BASE + _below(
                             getrandbits, _GRAPH_SIZE // _LINE) * _LINE
+                        addr = shared_addr(addr, addr)
                         fp = False
                     else:
                         if not is_store and recent_stores \
@@ -416,21 +434,22 @@ class SyntheticWorkload:
                                     if random_() < _ADDR_FROM_INDUCTION
                                     else pick_src(strand, False))
                         if is_store:
+                            srcs = (addr_src, pick_src(strand, fp))
                             append(TraceRecord(
-                                seq, pc, _STORE, None,
-                                (addr_src, pick_src(strand, fp)), addr, _WORD))
+                                seqs[seq], pc, _STORE, None,
+                                shared(srcs, srcs), addr, _WORD))
                             recent_stores.append(addr)
                             seq += 1
                             continue
                         srcs = (addr_src,)
                     pool = pool_pair[fp]
                     dst = pool[_below(getrandbits, len(pool))]
-                    append(TraceRecord(seq, pc, _LOAD, dst, srcs, addr,
-                                       _WORD))
+                    append(TraceRecord(seqs[seq], pc, _LOAD, dst,
+                                       shared(srcs, srcs), addr, _WORD))
                     last_load_dst = dst
                 else:
-                    _, pc, reg = entry
-                    append(TraceRecord(seq, pc, _IALU, reg, (reg,)))
+                    _, pc, reg, srcs = entry
+                    append(TraceRecord(seqs[seq], pc, _IALU, reg, srcs))
                     seq += 1
                     continue
                 # A computation or a load: its destination is the
@@ -449,14 +468,14 @@ class SyntheticWorkload:
                 count = trip_counts[block_index] + 1
                 taken = count < trip
                 trip_counts[block_index] = count if taken else 0
-                branch_srcs = (block.induction, _BOUND_REG)
+                srcs = block.loop_srcs
                 iteration += 1
             else:
                 taken = random_() < block.taken_prob
-                branch_srcs = (pick_src(strand, False),
-                               pick_src(strand, False))
-            append(TraceRecord(seq, block.branch_pc, _BRANCH, None,
-                               branch_srcs, None, 0, taken,
+                srcs = (pick_src(strand, False), pick_src(strand, False))
+                srcs = shared(srcs, srcs)
+            append(TraceRecord(seqs[seq], block.branch_pc, _BRANCH, None,
+                               srcs, None, 0, taken,
                                block.target_pc if taken else None))
             seq += 1
             block_index = block.taken_block if taken else block.next_block

@@ -75,6 +75,51 @@ def test_render_names_the_failure_and_recipe(tmp_path):
     assert "stuck_queue:after=0" in text
 
 
+def _recipe_lines(job, tmp_path):
+    """The rendered replay-recipe block of a dump that stores *job*."""
+    dump = load_crash_dump(write_crash_dump(_hang_error(), directory=tmp_path,
+                                            context=job.as_dict()))
+    text = render_crash_dump(dump)
+    block = text.split("replay recipe:\n", 1)[1].split("\n\n", 1)[0]
+    return block.splitlines()
+
+
+def test_render_shows_a_default_machine_by_its_config_name(tmp_path):
+    from repro.harness.config import ExperimentConfig
+    from repro.harness.parallel import make_job
+    from repro.uarch.params import core_config
+
+    job = make_job("fgstp", "gcc", core_config("medium"),
+                   ExperimentConfig(1500, 500, 1))
+    lines = _recipe_lines(job, tmp_path)
+    assert "  core: medium" in lines
+    assert "  fgstp: None" in lines
+    assert not [line for line in lines if line.startswith("    ")]
+    assert len(lines) < 15
+
+
+def test_render_shows_only_the_machine_fields_a_recipe_changes(tmp_path):
+    import dataclasses
+
+    from repro.fgstp.params import FgStpParams
+    from repro.harness.config import ExperimentConfig
+    from repro.harness.parallel import make_job
+    from repro.uarch.params import core_config
+
+    medium = core_config("medium")
+    base = dataclasses.replace(
+        medium, l1d=dataclasses.replace(medium.l1d, size_bytes=16384))
+    job = make_job("fgstp", "gcc", base, ExperimentConfig(1500, 500, 1),
+                   fgstp=FgStpParams(queue_latency=20))
+    lines = _recipe_lines(job, tmp_path)
+    core = lines.index("  core: medium")
+    assert lines[core + 1] == "    l1d.size_bytes=16384"
+    fgstp = lines.index("  fgstp:")
+    assert lines[fgstp + 1] == "    queue_latency=20"
+    assert [line for line in lines if line.startswith("    ")] \
+        == ["    l1d.size_bytes=16384", "    queue_latency=20"]
+
+
 # -- CLI contract ------------------------------------------------------
 
 def test_cli_forensics_renders_latest(tmp_path, capsys):

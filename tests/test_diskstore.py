@@ -24,7 +24,7 @@ from repro.stats.result import SimResult
 from repro.trace.io import _HEADER, _RECORD, read_trace
 from repro.uarch.params import core_config
 from repro.workloads.generator import generate_trace
-from repro.workloads.suite import DiskTraceCache
+from repro.workloads.suite import TRACE_FORMAT, DiskTraceCache
 
 
 def _files(root):
@@ -220,6 +220,29 @@ def test_flipped_trace_bit_is_quarantined_and_regenerated(tmp_path):
     assert _quarantined(cache) == [path.name, f"{path.name}.reason"]
     assert trace == generate_trace("gcc", 2000, 7)
     assert trace[103].mem_addr == 0x1f70
+
+
+def test_trace_entry_naming_no_op_class_is_quarantined(tmp_path):
+    """A checksum-valid trace entry whose record 103 carries op class -1
+    (0xFF): the reader refuses it, so the entry is set aside with its
+    reason and the trace regenerated and rewritten."""
+    cache = tmp_path / "cache"
+    DiskTraceCache(cache).get("gcc", 2000, 7)
+    (path,) = (cache / "traces").glob("*.trace")
+    meta, body = diskstore.get(path, TRACE_FORMAT)
+    body = bytearray(body)
+    body[_HEADER.size + 103 * _RECORD.size + 4] = 0xFF
+    diskstore.put(path, bytes(body), TRACE_FORMAT, meta)
+
+    traces = DiskTraceCache(cache)
+    trace = traces.get("gcc", 2000, 7)
+    assert traces.quarantined == 1 and traces.disk_hits == 0
+    assert _quarantined(cache) == [path.name, f"{path.name}.reason"]
+    assert (cache / "quarantine" / f"{path.name}.reason").read_text() \
+        == "TraceFormatError: record 103: unknown op class -1\n"
+    assert trace == generate_trace("gcc", 2000, 7)
+    again = DiskTraceCache(cache)
+    assert again.get("gcc", 2000, 7) == trace and again.disk_hits == 1
 
 
 def test_flipped_result_digit_is_quarantined_and_recomputed(tmp_path):

@@ -5,7 +5,8 @@ import io
 import pytest
 
 from repro.isa.opcodes import OpClass
-from repro.trace.io import TraceFormatError, read_trace, write_trace
+from repro.trace.io import (_HEADER, _RECORD, TraceFormatError, read_trace,
+                            write_trace)
 from repro.trace.record import TraceRecord
 
 
@@ -81,3 +82,24 @@ def test_seq_reassigned_dense_on_read():
     stream.seek(0)
     loaded = read_trace(stream)
     assert [record.seq for record in loaded] == list(range(len(loaded)))
+
+
+@pytest.mark.parametrize("value", [-1, -128, len(OpClass), 127])
+def test_unknown_op_class_rejected(value):
+    """The op class is a signed byte: -1 must not index the last class."""
+    stream = io.BytesIO()
+    write_trace(sample_trace(), stream)
+    data = bytearray(stream.getvalue())
+    data[_HEADER.size + 3 * _RECORD.size + 4] = value & 0xFF
+    with pytest.raises(TraceFormatError,
+                       match=f"record 3: unknown op class {value}"):
+        read_trace(io.BytesIO(bytes(data)))
+
+
+def test_unknown_version_rejected():
+    stream = io.BytesIO()
+    write_trace(sample_trace(), stream)
+    data = stream.getvalue()
+    bad = _HEADER.pack(b"FGTR", 2, len(sample_trace())) + data[_HEADER.size:]
+    with pytest.raises(TraceFormatError, match="unsupported version 2"):
+        read_trace(io.BytesIO(bad))

@@ -1,14 +1,19 @@
 """Unit tests for functional warm-up helpers."""
 
+import pickle
+
 import pytest
 
-from repro.trace.record import validate_trace
+from repro.isa.opcodes import OpClass
+from repro.isa.program import INSTRUCTION_BYTES
+from repro.trace.record import TraceRecord, validate_trace
 from repro.uarch.branch.btb import FrontEndPredictor
 from repro.uarch.cache.hierarchy import CacheHierarchy
 from repro.uarch.cache.prefetch import attach_prefetcher
-from repro.uarch.params import small_core_config
+from repro.uarch.params import core_config, small_core_config
 from repro.uarch.warmup import reseq, split_warmup, warm_state
 from repro.workloads.generator import generate_trace
+from repro.workloads.suite import suite_names
 
 
 def test_reseq_renumbers_densely():
@@ -123,3 +128,47 @@ def test_split_warmup_empty_trace_with_warmup_raises():
     # Empty trace with zero warm-up stays valid (nothing to warm).
     prefix, suffix = split_warmup([], 0)
     assert prefix == [] and suffix == []
+
+
+def _reference_warm_state(records, hierarchy, predictor, line_bytes):
+    """The warm-up loop as first written: record properties per record."""
+    last_line = -1
+    for record in records:
+        line = (record.pc * INSTRUCTION_BYTES) // line_bytes
+        if line != last_line:
+            hierarchy.l1i.access(record.pc * INSTRUCTION_BYTES)
+            last_line = line
+        if record.is_load:
+            hierarchy.l1d.access(record.mem_addr, is_write=False)
+        elif record.is_store:
+            hierarchy.l1d.access(record.mem_addr, is_write=True)
+        if record.is_control:
+            predictor.predict(record)
+            predictor.update(record)
+    predictor.lookups = 0
+    predictor.mispredictions = 0
+    hierarchy.reset_stats()
+
+
+def _calls_trace():
+    """A gcc prefix between a call and an indirect return, then a call
+    left open: generated traces have no jumps, and a direct jump trains
+    nothing."""
+    call = TraceRecord(0, 900, OpClass.JUMP, 31, (), taken=True, target=0)
+    ret = TraceRecord(0, 950, OpClass.JUMP, None, (31,), taken=True,
+                      target=901)
+    return [call, *generate_trace("gcc", 1000, 5), ret, call]
+
+
+@pytest.mark.parametrize("name", suite_names("all") + ["calls"])
+def test_warm_state_matches_the_reference_loop(name):
+    config = core_config("medium")
+    trace = (_calls_trace() if name == "calls"
+             else generate_trace(name, 2000, 5))
+    warmed = []
+    for warm in (warm_state, _reference_warm_state):
+        hierarchy = CacheHierarchy(config)
+        predictor = FrontEndPredictor(config.branch)
+        warm(trace, hierarchy, predictor, line_bytes=config.l1i.line_bytes)
+        warmed.append(pickle.dumps((hierarchy, predictor)))
+    assert warmed[0] == warmed[1]

@@ -712,7 +712,7 @@ class FgStpMachine(MachineShell):
 
     def checkpoint_params_key(self) -> str:
         """Configuration identity for checkpoint compatibility checks."""
-        return f"{self.base!r}|{self.fgstp!r}|{self.policy_name}"
+        return f"{self.base.key()}|{self.fgstp!r}|{self.policy_name}"
 
     def _wire(self) -> None:
         """Install the hooks a checkpoint leaves out: a non-default

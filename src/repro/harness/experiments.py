@@ -20,7 +20,7 @@ from ..workloads.profiles import SPEC_FP_NAMES, SPEC_INT_NAMES
 from ..workloads.suite import suite_names
 from .config import REPRESENTATIVE, ExperimentConfig
 from .parallel import make_job, run_jobs, run_suites
-from .runners import build_machine, config_for
+from .runners import config_for
 
 
 @dataclass
@@ -435,52 +435,33 @@ def e12_energy(config: ExperimentConfig) -> ExperimentReport:
 def e13_prefetching(config: ExperimentConfig) -> ExperimentReport:
     """E13 (extension): does a stream prefetcher change who wins?
 
-    Attaches a per-PC stride prefetcher to every machine's L1D and
-    re-runs the headline comparison on stream-heavy benchmarks.
+    Re-runs the headline comparison on stream-heavy benchmarks with a
+    per-PC stride prefetcher (degree 2) beside every core's L1D.  Both
+    halves form one engine batch; the plain half is E1's jobs.
     """
-    from ..uarch.cache.prefetch import attach_prefetcher
-    from ..workloads.suite import DEFAULT_CACHE
-
     base = config_for("medium")
     names = config.benchmarks or ["libquantum", "lbm", "bwaves",
                                   "leslie3d", "gcc", "sjeng"]
-    rows = []
-    ratios = []
-    for name in names:
-        trace = DEFAULT_CACHE.get(name, config.trace_length, config.seed)
-        row = [name]
-        cycles = {}
-        for machine_name in ("single", "corefusion", "fgstp"):
-            for prefetch in (False, True):
-                # No checkpoints with a prefetcher: the run key does not
-                # see it, so they would resume plain runs.
-                machine = build_machine(
-                    machine_name, base,
-                    checkpoint_interval=0 if prefetch else None)
-                if prefetch:
-                    if machine_name == "fgstp":
-                        for hierarchy in machine.hierarchies:
-                            attach_prefetcher(hierarchy)
-                    else:
-                        attach_prefetcher(machine.hierarchy)
-                result = machine.run(trace, workload=name,
-                                     warmup=config.warmup)
-                cycles[(machine_name, prefetch)] = result.cycles
-        row.extend([
-            cycles[("single", False)] / cycles[("single", True)],
-            cycles[("corefusion", False)] / cycles[("corefusion", True)],
-            cycles[("fgstp", False)] / cycles[("fgstp", True)],
-            cycles[("corefusion", True)] / cycles[("fgstp", True)],
-        ])
-        ratios.append(row[-1])
-        rows.append(row)
+    sweep_config = config.with_(benchmarks=list(names))
+    machines = ("single", "corefusion", "fgstp")
+    jobs = [make_job(machine, name, base.with_(prefetch_degree=degree),
+                     sweep_config)
+            for degree in (0, 2) for machine in machines for name in names]
+    cycles = {(job.machine, job.base.prefetch_degree, job.benchmark):
+              result.cycles for job, result in zip(jobs, run_jobs(jobs))}
+    rows = [[name,
+             *(cycles[machine, 0, name] / cycles[machine, 2, name]
+               for machine in machines),
+             cycles["corefusion", 2, name] / cycles["fgstp", 2, name]]
+            for name in names]
     return ExperimentReport(
         experiment_id="E13",
         title="Stream-prefetching ablation (medium config)",
         headers=["benchmark", "pf_gain_single", "pf_gain_cf",
                  "pf_gain_fgstp", "fgstp_vs_cf_with_pf"],
         rows=rows,
-        metrics={"geomean_fgstp_vs_cf_with_pf": geomean(ratios)},
+        metrics={"geomean_fgstp_vs_cf_with_pf": geomean(
+            [row[-1] for row in rows])},
         notes=("pf_gain_* columns: speedup each machine gets from the "
                "prefetcher; the last column re-checks the Fg-STP vs "
                "Core Fusion comparison with prefetching on."),

@@ -175,7 +175,8 @@ class SweepJob:
         """Everything in :meth:`key` but the model version and chaos.
 
         Default Fg-STP parameters key as ``None``: both build the same
-        machine, so they are one simulation.
+        machine, so they are one simulation.  The core keys as
+        :meth:`CoreParams.key`.
         """
         fgstp = None if self.fgstp == _DEFAULT_FGSTP else self.fgstp
         # Markers join only when set, so plain keys never change, and no
@@ -183,7 +184,7 @@ class SweepJob:
         return "|".join([
             self.machine,
             f"kernel:{self.kernel}" if self.kernel else self.trace_key,
-            str(self.config.warmup), repr(self.base), repr(fgstp),
+            str(self.config.warmup), self.base.key(), repr(fgstp),
             repr(self.overrides),
             *[flag for flag in ("oracle", "trace") if getattr(self, flag)]])
 

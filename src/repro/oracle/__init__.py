@@ -19,13 +19,13 @@ invisible to performance assertions.  This package closes that hole:
   first divergence.
 * :mod:`.mutate` — seeded commit-stream mutators used by the self-test
   to prove the oracle detects each class of dataflow/ordering bug.
-* :mod:`.attach` — glue: run any of the four machines under the oracle.
+* :mod:`.attach` — glue: run a machine under the oracle
+  (``execute_job`` runs every oracle job through it).
 * :mod:`.selftest` — the seeded-mutation self-test.
 * :mod:`.fuzz` — random well-formed program generation and the fuzzing
   campaign (`repro fuzz`).
 """
 
-from .attach import run_program_under_oracle, run_trace_under_oracle
 from .fuzz import FuzzReport, ProgramFuzzer, fuzz_campaign
 from .golden import GoldenEvent, GoldenStream
 from .mutate import MUTATION_KINDS, EventMutator, make_mutator
@@ -47,7 +47,5 @@ __all__ = [
     "ProgramFuzzer",
     "fuzz_campaign",
     "make_mutator",
-    "run_program_under_oracle",
     "run_selftest",
-    "run_trace_under_oracle",
 ]

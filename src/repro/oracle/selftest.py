@@ -12,10 +12,11 @@ runs it from the CLI; a unit test pins it in the suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence
 
 from ..trace.record import TraceRecord
-from .attach import run_trace_under_oracle
+from .attach import run_checked
 from .mutate import MUTATION_KINDS, make_mutator
 from .oracle import OracleDivergence
 
@@ -80,6 +81,9 @@ def run_selftest(base=None, machine: str = "single",
         OracleDivergence: if the *clean* baseline run diverges — the
             self-test requires a machine the oracle already trusts.
     """
+    from ..harness.config import ExperimentConfig
+    from ..harness.parallel import execute_job, make_job
+    from ..harness.runners import new_machine
     from ..uarch.params import core_config
     from ..workloads.generator import generate_trace
 
@@ -89,7 +93,9 @@ def run_selftest(base=None, machine: str = "single",
 
     # Baseline: the unmutated stream must pass, or mutation detection
     # proves nothing.
-    run_trace_under_oracle(machine, trace, base, workload=benchmark)
+    execute_job(make_job(machine, benchmark, base,
+                         ExperimentConfig(length, 0, seed), oracle=True),
+                trace)
 
     outcomes: List[MutationOutcome] = []
     for kind in sorted(MUTATION_KINDS):
@@ -102,8 +108,8 @@ def run_selftest(base=None, machine: str = "single",
             continue
         mutator = make_mutator(kind, index)
         try:
-            run_trace_under_oracle(machine, trace, base,
-                                   workload=benchmark, mutator=mutator)
+            run_checked(partial(new_machine, machine, base), trace, machine,
+                        benchmark, mutator=mutator)
         except OracleDivergence as divergence:
             outcomes.append(MutationOutcome(
                 kind, index, expected, True, divergence.detail,

@@ -9,6 +9,10 @@ The MSHR model is intentionally simple and conservative: each L1D tracks
 outstanding miss *slots* by completion cycle; when all slots are busy at
 the time a miss wants to allocate, the access is charged the wait until
 the earliest slot frees.
+
+A core whose ``prefetch_degree`` is set gets a
+:class:`~repro.uarch.cache.prefetch.StridePrefetcher` beside its L1D,
+which every demand load and store trains after its access.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import List, Optional
 
 from ..params import CoreParams
 from .cache import Cache, CacheStats, MainMemory
+from .prefetch import StridePrefetcher
 
 
 class MshrFile:
@@ -54,7 +59,8 @@ class MshrFile:
 
 
 class CacheHierarchy:
-    """Per-core L1s over a (possibly shared) L2 + memory.
+    """Per-core L1s over a (possibly shared) L2 + memory, and the L1D's
+    stride prefetcher when *params* sets a ``prefetch_degree``.
 
     Args:
         params: The owning core's configuration.
@@ -72,25 +78,41 @@ class CacheHierarchy:
         self.l1d = Cache(params.l1d, next_level=shared_l2, name="l1d")
         self.l1i = Cache(params.l1i, next_level=shared_l2, name="l1i")
         self.d_mshrs = MshrFile(params.l1d.mshrs)
+        self.prefetcher = (
+            StridePrefetcher(degree=params.prefetch_degree,
+                             line_bytes=params.l1d.line_bytes)
+            if params.prefetch_degree else None)
 
     def load(self, addr: int, now: int) -> int:
         """Data-read latency for *addr* issued at cycle *now*.
 
-        Includes MSHR availability delay on L1D misses.
+        Includes MSHR availability delay on L1D misses.  The prefetcher
+        observes the access after it, with the address's page as the
+        PC proxy (distinct streams keep distinct table entries because
+        their address ranges differ by design).
         """
         if self.l1d.contains(addr):
-            return self.l1d.access(addr, is_write=False)
-        latency = self.l1d.access(addr, is_write=False)
-        start = self.d_mshrs.allocate(now, now + latency)
-        return (start - now) + latency
+            latency = self.l1d.access(addr, is_write=False)
+        else:
+            latency = self.l1d.access(addr, is_write=False)
+            start = self.d_mshrs.allocate(now, now + latency)
+            latency = (start - now) + latency
+        if self.prefetcher is not None:
+            self.prefetcher.observe(addr >> 12, addr, self)
+        return latency
 
     def store(self, addr: int, now: int) -> int:
-        """Data-write latency for *addr* (write-back, write-allocate)."""
+        """Data-write latency for *addr* (write-back, write-allocate);
+        the prefetcher observes it as it does a load."""
         if self.l1d.contains(addr):
-            return self.l1d.access(addr, is_write=True)
-        latency = self.l1d.access(addr, is_write=True)
-        start = self.d_mshrs.allocate(now, now + latency)
-        return (start - now) + latency
+            latency = self.l1d.access(addr, is_write=True)
+        else:
+            latency = self.l1d.access(addr, is_write=True)
+            start = self.d_mshrs.allocate(now, now + latency)
+            latency = (start - now) + latency
+        if self.prefetcher is not None:
+            self.prefetcher.observe(addr >> 12, addr, self)
+        return latency
 
     def fetch(self, pc_addr: int) -> int:
         """Instruction-fetch latency for the byte address *pc_addr*."""
@@ -113,16 +135,15 @@ class CacheHierarchy:
             "l2": level(self.l2),
             "d_mshr_stall_cycles": self.d_mshrs.stall_cycles,
         }
-        prefetcher = getattr(self, "prefetcher", None)
-        if prefetcher is not None:
-            record["prefetcher"] = prefetcher.stats()
+        if self.prefetcher is not None:
+            record["prefetcher"] = self.prefetcher.stats()
         return record
 
     def reset_stats(self) -> None:
         """Zero every statistic counter in the hierarchy.
 
         Covers the per-level cache counters *and* the MSHR stall
-        counter and any attached prefetcher's counters — unlike
+        counter and the prefetcher's counters — unlike
         resetting the :class:`CacheStats` objects one by one, which is
         how warm-up used to silently leak those into measured results.
         Cache contents, MSHR occupancy and prefetcher training are
@@ -132,9 +153,8 @@ class CacheHierarchy:
         self.l1i.stats = CacheStats()
         self.l2.stats = CacheStats()
         self.d_mshrs.stall_cycles = 0
-        prefetcher = getattr(self, "prefetcher", None)
-        if prefetcher is not None:
-            prefetcher.reset_stats()
+        if self.prefetcher is not None:
+            self.prefetcher.reset_stats()
 
     def reset(self) -> None:
         """Invalidate everything (machine reconfiguration)."""

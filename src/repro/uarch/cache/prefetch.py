@@ -6,16 +6,20 @@ differently with one.  This module provides a classic per-PC stride
 prefetcher that sits next to the L1D and issues prefetches into the
 hierarchy on every demand access.
 
-The prefetcher is *optional* (configs default to off so the headline
-experiments match the base model); the E13 ablation turns it on for all
+The prefetcher is part of the core configuration:
+:class:`~repro.uarch.cache.hierarchy.CacheHierarchy` builds one when
+``CoreParams.prefetch_degree`` is set and feeds it from its ``load`` and
+``store``.  The reference configs leave it off, so the headline
+experiments match the base model; the E13 ablation turns it on for all
 machines and asks whether the who-wins structure survives.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-from .hierarchy import CacheHierarchy
+if TYPE_CHECKING:
+    from .hierarchy import CacheHierarchy
 
 
 class StridePrefetcher:
@@ -101,41 +105,3 @@ class StridePrefetcher:
             "useful_hint": self.useful_hint,
             "tracked_pcs": len(self._table),
         }
-
-
-def attach_prefetcher(hierarchy: CacheHierarchy,
-                      prefetcher: Optional[StridePrefetcher] = None
-                      ) -> StridePrefetcher:
-    """Wrap *hierarchy*'s demand load/store paths with a prefetcher.
-
-    The hierarchy's ``load``/``store`` methods are replaced by wrappers
-    that feed the prefetcher.  Returns the attached prefetcher.
-
-    Note:
-        The wrapper needs the access PC, which the plain hierarchy API
-        does not carry; callers that cannot provide it (the pipeline's
-        issue stage) use the address as a PC proxy — distinct streams
-        still map to distinct table entries because their address ranges
-        differ by design.
-    """
-    prefetcher = prefetcher or StridePrefetcher(
-        line_bytes=hierarchy.params.l1d.line_bytes)
-    original_load = hierarchy.load
-    original_store = hierarchy.store
-
-    def load(addr: int, now: int, pc: Optional[int] = None) -> int:
-        latency = original_load(addr, now)
-        prefetcher.observe(pc if pc is not None else addr >> 12,
-                           addr, hierarchy)
-        return latency
-
-    def store(addr: int, now: int, pc: Optional[int] = None) -> int:
-        latency = original_store(addr, now)
-        prefetcher.observe(pc if pc is not None else addr >> 12,
-                           addr, hierarchy)
-        return latency
-
-    hierarchy.load = load
-    hierarchy.store = store
-    hierarchy.prefetcher = prefetcher
-    return prefetcher

@@ -121,6 +121,11 @@ class CoreParams:
         memory_latency: DRAM access latency in cycles.
         mispredict_penalty: Front-end redirect cycles after a resolved
             mispredicted branch (on top of waiting for resolution).
+        prefetch_degree: Lines the L1D's stride prefetcher fetches ahead
+            of an armed stream (see :mod:`repro.uarch.cache.prefetch`);
+            0, the default, builds no prefetcher.  Kept out of the
+            ``repr`` and added by :meth:`key` only when set, so the keys
+            of configurations without a prefetcher never change.
     """
 
     name: str = "core"
@@ -142,10 +147,18 @@ class CoreParams:
         size_bytes=4 * 1024 * 1024, assoc=16, hit_latency=15, mshrs=16))
     memory_latency: int = 150
     mispredict_penalty: int = 10
+    prefetch_degree: int = field(default=0, repr=False)
 
     def with_(self, **changes) -> "CoreParams":
         """Copy with the given fields replaced (dataclass ``replace``)."""
         return replace(self, **changes)
+
+    def key(self) -> str:
+        """The configuration's identity in job and checkpoint keys: the
+        ``repr``, plus a prefetch marker when a prefetcher is set."""
+        if self.prefetch_degree:
+            return f"{self!r}|prefetch={self.prefetch_degree}"
+        return repr(self)
 
 
 def small_core_config() -> CoreParams:

@@ -475,7 +475,7 @@ class SingleCoreMachine(MachineShell):
     def checkpoint_params_key(self) -> str:
         """Configuration identity for checkpoint compatibility checks."""
         clusters, latency, width = self._cluster_key
-        return (f"{self.params!r}|clusters={clusters}"
+        return (f"{self.params.key()}|clusters={clusters}"
                 f"|xlat={latency}|cwidth={width}")
 
     def _warm(self, prefix: Sequence[TraceRecord]) -> None:

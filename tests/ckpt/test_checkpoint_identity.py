@@ -11,16 +11,19 @@ For every machine, over random programs:
 """
 
 from collections import OrderedDict
+from copy import deepcopy
 from dataclasses import replace
 
 import pytest
 
+from repro.ckpt.manager import Snapshot
 from repro.ckpt.state import dumps_state, loads_state
 from repro.corefusion.machine import CoreFusionMachine
 from repro.fgstp.adaptive import AdaptiveFgStpMachine
 from repro.fgstp.orchestrator import FgStpMachine
 from repro.uarch.params import core_config
-from repro.uarch.pipeline.machine import SingleCoreMachine
+from repro.uarch.pipeline.machine import MachineShell, SingleCoreMachine
+from repro.uarch.warmup import split_warmup
 from repro.workloads.generator import generate_trace
 
 MACHINES = ("single", "corefusion", "fgstp", "fgstp-adaptive")
@@ -123,6 +126,73 @@ def test_ordered_dict_cache_sets_resume_identically(name):
     assert type(hierarchy.l1d._sets[0]) is OrderedDict
 
 
+def _prefetchers(owner):
+    """A copy of the prefetcher state of a machine or of a checkpoint's
+    state."""
+    get = owner.get if isinstance(owner, dict) else owner.__dict__.get
+    hierarchies = get("hierarchies") or (get("hierarchy"),)
+    return [deepcopy(vars(hierarchy.prefetcher))
+            for hierarchy in hierarchies]
+
+
+@pytest.fixture
+def adopted_prefetchers(monkeypatch):
+    """Each restored machine's prefetcher state, recorded right after
+    the restore, before the run goes on."""
+    adopted = []
+    adopt = MachineShell._adopt_state
+
+    def spy(machine, state, measured):
+        cycle = adopt(machine, state, measured)
+        adopted.append(_prefetchers(machine))
+        return cycle
+
+    monkeypatch.setattr(MachineShell, "_adopt_state", spy)
+    return adopted
+
+
+PREFETCHING = core_config("small").with_(prefetch_degree=2)
+
+
+@pytest.mark.parametrize("name", ("single", "corefusion", "fgstp"))
+def test_a_prefetching_machine_resumes_identically(name,
+                                                   adopted_prefetchers):
+    trace = generate_trace("lbm", 3000, 3)
+    plain = build(name, PREFETCHING).run(trace, workload="lbm", warmup=600)
+    sink = CapturingSink()
+    straight = build(name, PREFETCHING, checkpoint_interval=700,
+                     checkpoint_sink=sink) \
+        .run(trace, workload="lbm", warmup=600)
+    assert straight.as_dict() == plain.as_dict()
+    caches = straight.extra["caches"]
+    assert all(level["prefetcher"]["prefetches"] > 0 for level in (
+        (caches["core0"], caches["core1"]) if name == "fgstp" else (caches,)))
+    assert len(sink.saved) >= 2
+    for _, checkpoint in sink.saved:
+        saved = _prefetchers(loads_state(checkpoint.payload))
+        assert all(prefetcher["_table"] for prefetcher in saved)
+        resumed = build(name, PREFETCHING).run(
+            trace, workload="lbm", warmup=600, resume_from=checkpoint)
+        assert resumed.as_dict() == straight.as_dict()
+        assert adopted_prefetchers.pop() == saved
+
+
+@pytest.mark.parametrize("name", ("single", "corefusion", "fgstp"))
+def test_a_prefetching_machine_resumes_identically_from_a_snapshot(
+        name, adopted_prefetchers):
+    trace = generate_trace("lbm", 3000, 3)
+    prefix, measured = split_warmup(trace, 600)
+    snapshot = Snapshot(900)
+    straight = build(name, PREFETCHING)._run_measured(
+        prefix, measured, "lbm", snapshot)
+    saved = _prefetchers(loads_state(snapshot.payload))
+    assert all(prefetcher["_table"] for prefetcher in saved)
+    resumed = build(name, PREFETCHING)._run_measured(
+        prefix, measured, "lbm", payload=snapshot.payload)
+    assert resumed.as_dict() == straight.as_dict()
+    assert adopted_prefetchers == [saved]
+
+
 @pytest.mark.parametrize("skip", (False, True))
 def test_identity_holds_with_skip_ahead_toggled(skip):
     base = core_config("small")
@@ -145,17 +215,19 @@ def test_checkpointing_run_is_clean_under_oracle(name):
     """Snapshot writes must not perturb the retirement stream: a
     checkpointing run under the commit-stream oracle retires exactly
     the trace (any divergence raises)."""
-    from repro.oracle.attach import run_trace_under_oracle
+    from repro.harness.config import ExperimentConfig
+    from repro.harness.parallel import execute_job, make_job
 
     base = core_config("small")
+    sizing = ExperimentConfig(trace_length=2500, warmup=500, seed=2)
     trace = generate_trace("gcc", 2500, 2)
     sink = CapturingSink()
-    checked = run_trace_under_oracle(name, trace, base, workload="gcc",
-                                     warmup=500, checkpoint_interval=600,
-                                     checkpoint_sink=sink)
+    checked = execute_job(make_job(name, "gcc", base, sizing, oracle=True,
+                                   checkpoint_interval=600,
+                                   checkpoint_sink=sink), trace)
     assert sink.saved, "oracle run took no checkpoints"
-    plain = run_trace_under_oracle(name, trace, base, workload="gcc",
-                                   warmup=500)
+    plain = execute_job(make_job(name, "gcc", base, sizing, oracle=True),
+                        trace)
     checked_d, plain_d = checked.as_dict(), plain.as_dict()
     # The oracle block reports bookkeeping (e.g. checked counts), which
     # is identical anyway; compare everything.

@@ -132,9 +132,9 @@ def test_e11_adaptive():
 
 def test_e13_prints_the_same_table_when_checkpointing(tmp_path,
                                                      monkeypatch, capsys):
-    """The machines E13 gives a prefetcher take no checkpoints (the run
-    key does not see the prefetcher); the plain ones still do, and a
-    second checkpointing run resumes them to the same table."""
+    """All six E13 machines per benchmark checkpoint (the job and
+    checkpoint keys see the prefetcher), and a second checkpointing
+    process resumes each of them to the same table."""
     from repro.__main__ import main
     from repro.ckpt.store import CheckpointStore
 
@@ -146,21 +146,31 @@ def test_e13_prints_the_same_table_when_checkpointing(tmp_path,
         found.append(checkpoint is not None)
         return checkpoint
 
+    def fresh_process():
+        # A fresh default engine: its memory result tier would otherwise
+        # serve the rerun without simulating.
+        monkeypatch.setattr(parallel, "_default_engine", None)
+
     monkeypatch.setattr(CheckpointStore, "load", load_spy)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
     argv = ["run", "E13", "--length", "1200", "--warmup", "400",
             "--benchmarks", "gcc"]
+    fresh_process()
     assert main(argv) == 0
     plain = capsys.readouterr().out
     monkeypatch.setenv("REPRO_CHECKPOINT_INTERVAL", "200")
+    fresh_process()
     assert main(argv) == 0
     assert capsys.readouterr().out == plain
     checkpoints = tmp_path / ".repro_cache" / "checkpoints"
-    assert len(list(checkpoints.glob("*.ckpt"))) == 3  # one per machine
-    assert found == [False] * 3
+    assert len(list(checkpoints.glob("*.ckpt"))) == 6  # one per machine
+    assert found == [False] * 6
+    fresh_process()
     assert main(argv) == 0
     assert capsys.readouterr().out == plain
-    assert found == [False] * 3 + [True] * 3
+    assert found == [False] * 6 + [True] * 6
 
 
 def test_render_includes_metrics():

@@ -14,7 +14,7 @@ from repro.fgstp.params import FgStpParams
 from repro.harness.config import ExperimentConfig
 from repro.harness.parallel import (ExperimentEngine, SweepJob, execute_job,
                                     make_job)
-from repro.harness.runners import new_machine
+from repro.harness.runners import MACHINES, new_machine
 from repro.integrity.errors import SimulationHang
 from repro.integrity.forensics import load_crash_dump, write_crash_dump
 from repro.integrity.minimize import replay_run_fn, trace_from_context
@@ -59,7 +59,8 @@ def _submitted(monkeypatch, experiment_id):
 
 # -- the recipe --------------------------------------------------------
 
-@pytest.mark.parametrize("experiment_id", ["E4", "E5", "E8", "E14", "E15"])
+@pytest.mark.parametrize("experiment_id",
+                         ["E4", "E5", "E8", "E13", "E14", "E15"])
 def test_experiment_jobs_rebuild_with_their_keys(tmp_path, monkeypatch,
                                                  experiment_id):
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
@@ -79,6 +80,8 @@ def test_battery_oracle_traced_and_kernel_jobs_rebuild_with_their_keys(
                  fgstp=FgStpParams(balance_factor=0.3)),
         SweepJob("fgstp", "", SMALL, ExperimentConfig(warmup=0),
                  oracle=True, kernel="vector_sum"),
+        make_job("corefusion", "lbm",
+                 core_config("medium").with_(prefetch_degree=2), SIZING),
     ]
     for job in jobs:
         rebuilt = _round_trip(job, tmp_path)
@@ -103,6 +106,24 @@ def test_keys_without_chaos_are_unchanged(monkeypatch, job, key):
     """Cache keys written before jobs carried a chaos spec stay valid."""
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     assert job.key() == key
+
+
+@pytest.mark.parametrize("machine", MACHINES)
+def test_a_prefetcher_keys_apart_and_only_when_set(monkeypatch, machine):
+    """The prefetch degree stays out of the core's repr, so keys without
+    a prefetcher never move, and joins the job and checkpoint keys as a
+    marker when it is set."""
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    medium = core_config("medium")
+    plain = make_job(machine, "gcc", medium, SIZING)
+    prefetching = make_job(machine, "gcc", medium.with_(prefetch_degree=2),
+                           SIZING)
+    assert repr(prefetching.base) == repr(medium)
+    assert make_job(machine, "gcc", medium.with_(prefetch_degree=0),
+                    SIZING).key() == plain.key()
+    assert prefetching.key() != plain.key()
+    assert "prefetch" not in _params_key(plain)
+    assert "|prefetch=2" in _params_key(prefetching)
 
 
 def test_default_fgstp_parameters_key_as_none(tmp_path, monkeypatch):
@@ -135,6 +156,8 @@ def test_a_job_name_shows_what_differs_from_the_defaults():
         == "single/mcf/medium/s1/branch.kind=bimodal/oracle"
     assert make_job("single", "mcf", SMALL.with_(rob_entries=96),
                     SIZING).name == "single/mcf/small/s1/rob_entries=96"
+    assert make_job("fgstp", "lbm", medium.with_(prefetch_degree=2),
+                    SIZING).name == "fgstp/lbm/medium/s1/prefetch_degree=2"
 
 
 @pytest.mark.parametrize("experiment_id, machine",

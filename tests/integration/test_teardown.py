@@ -7,7 +7,8 @@ alive until a full collection.  These tests run each machine with the
 cycle collector disabled, drop it, and require that weak references to
 the machine, its partitioner and every adaptive region machine are
 already dead, and that a collection then finds no cyclic garbage at
-all (a squashed uop and the value tag it waited on used to form one).
+all (a squashed uop and the value tag it waited on used to form one,
+and so did a prefetcher patched over its hierarchy's methods).
 The Fg-STP orchestrator's per-seq maps hold in-flight entries only, so
 a finished run leaves them empty.
 """
@@ -61,6 +62,23 @@ def test_finished_machine_needs_no_collector(name, trace):
         refs = [weakref.ref(machine)]
         if hasattr(machine, "partitioner"):
             refs.append(weakref.ref(machine.partitioner))
+        _run(machine, trace)
+        del machine
+        assert _alive(refs) == []
+
+
+@pytest.mark.parametrize("name", ("single", "corefusion", "fgstp"))
+def test_a_prefetching_machine_needs_no_collector(name, trace):
+    """A prefetcher is fed by its hierarchy and holds no reference back
+    to it, so machine, hierarchies and prefetchers are freed at once."""
+    with collector_disabled():
+        machine = build_machine(
+            name, small_core_config().with_(prefetch_degree=2),
+            FgStpParams())
+        refs = [weakref.ref(owner) for hierarchy in
+                getattr(machine, "hierarchies", None) or (machine.hierarchy,)
+                for owner in (hierarchy, hierarchy.prefetcher)]
+        refs.append(weakref.ref(machine))
         _run(machine, trace)
         del machine
         assert _alive(refs) == []

@@ -120,6 +120,21 @@ def test_render_shows_only_the_machine_fields_a_recipe_changes(tmp_path):
         == ["    l1d.size_bytes=16384", "    queue_latency=20"]
 
 
+def test_render_shows_a_prefetching_core_as_its_one_field(tmp_path):
+    from repro.harness.config import ExperimentConfig
+    from repro.harness.parallel import make_job
+    from repro.uarch.params import core_config
+
+    job = make_job("corefusion", "lbm",
+                   core_config("medium").with_(prefetch_degree=2),
+                   ExperimentConfig(1500, 500, 1))
+    assert job.name.endswith("/prefetch_degree=2")
+    lines = _recipe_lines(job, tmp_path)
+    core = lines.index("  core: medium")
+    assert [line for line in lines if line.startswith("    ")] \
+        == [lines[core + 1]] == ["    prefetch_degree=2"]
+
+
 # -- CLI contract ------------------------------------------------------
 
 def test_cli_forensics_renders_latest(tmp_path, capsys):

@@ -1,14 +1,16 @@
 """Every machine under the oracle: clean runs, warm-up, injection,
 ddmin integration, and the 1k-instruction fuzz acceptance run."""
 
+from functools import partial
+
 import pytest
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.parallel import execute_job, make_job
-from repro.harness.runners import MACHINES
+from repro.harness.runners import MACHINES, new_machine
 from repro.integrity.minimize import minimize_failure
-from repro.oracle import (GoldenStream, OracleDivergence, ProgramFuzzer,
-                          run_program_under_oracle, run_trace_under_oracle)
+from repro.oracle import GoldenStream, OracleDivergence, ProgramFuzzer
+from repro.oracle.attach import run_checked
 from repro.oracle.mutate import make_mutator
 from repro.uarch.params import small_core_config
 from repro.workloads.generator import generate_trace
@@ -24,10 +26,19 @@ def trace():
     return generate_trace("gcc", 600, seed=5)
 
 
+def checked(machine, trace, base, workload="gcc", warmup=0, golden=None,
+            **overrides):
+    """*trace* run as *machine*'s oracle job, every retirement checked
+    against *golden* (default: trace fidelity)."""
+    job = make_job(machine, workload, base,
+                   ExperimentConfig(len(trace), warmup), oracle=True,
+                   **overrides)
+    return execute_job(job, trace, golden=golden)
+
+
 @pytest.mark.parametrize("machine", MACHINES)
 def test_clean_run_retires_exactly_the_trace(machine, base, trace):
-    result = run_trace_under_oracle(machine, trace, base,
-                                    workload="gcc")
+    result = checked(machine, trace, base)
     assert result.instructions == len(trace)
     assert result.extra["oracle"] == {"checked": len(trace),
                                       "golden_source": "trace"}
@@ -35,8 +46,7 @@ def test_clean_run_retires_exactly_the_trace(machine, base, trace):
 
 @pytest.mark.parametrize("machine", ["single", "fgstp"])
 def test_warmup_prefix_is_not_checked(machine, base, trace):
-    result = run_trace_under_oracle(machine, trace, base,
-                                    workload="gcc", warmup=200)
+    result = checked(machine, trace, base, warmup=200)
     assert result.extra["oracle"]["checked"] == len(trace) - 200
 
 
@@ -44,38 +54,37 @@ def test_adaptive_multi_region_stream_is_globally_sequential(base):
     # Force several regions (and thus several clock epochs) and check
     # the shifted-seq shim keeps the stream dense across boundaries.
     trace = generate_trace("gcc", 1200, seed=5)
-    result = run_trace_under_oracle(
-        "fgstp-adaptive", trace, base, workload="gcc",
-        sample_instructions=100, region_instructions=300)
+    result = checked("fgstp-adaptive", trace, base,
+                     sample_instructions=100, region_instructions=300)
     assert result.extra["oracle"]["checked"] == len(trace)
 
 
 def test_adaptive_with_warmup_and_regions(base):
     trace = generate_trace("mcf", 1000, seed=3)
-    result = run_trace_under_oracle(
-        "fgstp-adaptive", trace, base, workload="mcf", warmup=200,
-        sample_instructions=100, region_instructions=250)
+    result = checked("fgstp-adaptive", trace, base, workload="mcf",
+                     warmup=200, sample_instructions=100,
+                     region_instructions=250)
     assert result.extra["oracle"]["checked"] == len(trace) - 200
 
 
 def test_injected_mutation_is_caught_with_replay_context(base, trace):
     with pytest.raises(OracleDivergence) as exc:
-        run_trace_under_oracle(
-            "single", trace, base, workload="gcc",
-            mutator=make_mutator("dropped-commit", 50),
-            context={"benchmark": "gcc", "oracle": True})
+        run_checked(partial(new_machine, "single", base), trace, "single",
+                    "gcc", mutator=make_mutator("dropped-commit", 50),
+                    context={"benchmark": "gcc", "oracle": True})
     assert exc.value.detail == "order"
     assert exc.value.context["oracle"] is True
 
 
-def test_run_program_under_oracle_reports_per_machine(base):
+def test_oracle_jobs_check_a_programs_golden_stream(base):
     program = ProgramFuzzer(seed=3, blocks=6).generate(0).program
-    golden, results = run_program_under_oracle(
-        program, base, machines=["single", "corefusion"])
+    golden = GoldenStream.from_program(program)
     assert golden.source == "program"
-    assert set(results) == {"single", "corefusion"}
-    for result in results.values():
-        assert result.extra["oracle"]["checked"] == len(golden)
+    for machine in ("single", "corefusion"):
+        result = checked(machine, golden.records, base, "program",
+                         golden=golden)
+        assert result.extra["oracle"] == {"checked": len(golden),
+                                          "golden_source": "program"}
 
 
 def test_minimizer_shrinks_an_oracle_divergence(base):
@@ -86,9 +95,9 @@ def test_minimizer_shrinks_an_oracle_divergence(base):
     index = next(r.seq for r in trace if r.seq >= 30 and r.is_store)
 
     def run(candidate):
-        return run_trace_under_oracle(
-            "single", list(candidate), base, workload="probe",
-            mutator=make_mutator("dropped-commit", index))
+        return run_checked(partial(new_machine, "single", base),
+                           list(candidate), "single", "probe",
+                           mutator=make_mutator("dropped-commit", index))
 
     result = minimize_failure(trace, run)
     assert result.reproduced
@@ -116,7 +125,6 @@ def test_acceptance_1k_instruction_fuzz_program_all_machines(base):
     golden = GoldenStream.from_program(program)
     assert len(golden) >= 1000
     for machine in MACHINES:
-        result = run_trace_under_oracle(
-            machine, golden.records, base, golden=golden,
-            workload="fuzz-acceptance")
+        result = checked(machine, golden.records, base, "fuzz-acceptance",
+                         golden=golden)
         assert result.extra["oracle"]["checked"] == len(golden)

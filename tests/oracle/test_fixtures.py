@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.config import ExperimentConfig
+from repro.harness.parallel import execute_job, make_job
 from repro.harness.runners import MACHINES
 from repro.isa import assemble
-from repro.oracle import GoldenStream, run_trace_under_oracle
+from repro.oracle import GoldenStream
 from repro.uarch.params import small_core_config
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -22,6 +24,13 @@ FIXTURES = sorted(FIXTURE_DIR.glob("*.asm"))
 def _golden(path):
     return GoldenStream.from_program(assemble(path.read_text(),
                                               name=path.stem))
+
+
+def _replay(machine, path, golden, **overrides):
+    """*golden*'s records run as *machine*'s oracle job against it."""
+    job = make_job(machine, path.stem, small_core_config(),
+                   ExperimentConfig(warmup=0), oracle=True, **overrides)
+    return execute_job(job, golden.records, golden=golden)
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
@@ -34,9 +43,7 @@ def test_fixture_shadow_executes_cleanly(path):
 @pytest.mark.parametrize("machine", MACHINES)
 def test_fixture_replays_clean_on_every_machine(path, machine):
     golden = _golden(path)
-    result = run_trace_under_oracle(machine, golden.records,
-                                    small_core_config(), golden=golden,
-                                    workload=path.stem)
+    result = _replay(machine, path, golden)
     assert result.extra["oracle"]["checked"] == len(golden)
 
 
@@ -61,11 +68,7 @@ def test_fixture_oracle_identical_under_skip_ahead(path, machine):
     campaigns across all machines ran clean over the skip path before
     this pin; this keeps the combination exercised deterministically.)"""
     golden = _golden(path)
-    results = [
-        run_trace_under_oracle(machine, golden.records,
-                               small_core_config(), golden=golden,
-                               workload=path.stem, skip_ahead=skip)
-        for skip in (False, True)
-    ]
+    results = [_replay(machine, path, golden, skip_ahead=skip)
+               for skip in (False, True)]
     assert results[0].as_dict() == results[1].as_dict()
     assert results[1].extra["oracle"]["checked"] == len(golden)

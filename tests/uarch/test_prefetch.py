@@ -3,7 +3,7 @@
 import pytest
 
 from repro.uarch.cache.hierarchy import CacheHierarchy
-from repro.uarch.cache.prefetch import StridePrefetcher, attach_prefetcher
+from repro.uarch.cache.prefetch import StridePrefetcher
 from repro.uarch.params import small_core_config
 from repro.uarch.pipeline.machine import simulate_single_core
 from repro.workloads.generator import generate_trace
@@ -70,22 +70,52 @@ def test_validation():
         StridePrefetcher(degree=0)
 
 
-def test_attach_prefetcher_wraps_hierarchy():
-    hierarchy = make_hierarchy()
-    prefetcher = attach_prefetcher(hierarchy)
-    for i in range(8):
+def test_the_prefetch_degree_builds_the_hierarchys_prefetcher():
+    assert make_hierarchy().prefetcher is None
+    assert "prefetcher" not in make_hierarchy().stats()
+    hierarchy = CacheHierarchy(small_core_config().with_(prefetch_degree=3))
+    prefetcher = hierarchy.prefetcher
+    assert (prefetcher.degree, prefetcher.line_bytes) == (3, 64)
+    for i in range(4):
         hierarchy.load(0x3000 + 64 * i, now=i)
+    for i in range(4, 8):
+        hierarchy.store(0x3000 + 64 * i, now=i)
     assert prefetcher.prefetches > 0
-    assert hierarchy.prefetcher is prefetcher
+    assert hierarchy.stats()["prefetcher"] == prefetcher.stats()
+
+
+def test_the_prefetcher_observes_each_demand_access():
+    """``load`` and ``store`` time the demand access, then let the
+    prefetcher observe it with the address's page as the PC proxy: the
+    same latencies, counters and cache contents (in LRU order) as a
+    plain hierarchy with a prefetcher fed by hand that way."""
+    config = small_core_config()
+    hierarchy = CacheHierarchy(config.with_(prefetch_degree=2))
+    reference = CacheHierarchy(config)
+    prefetcher = StridePrefetcher(degree=2)
+    records = [r for r in generate_trace("lbm", 3000) if r.is_memory]
+    for now, record in enumerate(records):
+        access = "store" if record.is_store else "load"
+        latency = getattr(reference, access)(record.mem_addr, now)
+        prefetcher.observe(record.mem_addr >> 12, record.mem_addr,
+                           reference)
+        assert getattr(hierarchy, access)(record.mem_addr, now) == latency
+    assert prefetcher.prefetches > 0
+    assert hierarchy.stats() == dict(reference.stats(),
+                                     prefetcher=prefetcher.stats())
+    for level in ("l1d", "l2"):
+        assert [list(ways.items()) for ways in
+                getattr(hierarchy, level)._sets] \
+            == [list(ways.items()) for ways in
+                getattr(reference, level)._sets]
 
 
 def test_prefetching_speeds_up_streaming_workload():
     trace = generate_trace("lbm", 8000)
     base = small_core_config()
     plain = simulate_single_core(trace, base, warmup=2000)
-
-    from repro.uarch.pipeline.machine import SingleCoreMachine
-    machine = SingleCoreMachine(base)
-    attach_prefetcher(machine.hierarchy)
-    prefetched = machine.run(trace, workload="lbm", warmup=2000)
+    prefetched = simulate_single_core(
+        trace, base.with_(prefetch_degree=2), warmup=2000)
     assert prefetched.cycles < plain.cycles
+    assert prefetched.extra["caches"]["prefetcher"]["prefetches"] > 0
+    assert "prefetcher" not in plain.extra["caches"]

@@ -9,7 +9,6 @@ from repro.isa.program import INSTRUCTION_BYTES
 from repro.trace.record import TraceRecord, validate_trace
 from repro.uarch.branch.btb import FrontEndPredictor
 from repro.uarch.cache.hierarchy import CacheHierarchy
-from repro.uarch.cache.prefetch import attach_prefetcher
 from repro.uarch.params import core_config, small_core_config
 from repro.uarch.warmup import reseq, split_warmup, warm_state
 from repro.workloads.generator import generate_trace
@@ -68,9 +67,9 @@ def test_warm_state_resets_every_hierarchy_counter():
     and silently leaked MSHR stall cycles and prefetcher counts from
     the warm-up window into measured results.
     """
-    config = small_core_config()
+    config = small_core_config().with_(prefetch_degree=2)
     hierarchy = CacheHierarchy(config)
-    prefetcher = attach_prefetcher(hierarchy)
+    prefetcher = hierarchy.prefetcher
 
     # A line-strided stream inside one page trains and fires the
     # prefetcher; a burst of far-apart same-cycle misses contends for

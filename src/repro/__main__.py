@@ -8,7 +8,7 @@ Commands:
   single, Core Fusion and Fg-STP) and render the runs as one
   ``--view``: ``speedup`` (the default: cycles, IPC and speedup over
   the first machine), ``cpi`` (CPI stacks, every ledger validated),
-  ``metrics`` (each run's metrics registry, as tables or ``--json``)
+  ``metrics`` (each run's metrics, as tables or ``--json``)
   or ``timeline`` (per-uop pipeline events as Chrome trace-event JSON
   for Perfetto, Konata logs, JSONL or an ASCII timeline).
 * ``sweep`` — fan a benchmark × seed × machine × config matrix across
@@ -322,18 +322,15 @@ def _metrics_view(args, runs) -> int:
     from .harness.report import metrics_table
     from .obs.metrics import metrics_of
 
-    registries = {name: metrics_of(result)
-                  for name, (result, _) in runs.items()}
+    metrics = {name: metrics_of(result)
+               for name, (result, _) in runs.items()}
     if args.json:
-        print(json.dumps(
-            {name: registry.as_dict()
-             for name, registry in registries.items()},
-            indent=1, sort_keys=True))
+        print(json.dumps(metrics, indent=1, sort_keys=True))
         return 0
-    for machine_name, registry in registries.items():
+    for machine_name, machine_metrics in metrics.items():
         print(metrics_table(
-            registry, title=f"{machine_name}: metrics "
-                            f"({args.benchmark}, {args.config})"))
+            machine_metrics, title=f"{machine_name}: metrics "
+                                   f"({args.benchmark}, {args.config})"))
         print()
     return 0
 

@@ -15,7 +15,7 @@ from .comm import InterCoreQueue
 from .orchestrator import FgStpMachine, simulate_fgstp
 from .params import DEFAULT_OP_WEIGHTS, FgStpParams
 from .partitioner import Assignment, PartitionStats, Partitioner
-from .policies import POLICIES, policy_by_name, set_policy
+from .policies import POLICIES
 from .specdep import DependencePredictor
 
 __all__ = [
@@ -31,6 +31,4 @@ __all__ = [
     "Partitioner",
     "DependencePredictor",
     "POLICIES",
-    "policy_by_name",
-    "set_policy",
 ]

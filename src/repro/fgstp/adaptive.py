@@ -210,7 +210,7 @@ class AdaptiveFgStpMachine:
 
     def checkpoint_params_key(self) -> str:
         """Configuration identity for checkpoint compatibility checks."""
-        return (f"{self.base.key()}|{self.fgstp!r}"
+        return (f"{self.base.key()}|{self.fgstp.key()}"
                 f"|sample={self.sample_instructions}"
                 f"|region={self.region_instructions}"
                 f"|reconfig={self.reconfigure_penalty}")

@@ -77,9 +77,8 @@ class FgStpMachine(MachineShell):
     Args:
         base: Configuration of each constituent core (identical to the
             single-core baseline and to each half of Core Fusion).
-        fgstp: Mechanism parameters (window, queues, speculation, ...).
-        policy: Partition policy name (default ``"chain"``; see
-            :mod:`repro.fgstp.policies`).
+        fgstp: Mechanism parameters (window, queues, speculation,
+            partition policy, ...).
         **options: Run-loop options, documented on
             :class:`~repro.uarch.pipeline.machine.MachineShell`.  Here
             ``commit_hook`` fires once per *architectural* retirement,
@@ -107,12 +106,10 @@ class FgStpMachine(MachineShell):
 
     def __init__(self, base: CoreParams,
                  fgstp: Optional[FgStpParams] = None,
-                 policy: Optional[str] = None,
                  **options):
         super().__init__("fgstp", base.name, **options)
         self.base = base
         self.fgstp = fgstp or FgStpParams()
-        self.policy_name = policy or "chain"
 
         shared_l2 = make_shared_l2(base)
         self.hierarchies = (CacheHierarchy(base, shared_l2),
@@ -712,29 +709,23 @@ class FgStpMachine(MachineShell):
 
     def checkpoint_params_key(self) -> str:
         """Configuration identity for checkpoint compatibility checks."""
-        return f"{self.base.key()}|{self.fgstp!r}|{self.policy_name}"
+        return f"{self.base.key()}|{self.fgstp!r}|{self.fgstp.policy}"
 
     def _wire(self) -> None:
-        """Install the hooks a checkpoint leaves out: a non-default
-        partition policy and the queues' tracer.  The cores' completion
-        and commit callbacks are passed on every call instead, so no
-        core refers back to this machine."""
-        if self.policy_name != "chain":
-            from .policies import policy_by_name, set_policy
-            set_policy(self.partitioner, policy_by_name(self.policy_name))
+        """Install the hook a checkpoint leaves out, the queues' tracer.
+        The cores' completion and commit callbacks are passed on every
+        call instead, so no core refers back to this machine."""
         if self.tracer is not None:
             for src_core, queue in enumerate(self.queues):
                 queue.tracer = self.tracer
                 queue.trace_core = src_core
 
     def _transient(self):
-        # Queue tracer attachments are observers and a non-default
-        # partition policy may be a closure; the partitioner's
+        # Queue tracer attachments are observers; the partitioner's
         # dependence index is rebuilt from the trace.
         return ([(queue, name) for queue in self.queues
                  for name in ("tracer", "trace_core")]
-                + [(self.partitioner, name)
-                   for name in ("policy", "_deps")])
+                + [(self.partitioner, "_deps")])
 
     def _adopt(self, trace: Sequence[TraceRecord]) -> None:
         self._trace = trace

@@ -2,15 +2,16 @@
 
 These knobs configure the partition unit and the inter-core fabric that
 Fg-STP adds around two unmodified out-of-order cores.  Every sensitivity
-experiment (E4/E5/E6/E7/E9) sweeps one of these fields.
+experiment (E4/E5/E6/E7/E9/E14) sweeps one of these fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict
 
 from ..isa.opcodes import OpClass
+from .policies import POLICIES
 
 #: Partitioner's per-op-class weight estimate (expected occupancy cost),
 #: used for load balancing and affinity scoring.
@@ -61,6 +62,10 @@ class FgStpParams:
             most when cut).
         replication_max_weight: Only instructions at most this expensive
             (per :data:`DEFAULT_OP_WEIGHTS`) are replication candidates.
+        policy: The core-assignment pass, a
+            :data:`~repro.fgstp.policies.POLICIES` name (``"chain"``,
+            the slice-growth assignment, by default; E14 compares the
+            others).  Kept out of the ``repr``; :meth:`key` adds it.
     """
 
     window_size: int = 512
@@ -74,6 +79,7 @@ class FgStpParams:
     balance_factor: float = 0.35
     affinity_recent: int = 8
     replication_max_weight: float = 1.0
+    policy: str = field(default="chain", repr=False)
 
     def __post_init__(self):
         if self.window_size < self.batch_size:
@@ -88,6 +94,16 @@ class FgStpParams:
         if self.queue_bandwidth < 1:
             raise ValueError(f"queue_bandwidth must be >= 1: "
                              f"{self.queue_bandwidth}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown partition policy {self.policy!r}; "
+                             f"known: {sorted(POLICIES)}")
+
+    def key(self) -> str:
+        """The parameters' identity in job and checkpoint keys: the
+        ``repr``, plus a policy marker when it is not ``"chain"``."""
+        if self.policy != "chain":
+            return f"{self!r}|policy={self.policy}"
+        return repr(self)
 
     def with_(self, **changes) -> "FgStpParams":
         """Copy with the given fields replaced."""

@@ -37,6 +37,7 @@ from ..isa.opcodes import OpClass
 from ..trace.analysis import dependences
 from ..trace.record import TraceRecord
 from .params import DEFAULT_OP_WEIGHTS, FgStpParams
+from .policies import POLICIES
 
 # Shared per-assignment ``cores`` tuples: by core, and for a replica.
 _SOLO = ((0,), (1,))
@@ -141,14 +142,12 @@ class Partitioner:
     pass filters by the commit frontier.
     """
 
-    #: Core-assignment policy ``(partitioner, batch) -> cores`` that
-    #: replaces :meth:`_assign_pass` (set by
-    #: :func:`repro.fgstp.policies.set_policy`).  Called with the
-    #: partitioner as an argument, it holds no reference back to it.
-    policy = None
-
     def __init__(self, params: FgStpParams):
         self.params = params
+        #: Core-assignment pass ``(partitioner, batch) -> cores`` named
+        #: by ``params.policy``.  Called with the partitioner as an
+        #: argument, it holds no reference back to it.
+        self.policy = POLICIES[params.policy]
         self.weights = dict(DEFAULT_OP_WEIGHTS)
         self.stats = PartitionStats()
         self._load = [0.0, 0.0]
@@ -222,9 +221,7 @@ class Partitioner:
         self._first_seq = first_seq
         self._committed_seq = committed_seq
         self._last_steals.clear()
-        policy = self.policy
-        cores = (self._assign_pass(batch) if policy is None
-                 else policy(self, batch))
+        cores = self.policy(self, batch)
         replicated = self._replication_pass(batch, cores)
         return self._emit_pass(batch, cores, replicated)
 

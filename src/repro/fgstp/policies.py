@@ -15,26 +15,30 @@ design-space study (E14) compares against:
 * ``single``     — everything on core 0 (sanity bound: must match the
   single-core machine).
 
-A policy is a callable ``(partitioner, batch) -> list[int]`` plugged in
-via :func:`set_policy`; the surrounding machinery (replication,
+A policy is a callable ``(partitioner, batch) -> list[int]``;
+``FgStpParams.policy`` names the :data:`POLICIES` entry a partitioner
+calls on every batch.  The surrounding machinery (replication,
 communication wiring, speculation) is identical for all policies.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 
 from ..trace.record import TraceRecord
-from .partitioner import Partitioner
+
+if TYPE_CHECKING:
+    from .partitioner import Partitioner
 
 #: Signature of an assignment policy.
-AssignPolicy = Callable[[Partitioner, Sequence[TraceRecord]], List[int]]
+AssignPolicy = Callable[["Partitioner", Sequence[TraceRecord]], List[int]]
 
 
 def chain_policy(partitioner: Partitioner,
                  batch: Sequence[TraceRecord]) -> List[int]:
     """The default slice-growth assignment (delegates to the built-in)."""
-    return Partitioner._assign_pass(partitioner, batch)
+    return partitioner._assign_pass(batch)
 
 
 def roundrobin_policy(partitioner: Partitioner,
@@ -46,20 +50,16 @@ def roundrobin_policy(partitioner: Partitioner,
     return cores
 
 
-def modulo_policy(block: int = 16) -> AssignPolicy:
+def modulo_policy(partitioner: Partitioner, batch: Sequence[TraceRecord],
+                  block: int = 16) -> List[int]:
     """Alternate cores per *block* of ``block`` instructions."""
     if block <= 0:
         raise ValueError(f"block must be positive: {block}")
-
-    def policy(partitioner: Partitioner,
-               batch: Sequence[TraceRecord]) -> List[int]:
-        start = partitioner.stats.assigned
-        cores = [((start + offset) // block) % 2
-                 for offset in range(len(batch))]
-        _account_load(partitioner, batch, cores)
-        return cores
-
-    return policy
+    start = partitioner.stats.assigned
+    cores = [((start + offset) // block) % 2
+             for offset in range(len(batch))]
+    _account_load(partitioner, batch, cores)
+    return cores
 
 
 def decoupled_policy(partitioner: Partitioner,
@@ -100,36 +100,14 @@ def _account_load(partitioner: Partitioner, batch, cores) -> None:
         partitioner._load[core] += partitioner.weights[record.op_class]
 
 
-#: Name -> policy for the harness and E14.
+#: Name -> policy, the values ``FgStpParams.policy`` may take.  Every
+#: entry is a module-level function or a ``partial`` of one, so a
+#: partitioner pickles with its policy.
 POLICIES: Dict[str, AssignPolicy] = {
     "chain": chain_policy,
     "roundrobin": roundrobin_policy,
-    "modulo16": modulo_policy(16),
-    "modulo64": modulo_policy(64),
+    "modulo16": partial(modulo_policy, block=16),
+    "modulo64": partial(modulo_policy, block=64),
     "decoupled": decoupled_policy,
     "single": single_core_policy,
 }
-
-
-def set_policy(partitioner: Partitioner, policy: AssignPolicy) -> None:
-    """Replace *partitioner*'s assignment pass with *policy*.
-
-    Only the core-assignment decision changes; the core mask,
-    replication and communication wiring stay identical.  The
-    partitioner passes itself to *policy* on every batch, so storing
-    the policy forms no reference cycle.
-    """
-    partitioner.policy = policy
-
-
-def policy_by_name(name: str) -> AssignPolicy:
-    """Look up a registered policy.
-
-    Raises:
-        KeyError: listing the known names on a typo.
-    """
-    try:
-        return POLICIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown policy {name!r}; known: {sorted(POLICIES)}") from None

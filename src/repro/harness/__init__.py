@@ -13,7 +13,7 @@ from .config import FULL, QUICK, REPRESENTATIVE, ExperimentConfig
 from .experiments import REGISTRY, ExperimentReport, run_experiment
 from .multiseed import SeedStudy, seed_study
 from .report import report_to_markdown, run_and_render
-from .runners import MACHINES, build_machine, config_for
+from .runners import MACHINES, build_machine
 
 __all__ = [
     "FULL",
@@ -29,5 +29,4 @@ __all__ = [
     "run_and_render",
     "MACHINES",
     "build_machine",
-    "config_for",
 ]

@@ -14,13 +14,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..corefusion.machine import default_frontend_overhead
 from ..fgstp.params import FgStpParams
+from ..fgstp.policies import POLICIES
 from ..stats.aggregate import geomean
 from ..stats.tables import render_table
+from ..uarch.params import core_config
 from ..workloads.profiles import SPEC_FP_NAMES, SPEC_INT_NAMES
 from ..workloads.suite import suite_names
 from .config import REPRESENTATIVE, ExperimentConfig
 from .parallel import make_job, run_jobs, run_suites
-from .runners import config_for
 
 
 @dataclass
@@ -62,7 +63,7 @@ def _headline(config: ExperimentConfig, core_name: str,
     headline experiments parallelise across machines as well as
     benchmarks (see :mod:`repro.harness.parallel`).
     """
-    base = config_for(core_name)
+    base = core_config(core_name)
     suites = run_suites(("single", "corefusion", "fgstp"), base, config)
     single, fusion, fgstp = (suites["single"], suites["corefusion"],
                              suites["fgstp"])
@@ -108,7 +109,7 @@ def e2_small_headline(config: ExperimentConfig) -> ExperimentReport:
 def e3_partition_characterisation(config: ExperimentConfig
                                   ) -> ExperimentReport:
     """E3: where instructions go — balance, replication, communication."""
-    base = config_for("medium")
+    base = core_config("medium")
     results = run_suites(("fgstp",), base, config)["fgstp"]
     rows = []
     for name, result in results.items():
@@ -151,14 +152,14 @@ def _sensitivity(config: ExperimentConfig, experiment_id: str, title: str,
     Args:
         job_args: Maps a sweep point to the :func:`make_job` keyword
             arguments of *machine*'s runs at that point (Fg-STP
-            parameters, or machine overrides such as a partition
-            policy).
+            parameters, or machine overrides such as Core Fusion's
+            front-end overhead).
         extra_column / extra_of: Optional per-point diagnostic column:
             *extra_of* maps each swept :class:`SimResult` to a number
             and the row reports the sum over the point's benchmarks
             (E9 uses this to surface queue-mouth backpressure).
     """
-    base = config_for("medium")
+    base = core_config("medium")
     names = config.benchmarks or REPRESENTATIVE
     sweep_config = config.with_(benchmarks=list(names))
     jobs = [make_job("single", name, base, sweep_config)
@@ -244,7 +245,7 @@ def _ablation(config: ExperimentConfig, switch: str
     Returns:
         ``(on, off)``, each benchmark -> result in suite order.
     """
-    base = config_for("medium")
+    base = core_config("medium")
     names = list(config.benchmarks) or suite_names("all")
     jobs = [make_job("fgstp", name, base, config,
                      fgstp=FgStpParams(**{switch: flag}))
@@ -316,7 +317,7 @@ def e8_fusion_overhead(config: ExperimentConfig) -> ExperimentReport:
     The medium core's default overhead passes no override: that point
     is the plain Core Fusion job, which E1 runs too.
     """
-    default = default_frontend_overhead(config_for("medium"))
+    default = default_frontend_overhead(core_config("medium"))
     return _sensitivity(
         config, "E8",
         ("Core Fusion speedup vs. fusion front-end overhead "
@@ -333,7 +334,7 @@ def e10_int_fp_split(config: ExperimentConfig) -> ExperimentReport:
     """E10: INT vs FP breakdown of the headline result (both configs)."""
     rows = []
     for core_name in ("medium", "small"):
-        base = config_for(core_name)
+        base = core_config(core_name)
         for suite in ("int", "fp"):
             names = [n for n in suite_names(suite)
                      if not config.benchmarks or n in config.benchmarks]
@@ -363,7 +364,7 @@ def e10_int_fp_split(config: ExperimentConfig) -> ExperimentReport:
 def e11_adaptive_mode(config: ExperimentConfig) -> ExperimentReport:
     """E11 (extension): coarse-grain reconfiguration (adaptive Fg-STP)."""
     suites = run_suites(("fgstp", "single", "fgstp-adaptive"),
-                        config_for("medium"), config)
+                        core_config("medium"), config)
     always, single, adaptive = (suites["fgstp"], suites["single"],
                                 suites["fgstp-adaptive"])
     rows = []
@@ -393,7 +394,7 @@ def e12_energy(config: ExperimentConfig) -> ExperimentReport:
     from ..stats.energy import energy_of
 
     suites = run_suites(("single", "corefusion", "fgstp"),
-                        config_for("medium"), config)
+                        core_config("medium"), config)
     single, fusion, fgstp = (suites["single"], suites["corefusion"],
                              suites["fgstp"])
     rows = []
@@ -439,7 +440,7 @@ def e13_prefetching(config: ExperimentConfig) -> ExperimentReport:
     per-PC stride prefetcher (degree 2) beside every core's L1D.  Both
     halves form one engine batch; the plain half is E1's jobs.
     """
-    base = config_for("medium")
+    base = core_config("medium")
     names = config.benchmarks or ["libquantum", "lbm", "bwaves",
                                   "leslie3d", "gcc", "sjeng"]
     sweep_config = config.with_(benchmarks=list(names))
@@ -473,17 +474,15 @@ def e14_partition_policies(config: ExperimentConfig) -> ExperimentReport:
 
     The slice-growth policy (the paper's design) against round-robin,
     block-modulo and access/execute-decoupled assignments, with
-    everything-on-one-core as the sanity bound.  The default policy
-    passes no override: that point is the plain Fg-STP job, which E1
-    runs too.
+    everything-on-one-core as the sanity bound.  The default policy's
+    parameters equal ``FgStpParams()``: that point is the plain Fg-STP
+    job, which E1 runs too.
     """
-    from ..fgstp.policies import POLICIES
-
     return _sensitivity(
         config, "E14",
         "Partition-policy comparison (Fg-STP speedup over 1 core)",
         "policy", list(POLICIES),
-        lambda policy: {} if policy == "chain" else {"policy": policy},
+        lambda policy: {"fgstp": FgStpParams(policy=policy)},
         notes=("'single' routes everything to core 0 and must track the "
                "single-core baseline; 'chain' is the paper's design."))
 
@@ -496,7 +495,7 @@ def e15_branch_predictors(config: ExperimentConfig) -> ExperimentReport:
     misprediction rates and IPC — quantifying how much of the machines'
     behaviour rides on the front end.
     """
-    base = config_for("medium")
+    base = core_config("medium")
     names = config.benchmarks or ["sjeng", "gobmk", "astar", "gcc"]
     sweep_config = config.with_(benchmarks=list(names))
     kinds = ("bimodal", "gshare", "tournament", "perceptron", "tage")

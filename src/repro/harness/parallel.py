@@ -56,7 +56,7 @@ from ..ckpt.manager import set_heartbeat
 from ..fgstp.params import FgStpParams
 from ..integrity.chaos import maybe_apply_env_chaos, spec_from_env
 from ..integrity.errors import JobMemoryExceeded, SimulationError
-from ..integrity.forensics import write_crash_dump
+from ..integrity.forensics import DEFAULT_CRASH_DIR, write_crash_dump
 from ..integrity.watchdog import window_from_env
 from ..isa.opcodes import OpClass
 from ..stats.result import SimResult
@@ -175,16 +175,17 @@ class SweepJob:
         """Everything in :meth:`key` but the model version and chaos.
 
         Default Fg-STP parameters key as ``None``: both build the same
-        machine, so they are one simulation.  The core keys as
-        :meth:`CoreParams.key`.
+        machine, so they are one simulation.  The core and the Fg-STP
+        parameters key as their ``key()``.
         """
-        fgstp = None if self.fgstp == _DEFAULT_FGSTP else self.fgstp
+        fgstp = (repr(None) if self.fgstp in (None, _DEFAULT_FGSTP)
+                 else self.fgstp.key())
         # Markers join only when set, so plain keys never change, and no
         # checked or traced result is served to a plain run.
         return "|".join([
             self.machine,
             f"kernel:{self.kernel}" if self.kernel else self.trace_key,
-            str(self.config.warmup), self.base.key(), repr(fgstp),
+            str(self.config.warmup), self.base.key(), fgstp,
             repr(self.overrides),
             *[flag for flag in ("oracle", "trace") if getattr(self, flag)]])
 
@@ -700,7 +701,9 @@ class ExperimentEngine:
         timeout: Per-job attempt timeout in seconds (``None`` = none).
         retries: Extra attempts after a failed/timed-out first try.
         cache_dir: Root of the shared disk cache (traces + results);
-            ``None`` disables both disk tiers.
+            ``None`` disables both disk tiers.  A structured failure's
+            crash dump lands under ``<cache_dir>/crashes/``, else under
+            :data:`~repro.integrity.forensics.DEFAULT_CRASH_DIR`.
         result_cache: Serve finished results again, keyed by
             :meth:`SweepJob.key`: from this engine's memory tier, which
             keeps one entry per finished job or disk hit, then from
@@ -1124,8 +1127,9 @@ class ExperimentEngine:
         except OSError:
             pass  # a full disk costs a recompute, not the sweep
 
-    def _crash_dir(self) -> Optional[Path]:
-        return self.cache_dir / "crashes" if self.cache_dir else None
+    def _crash_dir(self) -> Path:
+        return (self.cache_dir / "crashes" if self.cache_dir
+                else DEFAULT_CRASH_DIR)
 
     def _existing_trace_keys(self, keys: Iterable[str]) -> set:
         if self.cache_dir is None:
@@ -1146,19 +1150,18 @@ class ExperimentEngine:
         if isinstance(exc, SimulationError):
             # Structured failure: keep the partial statistics on the
             # record and persist a replayable crash dump next to the
-            # cache, so the sweep continues but nothing is lost.
+            # cache (or where ``repro forensics`` looks by default), so
+            # the sweep continues but nothing is lost.
             failure.failure_class = exc.failure_class
             failure.partial = exc.partial or None
-            crash_dir = self._crash_dir()
-            if crash_dir is not None:
-                context = job.as_dict()
-                if failure.history:
-                    context["retry_history"] = failure.history
-                try:
-                    failure.dump_path = str(write_crash_dump(
-                        exc, directory=crash_dir, context=context))
-                except OSError:
-                    pass
+            context = job.as_dict()
+            if failure.history:
+                context["retry_history"] = failure.history
+            try:
+                failure.dump_path = str(write_crash_dump(
+                    exc, directory=self._crash_dir(), context=context))
+            except OSError:
+                pass
         outcome.failures.append(failure)
         outcome.metrics.jobs_failed += 1
         self._emit("job-failed", str(failure))

@@ -208,18 +208,15 @@ def occupancy_text(events, buckets: int = 24, width: int = 50,
     return "\n".join(lines)
 
 
-def metrics_table(registry, title: Optional[str] = None,
+def metrics_table(metrics: Mapping[str, dict], title: Optional[str] = None,
                   precision: int = 3) -> str:
-    """Render a :class:`~repro.obs.metrics.MetricsRegistry` as a table.
+    """Render :func:`~repro.obs.metrics.metrics_of`'s mapping as a table.
 
-    Each row is one metric with its type and value; counters and gauges
-    leave the ``detail`` column empty.
+    Each row is one metric with its type and value, in the mapping's
+    order; counters and gauges leave the ``detail`` column empty.
     """
-    rows: List[List[object]] = []
-    for name in registry.names():
-        metric = registry.get(name)
-        rows.append([name, metric.kind, metric.value, ""])
+    rows = [[name, metric["type"], metric["value"], ""]
+            for name, metric in metrics.items()]
     return render_table(["metric", "type", "value", "detail"], rows,
-                        precision=precision,
-                        title=title or "metrics registry")
+                        precision=precision, title=title or "metrics")
 

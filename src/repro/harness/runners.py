@@ -18,7 +18,7 @@ from ..fgstp.adaptive import AdaptiveFgStpMachine
 from ..fgstp.orchestrator import FgStpMachine
 from ..fgstp.params import FgStpParams
 from ..integrity.chaos import maybe_apply_env_chaos
-from ..uarch.params import CoreParams, core_config
+from ..uarch.params import CoreParams
 from ..uarch.pipeline.machine import SingleCoreMachine
 
 #: Machines the harness knows how to build.
@@ -50,8 +50,3 @@ def new_machine(machine: str, base: CoreParams,
     if machine == "fgstp-adaptive":
         return AdaptiveFgStpMachine(base, fgstp, **overrides)
     raise ValueError(f"unknown machine {machine!r}; known: {MACHINES}")
-
-
-def config_for(name: str) -> CoreParams:
-    """Named reference core configuration (``small`` / ``medium``)."""
-    return core_config(name)

@@ -1,145 +1,49 @@
-"""Unified metrics registry: counters and gauges.
+"""Metrics of a finished run: one flat, typed namespace.
 
 The repo's statistics live in per-component dicts
 (``CoreStats.as_dict()``, ``CacheHierarchy.stats()``, queue stats, ...)
-that a finished run carries in ``SimResult.extra``.  The
-:class:`MetricsRegistry` gives them one flat, typed namespace:
+that a finished run carries in ``SimResult.extra``.  :func:`metrics_of`
+flattens them into one mapping, sorted by name, from dotted names
+(``caches.l1d.accesses``) to ``{"type": "counter" | "gauge", "value":
+...}``.
 
-* accessors are get-or-create (``counter`` / ``gauge``), so two sites
-  naming the same metric share it;
-* nested stats dicts are *ingested* (:meth:`MetricsRegistry.ingest`
-  flattens nested mappings into dotted names).
-
-:func:`metrics_of` builds a machine's registry from its finished
+The metrics are built from the finished
 :class:`~repro.stats.result.SimResult` alone, so machines carry no
-registry, a run costs nothing extra, and a result served from the
-sweep's result cache has the same metrics as a fresh run.
-
-All metric types are JSON-able via ``as_dict`` and render through
-``harness.report.metrics_table``.
+metrics, a run costs nothing extra, and a result served from the
+sweep's result cache has the same metrics as a fresh run.  The mapping
+is JSON-able and renders through ``harness.report.metrics_table``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from ..stats.cpistack import cpistack_of
 from ..stats.result import SimResult
 
-
-class Counter:
-    """Integer count (events, bytes, cycles)."""
-
-    __slots__ = ("name", "value")
-
-    kind = "counter"
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def as_dict(self) -> dict:
-        return {"type": "counter", "value": self.value}
+#: One metric: ``{"type": "counter" | "gauge", "value": number}``.
+Metric = Dict[str, Any]
 
 
-class Gauge:
-    """Last-written value (e.g. final cycle count, an IPC)."""
+def _flatten(prefix: str, stats: Mapping[str, Any],
+             metrics: Dict[str, Metric]) -> None:
+    """Add *stats* to *metrics* under dotted names.
 
-    __slots__ = ("name", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def as_dict(self) -> dict:
-        return {"type": "gauge", "value": self.value}
-
-
-class MetricsRegistry:
-    """One named sink for every metric a run produces.
-
-    Metric accessors are get-or-create; asking for an existing name
-    with a different type raises ``TypeError`` (two components silently
-    sharing a name across types is always a bug).
+    Integers and booleans become counters, floats become gauges,
+    nested mappings recurse; other value types are skipped (the stats
+    dicts keep carrying them).
     """
-
-    def __init__(self):
-        self._metrics: Dict[str, Any] = {}
-
-    # -- get-or-create accessors ---------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def _get(self, name: str, cls):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
-            raise TypeError(f"metric {name!r} already registered as "
-                            f"{metric.kind}, not {cls.kind}")
-        return metric
-
-    def get(self, name: str) -> Optional[Any]:
-        return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        return sorted(self._metrics)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    # -- bulk fill from stats dicts ------------------------------------
-
-    def ingest(self, prefix: str, stats: Mapping[str, Any]) -> None:
-        """Flatten a nested stats mapping into dotted-name metrics.
-
-        Integers and booleans become counters, floats become gauges,
-        nested mappings recurse; other value types are skipped (the
-        stats dicts keep carrying them).
-        """
-        for key, value in stats.items():
-            name = f"{prefix}.{key}" if prefix else str(key)
-            if isinstance(value, Mapping):
-                self.ingest(name, value)
-            elif isinstance(value, bool):
-                counter = self.counter(name)
-                counter.value = int(value)
-            elif isinstance(value, int):
-                counter = self.counter(name)
-                counter.value = value
-            elif isinstance(value, float):
-                self.gauge(name).set(value)
-
-    # -- export ---------------------------------------------------------
-
-    def as_dict(self) -> Dict[str, dict]:
-        """``name -> metric dict``, sorted by name (JSON-able)."""
-        return {name: self._metrics[name].as_dict()
-                for name in sorted(self._metrics)}
-
-    def collect(self) -> Dict[str, float]:
-        """``name -> scalar``, sorted by name."""
-        return {name: self._metrics[name].value
-                for name in sorted(self._metrics)}
+    for key, value in stats.items():
+        name = f"{prefix}.{key}" if prefix else str(key)
+        if isinstance(value, Mapping):
+            _flatten(name, value, metrics)
+        elif isinstance(value, int):
+            metrics[name] = {"type": "counter", "value": int(value)}
+        elif isinstance(value, float):
+            metrics[name] = {"type": "gauge", "value": value}
 
 
-#: Result ``extra`` fields each machine's registry carries, keyed by
+#: Result ``extra`` fields each machine's metrics carry, keyed by
 #: ``SimResult.machine``.  Fg-STP adds one ``core<i>`` subtree per core
 #: and the adaptive machine its ``adaptive.*`` counters.
 _EXTRA_FIELDS = {
@@ -151,33 +55,33 @@ _EXTRA_FIELDS = {
 }
 
 
-def metrics_of(result: SimResult) -> MetricsRegistry:
-    """The metrics registry of a finished run, built from *result*.
+def metrics_of(result: SimResult) -> Dict[str, Metric]:
+    """The metrics of a finished run, built from *result*.
 
     Every machine gets the ``sim.cycles``, ``sim.instructions`` and
     ``sim.ipc`` gauges plus its :data:`_EXTRA_FIELDS`, flattened.  The
     statistics in ``extra`` cover the measured window only (warm-up
-    resets every counter first), so the registry does too.  An empty
-    trace's result carries no statistics and gives an empty registry.
+    resets every counter first), so the metrics do too.  An empty
+    trace's result carries no statistics and gives no metrics.
 
     Raises:
         KeyError: for a machine outside :data:`_EXTRA_FIELDS`.
     """
     fields = _EXTRA_FIELDS[result.machine]
-    registry = MetricsRegistry()
     extra = result.extra
     if not extra:
-        return registry
-    registry.gauge("sim.cycles").set(result.cycles)
-    registry.gauge("sim.instructions").set(result.instructions)
-    registry.gauge("sim.ipc").set(result.ipc)
-    registry.ingest("", {key: extra[key] for key in fields})
+        return {}
+    metrics = {f"sim.{name}": {"type": "gauge", "value": value}
+               for name, value in (("cycles", result.cycles),
+                                   ("instructions", result.instructions),
+                                   ("ipc", result.ipc))}
+    _flatten("", {key: extra[key] for key in fields}, metrics)
     if result.machine == "fgstp":
         for index, stats in enumerate(extra["cores"]):
-            registry.ingest(f"core{index}", stats)
+            _flatten(f"core{index}", stats, metrics)
     elif result.machine == "fgstp-adaptive":
         stack = cpistack_of(result)
-        registry.ingest("adaptive", {
+        _flatten("adaptive", {
             "regions": len(extra["modes"]),
             "switches": extra["switches"],
             "fgstp_regions": extra["fgstp_regions"],
@@ -186,8 +90,8 @@ def metrics_of(result: SimResult) -> MetricsRegistry:
             "reconfig_cycles": (0 if stack is None else
                                 stack.slots.get("reconfig", 0)
                                 // stack.width),
-        })
-    return registry
+        }, metrics)
+    return dict(sorted(metrics.items()))
 
 
-__all__ = ["Counter", "Gauge", "MetricsRegistry", "metrics_of"]
+__all__ = ["metrics_of"]

@@ -53,10 +53,6 @@ class MshrFile:
         heapq.heappush(heap, completes_at + (start - now))
         return start
 
-    def reset(self) -> None:
-        self._busy_until.clear()
-        self.stall_cycles = 0
-
 
 class CacheHierarchy:
     """Per-core L1s over a (possibly shared) L2 + memory, and the L1D's
@@ -72,8 +68,7 @@ class CacheHierarchy:
                  shared_l2: Optional[Cache] = None):
         self.params = params
         if shared_l2 is None:
-            memory = MainMemory(latency=params.memory_latency)
-            shared_l2 = Cache(params.l2, next_level=memory, name="l2")
+            shared_l2 = make_shared_l2(params)
         self.l2 = shared_l2
         self.l1d = Cache(params.l1d, next_level=shared_l2, name="l1d")
         self.l1i = Cache(params.l1i, next_level=shared_l2, name="l1i")
@@ -155,13 +150,6 @@ class CacheHierarchy:
         self.d_mshrs.stall_cycles = 0
         if self.prefetcher is not None:
             self.prefetcher.reset_stats()
-
-    def reset(self) -> None:
-        """Invalidate everything (machine reconfiguration)."""
-        self.l1d.invalidate_all()
-        self.l1i.invalidate_all()
-        self.l2.invalidate_all()
-        self.d_mshrs.reset()
 
 
 def make_shared_l2(params: CoreParams) -> Cache:

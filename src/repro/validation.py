@@ -78,7 +78,7 @@ def battery_runs(benchmark: str, length: int, seed: int,
     runs = {machine: job(machine) for machine in MACHINES}
     runs.update({f"{machine}/rerun": job(machine) for machine in MACHINES})
     runs["fgstp/policy-single"] = job(
-        "fgstp", fgstp=FgStpParams(partition_latency=1), policy="single")
+        "fgstp", fgstp=FgStpParams(partition_latency=1, policy="single"))
     runs[LIVELOCK_RUN] = dataclasses.replace(
         job("fgstp", watchdog_window=2_000), chaos="stuck_queue:after=0",
         config=config.with_(trace_length=min(length, LIVELOCK_RECORDS)))

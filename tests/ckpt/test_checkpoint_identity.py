@@ -10,6 +10,7 @@ For every machine, over random programs:
   oracle (the whole suite already runs with ``REPRO_CPISTACK_CHECK``).
 """
 
+import pickle
 from collections import OrderedDict
 from copy import deepcopy
 from dataclasses import replace
@@ -17,10 +18,12 @@ from dataclasses import replace
 import pytest
 
 from repro.ckpt.manager import Snapshot
-from repro.ckpt.state import dumps_state, loads_state
+from repro.ckpt.state import CheckpointMismatch, dumps_state, loads_state
 from repro.corefusion.machine import CoreFusionMachine
 from repro.fgstp.adaptive import AdaptiveFgStpMachine
 from repro.fgstp.orchestrator import FgStpMachine
+from repro.fgstp.params import FgStpParams
+from repro.fgstp.policies import POLICIES, roundrobin_policy
 from repro.uarch.params import core_config
 from repro.uarch.pipeline.machine import MachineShell, SingleCoreMachine
 from repro.uarch.warmup import split_warmup
@@ -193,6 +196,89 @@ def test_a_prefetching_machine_resumes_identically_from_a_snapshot(
     assert adopted_prefetchers == [saved]
 
 
+def _saved_policy(payload):
+    """The pickled policy of a checkpoint payload's partitioner."""
+    return pickle.dumps(vars(loads_state(payload)["partitioner"])["policy"])
+
+
+@pytest.mark.parametrize("policy", ("modulo16", "roundrobin", "decoupled"))
+def test_a_policy_machine_resumes_identically(policy):
+    """The partitioner pickles with its policy, so a resumed run goes on
+    partitioning by it; a machine of another policy refuses the
+    checkpoint."""
+    base = core_config("small")
+    fgstp = FgStpParams(policy=policy)
+    trace = generate_trace("gcc", 3000, 3)
+    plain = FgStpMachine(base, fgstp).run(trace, workload="gcc", warmup=600)
+    assert plain.cycles != FgStpMachine(base).run(
+        trace, workload="gcc", warmup=600).cycles
+    sink = CapturingSink()
+    straight = FgStpMachine(base, fgstp, checkpoint_interval=700,
+                            checkpoint_sink=sink) \
+        .run(trace, workload="gcc", warmup=600)
+    assert straight.as_dict() == plain.as_dict()
+    assert len(sink.saved) >= 2
+    for _, checkpoint in sink.saved:
+        assert _saved_policy(checkpoint.payload) \
+            == pickle.dumps(POLICIES[policy])
+        resumed = FgStpMachine(base, fgstp).run(
+            trace, workload="gcc", warmup=600, resume_from=checkpoint)
+        assert resumed.as_dict() == straight.as_dict()
+    with pytest.raises(CheckpointMismatch):
+        FgStpMachine(base).run(trace, workload="gcc", warmup=600,
+                               resume_from=sink.saved[0][1])
+
+
+@pytest.mark.parametrize("policy", ("modulo16", "roundrobin", "decoupled"))
+def test_a_policy_machine_resumes_identically_from_a_snapshot(policy):
+    fgstp = FgStpParams(policy=policy)
+    prefix, measured = split_warmup(generate_trace("gcc", 3000, 3), 600)
+    snapshot = Snapshot(900)
+    straight = FgStpMachine(core_config("small"), fgstp)._run_measured(
+        prefix, measured, "gcc", snapshot)
+    assert _saved_policy(snapshot.payload) == pickle.dumps(POLICIES[policy])
+    resumed = FgStpMachine(core_config("small"), fgstp)._run_measured(
+        prefix, measured, "gcc", payload=snapshot.payload)
+    assert resumed.as_dict() == straight.as_dict()
+
+
+def test_an_adaptive_machine_partitions_and_resumes_by_its_policy(
+        monkeypatch):
+    """Every Fg-STP region machine, probes included, partitions by the
+    adaptive machine's policy, and a run resumed from a region-boundary
+    checkpoint finishes as the straight one did."""
+    policies = []
+    region_machine = AdaptiveFgStpMachine._machine
+
+    def spy(self, mode, **observers):
+        machine = region_machine(self, mode, **observers)
+        if mode == "fgstp":
+            policies.append(machine.partitioner.policy)
+        return machine
+
+    monkeypatch.setattr(AdaptiveFgStpMachine, "_machine", spy)
+    base = core_config("small")
+    fgstp = FgStpParams(policy="roundrobin")
+    trace = generate_trace("gcc", 3000, 3)
+
+    def build_adaptive(**kwargs):
+        return AdaptiveFgStpMachine(base, fgstp, sample_instructions=400,
+                                    region_instructions=1200, **kwargs)
+
+    sink = CapturingSink()
+    straight = build_adaptive(checkpoint_interval=700,
+                              checkpoint_sink=sink) \
+        .run(trace, workload="gcc", warmup=600)
+    assert "fgstp" in straight.extra["modes"]
+    assert len(policies) >= 2
+    assert all(policy is roundrobin_policy for policy in policies)
+    assert sink.saved
+    for _, checkpoint in sink.saved:
+        resumed = build_adaptive().run(trace, workload="gcc", warmup=600,
+                                       resume_from=checkpoint)
+        assert resumed.as_dict() == straight.as_dict()
+
+
 @pytest.mark.parametrize("skip", (False, True))
 def test_identity_holds_with_skip_ahead_toggled(skip):
     base = core_config("small")
@@ -235,8 +321,6 @@ def test_checkpointing_run_is_clean_under_oracle(name):
 
 
 def test_resume_rejects_foreign_checkpoint():
-    from repro.ckpt.state import CheckpointMismatch
-
     base = core_config("small")
     trace = generate_trace("gcc", 2000, 1)
     sink = CapturingSink()

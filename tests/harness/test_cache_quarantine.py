@@ -9,13 +9,14 @@ leave its partial statistics and a replayable crash dump on the
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.parallel import ExperimentEngine, make_job
 from repro.integrity.errors import SimulationError
-from repro.integrity.forensics import load_crash_dump
+from repro.integrity.forensics import DEFAULT_CRASH_DIR, load_crash_dump
 from repro.uarch.params import core_config
 from repro.workloads.suite import DiskTraceCache
 
@@ -176,11 +177,19 @@ def test_structured_failure_survives_the_process_pool(tmp_path,
     assert outcome.results[1] is not None
 
 
-def test_no_dump_without_a_cache_dir(monkeypatch):
+def test_without_a_cache_dir_the_dump_lands_in_the_default_crash_dir(
+        tmp_path, monkeypatch):
+    """Where ``repro forensics`` and ``repro minimize`` look by default:
+    ``.repro_cache/crashes/`` under the working directory."""
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("REPRO_CHAOS", "stuck_queue:after=0")
     monkeypatch.setenv("REPRO_WATCHDOG_WINDOW", "1000")
     engine = ExperimentEngine(max_workers=1, retries=0, cache_dir=None)
     outcome = engine.run(_jobs(machines=("fgstp",)))
     (failure,) = outcome.failures
     assert failure.failure_class == "hang:intercore"
-    assert failure.dump_path == ""  # nowhere to write; still structured
+    assert failure.dump_path.startswith(str(DEFAULT_CRASH_DIR))
+    assert load_crash_dump(tmp_path / failure.dump_path)[
+        "failure_class"] == "hang:intercore"
+    assert [path.name for path in tmp_path.rglob("*.json")] \
+        == [Path(failure.dump_path).name]

@@ -2,6 +2,7 @@
 stores it, and ``repro minimize`` replays it."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -99,13 +100,47 @@ def test_battery_oracle_traced_and_kernel_jobs_rebuild_with_their_keys(
               trace=True),
      "423e93daf09129442209411d7ce9976c"),
     (make_job("fgstp", "gcc", core_config("medium"), SIZING,
-              fgstp=FgStpParams(queue_latency=6), policy="roundrobin"),
-     "dfff609b0c91b529e721ad4bd2f23974"),
-], ids=["plain", "oracle", "traced", "overrides"])
+              fgstp=FgStpParams(queue_latency=6), watchdog_window=5000),
+     "483da70f293c4e0f18cce2ab2f8f5bd0"),
+    (make_job("fgstp", "gcc", core_config("medium"), SIZING,
+              fgstp=FgStpParams(queue_latency=6, policy="roundrobin")),
+     "2ba9e9dc57cd189297319f7719525353"),
+], ids=["plain", "oracle", "traced", "overrides", "policy"])
 def test_keys_without_chaos_are_unchanged(monkeypatch, job, key):
     """Cache keys written before jobs carried a chaos spec stay valid."""
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     assert job.key() == key
+
+
+@pytest.mark.parametrize("machine, digest", [
+    ("fgstp", "72653105410c22e2af1c4506d6425188"),
+    ("fgstp-adaptive", "cabdd094c9d3265811d63025b8653023"),
+])
+def test_chain_checkpoint_keys_are_unchanged(machine, digest):
+    """A chain machine's checkpoint parameter key is the one written
+    before the policy joined ``FgStpParams``, so its checkpoints
+    still resume."""
+    for fgstp in (None, FgStpParams(policy="chain")):
+        key = new_machine(machine, SMALL, fgstp).checkpoint_params_key()
+        assert hashlib.sha256(key.encode()).hexdigest()[:32] == digest
+
+
+@pytest.mark.parametrize("machine", ["fgstp", "fgstp-adaptive"])
+def test_a_policy_keys_apart_unless_it_is_chain(monkeypatch, machine):
+    """A chain policy builds the plain machine and keys as ``None``; any
+    other policy joins the job key and the checkpoint key."""
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    plain = make_job(machine, "gcc", SMALL, SIZING)
+    chain = make_job(machine, "gcc", SMALL, SIZING,
+                     fgstp=FgStpParams(policy="chain"))
+    assert chain.key() == plain.key()
+    assert _params_key(chain) == _params_key(plain)
+    for policy in ("roundrobin", "modulo16"):
+        job = make_job(machine, "gcc", SMALL, SIZING,
+                       fgstp=FgStpParams(policy=policy))
+        assert job.key() != plain.key()
+        assert _params_key(job) != _params_key(plain)
+        assert policy in _params_key(job)
 
 
 @pytest.mark.parametrize("machine", MACHINES)
@@ -148,8 +183,8 @@ def test_a_job_name_shows_what_differs_from_the_defaults():
                     fgstp=FgStpParams(queue_latency=20)).name \
         == "fgstp/gcc/medium/s1/queue_latency=20"
     assert make_job("fgstp", "gcc", medium, SIZING,
-                    fgstp=FgStpParams(window_size=64, speculation=False),
-                    policy="roundrobin").name \
+                    fgstp=FgStpParams(window_size=64, speculation=False,
+                                      policy="roundrobin")).name \
         == ("fgstp/gcc/medium/s1/window_size=64/speculation=False"
             "/policy=roundrobin")
     assert make_job("single", "mcf", bimodal, SIZING, oracle=True).name \
@@ -166,7 +201,7 @@ def test_a_job_name_shows_what_differs_from_the_defaults():
 def test_a_default_sweep_point_is_the_plain_job(monkeypatch, experiment_id,
                                                 machine):
     """E4's default latency, E8's default fusion overhead and E14's
-    default policy build the plain machine, so they share its key and
+    chain policy build the plain machine, so they share its key and
     name: one simulation with E1's job."""
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     plain = make_job(machine, "gcc", core_config("medium"), SIZING)
@@ -238,16 +273,17 @@ def _engine_dump(tmp_path, job, **engine):
     return load_crash_dump(failure.dump_path)["context"]
 
 
-@pytest.mark.parametrize("machine, base, fgstp, overrides", [
+@pytest.mark.parametrize("machine, base, fgstp, overrides, cycles", [
     ("fgstp", SMALL.with_(rob_entries=2 * SMALL.rob_entries),
-     FgStpParams(queue_latency=6), {}),
-    ("fgstp", SMALL, None, {"policy": "roundrobin"}),
+     FgStpParams(queue_latency=6), {}, 16_390),  # the default takes 16,523
+    ("fgstp", SMALL, FgStpParams(policy="roundrobin"), {}, None),
+    ("corefusion", SMALL, None, {"frontend_overhead": 6}, None),
     ("single", SMALL.with_(branch=dataclasses.replace(SMALL.branch,
                                                       kind="bimodal")),
-     None, {}),
-], ids=["core-and-fgstp", "override", "predictor"])
+     None, {}, None),
+], ids=["core-and-fgstp", "policy", "override", "predictor"])
 def test_an_engine_dump_replays_its_job(tmp_path, monkeypatch, machine,
-                                        base, fgstp, overrides):
+                                        base, fgstp, overrides, cycles):
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     job = make_job(machine, "gcc", base,
                    ExperimentConfig(trace_length=3000, warmup=500, seed=3),
@@ -259,8 +295,8 @@ def test_an_engine_dump_replays_its_job(tmp_path, monkeypatch, machine,
     expected = new_machine(machine, base, fgstp, **overrides).run(trace)
     default = new_machine(machine, SMALL).run(trace)
     assert replayed == expected.cycles != default.cycles
-    if fgstp is not None:
-        assert replayed == 16_390  # the default machine takes 16,523
+    if cycles is not None:
+        assert replayed == cycles
 
 
 def test_an_oracle_sampled_dump_replays_its_job_under_the_oracle(
@@ -353,6 +389,23 @@ def test_cli_run_exits_one_naming_each_failed_job(hanging_engine, capsys):
         else f"/queue_latency={latency}")
         for latency in (1, 2, 3, 5, 10, 20)]
     assert sorted(_e4_dumps(hanging_engine)) == [1, 2, 3, 5, 10, 20]
+
+
+def test_without_a_cache_dir_dumps_land_in_the_working_directory(
+        hanging_engine, tmp_path, monkeypatch, capsys):
+    """Where ``repro forensics`` and ``repro minimize`` look first."""
+    monkeypatch.delenv("REPRO_CACHE_DIR")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "E4", "--benchmarks", "gcc", "--length", "1200",
+                 "--warmup", "400"]) == 1
+    lines = capsys.readouterr().err.splitlines()[1:]
+    assert len(lines) == 6
+    assert all(line.endswith(".json]") and
+               "[crash dump: .repro_cache/crashes/crash-fgstp-gcc-" in line
+               for line in lines)
+    assert sorted(_e4_dumps(tmp_path / ".repro_cache")) \
+        == [1, 2, 3, 5, 10, 20]
+    assert not hanging_engine.exists()
 
 
 def test_a_dump_replays_with_the_runs_watchdog_window(hanging_engine,

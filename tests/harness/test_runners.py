@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.parallel import execute_job, make_job, run_suites
-from repro.harness.runners import MACHINES, build_machine, config_for
+from repro.harness.runners import MACHINES, build_machine
 from repro.uarch.params import small_core_config
 from repro.workloads.generator import generate_trace
 
@@ -30,11 +30,6 @@ def test_warmup_consuming_the_whole_trace_raises(machine):
     with pytest.raises(ValueError,
                        match="warmup 1000 consumes the whole 1000-record"):
         model.run(trace, workload="gcc", warmup=1000)
-
-
-def test_config_for():
-    assert config_for("small").name == "small"
-    assert config_for("medium").name == "medium"
 
 
 def test_run_machine_returns_result():

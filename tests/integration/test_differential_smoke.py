@@ -17,7 +17,7 @@ import pytest
 
 from repro.harness.config import QUICK
 from repro.harness.parallel import execute_job, make_job
-from repro.harness.runners import config_for
+from repro.uarch.params import core_config
 from repro.workloads.generator import generate_trace
 from repro.workloads.suite import DiskTraceCache, TraceCache, suite_names
 
@@ -25,7 +25,7 @@ from repro.workloads.suite import DiskTraceCache, TraceCache, suite_names
 #: the smoke test trips (measured worst case at QUICK sizing: 0.975).
 TOLERANCE = 1.05
 
-_BASE = config_for("medium")
+_BASE = core_config("medium")
 _CACHE = TraceCache()
 
 

@@ -4,7 +4,7 @@ Every other bit-identity suite compares two runs of the same commit
 (naive against skip-ahead, bare against traced, straight against
 resumed), so a change that shifts timing on both sides passes them all.
 This test recomputes digests of whole results and of their metrics
-registries over a fixed machine x benchmark x config matrix, plus the
+over a fixed machine x benchmark x config matrix, plus the
 shape of two structured failures per cycle-level machine, and compares
 them with ``golden_results.json``.
 
@@ -74,7 +74,7 @@ def _sha(payload) -> str:
 
 
 def result_digest(cell: str) -> dict:
-    """Digests of one run and of the metrics registry built from it."""
+    """Digests of one run and of the metrics built from it."""
     variant, benchmark, config = cell.split("/")
     machine, overrides = VARIANTS[variant]
     model = build_machine(machine, core_config(config), FgStpParams(),
@@ -83,7 +83,7 @@ def result_digest(cell: str) -> dict:
                        workload=benchmark, warmup=WARMUP)
     return {"result": _sha(result.as_dict()),
             "skipped_cycles": getattr(model, "skipped_cycles", None),
-            "metrics": _sha(metrics_of(result).as_dict())}
+            "metrics": _sha(metrics_of(result))}
 
 
 def failure_shape(cell: str) -> dict:

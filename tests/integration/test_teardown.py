@@ -1,8 +1,8 @@
 """A finished machine is freed by reference counting alone.
 
 A reference cycle through a machine (say, a core holding its owner's
-bound methods, or a partition policy closing over the partitioner it
-is stored on) keeps the machine, its trace and everything in flight
+bound methods, or a partition policy holding the partitioner it is
+stored on) keeps the machine, its trace and everything in flight
 alive until a full collection.  These tests run each machine with the
 cycle collector disabled, drop it, and require that weak references to
 the machine, its partitioner and every adaptive region machine are
@@ -87,7 +87,8 @@ def test_a_prefetching_machine_needs_no_collector(name, trace):
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_every_partition_policy_frees_its_partitioner(policy, trace):
     with collector_disabled():
-        machine = FgStpMachine(small_core_config(), policy=policy)
+        machine = FgStpMachine(small_core_config(),
+                               FgStpParams(policy=policy))
         refs = [weakref.ref(machine), weakref.ref(machine.partitioner)]
         _run(machine, trace)
         del machine
@@ -121,7 +122,7 @@ def test_adaptive_region_machines_need_no_collector(trace):
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_fgstp_maps_hold_only_in_flight_entries(policy, trace):
-    machine = FgStpMachine(small_core_config(), policy=policy)
+    machine = FgStpMachine(small_core_config(), FgStpParams(policy=policy))
     _run(machine, trace)
     assert machine._comm_tags == {}
     assert machine._send_map == {}

@@ -310,9 +310,9 @@ class TestValidateAll:
             == ("fgstp/policy-single", 0)
         trace = trace_from_context(context)
         replayed = replay_run_fn(context)(trace)
-        degenerate = FgStpMachine(small_config,
-                                  FgStpParams(partition_latency=1),
-                                  policy="single").run(trace)
+        degenerate = FgStpMachine(
+            small_config,
+            FgStpParams(partition_latency=1, policy="single")).run(trace)
         default = FgStpMachine(small_config).run(trace)
         assert default.cycles != degenerate.cycles
         assert replayed.cycles == degenerate.cycles

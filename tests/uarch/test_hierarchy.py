@@ -30,12 +30,6 @@ class TestMshrFile:
         with pytest.raises(ValueError):
             MshrFile(0)
 
-    def test_reset(self):
-        mshrs = MshrFile(1)
-        mshrs.allocate(0, 100)
-        mshrs.reset()
-        assert mshrs.allocate(0, 100) == 0
-
 
 class TestHierarchy:
     def test_load_miss_then_hit(self, small_config):
@@ -90,10 +84,3 @@ class TestHierarchy:
         assert stats["l1d"]["misses"] == 1
         assert stats["l2"]["accesses"] == 1
         assert "d_mshr_stall_cycles" in stats
-
-    def test_reset_clears_everything(self, small_config):
-        hierarchy = CacheHierarchy(small_config)
-        hierarchy.load(0x1000, now=0)
-        hierarchy.reset()
-        assert not hierarchy.l1d.contains(0x1000)
-        assert not hierarchy.l2.contains(0x1000)

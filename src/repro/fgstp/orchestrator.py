@@ -63,6 +63,7 @@ from ..uarch.warmup import warm_state
 from .comm import InterCoreQueue
 from .params import FgStpParams
 from .partitioner import Assignment, Partitioner
+from .policies import POLICIES
 from .specdep import DependencePredictor
 
 _LOAD = OpClass.LOAD
@@ -722,13 +723,16 @@ class FgStpMachine(MachineShell):
 
     def _transient(self):
         # Queue tracer attachments are observers; the partitioner's
-        # dependence index is rebuilt from the trace.
+        # policy comes from the parameters and its dependence index is
+        # rebuilt from the trace.
         return ([(queue, name) for queue in self.queues
                  for name in ("tracer", "trace_core")]
-                + [(self.partitioner, "_deps")])
+                + [(self.partitioner, name)
+                   for name in ("policy", "_deps")])
 
     def _adopt(self, trace: Sequence[TraceRecord]) -> None:
         self._trace = trace
+        self.partitioner.policy = POLICIES[self.fgstp.policy]
         # Every uop not yet fully committed is live, and the batch holds
         # the records just below the fetch cursor.
         relink(chain.from_iterable(self._live.values()), trace)

@@ -101,8 +101,9 @@ def _account_load(partitioner: Partitioner, batch, cores) -> None:
 
 
 #: Name -> policy, the values ``FgStpParams.policy`` may take.  Every
-#: entry is a module-level function or a ``partial`` of one, so a
-#: partitioner pickles with its policy.
+#: entry is a module-level function or a ``partial`` of one, so none
+#: refers back to a partitioner.  A checkpoint leaves the policy out;
+#: a restored machine looks it up here again.
 POLICIES: Dict[str, AssignPolicy] = {
     "chain": chain_policy,
     "roundrobin": roundrobin_policy,

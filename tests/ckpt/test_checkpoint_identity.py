@@ -10,7 +10,6 @@ For every machine, over random programs:
   oracle (the whole suite already runs with ``REPRO_CPISTACK_CHECK``).
 """
 
-import pickle
 from collections import OrderedDict
 from copy import deepcopy
 from dataclasses import replace
@@ -23,7 +22,7 @@ from repro.corefusion.machine import CoreFusionMachine
 from repro.fgstp.adaptive import AdaptiveFgStpMachine
 from repro.fgstp.orchestrator import FgStpMachine
 from repro.fgstp.params import FgStpParams
-from repro.fgstp.policies import POLICIES, roundrobin_policy
+from repro.fgstp.policies import roundrobin_policy
 from repro.uarch.params import core_config
 from repro.uarch.pipeline.machine import MachineShell, SingleCoreMachine
 from repro.uarch.warmup import split_warmup
@@ -196,15 +195,15 @@ def test_a_prefetching_machine_resumes_identically_from_a_snapshot(
     assert adopted_prefetchers == [saved]
 
 
-def _saved_policy(payload):
-    """The pickled policy of a checkpoint payload's partitioner."""
-    return pickle.dumps(vars(loads_state(payload)["partitioner"])["policy"])
+def _payload_policy(payload):
+    """The policy a checkpoint payload's partitioner carries, if any."""
+    return vars(loads_state(payload)["partitioner"]).get("policy")
 
 
 @pytest.mark.parametrize("policy", ("modulo16", "roundrobin", "decoupled"))
 def test_a_policy_machine_resumes_identically(policy):
-    """The partitioner pickles with its policy, so a resumed run goes on
-    partitioning by it; a machine of another policy refuses the
+    """A payload carries no policy: the resumed machine partitions by
+    its own parameters, and a machine of another policy refuses the
     checkpoint."""
     base = core_config("small")
     fgstp = FgStpParams(policy=policy)
@@ -219,8 +218,7 @@ def test_a_policy_machine_resumes_identically(policy):
     assert straight.as_dict() == plain.as_dict()
     assert len(sink.saved) >= 2
     for _, checkpoint in sink.saved:
-        assert _saved_policy(checkpoint.payload) \
-            == pickle.dumps(POLICIES[policy])
+        assert _payload_policy(checkpoint.payload) is None
         resumed = FgStpMachine(base, fgstp).run(
             trace, workload="gcc", warmup=600, resume_from=checkpoint)
         assert resumed.as_dict() == straight.as_dict()
@@ -236,10 +234,42 @@ def test_a_policy_machine_resumes_identically_from_a_snapshot(policy):
     snapshot = Snapshot(900)
     straight = FgStpMachine(core_config("small"), fgstp)._run_measured(
         prefix, measured, "gcc", snapshot)
-    assert _saved_policy(snapshot.payload) == pickle.dumps(POLICIES[policy])
+    assert _payload_policy(snapshot.payload) is None
     resumed = FgStpMachine(core_config("small"), fgstp)._run_measured(
         prefix, measured, "gcc", payload=snapshot.payload)
     assert resumed.as_dict() == straight.as_dict()
+
+
+def _written_before_the_policy_parameter(payload):
+    """*payload* as written while the policy was a machine option:
+    neither the partitioner nor its parameters carry a policy."""
+    state = loads_state(payload)
+    partitioner = state["partitioner"]
+    vars(partitioner).pop("policy", None)
+    vars(partitioner.params).pop("policy")
+    return dumps_state(state)
+
+
+@pytest.mark.parametrize("policy", ("chain", "roundrobin"))
+def test_a_checkpoint_from_before_the_policy_parameter_resumes(policy):
+    """Such a checkpoint keys as one written now, so it restores, and
+    the resumed machine partitions by its own parameters."""
+    base = core_config("small")
+    fgstp = FgStpParams(policy=policy)
+    trace = generate_trace("gcc", 3000, 3)
+    sink = CapturingSink()
+    straight = FgStpMachine(base, fgstp, checkpoint_interval=700,
+                            checkpoint_sink=sink) \
+        .run(trace, workload="gcc", warmup=600)
+    assert len(sink.saved) >= 2
+    for _, checkpoint in sink.saved:
+        old = replace(checkpoint, payload=_written_before_the_policy_parameter(
+            checkpoint.payload))
+        assert loads_state(old.payload)["partitioner"].params.policy \
+            == "chain"
+        resumed = FgStpMachine(base, fgstp).run(
+            trace, workload="gcc", warmup=600, resume_from=old)
+        assert resumed.as_dict() == straight.as_dict()
 
 
 def test_an_adaptive_machine_partitions_and_resumes_by_its_policy(

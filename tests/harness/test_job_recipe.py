@@ -112,17 +112,23 @@ def test_keys_without_chaos_are_unchanged(monkeypatch, job, key):
     assert job.key() == key
 
 
-@pytest.mark.parametrize("machine, digest", [
-    ("fgstp", "72653105410c22e2af1c4506d6425188"),
-    ("fgstp-adaptive", "cabdd094c9d3265811d63025b8653023"),
-])
-def test_chain_checkpoint_keys_are_unchanged(machine, digest):
-    """A chain machine's checkpoint parameter key is the one written
-    before the policy joined ``FgStpParams``, so its checkpoints
-    still resume."""
-    for fgstp in (None, FgStpParams(policy="chain")):
-        key = new_machine(machine, SMALL, fgstp).checkpoint_params_key()
-        assert hashlib.sha256(key.encode()).hexdigest()[:32] == digest
+@pytest.mark.parametrize("machine, fgstp, digest", [
+    ("fgstp", None, "72653105410c22e2af1c4506d6425188"),
+    ("fgstp", FgStpParams(policy="chain"),
+     "72653105410c22e2af1c4506d6425188"),
+    ("fgstp-adaptive", None, "cabdd094c9d3265811d63025b8653023"),
+    ("fgstp-adaptive", FgStpParams(policy="chain"),
+     "cabdd094c9d3265811d63025b8653023"),
+    ("fgstp", FgStpParams(policy="roundrobin"),
+     "1933a96ea520bf56c4dade0900d32a2e"),
+], ids=["fgstp", "fgstp-chain", "adaptive", "adaptive-chain",
+        "fgstp-roundrobin"])
+def test_checkpoint_keys_are_unchanged(machine, fgstp, digest):
+    """A checkpoint parameter key is the one written while the policy
+    was a machine option (``FgStpMachine``'s ends in ``|<policy>`` for
+    every policy), so those checkpoints still resume."""
+    key = new_machine(machine, SMALL, fgstp).checkpoint_params_key()
+    assert hashlib.sha256(key.encode()).hexdigest()[:32] == digest
 
 
 @pytest.mark.parametrize("machine", ["fgstp", "fgstp-adaptive"])

@@ -14,7 +14,7 @@ from .adaptive import AdaptiveFgStpMachine, simulate_fgstp_adaptive
 from .comm import InterCoreQueue
 from .orchestrator import FgStpMachine, simulate_fgstp
 from .params import DEFAULT_OP_WEIGHTS, FgStpParams
-from .partitioner import Assignment, PartitionStats, Partitioner
+from .partitioner import PartitionStats, Partitioner
 from .policies import POLICIES
 from .specdep import DependencePredictor
 
@@ -26,7 +26,6 @@ __all__ = [
     "simulate_fgstp",
     "DEFAULT_OP_WEIGHTS",
     "FgStpParams",
-    "Assignment",
     "PartitionStats",
     "Partitioner",
     "DependencePredictor",

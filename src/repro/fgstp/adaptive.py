@@ -267,6 +267,22 @@ class AdaptiveFgStpMachine:
             return FgStpMachine(self.base, self.fgstp, **options)
         return SingleCoreMachine(self.base, **options)
 
+    def _probe(self, mode: str, prefix, sample, workload: str,
+               covered: bool, observed: bool,
+               limit: Optional[int] = None):
+        """Run *mode*'s probe on *sample*: ``(result, snapshot)``, with
+        ``None`` for a result stopped at the cycle *limit*.  Unless the
+        probe is the region run (*covered*), its snapshot is taken at
+        commit 0 with observers attached, else a lookahead before the
+        sample's end."""
+        machine = self._machine(mode)
+        snapshot = None
+        if not covered:
+            mark = len(sample) - machine._lookahead()
+            snapshot = Snapshot(0 if observed else max(0, mark))
+        return machine._run_measured(prefix, sample, workload, snapshot,
+                                     limit=limit), snapshot
+
     def _run_region(self, region_trace, region_warmup, workload,
                     offset: int = 0, cycle_offset: int = 0,
                     previous_mode: Optional[str] = None):
@@ -281,19 +297,19 @@ class AdaptiveFgStpMachine:
         # the module docstring).
         observed = self.commit_hook is not None or self.tracer is not None
         covered = len(sample) == len(measured) and not observed
-        probes = {}
-        for mode in ("single", "fgstp"):
-            machine = self._machine(mode)
-            snapshot = None
-            if not covered:
-                mark = len(sample) - machine._lookahead()
-                snapshot = Snapshot(0 if observed else max(0, mark))
-            probes[mode] = (machine._run_measured(
-                prefix, sample, workload, snapshot), snapshot)
-        del machine  # free the last probe before the region run
-        mode = ("fgstp" if probes["fgstp"][0].cycles
-                <= probes["single"][0].cycles else "single")
-        result, snapshot = probes[mode]
+        # The Fg-STP probe runs first.  Ties go to Fg-STP, so the single
+        # probe stops (returns None) at the first loop top where its
+        # cycle count has reached the Fg-STP probe's with records left:
+        # from there it cannot win.  A stopped probe's snapshot is
+        # dropped with it.
+        fgstp = self._probe("fgstp", prefix, sample, workload, covered,
+                            observed)
+        single = self._probe("single", prefix, sample, workload, covered,
+                             observed, limit=fgstp[0].cycles)
+        mode = ("fgstp" if single[0] is None
+                or fgstp[0].cycles <= single[0].cycles else "single")
+        result, snapshot = fgstp if mode == "fgstp" else single
+        del fgstp, single
         hook = self._region_hook(offset)
         tracer = self.tracer
         if tracer is not None:

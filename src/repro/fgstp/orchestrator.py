@@ -14,9 +14,10 @@ This module glues every Fg-STP mechanism together:
   stores they (probably) do not depend on; violations squash both cores
   from the offending load and train the predictor
   (:class:`repro.fgstp.specdep.DependencePredictor`);
-* a **global in-order commit gate** retires the single thread's
-  instructions in sequence-number order across both cores (replicated
-  pairs retire as one architectural instruction).
+* **global in-order commit** retires the single thread's instructions
+  in sequence-number order across both cores: the oldest uncommitted
+  seq retires from whichever core holds it (replicated pairs retire as
+  one architectural instruction).
 
 Modelling notes (documented simplifications, consistent with the
 paper-family methodology):
@@ -62,7 +63,7 @@ from ..uarch.pipeline.uop import (
 from ..uarch.warmup import warm_state
 from .comm import InterCoreQueue
 from .params import FgStpParams
-from .partitioner import Assignment, Partitioner
+from .partitioner import Partitioner
 from .policies import POLICIES
 from .specdep import DependencePredictor
 
@@ -84,19 +85,21 @@ class FgStpMachine(MachineShell):
             :class:`~repro.uarch.pipeline.machine.MachineShell`.  Here
             ``commit_hook`` fires once per *architectural* retirement,
             in global sequence order — for a replicated instruction
-            when the last replica clears the commit gate.  An attached
+            when its last replica retires.  An attached
             ``tracer`` records every retired uop (replicas included,
             each tagged with its core), squash/steal/watchdog instants,
             and — via the value queues — inter-core send/recv events.
     """
 
     #: Per-run state a checkpoint captures: the stateful components and
-    #: the dynamic scalars/containers of the front end and commit gate.
+    #: the dynamic scalars/containers of the front end and global
+    #: commit.  A replicated seq's copies that retired already are the
+    #: ones in ``_live`` in the COMMITTED state.
     _STATE = (
         "hierarchies", "cores", "predictor", "partitioner",
         "dep_predictor", "queues",
         "_fetch_cursor", "_next_uid", "_batch", "_feed", "_live",
-        "_copies", "_comm_tags", "_send_map", "_watch", "_last_store",
+        "_comm_tags", "_send_map", "_watch", "_last_store",
         "_stall_seq", "_fetch_resume_at", "_icache_line", "_icache_ready",
         "_pending_violations", "_violation_store_pc", "_now",
         "squashes", "squashed_uops",
@@ -136,8 +139,8 @@ class FgStpMachine(MachineShell):
         self._next_uid = 0
         self._batch: List[TraceRecord] = []
         self._feed: Tuple[deque, deque] = (deque(), deque())
+        # seq -> its uops, ``[uop]`` or ``[core-0 copy, core-1 copy]``.
         self._live: Dict[int, List[Uop]] = {}
-        self._copies: Dict[int, int] = {}
         self._comm_tags: Dict[Tuple[int, int], ValueTag] = {}
         self._send_map: Dict[int, List[ValueTag]] = {}
         self._watch: Dict[int, List[Uop]] = {}
@@ -191,41 +194,33 @@ class FgStpMachine(MachineShell):
         cores = self.cores
         core0, core1 = cores
         # 1. Queue deliveries wake consumers on the destination core.
-        #    Progress is detected via the delivery counters: an entry
-        #    can be delivered without waking anyone (no consumers yet),
-        #    and that still changes queue state.
+        #    A queue is asked only when an entry is due.  Progress is
+        #    detected via the delivery counters: an entry can be
+        #    delivered without waking anyone (no consumers yet), and
+        #    that still changes queue state.
         q0, q1 = self.queues
         delivered = q0.deliveries + q1.deliveries
-        for uop in q0.deliver(now):
-            cores[uop.core_id].wake(uop)
-        for uop in q1.deliver(now):
-            cores[uop.core_id].wake(uop)
+        fifo = q0._fifo
+        if fifo and fifo[0][0] <= now:
+            for uop in q0.deliver(now):
+                cores[uop.core_id].wake(uop)
+        fifo = q1._fifo
+        if fifo and fifo[0][0] <= now:
+            for uop in q1.deliver(now):
+                cores[uop.core_id].wake(uop)
         delivered = q0.deliveries + q1.deliveries - delivered
-        # 2. Global in-order commit (multi-pass so replicas and the
-        #    cross-core retirement order resolve within one cycle; each
-        #    pass tries core 0, then core 1).
-        width = self.base.commit_width
-        left0 = left1 = width
-        gate = self._commit_gate
-        on_commit = self._on_commit
-        progress = True
-        while progress and (left0 > 0 or left1 > 0):
-            progress = False
-            if left0 > 0:
-                count = len(core0.phase_commit(now, gate, left0, on_commit))
-                if count:
-                    left0 -= count
-                    progress = True
-            if left1 > 0:
-                count = len(core1.phase_commit(now, gate, left1, on_commit))
-                if count:
-                    left1 -= count
-                    progress = True
-        retired = 2 * width - left0 - left1
-        # 3. Execution completion (fires sends and violation watches).
+        # 2. Global in-order commit.
+        retired0, retired1 = self._retire(now)
+        # 3. Execution completion (fires sends and violation watches),
+        #    on a core that has a completion due.
         on_complete = self._on_complete
-        completed = len(core0.phase_complete(now, on_complete))
-        completed += len(core1.phase_complete(now, on_complete))
+        completed = 0
+        heap = core0._completion_heap
+        if heap and heap[0][0] <= now:
+            completed = len(core0.phase_complete(now, on_complete))
+        heap = core1._completion_heap
+        if heap and heap[0][0] <= now:
+            completed += len(core1.phase_complete(now, on_complete))
         if self._pending_violations:
             self._process_violations(now)
         # 4. Issue.
@@ -237,11 +232,13 @@ class FgStpMachine(MachineShell):
         # 7. Global fetch + partition.
         fetched = self._global_fetch(now)
         # 8. Cycle accounting: every commit slot of both cores is
-        #    charged to exactly one cause this cycle.
-        cause = self._frontend_cause(now)
-        core0.attribute_cycle(now, width - left0, cause)
-        core1.attribute_cycle(now, width - left1, cause)
-        return (delivered or retired or completed or issued
+        #    charged to exactly one cause this cycle.  The front end's
+        #    cause is read only for a core with an empty ROB.
+        cause = (self._frontend_cause(now)
+                 if not core0._rob or not core1._rob else "fetch")
+        core0.attribute_cycle(now, retired0, cause)
+        core1.attribute_cycle(now, retired1, cause)
+        return (delivered or retired0 or retired1 or completed or issued
                 or dispatched or fed or fetched)
 
     def _frontend_cause(self, now: int) -> str:
@@ -333,31 +330,90 @@ class FgStpMachine(MachineShell):
     # Commit
     # ------------------------------------------------------------------
 
-    def _commit_gate(self, uop: Uop) -> bool:
-        return uop.seq == self.committed
+    def _retire(self, now: int) -> Tuple[int, int]:
+        """Retire in global sequence order at *now*; returns the uops
+        core 0 and core 1 retired.
 
-    def _on_commit(self, uop: Uop, cycle: int) -> None:
-        if self.tracer is not None:
-            # Every retired uop (replicas included), so the event stream
-            # reconciles with the per-core retire-slot ledger.
-            self.tracer.commit(uop, cycle)
-        self.recent_commits.append(uop)
-        seq = uop.seq
-        count = self._copies.get(seq, 1) - 1
-        if count <= 0:
-            self._copies.pop(seq, None)
-            self._live.pop(seq, None)
-            # The partition unit sends no value from below the commit
-            # frontier, so no later consumer looks these tags up.
-            comm_tags = self._comm_tags
-            if comm_tags:
-                comm_tags.pop((seq, 0), None)
-                comm_tags.pop((seq, 1), None)
-            self.committed = seq + 1
-            if self.commit_hook is not None:
-                self.commit_hook(uop, cycle)
-        else:
-            self._copies[seq] = count
+        The oldest uncommitted seq retires from the core that holds it
+        (it heads that core's ROB) once it completed before *now*, as
+        long as that core has commit slots left: ``commit_width`` each
+        per cycle.  A run of such seqs that one core holds alone
+        retires through that core's commit phase.  A replicated seq
+        commits when both copies have retired: the core that retired
+        the previous uop this cycle (core 0 at the start of a cycle)
+        retires its copy first, which is the order of passes that let
+        core 0 and then core 1 retire until neither can.
+        """
+        width = self.base.commit_width
+        left = [width, width]
+        live = self._live
+        cores = self.cores
+        tracer = self.tracer
+        recent = self.recent_commits
+        comm_tags = self._comm_tags
+        seq = self.committed
+        current = 0
+        uops = live.get(seq)
+        while uops is not None:
+            if len(uops) == 2:
+                core_id = current
+                uop = uops[core_id]
+                if uop.state != COMPLETED or uop.complete_cycle >= now \
+                        or not left[core_id]:
+                    core_id = 1 - core_id
+                    uop = uops[core_id]
+                if uop.state != COMPLETED or uop.complete_cycle >= now \
+                        or not left[core_id] \
+                        or cores[core_id].retire_head(now) is None:
+                    break
+                left[core_id] -= 1
+                current = core_id
+                if tracer is not None:
+                    tracer.commit(uop, now)
+                recent.append(uop)
+                if uops[1 - core_id].state != COMMITTED:
+                    continue
+                retired = (uop,)
+            else:
+                core_id = uops[0].core_id
+                budget = left[core_id]
+                run = 0
+                while run < budget:
+                    uop = uops[0]
+                    if uop.core_id != core_id or uop.state != COMPLETED \
+                            or uop.complete_cycle >= now:
+                        break
+                    run += 1
+                    uops = live.get(seq + run)
+                    if uops is None or len(uops) == 2:
+                        break
+                if not run:
+                    break
+                retired = cores[core_id].phase_commit(now, run)
+                if not retired:
+                    break
+                left[core_id] = budget - len(retired)
+                current = core_id
+                if tracer is not None:
+                    # Every retired uop (replicas included), so the
+                    # event stream reconciles with the per-core
+                    # retire-slot ledger.
+                    tracer.commits(retired, now)
+                recent.extend(retired)
+            for uop in retired:
+                del live[seq]
+                # The partition unit sends no value from below the
+                # commit frontier, so no later consumer looks these
+                # tags up.
+                if comm_tags:
+                    comm_tags.pop((seq, 0), None)
+                    comm_tags.pop((seq, 1), None)
+                seq += 1
+                self.committed = seq
+                if self.commit_hook is not None:
+                    self.commit_hook(uop, now)
+            uops = live.get(seq)
+        return width - left[0], width - left[1]
 
     # ------------------------------------------------------------------
     # Completion callbacks: communication sends, violations, stalls
@@ -398,7 +454,7 @@ class FgStpMachine(MachineShell):
                 tag = ValueTag(label=f"fwd@{store.seq}")
                 tag.ready_cycle = forward_at
                 load.extra_deps.append(tag)
-            elif state == COMMITTED:  # pragma: no cover - gate forbids it
+            elif state == COMMITTED:  # pragma: no cover - seq order forbids it
                 raise RuntimeError(
                     f"load {load!r} committed before its producer store "
                     f"{store!r} completed")
@@ -452,7 +508,6 @@ class FgStpMachine(MachineShell):
             for uop in live.pop(seq):
                 send_map.pop(uop.uid, None)
                 watch.pop(uop.uid, None)
-            self._copies.pop(seq, None)
             comm_tags.pop((seq, 0), None)
             comm_tags.pop((seq, 1), None)
         if self._stall_seq is not None and self._stall_seq >= squash_seq:
@@ -575,56 +630,59 @@ class FgStpMachine(MachineShell):
         return not self._feed[0] and not self._feed[1]
 
     def _partition_batch(self, now: int) -> None:
+        """Partition the batch, then build and wire its uops in one pass
+        in record order: a queue delivers at most ``queue_bandwidth``
+        entries a cycle, so the order of one cycle's sends is timing."""
         batch = self._batch
         if not batch:
             return
         self._batch = []
         # The batch is always the records just below the fetch cursor.
         first = self._fetch_cursor - len(batch)
-        assignments = self.partitioner.partition(
+        partitioner = self.partitioner
+        masks, wiring = partitioner.partition(
             batch, first, committed_seq=self.committed)
         available_at = now + self.fgstp.partition_latency
         tracer = self.tracer
+        steals = partitioner.steals
         live = self._live
-        copies = self._copies
-        feeds = self._feed
+        feed0, feed1 = self._feed
         uid = self._next_uid
-        for seq, (record, assignment) in enumerate(zip(batch, assignments),
-                                                   first):
-            cores = assignment.cores
-            if len(cores) == 1:
-                uops = [Uop(record, seq, uid, False, cores[0])]
-                uid += 1
-            else:
+        for offset, (record, mask, wire) in enumerate(
+                zip(batch, masks, wiring)):
+            seq = first + offset
+            if mask == 3:
                 uops = [Uop(record, seq, uid, True, 0),
                         Uop(record, seq, uid + 1, True, 1)]
                 uid += 2
+                feed0.append((available_at, uops[0]))
+                feed1.append((available_at, uops[1]))
+            else:
+                uop = Uop(record, seq, uid, False, mask >> 1)
+                uops = [uop]
+                uid += 1
+                (feed1 if mask == 2 else feed0).append((available_at, uop))
             live[seq] = uops
-            copies[seq] = len(uops)
-            if tracer is not None and assignment.stolen:
+            if tracer is not None and offset in steals:
+                core = 1 if mask == 2 else 0
                 tracer.instant(
-                    "steal", now, seq=seq, core=cores[0],
-                    detail=f"balance override -> core {cores[0]}")
-            # Only communicated sources and memory ops need wiring.
-            op_class = record.op_class
-            if assignment.comm_srcs or op_class == _LOAD \
-                    or op_class == _STORE:
-                self._wire_dependences(record, assignment, uops, now)
-            for uop in uops:
-                feeds[uop.core_id].append((available_at, uop))
+                    "steal", now, seq=seq, core=core,
+                    detail=f"balance override -> core {core}")
+            if wire is not None:
+                self._wire_dependences(record, wire, uops, now)
         self._next_uid = uid
 
-    def _wire_dependences(self, record: TraceRecord,
-                          assignment: Assignment, uops: List[Uop],
-                          now: int) -> None:
-        # Register values crossing the fabric, in ``comm_srcs`` order:
-        # it fixes tag creation and queue send order.
-        for producer_seq, dest_core in assignment.comm_srcs:
-            tag = self._get_comm_tag(producer_seq, dest_core, now)
-            if tag is not None:
-                for uop in uops:
-                    if uop.core_id == dest_core:
-                        uop.extra_deps.append(tag)
+    def _wire_dependences(self, record: TraceRecord, wire,
+                          uops: List[Uop], now: int) -> None:
+        comm, mem_dep = wire
+        # Register values crossing the fabric, in ``comm`` order: it
+        # fixes tag creation and queue send order.
+        if comm is not None:
+            for producer_seq, dest_core in comm:
+                tag = self._get_comm_tag(producer_seq, dest_core, now)
+                if tag is not None:
+                    uops[dest_core if len(uops) == 2 else 0] \
+                        .extra_deps.append(tag)
         op_class = record.op_class
         if op_class == _STORE:
             self._last_store[uops[0].core_id] = uops[0]
@@ -637,9 +695,9 @@ class FgStpMachine(MachineShell):
             # hardware has no way to know their addresses differ.  This
             # conservative ordering is exactly what speculation removes.
             self._wire_conservative_load(uops[0], now)
-        elif assignment.mem_dep is not None:
+        elif mem_dep is not None:
             # Cross-core memory dependence of a load.
-            self._wire_mem_dep(record, assignment, uops[0], now)
+            self._wire_mem_dep(record, mem_dep, uops[0], now)
 
     def _get_comm_tag(self, producer_seq: int, dest_core: int,
                       now: int) -> Optional[ValueTag]:
@@ -674,9 +732,10 @@ class FgStpMachine(MachineShell):
         self._send_map.setdefault(store.uid, []).append(tag)
         load_uop.extra_deps.append(tag)
 
-    def _wire_mem_dep(self, record: TraceRecord, assignment: Assignment,
-                      load_uop: Uop, now: int) -> None:
-        store_seq, store_pc = assignment.mem_dep
+    def _wire_mem_dep(self, record: TraceRecord,
+                      mem_dep: Tuple[int, int], load_uop: Uop,
+                      now: int) -> None:
+        store_seq, store_pc = mem_dep
         # The hardware observes this dependence when the pair executes;
         # training the partitioner's pair table here models that
         # commit-time learning (it only affects *future* instances).

@@ -17,11 +17,12 @@ the paper are implemented here:
    induction variables and address arithmetic from ping-ponging between
    the cores.
 
-3. **Dependence reporting for communication and speculation** — per
-   instruction, which source values must cross the fabric and which
-   loads face a cross-core memory dependence.  Producers come from the
-   trace's dependence index (:func:`repro.trace.analysis.dependences`);
-   the partitioner itself records only each instruction's cores.
+3. **Dependence reporting for communication and speculation** — for
+   the instructions that need wiring, which source values must cross
+   the fabric and which cross-core store a load depends on.  Producers
+   come from the trace's dependence index
+   (:func:`repro.trace.analysis.dependences`); the partitioner itself
+   records only each instruction's cores.
 
 The partitioner is purely *decisional*: it never touches timing state.
 The orchestrator turns its decisions into uops, value tags and queue
@@ -39,10 +40,6 @@ from ..trace.record import TraceRecord
 from .params import DEFAULT_OP_WEIGHTS, FgStpParams
 from .policies import POLICIES
 
-# Shared per-assignment ``cores`` tuples: by core, and for a replica.
-_SOLO = ((0,), (1,))
-_PAIR = (0, 1)
-
 #: Every op class in value order; per-class tables are tuples indexed
 #: by ``record.op_class``.
 _OP_CLASSES = tuple(OpClass)
@@ -52,45 +49,10 @@ _STORE = OpClass.STORE
 _UNREPLICABLE = frozenset((OpClass.LOAD, OpClass.STORE, OpClass.BRANCH,
                            OpClass.JUMP))
 
-
-class Assignment:
-    """Partitioning decision for one dynamic instruction.
-
-    Attributes:
-        seq: Dynamic sequence number (position in the tracked trace).
-        cores: Execution cores (one entry, or two when replicated).
-        comm_srcs: Source register values that must be communicated,
-            as ``(producer_seq, dest_core)`` pairs (deduplicated by the
-            orchestrator's per-(producer, core) tag map), in the order
-            the orchestrator creates their tags and sends them.
-        mem_dep: For loads with a cross-core in-flight producer store:
-            ``(store_seq, store_pc)``; ``None`` otherwise.
-        stolen: True when load balance overrode producer affinity (the
-            instruction was "stolen" by the lighter core; surfaced as a
-            trace event, never part of the result).
-        replicated: Convenience flag (``len(cores) == 2``).
-    """
-
-    __slots__ = ("seq", "cores", "comm_srcs", "mem_dep", "stolen")
-
-    def __init__(self, seq: int, cores: Tuple[int, ...],
-                 comm_srcs: List[Tuple[int, int]],
-                 mem_dep: Optional[Tuple[int, int]] = None,
-                 stolen: bool = False):
-        self.seq = seq
-        self.cores = cores
-        self.comm_srcs = comm_srcs
-        self.mem_dep = mem_dep
-        self.stolen = stolen
-
-    @property
-    def replicated(self) -> bool:
-        return len(self.cores) == 2
-
-    def __repr__(self) -> str:
-        return (f"Assignment(seq={self.seq}, cores={self.cores}, "
-                f"comm_srcs={self.comm_srcs}, mem_dep={self.mem_dep}, "
-                f"stolen={self.stolen})")
+#: One record's wiring needs, ``(comm, mem_dep)`` (see
+#: :meth:`Partitioner.partition`), or ``None`` when it needs none.
+Wiring = Optional[Tuple[Optional[List[Tuple[int, int]]],
+                        Optional[Tuple[int, int]]]]
 
 
 @dataclass
@@ -176,6 +138,13 @@ class Partitioner:
         # only; cleared every partition() call).
         self._last_steals: Set[int] = set()
 
+    @property
+    def steals(self) -> Set[int]:
+        """Offsets into the last batch where load balance overrode
+        producer affinity (the instruction was "stolen" by the lighter
+        core; surfaced as a trace event, never part of the result)."""
+        return self._last_steals
+
     def _class_weights(self) -> Tuple[float, ...]:
         """:attr:`weights` as a tuple indexed by ``OpClass`` value."""
         return tuple(map(self.weights.__getitem__, _OP_CLASSES))
@@ -202,7 +171,7 @@ class Partitioner:
     # ------------------------------------------------------------------
 
     def partition(self, batch: Sequence[TraceRecord], first_seq: int,
-                  committed_seq: int = 0) -> List[Assignment]:
+                  committed_seq: int = 0) -> Tuple[bytes, List[Wiring]]:
         """Assign every instruction in *batch* and record its cores.
 
         Args:
@@ -214,10 +183,23 @@ class Partitioner:
                 by instructions older than this are architecturally
                 visible on both cores and never need communication.
 
-        Returns one :class:`Assignment` per record, in order.
+        Returns ``(masks, wiring)``, both indexed like *batch*.
+        ``masks[k]`` is ``batch[k]``'s core mask (1 = core 0, 2 = core
+        1, 3 = replicated on both).  ``wiring[k]`` is ``None`` unless
+        the record needs wiring — it is a load or a store, or a source
+        value must cross the fabric — and then ``(comm, mem_dep)``:
+
+        * ``comm``: ``None`` or the ``(producer_seq, dest_core)`` pairs
+          whose value must be communicated, in the order the
+          orchestrator creates their tags and sends them;
+        * ``mem_dep``: for a load whose producer store is in flight on
+          the other core, ``(store_seq, store_pc)``; else ``None``.
+
+        :attr:`steals` holds the offsets where balance overrode
+        affinity.
         """
         if not batch:
-            return []
+            return b"", []
         self._first_seq = first_seq
         self._committed_seq = committed_seq
         self._last_steals.clear()
@@ -384,31 +366,29 @@ class Partitioner:
     # -- pass 3: emission ----------------------------------------------
 
     def _emit_pass(self, batch: Sequence[TraceRecord], cores: List[int],
-                   replicated: Set[int]) -> List[Assignment]:
+                   replicated: Set[int]) -> Tuple[bytes, List[Wiring]]:
         producers, stores = self._deps
         mask = self._mask
-        steals = self._last_steals
         committed = self._committed_seq
-        assignments: List[Assignment] = []
+        wiring: List[Wiring] = [None] * len(batch)
         solo_core1 = replicas = comm_values = cross_mem_deps = 0
         first = self._first_seq
         for offset, record in enumerate(batch):
             seq = first + offset
             if replicated and offset in replicated:
-                my_cores: Tuple[int, ...] = _PAIR
                 my_mask = 3
                 replicas += 1
             else:
                 core = cores[offset]
-                my_cores = _SOLO[core]
                 my_mask = 1 << core
                 solo_core1 += core
             mask[seq] = my_mask
 
             # Source communication needs (committed values are visible
-            # everywhere and never cross the fabric).  Iterating a set
-            # of two or more sources fixes tag creation and send order.
-            comm_srcs: List[Tuple[int, int]] = []
+            # everywhere and never cross the fabric): each of my cores
+            # the producer is not on, core 0 first.  Iterating a set of
+            # two or more sources fixes tag creation and send order.
+            comm = None
             srcs = record.srcs
             if srcs:
                 sources = producers[seq]
@@ -417,23 +397,30 @@ class Partitioner:
                 for producer in sources:
                     if producer < committed:
                         continue
-                    producer_mask = mask[producer]
-                    for dest in my_cores:
-                        if not producer_mask >> dest & 1:
-                            comm_srcs.append((producer, dest))
-                comm_values += len(comm_srcs)
-            # Cross-core memory dependence (single-core loads only;
-            # same-core pairs are handled by the core's own store
-            # forwarding).
-            mem_dep = None
-            if record.op_class == _LOAD:
+                    missing = my_mask & ~mask[producer]
+                    if missing:
+                        if comm is None:
+                            comm = []
+                        if missing & 1:
+                            comm.append((producer, 0))
+                        if missing & 2:
+                            comm.append((producer, 1))
+                if comm is not None:
+                    comm_values += len(comm)
+            op_class = record.op_class
+            if op_class == _LOAD:
+                # Cross-core memory dependence (single-core loads only;
+                # same-core pairs are handled by the core's own store
+                # forwarding).
+                mem_dep = None
                 store = stores[seq]
                 if store is not None and store[0] >= committed \
                         and not mask[store[0]] & my_mask:
                     mem_dep = store
                     cross_mem_deps += 1
-            assignments.append(Assignment(seq, my_cores, comm_srcs, mem_dep,
-                                          offset in steals))
+                wiring[offset] = (comm, mem_dep)
+            elif comm is not None or op_class == _STORE:
+                wiring[offset] = (comm, None)
 
         stats = self.stats
         stats.assigned += len(batch)
@@ -442,7 +429,7 @@ class Partitioner:
         stats.replicated += replicas
         stats.comm_values += comm_values
         stats.cross_mem_deps += cross_mem_deps
-        return assignments
+        return bytes(mask[first:first + len(batch)]), wiring
 
     # ------------------------------------------------------------------
     # Memory-pair training

@@ -11,8 +11,8 @@ Fault kinds (see :data:`KINDS`):
 
 * ``stuck_queue`` — an :class:`~repro.fgstp.comm.InterCoreQueue` stops
   delivering after ``after`` deliveries (stuck credits): consumers of
-  in-flight values never wake, the global commit gate starves, and the
-  machine livelocks.
+  in-flight values never wake, global commit starves, and the machine
+  livelocks.
 * ``drop_sends`` — every ``every``-th queue send is silently dropped
   (a lost message): the consumer's :class:`ValueTag` is never
   satisfied.
@@ -23,8 +23,10 @@ Fault kinds (see :data:`KINDS`):
   "speculate" regardless of training: violation squash storms, but
   forward progress must survive.
 * ``commit_stall`` — retirement stops after ``after`` commits (a stuck
-  commit gate): completed work piles up behind a head that never
-  retires.
+  commit stage): completed work piles up behind a head that never
+  retires.  A single-core machine stops at the end of the commit group
+  that reaches ``after``; Fg-STP stops after exactly ``after`` retired
+  uops, each replica counted.
 * ``corrupt_checkpoint`` — checkpoint files are written normally for
   the first ``after`` snapshots, then every later file has a payload
   byte flipped after landing on disk.  *Not* a hang: the checkpoint
@@ -246,22 +248,9 @@ def _inject_corrupt_specdep(machine: Any, spec: ChaosSpec) -> bool:
 
 def _inject_commit_stall(machine: Any, spec: ChaosSpec) -> bool:
     after = spec.get("after", 100)
-    gate = getattr(machine, "_commit_gate", None)
-    if gate is not None:
-        state = {"committed": 0}
-
-        def stalled_gate(uop, _orig=gate, _state=state):
-            if _state["committed"] >= after:
-                return False
-            if _orig(uop):
-                _state["committed"] += 1
-                return True
-            return False
-
-        machine._commit_gate = stalled_gate
-        return True
     core = getattr(machine, "core", None)
     if core is not None:
+        # A single-core machine stalls at commit-group granularity.
         original = core.phase_commit
         state = {"committed": 0}
 
@@ -274,6 +263,22 @@ def _inject_commit_stall(machine: Any, spec: ChaosSpec) -> bool:
             return retired
 
         core.phase_commit = phase_commit
+        return True
+    cores = getattr(machine, "cores", None)
+    if cores:
+        # Fg-STP retires uop by uop through each core's retire step:
+        # after ``after`` uops, replicas counted, no head retires.
+        state = {"retired": 0}
+        for each in cores:
+            def retire_head(cycle, _orig=each.retire_head, _state=state):
+                if _state["retired"] >= after:
+                    return None
+                head = _orig(cycle)
+                if head is not None:
+                    _state["retired"] += 1
+                return head
+
+            each.retire_head = retire_head
         return True
     return False
 

@@ -146,10 +146,16 @@ def replay_run_fn(context: Dict[str, Any]
     prefixes are exactly the bulk it exists to remove — and without a
     sampled tracer.
 
+    The probe job's machine is built once here, so a recipe that builds
+    none fails before any probe runs, not as probes that "do not fail".
+
     Raises:
         KeyError: when the recipe is not a job's.
+        TypeError / ValueError: when its job builds no machine (say, an
+            override no machine accepts).
     """
     from ..harness.parallel import SweepJob, execute_job
+    from ..harness.runners import new_machine
 
     job = SweepJob.from_dict(context)
     overrides = dict(job.overrides)
@@ -158,6 +164,8 @@ def replay_run_fn(context: Dict[str, Any]
     probe = dataclasses.replace(job, config=job.config.with_(warmup=0),
                                 overrides=tuple(sorted(overrides.items())),
                                 trace=False)
+    new_machine(probe.machine, probe.base, probe.fgstp,
+                **dict(probe.overrides))
 
     def run(candidate: Sequence[TraceRecord]):
         return execute_job(probe, list(candidate))

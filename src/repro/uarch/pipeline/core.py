@@ -124,11 +124,10 @@ class CycleCore:
         cluster_issue_width: Per-cluster issue limit (defaults to
             ``issue_width // num_clusters``).
 
-    The completion and retirement callbacks are arguments of
-    :meth:`phase_complete` and :meth:`phase_commit`, not attributes: a
-    core that stored its owner's bound methods would form a reference
-    cycle with it, and every finished machine would wait for the cycle
-    collector.
+    The completion callback is an argument of :meth:`phase_complete`,
+    not an attribute: a core that stored its owner's bound methods would
+    form a reference cycle with it, and every finished machine would
+    wait for the cycle collector.
     """
 
     def __init__(self, params: CoreParams, hierarchy: CacheHierarchy,
@@ -209,60 +208,60 @@ class CycleCore:
     # ------------------------------------------------------------------
 
     def phase_commit(self, cycle: int,
-                     gate: Optional[Callable[[Uop], bool]] = None,
-                     budget: Optional[int] = None,
-                     on_commit: Optional[Callable[[Uop, int], None]] = None
-                     ) -> List[Uop]:
-        """Retire up to ``commit_width`` completed uops from the ROB head.
-
-        Args:
-            gate: Optional predicate consulted per uop; retirement stops
-                at the first uop for which it returns False (Fg-STP's
-                global in-order commit gate).
-            budget: Optional override of the remaining commit slots this
-                cycle (used when the phase runs multiple passes per cycle).
-            on_commit: Optional callback ``(uop, cycle)`` fired as each
-                uop retires (Fg-STP's global commit bookkeeping).
+                     budget: Optional[int] = None) -> List[Uop]:
+        """Retire up to *budget* (default ``commit_width``) completed
+        uops from the ROB head: :meth:`retire_head` until it declines.
 
         Returns:
             The uops retired by this call, oldest first.
         """
         committed: List[Uop] = []
+        if not self._rob:
+            return committed
+        retire = self.retire_head
+        for _ in range(self.params.commit_width if budget is None
+                       else budget):
+            head = retire(cycle)
+            if head is None:
+                break
+            committed.append(head)
+        return committed
+
+    def retire_head(self, cycle: int) -> Optional[Uop]:
+        """Retire the ROB head if it completed before *cycle*.
+
+        The one retire step: :meth:`phase_commit` repeats it, and the
+        Fg-STP machine calls it on the core whose ROB head is the
+        oldest uncommitted seq.  Returns the retired uop, or ``None``
+        when the ROB is empty or its head has not completed before
+        *cycle*.
+        """
         rob = self._rob
         if not rob:
-            return committed
-        width = self.params.commit_width if budget is None else budget
-        stats = self.stats
-        store_map = self._store_map
-        reg_map = self._reg_map
-        count = 0
-        while rob and count < width:
-            head = rob[0]
-            if head.state != COMPLETED or head.complete_cycle >= cycle:
-                break
-            if gate is not None and not gate(head):
-                break
-            rob.popleft()
-            head.state = COMMITTED
-            head.commit_cycle = cycle
-            record = head.record
-            if head.is_memory:
-                self._lsq_count -= 1
-                if record.op_class == _STORE:
-                    # Charge the write for statistics at retirement.
-                    address = record.mem_addr
-                    self.hierarchy.store(address, cycle)
-                    if store_map.get(address) is head:
-                        del store_map[address]
-            dst = record.dst
-            if dst is not None and reg_map.get(dst) is head:
+            return None
+        head = rob[0]
+        if head.state != COMPLETED or head.complete_cycle >= cycle:
+            return None
+        rob.popleft()
+        head.state = COMMITTED
+        head.commit_cycle = cycle
+        record = head.record
+        if head.is_memory:
+            self._lsq_count -= 1
+            if record.op_class == _STORE:
+                # Charge the write for statistics at retirement.
+                address = record.mem_addr
+                self.hierarchy.store(address, cycle)
+                store_map = self._store_map
+                if store_map.get(address) is head:
+                    del store_map[address]
+        dst = record.dst
+        if dst is not None:
+            reg_map = self._reg_map
+            if reg_map.get(dst) is head:
                 del reg_map[dst]
-            stats.committed += 1
-            count += 1
-            committed.append(head)
-            if on_commit is not None:
-                on_commit(head, cycle)
-        return committed
+        self.stats.committed += 1
+        return head
 
     def phase_complete(self, cycle: int,
                        on_complete: Optional[Callable[[Uop, int], None]]
@@ -522,8 +521,9 @@ class CycleCore:
         instruction (the ROB head), falling back to *frontend_cause*
         when the core is empty:
 
-        1. head completed earlier but still here — only an external
-           commit gate can hold a finished head, so ``intercore_wait``;
+        1. head completed earlier but still here — only Fg-STP's
+           global commit order can hold a finished head, so
+           ``intercore_wait``;
         2. head is a load executing beyond the L1 hit latency —
            ``load_miss``;
         3. head waits on an unsatisfied inter-core value —
@@ -566,7 +566,7 @@ class CycleCore:
         if state == COMPLETED:
             if head.complete_cycle >= cycle:
                 return "exec"  # finished this cycle; retires next
-            return "intercore_wait"  # held by the global commit gate
+            return "intercore_wait"  # held by the global commit order
         if state == ISSUED:
             latency = head.complete_cycle - head.issue_cycle
             if (head.record.op_class == _LOAD and not head.forwarded
@@ -614,9 +614,10 @@ class CycleCore:
             head = rob[0]
             state = head.state
             if state == COMPLETED:
-                # Commit eligibility (phase_commit requires
+                # Commit eligibility (retire_head requires
                 # ``complete_cycle < cycle``); a head already eligible
-                # but held by an external gate schedules nothing here.
+                # but held by the global commit order schedules nothing
+                # here.
                 eligible = head.complete_cycle + 1
                 if eligible > cycle and eligible < nxt:
                     nxt = eligible
@@ -778,7 +779,7 @@ class CycleCore:
 
         Raises:
             PipelineDrainError: when uops are still in flight (a
-                deadlock or a commit-gate bug would surface here
+                deadlock or a commit-order bug would surface here
                 instead of hanging).  The error carries this core's
                 snapshot; the owning machine attaches run-level partial
                 statistics before re-raising.

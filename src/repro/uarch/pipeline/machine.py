@@ -32,7 +32,7 @@ from ..branch.btb import FrontEndPredictor
 from ..cache.hierarchy import CacheHierarchy
 from ..params import CoreParams
 from ..warmup import split_warmup, warm_state
-from .core import CycleCore, skip_ahead_enabled
+from .core import NO_EVENT, CycleCore, skip_ahead_enabled
 from .fetch import SelfFetchUnit
 from .uop import Uop
 
@@ -228,10 +228,17 @@ class MachineShell:
     def _run_measured(self, prefix: Sequence[TraceRecord],
                       measured: Sequence[TraceRecord], workload: str,
                       snapshot: Optional[Snapshot] = None,
-                      payload: Optional[bytes] = None) -> SimResult:
+                      payload: Optional[bytes] = None,
+                      limit: Optional[int] = None) -> Optional[SimResult]:
         """Run the *measured* records to completion after the warm-up
         *prefix*; no periodic checkpoints.  A record's position in
         *measured* is its seq, whatever its ``seq`` field holds.
+
+        With a cycle *limit* the run stops, and returns ``None``, at the
+        first loop top whose cycle has reached *limit* with records
+        left to commit: its result would take more than *limit*
+        cycles.  A stopped run raises no hang or limit failure past
+        that point.
 
         Without *payload* the run starts fresh, warmed on *prefix*, and
         polls *snapshot* in place of the periodic checkpointer.  With a
@@ -248,7 +255,8 @@ class MachineShell:
             cycle = self._fresh(prefix, measured)
         else:
             cycle = self._adopt_state(loads_state(payload), measured)
-        return self._run_loop(workload, cycle, len(measured), snapshot)
+        return self._run_loop(workload, cycle, len(measured), snapshot,
+                              NO_EVENT if limit is None else limit)
 
     def _fresh(self, prefix: Sequence[TraceRecord],
                measured: Sequence[TraceRecord]) -> int:
@@ -262,12 +270,15 @@ class MachineShell:
         return 0
 
     def _run_loop(self, workload: str, cycle: int, total: int,
-                  ckpt: Optional[Checkpointer | Snapshot]) -> SimResult:
+                  ckpt: Optional[Checkpointer | Snapshot],
+                  limit: int = NO_EVENT) -> Optional[SimResult]:
         watchdog = self.watchdog
         skip = self.skip_ahead
         max_cycles = self.max_cycles
         step = self._step
         while self.committed < total:
+            if cycle >= limit:
+                return None
             committed = self.committed
             if ckpt is not None and ckpt.due(committed):
                 ckpt.take(cycle, committed,

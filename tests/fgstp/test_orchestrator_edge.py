@@ -6,6 +6,7 @@ from repro.fgstp.orchestrator import FgStpMachine, simulate_fgstp
 from repro.fgstp.params import FgStpParams
 from repro.harness.runners import MACHINES, build_machine
 from repro.isa.opcodes import OpClass
+from repro.obs.tracer import PipelineTracer
 from repro.trace.record import TraceRecord
 from repro.uarch.params import small_core_config
 from repro.workloads.generator import generate_trace
@@ -96,26 +97,34 @@ def test_huge_recovery_penalty_still_terminates():
 
 
 def test_commit_monotonic_seq():
-    """Global retirement must be in strict sequence order."""
+    """Global retirement must be in strict sequence order: every retired
+    uop (the tracer records replicas too) and every architectural
+    retirement (the commit hook)."""
     base = small_core_config()
-    machine = FgStpMachine(base)
-    committed = []
-    original = machine._on_commit
-
-    def recording(uop, cycle):
-        committed.append(uop.seq)
-        original(uop, cycle)
-
-    # The cycle loop reads the callback it hands the cores every cycle.
-    machine._on_commit = recording
+    tracer = PipelineTracer(capacity=1 << 16)
+    architectural = []
+    machine = FgStpMachine(
+        base, tracer=tracer,
+        commit_hook=lambda uop, cycle: architectural.append(uop.seq))
     trace = generate_trace("gcc", 1200)
     machine.run(trace)
+    assert tracer.dropped == 0
+    retired = [(event.cycle, event.seq, event.core, event.replica)
+               for event in tracer.events("uop")]
+    assert retired == sorted(retired, key=lambda entry: entry[:2])
+    seqs = [seq for _, seq, _, _ in retired]
     non_replica = []
-    for seq in committed:
+    for seq in seqs:
         if not non_replica or seq != non_replica[-1]:
             non_replica.append(seq)
-    assert non_replica == sorted(non_replica)
     assert non_replica == list(range(len(trace)))
+    assert architectural == non_replica
+    # A replicated seq retires once on each core.
+    replicas = [(seq, core) for _, seq, core, replica in retired if replica]
+    assert replicas
+    assert sorted(replicas) == sorted(
+        (seq, core) for seq in {seq for seq, _ in replicas}
+        for core in (0, 1))
 
 
 @pytest.mark.parametrize("machine", MACHINES)

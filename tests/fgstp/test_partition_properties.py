@@ -2,8 +2,8 @@
 
 Whatever trace shape the workload generator produces, a partition must
 cover each dynamic instruction exactly once across the two cores — one
-:class:`Assignment` per record, in order, executing on core 0, core 1,
-or (replicated) both.  Hypothesis drives the generator over random
+core mask per record, in order, executing on core 0, core 1, or
+(replicated) both.  Hypothesis drives the generator over random
 (benchmark, length, seed, batch-size) points so the invariants get
 exercised far beyond the hand-written traces in ``test_partitioner.py``.
 """
@@ -15,6 +15,8 @@ from repro.fgstp.params import FgStpParams
 from repro.fgstp.partitioner import Partitioner
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import ALL_NAMES
+
+from .emission import per_record
 
 #: A trace-shape-diverse subset (ILP-rich, streaming, mispredict-bound,
 #: pointer-chasing, FP) — full-suite coverage without 20x the runtime.
@@ -41,7 +43,7 @@ def test_partition_covers_each_instruction_exactly_once(case):
     assignments = []
     for start in range(0, len(trace), batch_size):
         assignments.extend(
-            partitioner.partition(trace[start:start + batch_size], start))
+            per_record(partitioner, trace[start:start + batch_size], start))
 
     # Exactly one assignment per dynamic instruction, in order.
     assert [assignment.seq for assignment in assignments] \
@@ -72,8 +74,8 @@ def test_partition_without_replication_is_disjoint(case):
                                           replication=False))
     partitioner.track(trace)
     for start in range(0, len(trace), batch_size):
-        for assignment in partitioner.partition(
-                trace[start:start + batch_size], start):
+        for assignment in per_record(
+                partitioner, trace[start:start + batch_size], start):
             assert len(assignment.cores) == 1
             assert not assignment.replicated
     assert partitioner.stats.replicated == 0
@@ -85,5 +87,5 @@ def test_all_suite_profiles_partition_cleanly():
         trace = generate_trace(name, 64, seed=7)
         partitioner = Partitioner(FgStpParams(batch_size=16))
         partitioner.track(trace)
-        assignments = partitioner.partition(trace, 0)
+        assignments = per_record(partitioner, trace, 0)
         assert len(assignments) == len(trace)

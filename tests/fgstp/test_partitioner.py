@@ -7,6 +7,8 @@ from repro.fgstp.partitioner import Partitioner
 from repro.isa.opcodes import OpClass
 from repro.trace.record import TraceRecord
 
+from .emission import per_record
+
 
 def alu(seq, dst, srcs=()):
     return TraceRecord(seq, seq, OpClass.IALU, dst, tuple(srcs))
@@ -30,7 +32,7 @@ def test_assigns_every_instruction():
     partitioner = make_partitioner()
     batch = [alu(i, dst=(i % 5) + 1) for i in range(20)]
     partitioner.track(batch)
-    assignments = partitioner.partition(batch, 0)
+    assignments = per_record(partitioner, batch, 0)
     assert len(assignments) == 20
     for assignment in assignments:
         assert assignment.cores in ((0,), (1,), (0, 1))
@@ -46,7 +48,7 @@ def test_chains_stay_on_one_core():
         else:
             batch.append(alu(i, dst=2, srcs=(2,)))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch, 0)
+    assignments = per_record(partitioner, batch, 0)
     chain_a = {assignments[i].cores for i in range(0, 12, 2)}
     chain_b = {assignments[i].cores for i in range(1, 12, 2)}
     assert len(chain_a) == 1
@@ -60,7 +62,7 @@ def test_independent_chains_split_across_cores():
         reg = (i % 2) + 1
         batch.append(alu(i, dst=reg, srcs=(reg,)))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch, 0)
+    assignments = per_record(partitioner, batch, 0)
     used_cores = {assignment.cores[0] for assignment in assignments}
     assert used_cores == {0, 1}
 
@@ -73,7 +75,7 @@ def test_mem_sites_sticky_by_pc():
         batch.append(TraceRecord(i, 77, OpClass.LOAD, 3, (20,),
                                  mem_addr=0x1000 + 8 * i, mem_size=8))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch, 0)
+    assignments = per_record(partitioner, batch, 0)
     assert len({a.cores for a in assignments}) == 1
 
 
@@ -97,9 +99,9 @@ def test_learned_pair_colocates_load_with_store():
         return records
 
     partitioner.track(batch(0) + batch(12))
-    partitioner.partition(batch(0), 0)
+    per_record(partitioner, batch(0), 0)
     partitioner.learn_pair(load_pc, store_pc)
-    assignments = partitioner.partition(batch(12), 12)
+    assignments = per_record(partitioner, batch(12), 12)
     store_cores = {assignments[i].cores[0] for i in range(0, 12, 2)}
     load_cores = {assignments[i].cores[0] for i in range(1, 12, 2)}
     assert store_cores == load_cores
@@ -121,11 +123,11 @@ def test_cross_core_mem_dep_reported_truthfully():
                     mem_addr=0xA00, mem_size=8),
     ]
     partitioner.track(warm + chain + batch)
-    partitioner.partition(warm, 0)
+    per_record(partitioner, warm, 0)
     store_core = partitioner._store_pc_core[50]
-    assignments = partitioner.partition(chain, 2)
+    assignments = per_record(partitioner, chain, 2)
     chain_core = assignments[-1].cores[0]
-    result = partitioner.partition(batch, 22)
+    result = per_record(partitioner, batch, 22)
     if result[1].cores[0] != result[0].cores[0]:
         assert result[1].mem_dep == (22, 50)
     else:
@@ -142,9 +144,9 @@ def test_cross_core_mem_dep_reported():
     batch_b = [alu(11 + i, dst=2, srcs=(2,)) for i in range(30)]
     batch_b.append(load(41, dst=2, addr=0x4000, srcs=(2,)))
     partitioner.track(batch_a + batch_b)
-    assignments_a = partitioner.partition(batch_a, 0)
+    assignments_a = per_record(partitioner, batch_a, 0)
     store_core = assignments_a[-1].cores[0]
-    assignments_b = partitioner.partition(batch_b, 11)
+    assignments_b = per_record(partitioner, batch_b, 11)
     load_assignment = assignments_b[-1]
     if load_assignment.cores[0] != store_core:
         assert load_assignment.mem_dep == (10, 10)
@@ -155,11 +157,11 @@ def test_cross_core_mem_dep_reported():
 def test_committed_values_need_no_communication():
     partitioner = make_partitioner()
     partitioner.track([alu(0, dst=1), alu(1, dst=2, srcs=(1,))])
-    partitioner.partition([alu(0, dst=1)], 0)
+    per_record(partitioner, [alu(0, dst=1)], 0)
     # Producer commits; the consumer partitioned later must not report
     # any communication for r1.
-    assignments = partitioner.partition([alu(1, dst=2, srcs=(1,))], 1,
-                                        committed_seq=1)
+    assignments = per_record(partitioner, [alu(1, dst=2, srcs=(1,))], 1,
+                             committed_seq=1)
     assert assignments[0].comm_srcs == []
 
 
@@ -172,7 +174,7 @@ def test_replication_of_shared_cheap_value():
         reg = (i % 2) + 1
         batch.append(alu(i, dst=reg, srcs=(reg, 3)))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch, 0, committed_seq=0)
+    assignments = per_record(partitioner, batch, 0, committed_seq=0)
     consumer_cores = {assignments[i].cores[0] for i in range(1, 21)}
     if consumer_cores == {0, 1}:
         assert assignments[0].replicated
@@ -186,7 +188,7 @@ def test_replication_disabled():
         reg = (i % 2) + 1
         batch.append(alu(i, dst=reg, srcs=(reg, 3)))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch, 0)
+    assignments = per_record(partitioner, batch, 0)
     assert not any(a.replicated for a in assignments)
 
 
@@ -197,7 +199,7 @@ def test_expensive_ops_never_replicated():
         reg = (i % 2) + 34
         batch.append(TraceRecord(i, i, OpClass.FADD, reg, (reg, 33)))
     partitioner.track(batch)
-    assignments = partitioner.partition(batch, 0)
+    assignments = per_record(partitioner, batch, 0)
     assert not assignments[0].replicated
 
 
@@ -210,8 +212,8 @@ def test_rewind_then_repartition_is_well_formed():
     batch = [alu(i, dst=(i % 3) + 1, srcs=((i % 3) + 1,))
              for i in range(12)]
     partitioner.track(batch)
-    first = partitioner.partition(list(batch), 0)
-    second = partitioner.partition(list(batch), 0)
+    first = per_record(partitioner, list(batch), 0)
+    second = per_record(partitioner, list(batch), 0)
     assert len(second) == len(first)
     assert all(a.cores in ((0,), (1,), (0, 1)) for a in second)
     assert list(partitioner._mask) == [
@@ -222,14 +224,30 @@ def test_stats_accumulate():
     partitioner = make_partitioner()
     batch = [alu(i, dst=1) for i in range(5)]
     partitioner.track(batch)
-    partitioner.partition(batch, 0)
+    per_record(partitioner, batch, 0)
     stats = partitioner.stats.as_dict()
     assert stats["assigned"] == 5
     assert stats["on_core0"] + stats["on_core1"] >= 5
 
 
 def test_empty_batch():
-    assert make_partitioner().partition([], 0) == []
+    assert make_partitioner().partition([], 0) == (b"", [])
+
+
+def test_wiring_lists_memory_ops_and_communicated_records():
+    """A record needs wiring when it is a load or a store, or when a
+    source value must cross the fabric; the masks are the seqs' cores."""
+    partitioner = make_partitioner(policy="roundrobin", replication=False)
+    trace = [alu(0, dst=1), alu(1, dst=2),
+             load(2, dst=3, addr=64, srcs=(1,)),
+             alu(3, dst=4, srcs=(1, 2)), store(4, addr=64, srcs=(4, 3)),
+             alu(5, dst=5)]
+    partitioner.track(trace)
+    masks, wiring = partitioner.partition(trace, 0)
+    assert masks == bytes(partitioner._mask) == bytes([1, 2, 1, 2, 1, 2])
+    # r1 crosses to core 1 for seq 3, r4 to core 0 for the store.
+    assert wiring == [None, None, (None, None), ([(0, 1)], None),
+                      ([(3, 0)], None), None]
 
 
 def test_loads_balanced_over_long_run():
@@ -245,7 +263,7 @@ def test_loads_balanced_over_long_run():
         batches.append(batch)
     partitioner.track([record for batch in batches for record in batch])
     for batch in batches:
-        partitioner.partition(batch, batch[0].seq)
+        per_record(partitioner, batch, batch[0].seq)
     stats = partitioner.stats
     share = stats.on_core[1] / stats.assigned
     assert 0.25 < share < 0.75

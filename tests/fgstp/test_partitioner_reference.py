@@ -24,6 +24,7 @@ from repro.fgstp.params import FgStpParams
 from repro.fgstp.partitioner import Partitioner
 from repro.workloads.generator import generate_trace
 
+from .emission import per_record
 from .reference_partitioner import Partitioner as ReferencePartitioner
 from .test_partition_properties import NAMES
 
@@ -84,7 +85,8 @@ def _compare(case, data):
         if action == "partition":
             size = data.draw(st.integers(min_value=1, max_value=batch_size))
             batch = trace[cursor:cursor + size]
-            got = fast.partition(batch, cursor, committed_seq=committed)
+            got = per_record(fast, batch, cursor,
+                             committed_seq=committed)
             want = reference.partition(batch, committed_seq=committed)
             assert _assignments(got) == _assignments(want)
             cursor += len(batch)

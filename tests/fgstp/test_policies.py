@@ -20,6 +20,8 @@ from repro.uarch.params import core_config, small_core_config
 from repro.uarch.pipeline.machine import simulate_single_core
 from repro.workloads.generator import generate_trace
 
+from .emission import per_record
+
 
 def alu(seq, dst=1, srcs=()):
     return TraceRecord(seq, seq, OpClass.IALU, dst, tuple(srcs))
@@ -94,7 +96,7 @@ def test_set_policy_changes_assignment():
     assert partitioner.policy is roundrobin_policy
     batch = [alu(i) for i in range(4)]
     partitioner.track(batch)
-    assignments = partitioner.partition(batch, 0)
+    assignments = per_record(partitioner, batch, 0)
     assert [a.cores[0] for a in assignments] == [0, 1, 0, 1]
 
 

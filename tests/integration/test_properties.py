@@ -19,6 +19,8 @@ from repro.uarch.params import small_core_config
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import ALL_NAMES
 
+from ..fgstp.emission import per_record
+
 # ---------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------
@@ -118,7 +120,7 @@ def test_single_core_always_drains_and_bounds_ipc(records):
 def test_partitioner_assignment_invariants(records):
     partitioner = Partitioner(FgStpParams(batch_size=8, window_size=64))
     partitioner.track(records)
-    assignments = partitioner.partition(records, 0)
+    assignments = per_record(partitioner, records, 0)
     assert len(assignments) == len(records)
     for record, assignment in zip(records, assignments):
         assert assignment.seq == record.seq

@@ -11,6 +11,7 @@ from repro.fgstp.orchestrator import FgStpMachine
 from repro.integrity.chaos import (ChaosError, ChaosSpec, apply_chaos,
                                    maybe_apply_env_chaos, spec_from_env)
 from repro.integrity.errors import SimulationHang
+from repro.obs.tracer import PipelineTracer
 from repro.uarch.pipeline.machine import SingleCoreMachine
 from repro.workloads.generator import generate_trace
 
@@ -87,14 +88,23 @@ def test_drop_sends_loses_a_value_and_hangs(small_config):
     assert excinfo.value.cycles < 10_000
 
 
-def test_commit_stall_starves_fgstp_commit_gate(small_config):
-    machine = FgStpMachine(small_config, watchdog_window=WINDOW)
-    apply_chaos(machine, ChaosSpec.parse("commit_stall:after=50"))
+def test_commit_stall_starves_fgstp_retirement(small_config):
+    tracer = PipelineTracer()
+    machine = FgStpMachine(small_config, watchdog_window=WINDOW,
+                           tracer=tracer)
+    apply_chaos(machine, ChaosSpec.parse("commit_stall:after=150"))
     with pytest.raises(SimulationHang) as excinfo:
         machine.run(generate_trace("gcc", 2000))
     error = excinfo.value
     assert error.failure_class == "hang:intercore"
-    assert error.instructions <= 50 + 1
+    # Exactly 150 uops retire in seq order, each replica counted: one
+    # replicated pair among them makes 149 instructions.
+    retired = tracer.events("uop")
+    seqs = [event.seq for event in retired]
+    assert len(seqs) == 150
+    assert seqs == sorted(seqs)
+    assert sum(event.replica for event in retired) == 2
+    assert error.instructions == 149
 
 
 def test_commit_stall_on_single_core_machine(small_config):

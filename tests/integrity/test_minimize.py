@@ -190,6 +190,25 @@ def test_cli_minimize_without_dumps_is_usage_error(tmp_path, capsys):
     assert main(["minimize", "--crash-dir", str(tmp_path)]) == 2
 
 
+def test_cli_minimize_a_recipe_that_builds_no_machine_is_incomplete(
+        tmp_path, monkeypatch, capsys):
+    """A dump written while the partition policy was a machine option
+    carries ``overrides: {policy: ...}``, which no machine accepts now:
+    its recipe is incomplete, not a failure that does not reproduce."""
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    context = _recipe(400, chaos="stuck_queue:after=0")
+    context["overrides"] = {"policy": "roundrobin"}
+    error = SimulationHang("stale", machine="fgstp", detail="intercore",
+                           context=context)
+    path = write_crash_dump(error, directory=tmp_path)
+    with pytest.raises(TypeError, match="policy"):
+        replay_run_fn(context)
+    assert main(["minimize", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "replay recipe is incomplete" in err
+    assert "did not reproduce" not in err
+
+
 def test_cli_minimize_unreproducible_dump_exits_one(tmp_path, monkeypatch,
                                                     capsys):
     # A dump whose recipe runs cleanly (no chaos): nothing reproduces.

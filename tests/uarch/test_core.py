@@ -256,18 +256,21 @@ def test_drain_check_raises_when_busy():
         core.drain_check()
 
 
-def test_commit_gate_blocks_retirement():
+def test_retire_head_takes_only_a_head_completed_before_the_cycle():
+    """Without the retire step a completed uop stays at the ROB head;
+    the step declines it in its completion cycle and on an empty ROB."""
     core = make_core()
     uop = alu(0, dst=1)
-    committed = []
-    cursor_pushed = False
+    fetch(core, uop, 0)
     for cycle in range(20):
-        committed.extend(core.phase_commit(cycle, gate=lambda u: False))
         core.phase_complete(cycle)
         core.phase_issue(cycle)
         core.phase_dispatch(cycle)
-        if not cursor_pushed:
-            fetch(core, uop, cycle)
-            cursor_pushed = True
-    assert not committed
     assert uop.state == COMPLETED
+    assert core.rob_head is uop
+    assert core.retire_head(uop.complete_cycle) is None
+    assert core.retire_head(uop.complete_cycle + 1) is uop
+    assert uop.state == COMMITTED
+    assert uop.commit_cycle == uop.complete_cycle + 1
+    assert core.stats.committed == 1
+    assert core.retire_head(30) is None

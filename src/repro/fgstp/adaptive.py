@@ -298,10 +298,9 @@ class AdaptiveFgStpMachine:
         observed = self.commit_hook is not None or self.tracer is not None
         covered = len(sample) == len(measured) and not observed
         # The Fg-STP probe runs first.  Ties go to Fg-STP, so the single
-        # probe stops (returns None) at the first loop top where its
-        # cycle count has reached the Fg-STP probe's with records left:
-        # from there it cannot win.  A stopped probe's snapshot is
-        # dropped with it.
+        # probe stops (returns None) at the first loop top from which
+        # its cycle count would reach the Fg-STP probe's: from there it
+        # cannot win.  A stopped probe's snapshot is dropped with it.
         fgstp = self._probe("fgstp", prefix, sample, workload, covered,
                             observed)
         single = self._probe("single", prefix, sample, workload, covered,

@@ -235,9 +235,9 @@ class MachineShell:
         *measured* is its seq, whatever its ``seq`` field holds.
 
         With a cycle *limit* the run stops, and returns ``None``, at the
-        first loop top whose cycle has reached *limit* with records
-        left to commit: its result would take more than *limit*
-        cycles.  A stopped run raises no hang or limit failure past
+        first loop top from which its result would take *limit* cycles
+        or more: one at cycle ``limit - 1`` or later with records left
+        to commit.  A stopped run raises no hang or limit failure past
         that point.
 
         Without *payload* the run starts fresh, warmed on *prefix*, and
@@ -256,7 +256,7 @@ class MachineShell:
         else:
             cycle = self._adopt_state(loads_state(payload), measured)
         return self._run_loop(workload, cycle, len(measured), snapshot,
-                              NO_EVENT if limit is None else limit)
+                              NO_EVENT if limit is None else limit - 1)
 
     def _fresh(self, prefix: Sequence[TraceRecord],
                measured: Sequence[TraceRecord]) -> int:
@@ -271,13 +271,15 @@ class MachineShell:
 
     def _run_loop(self, workload: str, cycle: int, total: int,
                   ckpt: Optional[Checkpointer | Snapshot],
-                  limit: int = NO_EVENT) -> Optional[SimResult]:
+                  stop_at: int = NO_EVENT) -> Optional[SimResult]:
+        """Run from *cycle* until *total* records commit; ``None`` when
+        a loop top at or past cycle *stop_at* still has records left."""
         watchdog = self.watchdog
         skip = self.skip_ahead
         max_cycles = self.max_cycles
         step = self._step
         while self.committed < total:
-            if cycle >= limit:
+            if cycle >= stop_at:
                 return None
             committed = self.committed
             if ckpt is not None and ckpt.due(committed):

@@ -25,6 +25,7 @@ from repro.fgstp.params import FgStpParams
 from repro.fgstp.policies import roundrobin_policy
 from repro.uarch.params import core_config
 from repro.uarch.pipeline.machine import MachineShell, SingleCoreMachine
+from repro.uarch.pipeline.uop import COMMITTED
 from repro.uarch.warmup import split_warmup
 from repro.workloads.generator import generate_trace
 
@@ -270,6 +271,45 @@ def test_a_checkpoint_from_before_the_policy_parameter_resumes(policy):
         resumed = FgStpMachine(base, fgstp).run(
             trace, workload="gcc", warmup=600, resume_from=old)
         assert resumed.as_dict() == straight.as_dict()
+
+
+def _written_before_retirement_by_seq(payload):
+    """*payload* as written while Fg-STP retired through a per-uop
+    commit gate: the machine also kept ``_copies``, each live seq's
+    copies still to retire."""
+    state = loads_state(payload)
+    state["_copies"] = {
+        seq: sum(uop.state != COMMITTED for uop in uops)
+        for seq, uops in state["_live"].items()}
+    return dumps_state(state)
+
+
+def test_a_checkpoint_from_before_retirement_by_seq_resumes():
+    """Such a checkpoint keys as one written now and restores; the
+    resumed machine reads a replicated seq's retired copies from their
+    state, so a checkpoint taken between the two copies of a pair
+    resumes identically too."""
+    base = core_config("small")
+    trace = generate_trace("gcc", 3000, 3)
+    sink = CapturingSink()
+    # The first loop top at 686 commits has one copy of seq 686 retired.
+    straight = FgStpMachine(base, checkpoint_interval=686,
+                            checkpoint_sink=sink) \
+        .run(trace, workload="gcc", warmup=600)
+    assert len(sink.saved) >= 2
+    half_retired = 0
+    for _, checkpoint in sink.saved:
+        old = replace(checkpoint, payload=_written_before_retirement_by_seq(
+            checkpoint.payload))
+        copies = loads_state(old.payload)["_copies"]
+        half_retired += sum(
+            1 for seq, count in copies.items()
+            if count == 1
+            and len(loads_state(old.payload)["_live"][seq]) == 2)
+        resumed = FgStpMachine(base).run(
+            trace, workload="gcc", warmup=600, resume_from=old)
+        assert resumed.as_dict() == straight.as_dict()
+    assert half_retired
 
 
 def test_an_adaptive_machine_partitions_and_resumes_by_its_policy(

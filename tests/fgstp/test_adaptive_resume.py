@@ -157,3 +157,115 @@ def _fixed_case(sample, region, observed):
     return {"name": "mcf", "config": "small", "length": 4000, "seed": 3,
             "warmup": 500, "penalty": 150, "sample": sample,
             "region": region, "observed": observed}
+
+
+# ---------------------------------------------------------------------
+# The single-core probe stops once it cannot win
+# ---------------------------------------------------------------------
+
+@contextmanager
+def probes():
+    """Spy on the probes: yields a list that fills with ``(mode,
+    result, snapshot)`` per probe, in the order they ran."""
+    seen = []
+    original = AdaptiveFgStpMachine._probe
+
+    def spy(self, mode, *args, **kwargs):
+        result, snapshot = original(self, mode, *args, **kwargs)
+        seen.append((mode, result, snapshot))
+        return result, snapshot
+
+    with mock.patch.object(AdaptiveFgStpMachine, "_probe", spy):
+        yield seen
+
+
+def test_a_run_at_its_cycle_limit_stops():
+    """A run stops at the first loop top from which it would take its
+    limit or more: a limit equal to its cycle count stops it, one more
+    lets it finish."""
+    base = core_config("small")
+    prefix, measured = split_warmup(generate_trace("mcf", 2000, 3), 500)
+    whole = SingleCoreMachine(base)._run_measured(prefix, measured, "mcf")
+    assert SingleCoreMachine(base)._run_measured(
+        prefix, measured, "mcf", limit=whole.cycles) is None
+    finished = SingleCoreMachine(base)._run_measured(
+        prefix, measured, "mcf", limit=whole.cycles + 1)
+    assert finished.as_dict() == whole.as_dict()
+
+
+def test_a_tie_goes_to_fgstp_with_the_single_probe_stopped():
+    """The Fg-STP probe is made to take exactly the single probe's
+    cycles: the single probe stops and the region runs Fg-STP."""
+    case = _fixed_case(sample=400, region=1500, observed=False)
+    base = core_config(case["config"])
+    trace = generate_trace(case["name"], case["length"], case["seed"])
+    prefix, measured = split_warmup(trace, case["warmup"])
+    single = SingleCoreMachine(base)._run_measured(
+        prefix, measured[:case["sample"]], case["name"])
+    original = FgStpMachine._run_measured
+
+    def tied(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        result.cycles = single.cycles
+        return result
+
+    machine = AdaptiveFgStpMachine(base, None,
+                                   sample_instructions=case["sample"],
+                                   region_instructions=case["region"])
+    with probes() as seen, \
+            mock.patch.object(FgStpMachine, "_run_measured", tied):
+        mode, _ = machine._run_region(trace[:case["warmup"] + 1500],
+                                      case["warmup"], case["name"])
+    assert mode == "fgstp"
+    assert [(name, result is None) for name, result, _ in seen] \
+        == [("fgstp", False), ("single", True)]
+
+
+def test_a_region_single_wins_runs_both_probes_to_the_end():
+    # mcf at seed 3 on the small core picks the single core for its
+    # first region.
+    case = _fixed_case(sample=400, region=1500, observed=False)
+    with probes() as seen:
+        result = _run_case(AdaptiveFgStpMachine, case,
+                           generate_trace("mcf", 4000, 3))[0]
+    assert result["extra"]["modes"][0] == "single"
+    (_, fgstp, _), (_, single, _) = seen[:2]
+    assert [name for name, _, _ in seen[:2]] == ["fgstp", "single"]
+    assert single is not None and single.cycles < fgstp.cycles
+    assert single.instructions == fgstp.instructions == 400
+
+
+@pytest.mark.parametrize("observed", (False, True))
+def test_a_stopped_probe_is_never_restored(observed):
+    """Every region Fg-STP wins stops its single probe; no single-core
+    machine ever adopts state, whether or not the stopped probe took
+    its snapshot before it stopped."""
+    case = {"name": "gcc", "config": "medium", "length": 6000, "seed": 7,
+            "warmup": 1000, "penalty": 100, "sample": 600, "region": 1600,
+            "observed": observed}
+    with probes() as seen, adoptions() as adopted:
+        result = _run_case(AdaptiveFgStpMachine, case,
+                           generate_trace("gcc", 6000, 7))[0]
+    assert set(result["extra"]["modes"]) == {"fgstp"}
+    stopped = [snapshot for name, result, snapshot in seen
+               if name == "single" and result is None]
+    assert len(stopped) == len(result["extra"]["modes"])
+    if not observed:
+        # Some stopped probes had passed their snapshot mark already.
+        assert any(snapshot.payload is not None for snapshot in stopped)
+    assert adopted and {label for label, _ in adopted} == {"fgstp"}
+
+
+@pytest.mark.parametrize("observed", (False, True))
+@pytest.mark.parametrize("config", ("small", "medium"))
+def test_stopping_probes_matches_the_reference(config, observed):
+    """Stopped probes change no result, commit stream or trace event:
+    the machine equals the reference, which runs both probes to the end,
+    on both cores, with observers and without."""
+    case = {"name": "mcf", "config": config, "length": 5000, "seed": 3,
+            "warmup": 500, "penalty": 150, "sample": 700, "region": 1500,
+            "observed": observed}
+    with probes() as seen:
+        _check(case)
+    assert any(name == "single" and result is None
+               for name, result, _ in seen)

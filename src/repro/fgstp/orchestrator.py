@@ -198,17 +198,14 @@ class FgStpMachine(MachineShell):
         #    detected via the delivery counters: an entry can be
         #    delivered without waking anyone (no consumers yet), and
         #    that still changes queue state.
-        q0, q1 = self.queues
-        delivered = q0.deliveries + q1.deliveries
-        fifo = q0._fifo
-        if fifo and fifo[0][0] <= now:
-            for uop in q0.deliver(now):
-                cores[uop.core_id].wake(uop)
-        fifo = q1._fifo
-        if fifo and fifo[0][0] <= now:
-            for uop in q1.deliver(now):
-                cores[uop.core_id].wake(uop)
-        delivered = q0.deliveries + q1.deliveries - delivered
+        delivered = 0
+        for queue in self.queues:
+            fifo = queue._fifo
+            if fifo and fifo[0][0] <= now:
+                before = queue.deliveries
+                for uop in queue.deliver(now):
+                    cores[uop.core_id].wake(uop)
+                delivered += queue.deliveries - before
         # 2. Global in-order commit.
         retired0, retired1 = self._retire(now)
         # 3. Execution completion (fires sends and violation watches),
@@ -223,10 +220,21 @@ class FgStpMachine(MachineShell):
             completed += len(core1.phase_complete(now, on_complete))
         if self._pending_violations:
             self._process_violations(now)
-        # 4. Issue.
-        issued = core0.phase_issue(now) + core1.phase_issue(now)
-        # 5. Dispatch.
-        dispatched = core0.phase_dispatch(now) + core1.phase_dispatch(now)
+        # 4. Issue, on a core with a uop ready by now.
+        issued = 0
+        heap = core0._ready_heap
+        if heap and heap[0][0] <= now:
+            issued = core0.phase_issue(now)
+        heap = core1._ready_heap
+        if heap and heap[0][0] <= now:
+            issued += core1.phase_issue(now)
+        # 5. Dispatch, on a core with uops to dispatch or a dispatch
+        #    stall to clear.
+        dispatched = 0
+        if core0._fetch_buffer or core0._dispatch_blocked is not None:
+            dispatched = core0.phase_dispatch(now)
+        if core1._fetch_buffer or core1._dispatch_blocked is not None:
+            dispatched += core1.phase_dispatch(now)
         # 6. Feed partitioned uops into the cores' fetch buffers.
         fed = self._feed_cores(now)
         # 7. Global fetch + partition.
@@ -337,62 +345,78 @@ class FgStpMachine(MachineShell):
         The oldest uncommitted seq retires from the core that holds it
         (it heads that core's ROB) once it completed before *now*, as
         long as that core has commit slots left: ``commit_width`` each
-        per cycle.  A run of such seqs that one core holds alone
-        retires through that core's commit phase.  A replicated seq
-        commits when both copies have retired: the core that retired
-        the previous uop this cycle (core 0 at the start of a cycle)
-        retires its copy first, which is the order of passes that let
-        core 0 and then core 1 retire until neither can.
+        per cycle.  The run of such seqs that one core holds alone
+        retires in one call of that core's ``phase_commit``.  A
+        replicated seq commits when both copies have retired: the core
+        that retired the previous uop this cycle (core 0 at the start
+        of a cycle) retires its copy first, which is the order of
+        passes that let core 0 and then core 1 retire until neither
+        can.
         """
-        width = self.base.commit_width
-        left = [width, width]
         live = self._live
+        seq = self.committed
+        uops = live.get(seq)
+        if uops is None:
+            return 0, 0
+        width = self.base.commit_width
+        left0 = left1 = width
         cores = self.cores
         tracer = self.tracer
+        hook = self.commit_hook
         recent = self.recent_commits
         comm_tags = self._comm_tags
-        seq = self.committed
         current = 0
-        uops = live.get(seq)
         while uops is not None:
             if len(uops) == 2:
                 core_id = current
                 uop = uops[core_id]
                 if uop.state != COMPLETED or uop.complete_cycle >= now \
-                        or not left[core_id]:
+                        or not (left1 if core_id else left0):
                     core_id = 1 - core_id
                     uop = uops[core_id]
-                if uop.state != COMPLETED or uop.complete_cycle >= now \
-                        or not left[core_id] \
-                        or cores[core_id].retire_head(now) is None:
+                    if uop.state != COMPLETED \
+                            or uop.complete_cycle >= now \
+                            or not (left1 if core_id else left0):
+                        break
+                retired = cores[core_id].phase_commit(now, 1)
+                if not retired:
                     break
-                left[core_id] -= 1
+                if core_id:
+                    left1 -= 1
+                else:
+                    left0 -= 1
                 current = core_id
                 if tracer is not None:
                     tracer.commit(uop, now)
                 recent.append(uop)
                 if uops[1 - core_id].state != COMMITTED:
                     continue
-                retired = (uop,)
             else:
-                core_id = uops[0].core_id
-                budget = left[core_id]
-                run = 0
+                uop = uops[0]
+                if uop.state != COMPLETED or uop.complete_cycle >= now:
+                    break
+                core_id = uop.core_id
+                budget = left1 if core_id else left0
+                if not budget:
+                    break
+                run = 1
                 while run < budget:
-                    uop = uops[0]
-                    if uop.core_id != core_id or uop.state != COMPLETED \
-                            or uop.complete_cycle >= now:
+                    after = live.get(seq + run)
+                    if after is None or len(after) == 2:
+                        break
+                    head = after[0]
+                    if head.core_id != core_id \
+                            or head.state != COMPLETED \
+                            or head.complete_cycle >= now:
                         break
                     run += 1
-                    uops = live.get(seq + run)
-                    if uops is None or len(uops) == 2:
-                        break
-                if not run:
-                    break
                 retired = cores[core_id].phase_commit(now, run)
                 if not retired:
                     break
-                left[core_id] = budget - len(retired)
+                if core_id:
+                    left1 -= len(retired)
+                else:
+                    left0 -= len(retired)
                 current = core_id
                 if tracer is not None:
                     # Every retired uop (replicas included), so the
@@ -409,11 +433,12 @@ class FgStpMachine(MachineShell):
                     comm_tags.pop((seq, 0), None)
                     comm_tags.pop((seq, 1), None)
                 seq += 1
-                self.committed = seq
-                if self.commit_hook is not None:
-                    self.commit_hook(uop, now)
+                if hook is not None:
+                    self.committed = seq
+                    hook(uop, now)
             uops = live.get(seq)
-        return width - left[0], width - left[1]
+        self.committed = seq
+        return width - left0, width - left1
 
     # ------------------------------------------------------------------
     # Completion callbacks: communication sends, violations, stalls
@@ -523,25 +548,33 @@ class FgStpMachine(MachineShell):
     # ------------------------------------------------------------------
 
     def _feed_cores(self, now: int) -> int:
+        """Move each core's partitioned uops whose partition latency has
+        passed into its fetch buffer, up to ``fetch_width`` a cycle.  A
+        fed uop is in the FETCHED state it was built in: a squash drops
+        the feed's squashed entries."""
         pushed = 0
         width = self.base.fetch_width
         for core, feed in zip(self.cores, self._feed):
-            if not feed:
+            if not feed or feed[0][0] > now:
                 continue
             # Each push takes one fetch-buffer slot, so the buffer's
             # free space sizes the pushes once and no push overflows it.
             buffer = core._fetch_buffer
-            budget = min(width, core._fetch_capacity - len(buffer))
-            while feed and budget > 0:
+            budget = core._fetch_capacity - len(buffer)
+            if budget > width:
+                budget = width
+            left = budget
+            while left > 0:
                 available_at, uop = feed[0]
                 if available_at > now:
                     break
                 feed.popleft()
-                uop.state = FETCHED
                 uop.fetch_cycle = now
                 buffer.append(uop)
-                budget -= 1
-                pushed += 1
+                left -= 1
+                if not feed:
+                    break
+            pushed += budget - left
         return pushed
 
     # ------------------------------------------------------------------

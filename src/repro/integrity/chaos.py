@@ -266,19 +266,23 @@ def _inject_commit_stall(machine: Any, spec: ChaosSpec) -> bool:
         return True
     cores = getattr(machine, "cores", None)
     if cores:
-        # Fg-STP retires uop by uop through each core's retire step:
-        # after ``after`` uops, replicas counted, no head retires.
+        # Fg-STP retires through each core's phase_commit with a budget:
+        # capping it stops retirement after exactly ``after`` uops,
+        # replicas counted.
         state = {"retired": 0}
         for each in cores:
-            def retire_head(cycle, _orig=each.retire_head, _state=state):
-                if _state["retired"] >= after:
-                    return None
-                head = _orig(cycle)
-                if head is not None:
-                    _state["retired"] += 1
-                return head
+            def capped_commit(cycle, budget=None, _orig=each.phase_commit,
+                              _state=state):
+                allowed = after - _state["retired"]
+                if allowed <= 0:
+                    return []
+                if budget is None or budget > allowed:
+                    budget = allowed
+                retired = _orig(cycle, budget)
+                _state["retired"] += len(retired)
+                return retired
 
-            each.retire_head = retire_head
+            each.phase_commit = capped_commit
         return True
     return False
 

@@ -209,59 +209,49 @@ class CycleCore:
 
     def phase_commit(self, cycle: int,
                      budget: Optional[int] = None) -> List[Uop]:
-        """Retire up to *budget* (default ``commit_width``) completed
-        uops from the ROB head: :meth:`retire_head` until it declines.
+        """Retire up to *budget* (default ``commit_width``) uops from the
+        ROB head, oldest first, each completed before *cycle*.
+
+        The one retire step of every machine: a single-core machine
+        calls it once a cycle, and the Fg-STP machine calls it on the
+        core that holds the oldest uncommitted seq, with a budget that
+        stops at the last seq of the run that core holds alone.
 
         Returns:
             The uops retired by this call, oldest first.
         """
         committed: List[Uop] = []
-        if not self._rob:
-            return committed
-        retire = self.retire_head
-        for _ in range(self.params.commit_width if budget is None
-                       else budget):
-            head = retire(cycle)
-            if head is None:
-                break
-            committed.append(head)
-        return committed
-
-    def retire_head(self, cycle: int) -> Optional[Uop]:
-        """Retire the ROB head if it completed before *cycle*.
-
-        The one retire step: :meth:`phase_commit` repeats it, and the
-        Fg-STP machine calls it on the core whose ROB head is the
-        oldest uncommitted seq.  Returns the retired uop, or ``None``
-        when the ROB is empty or its head has not completed before
-        *cycle*.
-        """
         rob = self._rob
         if not rob:
-            return None
-        head = rob[0]
-        if head.state != COMPLETED or head.complete_cycle >= cycle:
-            return None
-        rob.popleft()
-        head.state = COMMITTED
-        head.commit_cycle = cycle
-        record = head.record
-        if head.is_memory:
-            self._lsq_count -= 1
-            if record.op_class == _STORE:
-                # Charge the write for statistics at retirement.
-                address = record.mem_addr
-                self.hierarchy.store(address, cycle)
-                store_map = self._store_map
-                if store_map.get(address) is head:
-                    del store_map[address]
-        dst = record.dst
-        if dst is not None:
-            reg_map = self._reg_map
-            if reg_map.get(dst) is head:
+            return committed
+        width = self.params.commit_width if budget is None else budget
+        stats = self.stats
+        store_map = self._store_map
+        reg_map = self._reg_map
+        count = 0
+        while rob and count < width:
+            head = rob[0]
+            if head.state != COMPLETED or head.complete_cycle >= cycle:
+                break
+            rob.popleft()
+            head.state = COMMITTED
+            head.commit_cycle = cycle
+            record = head.record
+            if head.is_memory:
+                self._lsq_count -= 1
+                if record.op_class == _STORE:
+                    # Charge the write for statistics at retirement.
+                    address = record.mem_addr
+                    self.hierarchy.store(address, cycle)
+                    if store_map.get(address) is head:
+                        del store_map[address]
+            dst = record.dst
+            if dst is not None and reg_map.get(dst) is head:
                 del reg_map[dst]
-        self.stats.committed += 1
-        return head
+            count += 1
+            committed.append(head)
+        stats.committed += count
+        return committed
 
     def phase_complete(self, cycle: int,
                        on_complete: Optional[Callable[[Uop, int], None]]
@@ -614,7 +604,7 @@ class CycleCore:
             head = rob[0]
             state = head.state
             if state == COMPLETED:
-                # Commit eligibility (retire_head requires
+                # Commit eligibility (phase_commit requires
                 # ``complete_cycle < cycle``); a head already eligible
                 # but held by the global commit order schedules nothing
                 # here.

@@ -256,21 +256,24 @@ def test_drain_check_raises_when_busy():
         core.drain_check()
 
 
-def test_retire_head_takes_only_a_head_completed_before_the_cycle():
-    """Without the retire step a completed uop stays at the ROB head;
-    the step declines it in its completion cycle and on an empty ROB."""
+def test_commit_budget_bounds_retirement():
+    """phase_commit retires at most its budget of completed heads (the
+    Fg-STP machine bounds it to the seqs one core holds), none of them
+    in the cycle it completes."""
     core = make_core()
-    uop = alu(0, dst=1)
-    fetch(core, uop, 0)
+    uops = [alu(seq, dst=seq + 1) for seq in range(3)]
+    for uop in uops:
+        fetch(core, uop, 0)
     for cycle in range(20):
         core.phase_complete(cycle)
         core.phase_issue(cycle)
         core.phase_dispatch(cycle)
-    assert uop.state == COMPLETED
-    assert core.rob_head is uop
-    assert core.retire_head(uop.complete_cycle) is None
-    assert core.retire_head(uop.complete_cycle + 1) is uop
-    assert uop.state == COMMITTED
-    assert uop.commit_cycle == uop.complete_cycle + 1
-    assert core.stats.committed == 1
-    assert core.retire_head(30) is None
+    assert [uop.state for uop in uops] == [COMPLETED] * 3
+    last = max(uop.complete_cycle for uop in uops)
+    assert core.phase_commit(uops[0].complete_cycle) == []
+    assert core.phase_commit(last + 1, 0) == []
+    assert core.phase_commit(last + 1, 2) == uops[:2]
+    assert core.rob_head is uops[2]
+    assert core.phase_commit(last + 1) == uops[2:]
+    assert core.stats.committed == 3
+    assert [uop.commit_cycle for uop in uops] == [last + 1] * 3

@@ -358,6 +358,10 @@ class FgStpMachine(MachineShell):
         uops = live.get(seq)
         if uops is None:
             return 0, 0
+        head = uops[0]
+        if len(uops) == 1 and (head.state != COMPLETED
+                               or head.complete_cycle >= now):
+            return 0, 0
         width = self.base.commit_width
         left0 = left1 = width
         cores = self.cores
@@ -641,26 +645,21 @@ class FgStpMachine(MachineShell):
         self._icache_line = icache_line
         self._fetch_cursor = cursor
 
+        # The partition unit processes whatever its buffer holds each
+        # cycle — ``batch_size`` is a maximum, not a minimum — so when
+        # both feed queues are empty (the cores have nothing left to
+        # dispatch, e.g. right after a misprediction redirect) a partial
+        # batch flows at once instead of waiting to fill.
+        feed0, feed1 = self._feed
         if (len(batch) >= self.fgstp.batch_size
                 or self._stall_seq is not None
                 or cursor >= len(trace)
-                or self._cores_starving()):
+                or (not feed0 and not feed1)):
             self._partition_batch(now)
         # The fetch loop body ran at least once (the pure-stall paths
         # all returned above): either instructions entered the batch or
         # an I-cache miss was initiated — both are front-end activity.
         return True
-
-    def _cores_starving(self) -> bool:
-        """True when both feed queues are empty (partition-unit bubble).
-
-        The partition unit processes whatever its buffer holds each cycle
-        — ``batch_size`` is a maximum, not a minimum — so when the cores
-        have nothing left to dispatch (e.g. right after a misprediction
-        redirect) a partial batch flows immediately instead of waiting to
-        fill.
-        """
-        return not self._feed[0] and not self._feed[1]
 
     def _partition_batch(self, now: int) -> None:
         """Partition the batch, then build and wire its uops in one pass

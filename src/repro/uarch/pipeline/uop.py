@@ -20,8 +20,9 @@ from typing import List, Optional
 from ...isa.opcodes import OpClass
 from ...trace.record import TraceRecord
 
-_LOAD = OpClass.LOAD
-_STORE = OpClass.STORE
+#: Per op class (indexed by its value): does it use the LSQ?
+_IS_MEMORY = tuple(op_class in (OpClass.LOAD, OpClass.STORE)
+                   for op_class in OpClass)
 
 # Uop lifecycle states.
 FETCHED = 0      #: in the fetch buffer
@@ -112,8 +113,7 @@ class Uop:
         self.seq = seq
         # Cached off the record: read once per dispatch/commit/squash
         # per cycle on the hot path (a double property hop otherwise).
-        op_class = record.op_class
-        self.is_memory = op_class == _LOAD or op_class == _STORE
+        self.is_memory = _IS_MEMORY[record.op_class]
         self.replica = replica
         self.cluster = 0
         self.core_id = core_id

@@ -11,6 +11,12 @@ once in the chosen mode's timing (the losing mode's sample run is the
 hardware's performance-counter experiment, modelled as overlapped with
 execution, plus a fixed reconfiguration penalty per switch).
 
+The Fg-STP probe runs first.  The decision gives ties to Fg-STP, so the
+single-core probe runs with the Fg-STP probe's cycle count as its limit
+(``MachineShell._run_measured``) and stops at the first loop top from
+which it could at best tie; a stopped probe is never resumed, and its
+snapshot is dropped with it.
+
 The simulator does not simulate the winner's sample twice either.  A
 probe and its mode's region run share the machine, the warm-up and the
 records up to the sample's end (the probes run a prefix slice of the

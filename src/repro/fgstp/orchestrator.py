@@ -713,6 +713,8 @@ class FgStpMachine(MachineShell):
             for producer_seq, dest_core in comm:
                 tag = self._get_comm_tag(producer_seq, dest_core, now)
                 if tag is not None:
+                    # A pair is indexed by core; a solo uop is on
+                    # dest_core already.
                     uops[dest_core if len(uops) == 2 else 0] \
                         .extra_deps.append(tag)
         op_class = record.op_class

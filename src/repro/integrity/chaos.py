@@ -10,9 +10,10 @@ chaos run differs from a production run only by the spec applied.
 Fault kinds (see :data:`KINDS`):
 
 * ``stuck_queue`` — an :class:`~repro.fgstp.comm.InterCoreQueue` stops
-  delivering after ``after`` deliveries (stuck credits): consumers of
-  in-flight values never wake, global commit starves, and the machine
-  livelocks.
+  delivering after ``after`` delivery rounds (stuck credits; the
+  machine asks a queue to deliver only in a cycle where an entry is
+  due): consumers of in-flight values never wake, global commit
+  starves, and the machine livelocks.
 * ``drop_sends`` — every ``every``-th queue send is silently dropped
   (a lost message): the consumer's :class:`ValueTag` is never
   satisfied.
@@ -153,8 +154,8 @@ def apply_chaos(machine: Any, spec: ChaosSpec, strict: bool = True) -> Any:
         # checkpoint write path.
         machine._chaos_kinds = (
             getattr(machine, "_chaos_kinds", ()) + (spec.kind,))
-        # Fault wrappers count *calls* (one per simulated cycle for
-        # queue delivery), so their trigger points are cycle-loop
+        # Fault wrappers count *calls* (one per cycle with an entry due
+        # for queue delivery), so their trigger points are cycle-loop
         # dependent: force the naive per-cycle loop so an injected
         # fault fires at the same cycle on every run.
         if hasattr(machine, "skip_ahead"):

@@ -19,7 +19,6 @@ class Assigned(NamedTuple):
     comm_srcs: List[Tuple[int, int]]
     mem_dep: Optional[Tuple[int, int]]
     stolen: bool
-    wired: bool
 
     @property
     def replicated(self) -> bool:
@@ -37,6 +36,5 @@ def per_record(partitioner, batch: Sequence, first_seq: int,
     for offset, (mask, wire) in enumerate(zip(masks, wiring)):
         comm, mem_dep = wire if wire is not None else (None, None)
         views.append(Assigned(first_seq + offset, CORES[mask],
-                              list(comm or ()), mem_dep, offset in steals,
-                              wire is not None))
+                              list(comm or ()), mem_dep, offset in steals))
     return views

@@ -4,7 +4,7 @@ The subsystem has three layers:
 
 * :mod:`repro.ckpt.state` — the serialized snapshot itself
   (:class:`MachineCheckpoint`), trace fingerprinting (hashed once per
-  run inside a :func:`fingerprint_scope`), and the checkpoint-specific
+  run inside a :func:`run_scope`), and the checkpoint-specific
   error hierarchy.
 * :mod:`repro.ckpt.store` — ``repro-ckpt-v1`` files under
   ``.repro_cache/checkpoints/``, a thin client of :mod:`repro.diskstore`
@@ -27,7 +27,7 @@ from .state import (
     CheckpointError,
     CheckpointMismatch,
     MachineCheckpoint,
-    fingerprint_scope,
+    run_scope,
     trace_fingerprint,
 )
 from .store import (
@@ -54,10 +54,10 @@ __all__ = [
     "Checkpointer",
     "CheckpointStore",
     "MachineCheckpoint",
-    "fingerprint_scope",
     "heartbeat",
     "resolve_interval",
     "run_key",
+    "run_scope",
     "set_heartbeat",
     "trace_fingerprint",
 ]

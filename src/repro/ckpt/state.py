@@ -1,4 +1,4 @@
-"""Machine checkpoint payloads and trace fingerprinting.
+"""Machine checkpoint payloads, trace fingerprinting and the run scope.
 
 A checkpoint is captured at a *quiesced commit boundary*: the top of a
 machine's run loop, where no phase is mid-flight and the committed
@@ -11,13 +11,15 @@ into the wrong machine, trace, or configuration.
 
 Fingerprints cover the *original* full trace (before the warmup split)
 so the harness can compute a checkpoint's identity without re-running
-the split.  Inside a :func:`fingerprint_scope`, which every machine run
-enters, each trace is hashed at most once: the run's checkpoint lookup,
-the restore check and the checkpointer's key share one value.
+the split.  Inside a :func:`run_scope`, which every machine run enters,
+each trace is hashed at most once: the run's checkpoint lookup, the
+restore check and the checkpointer's key share one value.  The same
+scope runs the machine with the cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import marshal
 import pickle
@@ -45,7 +47,7 @@ class CheckpointMismatch(CheckpointError):
 _COLUMNS = ("seq", "pc", "dst", "srcs", "mem_addr", "mem_size", "taken",
             "target")
 
-#: The innermost :func:`fingerprint_scope`'s memo (``id(trace)`` ->
+#: The outermost :func:`run_scope`'s memo (``id(trace)`` ->
 #: ``(trace, fingerprint)``), or ``None`` outside any scope.
 _memo: ContextVar[Optional[Dict[int, Tuple[Sequence, str]]]] = \
     ContextVar("trace_fingerprint_memo", default=None)
@@ -71,8 +73,8 @@ def trace_fingerprint(trace: Sequence) -> str:
 
     Hashes every field of every record, so the fingerprint is
     insensitive to object identity: a trace, its disk round trip and a
-    deep copy fingerprint alike.  Inside a :func:`fingerprint_scope` a
-    trace object is hashed once and its fingerprint reused.
+    deep copy fingerprint alike.  Inside a :func:`run_scope` a trace
+    object is hashed once and its fingerprint reused.
     """
     memo = _memo.get()
     if memo is None:
@@ -86,20 +88,34 @@ def trace_fingerprint(trace: Sequence) -> str:
 
 
 @contextmanager
-def fingerprint_scope() -> Iterator[None]:
-    """Hash each trace at most once until the block exits.
+def run_scope() -> Iterator[None]:
+    """The scope of one machine run: each trace is hashed at most once,
+    and the cyclic garbage collector is paused.
 
-    Every machine run enters one, and a nested scope shares the outer
-    one's memo.  The memo dies with the outermost block, so a trace
+    Every machine run enters one.  A nested scope, such as the adaptive
+    machine's probes and region runs, shares the outer one's memo and
+    changes nothing.  The memo dies with the outermost block, so a trace
     mutated in place after a run is hashed afresh by the next.
+
+    The outermost block disables the collector if it is enabled and
+    enables it again on exit, also when the run raises; a caller that
+    had disabled it finds it still disabled.  No machine run forms a
+    reference cycle (``tests/integration/test_teardown.py``), so
+    reference counting frees everything a run drops, and the passes
+    the pause skips could only walk live objects.
     """
     if _memo.get() is not None:
         yield
         return
     token = _memo.set({})
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
     try:
         yield
     finally:
+        if paused:
+            gc.enable()
         _memo.reset(token)
 
 

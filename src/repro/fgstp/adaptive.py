@@ -37,11 +37,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..ckpt.manager import Checkpointer, Snapshot
-from ..ckpt.state import (MachineCheckpoint, dumps_state,
-                          fingerprint_scope)
+from ..ckpt.state import MachineCheckpoint, dumps_state, run_scope
 from ..integrity.errors import SimulationError
 from ..stats.cpistack import CPIStack, cpistack_of, maybe_validate
 from ..stats.result import SimResult
+from ..trace.analysis import dependences
 from ..trace.record import TraceRecord
 from ..uarch.params import CoreParams
 from ..uarch.pipeline.machine import SingleCoreMachine
@@ -139,7 +139,7 @@ class AdaptiveFgStpMachine:
         #: ``None`` lets each follow the REPRO_SKIP_AHEAD environment.
         self.skip_ahead = skip_ahead
 
-    @fingerprint_scope()
+    @run_scope()
     def run(self, trace: Sequence[TraceRecord], workload: str = "trace",
             warmup: int = 0,
             resume_from: Optional[MachineCheckpoint] = None) -> SimResult:
@@ -261,8 +261,9 @@ class AdaptiveFgStpMachine:
 
         return shim
 
-    def _machine(self, mode: str, **observers):
-        """A fresh region machine for *mode*.  Checkpointing is pinned
+    def _machine(self, mode: str, index=None, **observers):
+        """A fresh region machine for *mode*; an Fg-STP one partitions
+        with the region's dependence *index*.  Checkpointing is pinned
         off: the adaptive machine checkpoints at region boundaries
         itself, and env-driven inner snapshots would be both redundant
         and keyed to a region's slice rather than the whole trace."""
@@ -270,18 +271,20 @@ class AdaptiveFgStpMachine:
                        skip_ahead=self.skip_ahead, checkpoint_interval=0,
                        **observers)
         if mode == "fgstp":
-            return FgStpMachine(self.base, self.fgstp, **options)
+            machine = FgStpMachine(self.base, self.fgstp, **options)
+            machine.dependence_index = index
+            return machine
         return SingleCoreMachine(self.base, **options)
 
     def _probe(self, mode: str, prefix, sample, workload: str,
-               covered: bool, observed: bool,
+               covered: bool, observed: bool, index=None,
                limit: Optional[int] = None):
         """Run *mode*'s probe on *sample*: ``(result, snapshot)``, with
         ``None`` for a result stopped at the cycle *limit*.  Unless the
         probe is the region run (*covered*), its snapshot is taken at
         commit 0 with observers attached, else a lookahead before the
         sample's end."""
-        machine = self._machine(mode)
+        machine = self._machine(mode, index=index)
         snapshot = None
         if not covered:
             mark = len(sample) - machine._lookahead()
@@ -303,12 +306,16 @@ class AdaptiveFgStpMachine:
         # the module docstring).
         observed = self.commit_hook is not None or self.tracer is not None
         covered = len(sample) == len(measured) and not observed
+        # Both Fg-STP machines of the region partition with one index of
+        # the measured records: the probe reads only its sample's
+        # entries, which are the sample's own index.
+        index = dependences(measured)
         # The Fg-STP probe runs first.  Ties go to Fg-STP, so the single
         # probe stops (returns None) at the first loop top from which
         # its cycle count would reach the Fg-STP probe's: from there it
         # cannot win.  A stopped probe's snapshot is dropped with it.
         fgstp = self._probe("fgstp", prefix, sample, workload, covered,
-                            observed)
+                            observed, index=index)
         single = self._probe("single", prefix, sample, workload, covered,
                              observed, limit=fgstp[0].cycles)
         mode = ("fgstp" if single[0] is None
@@ -328,7 +335,8 @@ class AdaptiveFgStpMachine:
                 cycle_offset += self.reconfigure_penalty
             tracer.begin_epoch(cycle_offset, offset)
         if snapshot is not None:
-            result = self._machine(mode, commit_hook=hook, tracer=tracer) \
+            result = self._machine(mode, index=index, commit_hook=hook,
+                                   tracer=tracer) \
                 ._run_measured(prefix, measured, workload,
                                payload=snapshot.payload)
         return mode, result

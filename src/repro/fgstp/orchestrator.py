@@ -133,6 +133,12 @@ class FgStpMachine(MachineShell):
         )
         self._wire()
 
+        #: The measured records' dependence index, or ``None`` to build
+        #: one: see :meth:`Partitioner.index_trace`.  The adaptive
+        #: machine sets one index for a region's probe and region run.
+        #: Like the partitioner's own copy, it stays out of checkpoints.
+        self.dependence_index: Optional[Tuple[list, list]] = None
+
         # Dynamic state (reset per run).
         self._trace: Sequence[TraceRecord] = ()
         self._fetch_cursor = 0
@@ -180,7 +186,7 @@ class FgStpMachine(MachineShell):
 
     def _start(self, trace: Sequence[TraceRecord]) -> None:
         self._trace = trace
-        self.partitioner.track(trace)
+        self.partitioner.track(trace, self.dependence_index)
 
     def _step(self, now: int) -> int:
         """Simulate one cycle; truthy when anything made progress.
@@ -235,8 +241,12 @@ class FgStpMachine(MachineShell):
             dispatched = core0.phase_dispatch(now)
         if core1._fetch_buffer or core1._dispatch_blocked is not None:
             dispatched += core1.phase_dispatch(now)
-        # 6. Feed partitioned uops into the cores' fetch buffers.
-        fed = self._feed_cores(now)
+        # 6. Feed partitioned uops into the cores' fetch buffers, when a
+        #    feed head's partition latency has passed.
+        fed = 0
+        feed0, feed1 = self._feed
+        if feed0 and feed0[0][0] <= now or feed1 and feed1[0][0] <= now:
+            fed = self._feed_cores(now)
         # 7. Global fetch + partition.
         fetched = self._global_fetch(now)
         # 8. Cycle accounting: every commit slot of both cores is
@@ -831,7 +841,7 @@ class FgStpMachine(MachineShell):
         relink(chain.from_iterable(self._live.values()), trace)
         cursor = self._fetch_cursor
         self._batch = list(trace[cursor - len(self._batch):cursor])
-        self.partitioner.index_trace(trace)
+        self.partitioner.index_trace(trace, self.dependence_index)
         self._wire()
 
     def _extra(self) -> dict:

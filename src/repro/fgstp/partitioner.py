@@ -85,14 +85,14 @@ class Partitioner:
     :meth:`track` installs the trace's dependence index and a per-seq
     core mask (1 = core 0, 2 = core 1, 3 = replicated).  A seq is a
     position in the tracked trace; records' own ``seq`` fields are never
-    read.  Every pass reads a source's producer from the index and finds
+    read.  Both passes read a source's producer from the index and find
     its cores by where the producer lies:
 
-    * at or above the batch's first seq it is in the batch, so its
-      cores are this call's (pass-1 ``cores``, the replicated set);
     * below the commit frontier its value is visible on both cores;
-    * otherwise the mask holds them.  Emission writes the mask as it
-      goes, so it reads every uncommitted producer there.
+    * assignment (pass 1) reads an in-batch producer's core from the
+      ``cores`` it is building and any other producer's from the mask;
+    * emission (pass 2) writes the mask as it goes, in record order, so
+      it reads every uncommitted producer there, in-batch ones included.
 
     Re-partitioning a seq simply overwrites its mask entry, so a squash
     leaves nothing to undo.  This is exact because fetch is in order
@@ -100,8 +100,8 @@ class Partitioner:
     partitioned, every older seq carries its current assignment.  The
     trace's latest older writer of a source, with its mask entry, is
     therefore what a register or memory writer map would hold, and the
-    only entries such a map would drop are committed ones, which every
-    pass filters by the commit frontier.
+    only entries such a map would drop are committed ones, which both
+    passes filter by the commit frontier.
     """
 
     def __init__(self, params: FgStpParams):
@@ -137,6 +137,9 @@ class Partitioner:
         # Batch offsets where balance overrode affinity (trace events
         # only; cleared every partition() call).
         self._last_steals: Set[int] = set()
+        # :attr:`weights` as a tuple indexed by ``OpClass`` value, built
+        # once per partition() call.
+        self._weight_of: Tuple[float, ...] = ()
 
     @property
     def steals(self) -> Set[int]:
@@ -145,25 +148,31 @@ class Partitioner:
         core; surfaced as a trace event, never part of the result)."""
         return self._last_steals
 
-    def _class_weights(self) -> Tuple[float, ...]:
-        """:attr:`weights` as a tuple indexed by ``OpClass`` value."""
-        return tuple(map(self.weights.__getitem__, _OP_CLASSES))
-
-    def track(self, trace: Sequence[TraceRecord]) -> None:
+    def track(self, trace: Sequence[TraceRecord],
+              index: Optional[Tuple[list, list]] = None) -> None:
         """Partition *trace* from its start: index it, clear the mask.
 
         Index and mask are addressed by position in *trace*, whatever
-        its records' ``seq`` fields hold.
+        its records' ``seq`` fields hold.  *index* is as for
+        :meth:`index_trace`.
         """
         self._mask = bytearray(len(trace))
-        self.index_trace(trace)
+        self.index_trace(trace, index)
 
-    def index_trace(self, trace: Sequence[TraceRecord]) -> None:
+    def index_trace(self, trace: Sequence[TraceRecord],
+                    index: Optional[Tuple[list, list]] = None) -> None:
         """Install *trace*'s dependence index and keep the core mask, as
         a run resumed from a checkpoint needs.  A snapshot taken over a
         shorter prefix of *trace* resumes too: the mask grows to the
-        trace's length."""
-        self._deps = dependences(trace)
+        trace's length.
+
+        *index*, when given, is installed instead of indexing *trace*:
+        the :func:`~repro.trace.analysis.dependences` of *trace* or of a
+        longer trace that starts with *trace*.  A producer precedes its
+        consumer, so the first ``len(trace)`` entries of the longer
+        trace's index are *trace*'s, and no later entry is read.
+        """
+        self._deps = dependences(trace) if index is None else index
         self._mask.extend(bytes(len(trace) - len(self._mask)))
 
     # ------------------------------------------------------------------
@@ -203,9 +212,9 @@ class Partitioner:
         self._first_seq = first_seq
         self._committed_seq = committed_seq
         self._last_steals.clear()
+        self._weight_of = tuple(map(self.weights.__getitem__, _OP_CLASSES))
         cores = self.policy(self, batch)
-        replicated = self._replication_pass(batch, cores)
-        return self._emit_pass(batch, cores, replicated)
+        return self._emit_pass(batch, cores)
 
     # -- pass 1: core assignment --------------------------------------
 
@@ -222,7 +231,7 @@ class Partitioner:
         new slices on the less-loaded core.
         """
         params = self.params
-        weight_of = self._class_weights()
+        weight_of = self._weight_of
         recent = params.affinity_recent
         threshold = params.balance_factor * 40.0
         load = self._load
@@ -310,77 +319,63 @@ class Partitioner:
         load[1] = load1 * 0.9
         return cores
 
-    # -- pass 2: replication ------------------------------------------
+    # -- pass 2: replication and emission ------------------------------
 
-    def _replication_pass(self, batch: Sequence[TraceRecord],
-                          cores: List[int]) -> Set[int]:
-        """Offsets (into *batch*) of instructions to replicate."""
-        if not self.params.replication:
-            return set()
-        max_weight = self.params.replication_max_weight
-        replicable = tuple(
-            op_class not in _UNREPLICABLE and weight <= max_weight
-            for op_class, weight in zip(_OP_CLASSES, self._class_weights()))
+    def _emit_pass(self, batch: Sequence[TraceRecord],
+                   cores: List[int]) -> Tuple[bytes, List[Wiring]]:
+        """Decide replication, record every mask entry and report the
+        wiring, in record order.
 
-        producers = self._deps[0]
-        mask = self._mask
-        committed = self._committed_seq
-        first = self._first_seq
-
-        # Consumer cores per batch offset (who reads my value, and
-        # where) as a 2-bit mask: bit c set when core c reads it.
-        consumer_mask = [0] * len(batch)
-        for offset in range(len(batch)):
-            sources = producers[first + offset]
-            if sources:
-                bit = 1 << cores[offset]
-                for producer in sources:
-                    if producer >= first:
-                        consumer_mask[producer - first] |= bit
-
-        replicated: Set[int] = set()
-        for offset, consumers in enumerate(consumer_mask):
-            # Only a record with a destination has consumers.
-            if consumers != 3:
-                continue
-            record = batch[offset]
-            if not replicable[record.op_class]:
-                continue
-            # Replication is profitable when at most one source value has
-            # to be *seeded* across the fabric: the replica then saves the
-            # (repeated) communication of this instruction's own value.
-            # Sources available on both cores — committed state, values
-            # produced by replicas — are free; a repeated source counts
-            # once per occurrence.
-            seed_cost = 0
-            for producer in producers[first + offset]:
-                if producer >= first:
-                    if producer - first not in replicated:
-                        seed_cost += 1
-                elif producer >= committed and mask[producer] != 3:
-                    seed_cost += 1
-            if seed_cost <= 1:
-                replicated.add(offset)
-        return replicated
-
-    # -- pass 3: emission ----------------------------------------------
-
-    def _emit_pass(self, batch: Sequence[TraceRecord], cores: List[int],
-                   replicated: Set[int]) -> Tuple[bytes, List[Wiring]]:
+        A record read on both cores whose class is cheap enough is
+        replicated when at most one of its source values has to be
+        *seeded* across the fabric: the replica then saves the
+        (repeated) communication of its own value.  Sources available
+        on both cores (committed state, values produced by replicas)
+        are free; a repeated source counts once per occurrence.  The
+        batch is at or above the commit frontier, and an in-batch
+        producer's mask entry was written earlier in this pass, so a
+        source needs seeding exactly when its producer is uncommitted
+        with a mask other than 3.
+        """
         producers, stores = self._deps
         mask = self._mask
         committed = self._committed_seq
+        first = self._first_seq
+        params = self.params
+        consumer_mask = replicable = None
+        if params.replication:
+            max_weight = params.replication_max_weight
+            replicable = tuple(
+                op_class not in _UNREPLICABLE and weight <= max_weight
+                for op_class, weight in zip(_OP_CLASSES, self._weight_of))
+            # Consumer cores per batch offset (who reads my value, and
+            # where) as a 2-bit mask: bit c set when core c reads it.
+            consumer_mask = [0] * len(batch)
+            for offset in range(len(batch)):
+                sources = producers[first + offset]
+                if sources:
+                    bit = 1 << cores[offset]
+                    for producer in sources:
+                        if producer >= first:
+                            consumer_mask[producer - first] |= bit
         wiring: List[Wiring] = [None] * len(batch)
         solo_core1 = replicas = comm_values = cross_mem_deps = 0
-        first = self._first_seq
         for offset, record in enumerate(batch):
             seq = first + offset
-            if replicated and offset in replicated:
-                my_mask = 3
+            core = cores[offset]
+            my_mask = 1 << core
+            # Only a record with a destination has consumers.
+            if consumer_mask is not None and consumer_mask[offset] == 3 \
+                    and replicable[record.op_class]:
+                seed_cost = 0
+                for producer in producers[seq]:
+                    if producer >= committed and mask[producer] != 3:
+                        seed_cost += 1
+                if seed_cost <= 1:
+                    my_mask = 3
+            if my_mask == 3:
                 replicas += 1
             else:
-                core = cores[offset]
-                my_mask = 1 << core
                 solo_core1 += core
             mask[seq] = my_mask
 

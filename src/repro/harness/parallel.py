@@ -462,8 +462,12 @@ def _call_with_timeout(function: Callable[[SweepJob], SimResult],
 
     The handler's :class:`JobTimeout` can be lost: the alarm may land
     in a garbage-collector callback, which swallows exceptions, or in
-    job code that catches it.  The handler therefore also records that
-    it fired, and a job that then returns normally still times out.
+    job code that catches it.  A machine run pauses the collector
+    (:func:`repro.ckpt.state.run_scope`), so during the simulation
+    itself no collector callback runs, but the rest of the job (trace
+    generation, the result's bookkeeping) still allocates with it on.
+    The handler therefore also records that it fired, and a job that
+    then returns normally still times out.
     """
     can_alarm = (timeout is not None and hasattr(signal, "setitimer")
                  and threading.current_thread() is threading.main_thread())

@@ -19,8 +19,8 @@ from itertools import chain
 from typing import Iterable, Optional, Sequence, Tuple
 
 from ...ckpt.manager import Checkpointer, Snapshot
-from ...ckpt.state import (MachineCheckpoint, dumps_state,
-                           fingerprint_scope, loads_state)
+from ...ckpt.state import (MachineCheckpoint, dumps_state, loads_state,
+                           run_scope)
 from ...integrity.errors import (SimulationError, SimulationHang,
                                  SimulationLimit)
 from ...integrity.forensics import uop_brief
@@ -197,7 +197,7 @@ class MachineShell:
     # Run loop
     # ------------------------------------------------------------------
 
-    @fingerprint_scope()
+    @run_scope()
     def _simulate(self, trace: Sequence[TraceRecord], workload: str,
                   warmup: int,
                   resume_from: Optional[MachineCheckpoint]) -> SimResult:

@@ -15,7 +15,7 @@ import pytest
 from repro.ckpt import state
 from repro.ckpt.state import (CheckpointCorruption, CheckpointMismatch,
                               MachineCheckpoint, dumps_state,
-                              fingerprint_scope, loads_state,
+                              loads_state, run_scope,
                               trace_fingerprint)
 from repro.ckpt.store import (CHECKPOINT_FORMAT, CheckpointStore, run_key)
 from repro.integrity.chaos import ChaosSpec, apply_chaos
@@ -174,9 +174,9 @@ def test_fingerprint_scope_hashes_a_trace_once(monkeypatch):
     monkeypatch.setattr(state, "_hash_trace",
                         lambda trace: hashed.append(1) or original(trace))
     trace = generate_trace("gcc", 300, 1)
-    with fingerprint_scope():
+    with run_scope():
         first = trace_fingerprint(trace)
-        with fingerprint_scope():
+        with run_scope():
             assert trace_fingerprint(trace) == first
         assert trace_fingerprint(trace[:]) == first
     assert len(hashed) == 2  # the slice is another object

@@ -1,12 +1,39 @@
 """Tests for adaptive (coarse-grain reconfiguring) Fg-STP."""
 
+from unittest import mock
+
 import pytest
 
+from repro.fgstp import adaptive, partitioner
 from repro.fgstp.adaptive import AdaptiveFgStpMachine, simulate_fgstp_adaptive
 from repro.trace.record import TraceRecord
 from repro.uarch.params import small_core_config
 from repro.uarch.pipeline.machine import simulate_single_core
 from repro.workloads.generator import generate_trace
+
+
+def test_each_region_is_indexed_once():
+    """Both Fg-STP machines of a region, its probe and the region run
+    that resumes the probe's snapshot, partition with one dependence
+    index of its measured records.  Three regions of 400, 400 and 200
+    records build three indexes, not the five (300, 400, 300, 400,
+    200) of indexing each probe's sample and then its region again."""
+    lengths = []
+    original = partitioner.dependences
+
+    def spy(trace):
+        lengths.append(len(trace))
+        return original(trace)
+
+    machine = AdaptiveFgStpMachine(small_core_config(),
+                                   sample_instructions=300,
+                                   region_instructions=400)
+    with mock.patch.object(partitioner, "dependences", spy), \
+            mock.patch.object(adaptive, "dependences", spy):
+        result = machine.run(generate_trace("gcc", 1500), workload="gcc",
+                             warmup=500)
+    assert result.extra["modes"][:2] == ["fgstp", "fgstp"]
+    assert lengths == [400, 400, 200]
 
 
 def test_validation():

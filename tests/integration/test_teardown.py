@@ -8,7 +8,10 @@ cycle collector disabled, drop it, and require that weak references to
 the machine, its partitioner and every adaptive region machine are
 already dead, and that a collection then finds no cyclic garbage at
 all (a squashed uop and the value tag it waited on used to form one,
-and so did a prefetcher patched over its hierarchy's methods).
+and so did a prefetcher patched over its hierarchy's methods), on
+every machine, plain or with a tracer, a commit hook, checkpoints or
+the commit-stream oracle attached.  Every machine run pauses the
+collector (``test_collector_pause.py``); this is what makes it safe.
 The Fg-STP orchestrator's per-seq maps hold in-flight entries only, so
 a finished run leaves them empty.
 """
@@ -24,9 +27,14 @@ from repro.fgstp.adaptive import AdaptiveFgStpMachine
 from repro.fgstp.orchestrator import FgStpMachine
 from repro.fgstp.params import FgStpParams
 from repro.fgstp.policies import POLICIES
-from repro.harness.runners import build_machine
+from repro.harness.config import ExperimentConfig
+from repro.harness.parallel import execute_job, make_job
+from repro.harness.runners import MACHINES, build_machine
+from repro.obs.tracer import PipelineTracer
 from repro.uarch.params import small_core_config
 from repro.workloads.generator import generate_trace
+
+from ..ckpt.test_checkpoint_identity import CapturingSink
 
 
 @contextmanager
@@ -130,15 +138,48 @@ def test_fgstp_maps_hold_only_in_flight_entries(policy, trace):
     assert machine._violation_store_pc == {}
 
 
-@pytest.mark.parametrize("name", ("fgstp", "fgstp-adaptive"))
-def test_finished_machine_leaves_no_cyclic_garbage(name, trace):
+def _observed_run(name, observer, trace):
+    """One run of *name* with *observer* attached; every object it made
+    is dropped when this returns."""
     overrides = ({"sample_instructions": 300, "region_instructions": 400}
                  if name == "fgstp-adaptive" else {})
+    if observer == "oracle":
+        config = ExperimentConfig(trace_length=len(trace), warmup=500)
+        job = make_job(name, "gcc", small_core_config(), config,
+                       oracle=True, **overrides)
+        result = execute_job(job, trace)
+        assert result.instructions == len(trace) - 500
+        return
+    options = {
+        "plain": {},
+        "tracer": {"tracer": PipelineTracer()},
+        "hook": {"commit_hook": lambda uop, cycle: None},
+        "checkpoints": {"checkpoint_interval": 200,
+                        "checkpoint_sink": CapturingSink()},
+    }[observer]
+    _run(build_machine(name, small_core_config(), FgStpParams(),
+                       **overrides, **options), trace)
+    if observer == "checkpoints":
+        assert options["checkpoint_sink"].saved
+
+
+#: Every machine plain (id: the machine's name) and with each observer
+#: a run can carry (id: machine-observer).
+OBSERVED_RUNS = [
+    pytest.param(name, observer,
+                 id=name if observer == "plain" else f"{name}-{observer}")
+    for name in MACHINES
+    for observer in ("plain", "tracer", "hook", "checkpoints", "oracle")]
+
+
+@pytest.mark.parametrize("name, observer", OBSERVED_RUNS)
+def test_finished_machine_leaves_no_cyclic_garbage(name, observer, trace):
+    """Reference counting frees everything a run made, observers and
+    checkpoints included: with the collector disabled for the run, a
+    forced collection then finds nothing unreachable.  Every machine
+    run pauses the collector, and this is what makes that safe."""
     with collector_disabled():
-        machine = build_machine(name, small_core_config(), FgStpParams(),
-                                **overrides)
-        _run(machine, trace)
-        del machine
+        _observed_run(name, observer, trace)
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             gc.collect()
